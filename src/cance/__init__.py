@@ -9,9 +9,7 @@ __version__ = "0.1.0"
 
 from cance.compress import (
     AutoencoderModel,
-    CompositeFeature,
     PcaModel,
-    composite_feature,
     covariance_loss,
     fit_pca,
     train_autoencoder,
@@ -23,7 +21,6 @@ from cance.nce import (
     EstimatorModel,
     NceConfig,
     NoiseModel,
-    anomaly_score,
     augment_batch,
     nce_loss,
     train_estimator,
@@ -34,14 +31,12 @@ from cance.stats import (
     StreamingMoments,
     TruncatedNormalParams,
     lognormal_mode,
-    update_moments,
     verify_augmentation_margin,
 )
 
 __all__ = [
     "AugmentationParams",
     "AutoencoderModel",
-    "CompositeFeature",
     "Dataset",
     "EstimatorModel",
     "GaussianModel",
@@ -53,10 +48,8 @@ __all__ = [
     "SplitSpec",
     "StreamingMoments",
     "TruncatedNormalParams",
-    "anomaly_score",
     "augment_batch",
     "auroc",
-    "composite_feature",
     "covariance_loss",
     "f1_at_contamination",
     "fit_pca",
@@ -65,6 +58,5 @@ __all__ = [
     "synth_generate",
     "train_autoencoder",
     "train_estimator",
-    "update_moments",
     "verify_augmentation_margin",
 ]

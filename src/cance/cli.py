@@ -17,14 +17,7 @@ from cance import evaluation
 from cance.config import RunConfig, load_config
 from cance.data import Dataset, load_csv, load_embeddings, synth_generate, write_csv
 from cance.errors import CanceError, ConfigError
-from cance.nn.serialize import load_container
-from cance.pipeline import (
-    ESTIMATOR_FILE,
-    REPORT_FILE,
-    load_run,
-    run_pipeline,
-    save_run,
-)
+from cance.pipeline import REPORT_FILE, load_run, run_pipeline, save_run
 from cance.rng import RunRng
 
 log = logging.getLogger(__name__)
@@ -91,7 +84,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_score(args) -> int:
-    compression, estimator, normalizer, _ = load_run(args.model_dir)
+    compression, estimator, normalizer, _, _ = load_run(args.model_dir)
     ignore = set(filter(None, (args.ignore_columns or "label,class").split(",")))
     dataset = _load_input(args.input, ignore)
     if dataset.n == 0:
@@ -122,14 +115,11 @@ def _print_report(report_summary: dict) -> None:
 
 def _score_persister(outdir, prefix=""):
     def persist(seed, artifacts):
-        z = artifacts.compression.composite(
-            artifacts.normalizer.transform(artifacts.test).features
-        )
         write_scores(
             os.path.join(outdir, f"scores-{prefix}seed{seed}.csv"),
             artifacts.test_scores,
-            z_e=z[:, -2],
-            z_c=z[:, -1],
+            z_e=artifacts.z_test[:, -2],
+            z_c=artifacts.z_test[:, -1],
         )
 
     return persist
@@ -197,7 +187,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    compression, estimator, normalizer, config_hash = load_run(args.model_dir)
+    compression, estimator, normalizer, config_hash, est_meta = load_run(
+        args.model_dir
+    )
     print(f"config hash      {config_hash}")
     print(f"compression      {type(compression).__name__} "
           f"{compression.input_dim} -> {compression.latent_dim}")
@@ -208,8 +200,6 @@ def cmd_inspect(args) -> int:
     print(f"noise mean       {noise.base.mean}")
     print(f"noise cov diag   {np.diag(noise.base.cov)}")
     print(f"K diagonal       {noise.k_diag()}")
-    _, est_meta, _ = load_container(os.path.join(args.model_dir,
-                                                 ESTIMATOR_FILE))
     if est_meta.get("augmentation"):
         print(f"mode estimates   {est_meta['augmentation']}")
     report_path = os.path.join(args.model_dir, REPORT_FILE)

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cance.errors import DegenerateFeatureError, NonFiniteError, ShapeError
-from cance.nn import AdamW, Activation, BatchNormLayer, DenseLayer, Network
+from cance.errors import ConfigError, DegenerateFeatureError, NonFiniteError, ShapeError
+from cance.nn import AdamW, Activation, BatchNormLayer, Network, mlp
 from cance.nn.serialize import (
     load_container,
     network_from_arrays,
@@ -23,18 +23,6 @@ from cance.nn.serialize import (
 log = logging.getLogger(__name__)
 
 COND_WARN_THRESHOLD = 1e6
-
-
-@dataclass
-class CompositeFeature:
-    latent: np.ndarray
-    squared_error: float
-    cosine_dissimilarity: float
-
-    def packed(self) -> np.ndarray:
-        return np.concatenate(
-            [self.latent, [self.squared_error, self.cosine_dissimilarity]]
-        )
 
 
 def reconstruction_features(x: np.ndarray, x_rec: np.ndarray):
@@ -100,8 +88,18 @@ def _mse(x: np.ndarray, x_rec: np.ndarray) -> float:
     return float(np.mean((x - x_rec) ** 2))
 
 
+def check_widths(key: str, widths) -> None:
+    """Hidden-layer widths must be positive integers; an empty tuple is legal."""
+    for w in widths:
+        if isinstance(w, bool) or not isinstance(w, (int, np.integer)) or w < 1:
+            raise ConfigError(f"{key}: widths must be positive integers, got {w!r}")
+
+
 @dataclass
 class AeConfig:
+    """The [compress] config section; `method` pca ignores the training keys."""
+
+    method: str = "ae"  # ae | pca
     latent_dim: int = 6
     hidden: tuple = (128, 64)
     lam: float = 0.1
@@ -109,15 +107,32 @@ class AeConfig:
     lr: float = 1e-4
     batch_size: int = 256
     weight_decay: float = 0.0
-    hidden_activation: Activation = Activation.TANH
     # validation metric during the joint stage: full stage loss or error only
-    checkpoint_on: str = "stage-loss"
+    checkpoint_on: str = "stage-loss"  # stage-loss | error
 
     def __post_init__(self):
+        self.validate()
+
+    def validate(self):
+        if self.method not in ("ae", "pca"):
+            raise ConfigError(f"compress.method: unknown method {self.method!r}")
+        if self.latent_dim < 1:
+            raise ConfigError("compress.latent_dim must be >= 1")
+        check_widths("compress.hidden", self.hidden)
         if self.lam < 0:
-            raise ValueError(f"covariance weight must be >= 0, got {self.lam}")
+            raise ConfigError("compress.lam must be >= 0")
+        if self.epochs < 1:
+            raise ConfigError("compress.epochs must be >= 1")
+        if self.lr <= 0:
+            raise ConfigError("compress.lr must be positive")
+        if self.batch_size < 1:
+            raise ConfigError("compress.batch_size must be >= 1")
+        if self.weight_decay < 0:
+            raise ConfigError("compress.weight_decay must be >= 0")
         if self.checkpoint_on not in ("stage-loss", "error"):
-            raise ValueError(f"unknown checkpoint metric {self.checkpoint_on!r}")
+            raise ConfigError(
+                f"compress.checkpoint_on: unknown metric {self.checkpoint_on!r}"
+            )
 
 
 class AutoencoderModel:
@@ -144,34 +159,15 @@ class AutoencoderModel:
     def build(
         cls, input_dim: int, config: AeConfig, rng: np.random.Generator
     ) -> "AutoencoderModel":
-        enc_dims = [input_dim, *config.hidden, config.latent_dim]
-        enc_layers = []
-        for i, (a, b) in enumerate(zip(enc_dims[:-1], enc_dims[1:])):
-            act = (
-                Activation.IDENTITY
-                if i == len(enc_dims) - 2
-                else config.hidden_activation
-            )
-            enc_layers.append(DenseLayer.glorot(a, b, act, rng))
-        enc_layers.append(BatchNormLayer(config.latent_dim))
-        encoder = Network(enc_layers)
-        dec_dims = [config.latent_dim, *reversed(config.hidden), input_dim]
-        dec_layers = []
-        for i, (a, b) in enumerate(zip(dec_dims[:-1], dec_dims[1:])):
-            act = (
-                Activation.IDENTITY
-                if i == len(dec_dims) - 2
-                else config.hidden_activation
-            )
-            dec_layers.append(DenseLayer.glorot(a, b, act, rng))
-        decoder = Network(dec_layers)
+        enc = mlp([input_dim, *config.hidden, config.latent_dim],
+                  Activation.TANH, Activation.IDENTITY, rng)
+        encoder = Network(enc.layers + [BatchNormLayer(config.latent_dim)])
+        decoder = mlp([config.latent_dim, *reversed(config.hidden), input_dim],
+                      Activation.TANH, Activation.IDENTITY, rng)
         return cls(encoder, decoder, config.lam)
 
     def latents(self, x: np.ndarray) -> np.ndarray:
         return self.encoder.forward(np.atleast_2d(x), train=False)
-
-    def reconstruct(self, x: np.ndarray) -> np.ndarray:
-        return self.decoder.forward(self.latents(x), train=False)
 
     def composite(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -179,10 +175,6 @@ class AutoencoderModel:
         x_rec = self.decoder.forward(z_l, train=False)
         z_e, z_c = reconstruction_features(x, x_rec)
         return pack_composite(z_l, z_e, z_c)
-
-    def composite_one(self, x: np.ndarray) -> CompositeFeature:
-        row = self.composite(np.atleast_2d(x))[0]
-        return CompositeFeature(row[:-2], float(row[-2]), float(row[-1]))
 
     def _state(self) -> list:
         buffers = []
@@ -225,6 +217,10 @@ class AutoencoderModel:
         kind, meta, arrays = load_container(path)
         if kind != "autoencoder":
             raise ShapeError(f"{path}: expected an autoencoder container, got {kind}")
+        return cls.from_container(meta, arrays)
+
+    @classmethod
+    def from_container(cls, meta: dict, arrays: dict) -> "AutoencoderModel":
         encoder = network_from_arrays(meta["encoder"], "enc", arrays)
         decoder = network_from_arrays(meta["decoder"], "dec", arrays)
         return cls(encoder, decoder, meta["lambda"])
@@ -372,19 +368,12 @@ class PcaModel:
     def latents(self, x: np.ndarray) -> np.ndarray:
         return (np.atleast_2d(x) - self.mean) @ self.components.T
 
-    def reconstruct(self, x: np.ndarray) -> np.ndarray:
-        return self.mean + self.latents(x) @ self.components
-
     def composite(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         z_l = self.latents(x)
         x_rec = self.mean + z_l @ self.components
         z_e, z_c = reconstruction_features(x, x_rec)
         return pack_composite(z_l, z_e, z_c)
-
-    def composite_one(self, x: np.ndarray) -> CompositeFeature:
-        row = self.composite(np.atleast_2d(x))[0]
-        return CompositeFeature(row[:-2], float(row[-2]), float(row[-1]))
 
     def save(self, path, extra_meta: dict | None = None) -> None:
         meta = {"input_dim": self.input_dim, "latent_dim": self.latent_dim}
@@ -399,6 +388,10 @@ class PcaModel:
         kind, meta, arrays = load_container(path)
         if kind != "pca":
             raise ShapeError(f"{path}: expected a pca container, got {kind}")
+        return cls.from_container(meta, arrays)
+
+    @classmethod
+    def from_container(cls, meta: dict, arrays: dict) -> "PcaModel":
         return cls(arrays["mean"], arrays["components"])
 
 
@@ -423,8 +416,3 @@ def fit_pca(x: np.ndarray, d: int) -> PcaModel:
             f"data has numerical rank {rank}, cannot extract {d} components"
         )
     return PcaModel(mean, eigvec[:, :d].T)
-
-
-def composite_feature(model, x: np.ndarray) -> CompositeFeature:
-    """Single-vector composite feature for either compression model."""
-    return model.composite_one(x)

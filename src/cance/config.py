@@ -9,7 +9,9 @@ import configparser
 import hashlib
 from dataclasses import dataclass, field, fields
 
+from cance.compress import AeConfig
 from cance.errors import ConfigError
+from cance.nce import NceConfig
 
 
 @dataclass
@@ -70,69 +72,11 @@ class DatasetSection:
 
 
 @dataclass
-class CompressSection:
-    method: str = "ae"  # ae | pca
-    latent_dim: int = 6
-    lam: float = 0.1
-    hidden: tuple = (128, 64)
-    epochs: int = 40
-    lr: float = 1e-4
-    batch_size: int = 256
-    weight_decay: float = 0.0
-    checkpoint_on: str = "stage-loss"  # stage-loss | error
-
-    def validate(self):
-        if self.method not in ("ae", "pca"):
-            raise ConfigError(f"compress.method: unknown method {self.method!r}")
-        if self.latent_dim < 1:
-            raise ConfigError("compress.latent_dim must be >= 1")
-        if self.lam < 0:
-            raise ConfigError("compress.lam must be >= 0")
-        if self.epochs < 1:
-            raise ConfigError("compress.epochs must be >= 1")
-        if self.lr <= 0:
-            raise ConfigError("compress.lr must be positive")
-        if self.checkpoint_on not in ("stage-loss", "error"):
-            raise ConfigError(
-                f"compress.checkpoint_on: unknown metric {self.checkpoint_on!r}"
-            )
-
-
-@dataclass
-class NceSection:
-    widths: tuple = (64, 64)
-    nu: float = 8.0
-    lr: float = 1e-4
-    psi_lr: float = 0.0  # 0 means "same as lr"
-    weight_decay: float = 0.0
-    epochs: int = 100
-    batch_size: int = 256
-    augmentation: bool = True
-    adapt_noise: bool = True
-    warmup_frac: float = 0.1
-    validate_augmented: bool = False
-    score_noise: str = "adapted"  # adapted | initial
-
-    def validate(self):
-        if self.nu <= 0:
-            raise ConfigError("nce.nu must be positive")
-        if self.lr <= 0:
-            raise ConfigError("nce.lr must be positive")
-        if self.epochs < 1:
-            raise ConfigError("nce.epochs must be >= 1")
-        if not 0.0 <= self.warmup_frac <= 1.0:
-            raise ConfigError("nce.warmup_frac must be in [0,1]")
-        if self.score_noise not in ("adapted", "initial"):
-            raise ConfigError(f"nce.score_noise: unknown mode {self.score_noise!r}")
-
-
-@dataclass
 class EvalSection:
     repeats: int = 5
     seed: int = 0
     val_fraction: float = 0.2
     contamination: float = 0.0  # 0 means "use the true test anomaly rate"
-    metric: str = "auroc"  # auroc | f1
 
     def validate(self):
         if self.repeats < 1:
@@ -141,8 +85,6 @@ class EvalSection:
             raise ConfigError("eval.val_fraction must be in (0,1)")
         if not 0.0 <= self.contamination < 1.0:
             raise ConfigError("eval.contamination must be in [0,1)")
-        if self.metric not in ("auroc", "f1"):
-            raise ConfigError(f"eval.metric: unknown metric {self.metric!r}")
 
 
 @dataclass
@@ -156,15 +98,14 @@ class OutputSection:
 @dataclass
 class RunConfig:
     dataset: DatasetSection = field(default_factory=DatasetSection)
-    compress: CompressSection = field(default_factory=CompressSection)
-    nce: NceSection = field(default_factory=NceSection)
+    compress: AeConfig = field(default_factory=AeConfig)
+    nce: NceConfig = field(default_factory=NceConfig)
     eval: EvalSection = field(default_factory=EvalSection)
     output: OutputSection = field(default_factory=OutputSection)
 
     def validate(self) -> "RunConfig":
-        for section in (self.dataset, self.compress, self.nce, self.eval,
-                        self.output):
-            section.validate()
+        for sec_field in fields(self):
+            getattr(self, sec_field.name).validate()
         return self
 
     def canonical(self) -> str:
@@ -187,13 +128,7 @@ class RunConfig:
         return hashlib.sha256(self.canonical().encode("utf-8")).hexdigest()[:16]
 
 
-_SECTIONS = {
-    "dataset": DatasetSection,
-    "compress": CompressSection,
-    "nce": NceSection,
-    "eval": EvalSection,
-    "output": OutputSection,
-}
+_SECTIONS = tuple(f.name for f in fields(RunConfig))
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -230,11 +165,9 @@ def _apply(config: RunConfig, section_name: str, key: str, raw: str) -> None:
     if section_name not in _SECTIONS:
         raise ConfigError(f"unknown config section [{section_name}]")
     section = getattr(config, section_name)
-    known = {f.name: f for f in fields(section)}
-    if key not in known:
+    if key not in {f.name for f in fields(section)}:
         raise ConfigError(f"unknown key {section_name}.{key}")
-    current = getattr(section, key)
-    target_type = type(current) if current is not None else str
+    target_type = type(getattr(section, key))
     setattr(section, key, _coerce(section_name, key, raw, target_type))
 
 
@@ -265,8 +198,3 @@ def load_config(path=None, overrides=()) -> RunConfig:
         section_name, key = dotted.split(".", 1)
         _apply(config, section_name.strip(), key.strip(), raw)
     return config.validate()
-
-
-def save_config(config: RunConfig, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(config.canonical())

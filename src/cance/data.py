@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cance.errors import DataFormatError, ShapeError
+from cance.nn.serialize import save_container
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -252,24 +253,17 @@ def load_embeddings(path, name=None) -> Dataset:
 # benchmark construction
 
 
-def make_unimodal(dataset: Dataset, normal_class: int,
-                  test_dataset: Dataset | None = None,
-                  test_fraction: float = 0.2,
-                  rng: np.random.Generator | None = None):
-    """One class is normal, everything else an anomaly.
-
-    With a separate `test_dataset`, its rows are labeled against the normal
-    class; otherwise `dataset` is deterministically partitioned and the
-    train side is filtered to the normal class.
-    """
-    return make_multimodal(dataset, [normal_class], test_dataset,
-                           test_fraction, rng)
-
-
 def make_multimodal(dataset: Dataset, normal_classes,
                     test_dataset: Dataset | None = None,
                     test_fraction: float = 0.2,
                     rng: np.random.Generator | None = None):
+    """The given classes are normal, everything else an anomaly.
+
+    With a separate `test_dataset`, its rows are labeled against the normal
+    classes; otherwise `dataset` is deterministically partitioned and the
+    train side is filtered to the normal classes. One normal class gives
+    the unimodal benchmark.
+    """
     normal_classes = sorted(set(int(c) for c in normal_classes))
     if not normal_classes:
         raise ValueError("need at least one normal class")
@@ -352,6 +346,18 @@ class Normalizer:
             dataset.class_ids,
             dataset.name,
         )
+
+    def save(self, path, extra_meta: dict | None = None) -> None:
+        meta = {"method": self.method, **(extra_meta or {})}
+        save_container(path, "normalizer", meta,
+                       {"shift": self._shift, "scale": self._scale})
+
+    @classmethod
+    def from_container(cls, meta: dict, arrays: dict) -> "Normalizer":
+        normalizer = cls(meta["method"])
+        normalizer._shift = arrays["shift"]
+        normalizer._scale = arrays["scale"]
+        return normalizer
 
 
 # --------------------------------------------------------------------------

@@ -1,20 +1,14 @@
 """Metrics and repeated-run experiment orchestration."""
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from cance.config import RunConfig
 from cance.errors import ShapeError
 from cance.nce import train_estimator
-from cance.pipeline import (
-    build_nce_config,
-    fit_compression,
-    load_benchmark,
-    run_pipeline,
-)
-from cance.data import Normalizer, SplitSpec, split_train_val
+from cance.pipeline import prepare_features, run_pipeline
 from cance.rng import RunRng
 
 log = logging.getLogger(__name__)
@@ -210,27 +204,15 @@ def run_ablation(config: RunConfig, repeats: int | None = None) -> dict:
     }
     latent_dim = config.compress.latent_dim
     for seed in seeds:
+        _, _, _, test, z_train, z_val, z_test = prepare_features(config, seed)
         rng = RunRng(seed)
-        train_pool, test = load_benchmark(config, rng)
-        split = SplitSpec(val_fraction=config.eval.val_fraction, seed=seed)
-        train, val = split_train_val(train_pool, split, rng.stream("val-split"))
-        normalizer = Normalizer(config.dataset.resolved_normalization()).fit(train)
-        train_n = normalizer.transform(train)
-        val_n = normalizer.transform(val)
-        test_n = normalizer.transform(test)
-        compression, _ = fit_compression(
-            config, train_n.features, val_n.features, rng
-        )
-        z_train = compression.composite(train_n.features)
-        z_val = compression.composite(val_n.features)
-        z_test = compression.composite(test_n.features)
         for variant in ABLATION_VARIANTS:
             try:
                 if variant == "Error":
                     scores = z_test[:, -2]
                 else:
-                    cfg = build_nce_config(
-                        config, augmentation=(variant == "CANCE")
+                    cfg = replace(
+                        config.nce, augmentation=(variant == "CANCE")
                     )
                     estimator, _ = train_estimator(
                         _variant_columns(z_train, latent_dim, variant),

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cance.errors import NonFiniteError, ShapeError
-from cance.nn import AdamW, Activation, Network, mlp
+from cance.compress import check_widths
+from cance.errors import ConfigError, NonFiniteError, ShapeError
+from cance.nn import AdamW, Activation, Network, mlp, sigmoid
 from cance.nn.serialize import (
     load_container,
     network_from_arrays,
@@ -40,16 +41,6 @@ log = logging.getLogger(__name__)
 def softplus(x):
     x = np.asarray(x, dtype=np.float64)
     return np.logaddexp(0.0, x)
-
-
-def sigmoid(x):
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
 
 
 @dataclass
@@ -267,26 +258,42 @@ def adapt_noise(
 
 @dataclass
 class NceConfig:
+    """The [nce] config section."""
+
     widths: tuple = (64, 64)
-    activation: Activation = Activation.TANH
     nu: float = 8.0
     lr: float = 1e-4
-    psi_lr: float | None = None
+    psi_lr: float = 0.0  # 0 means "same as lr"
     weight_decay: float = 0.0
     epochs: int = 100
     batch_size: int = 256
     augmentation: bool = True
     adapt_noise: bool = True
     warmup_frac: float = 0.1
-    psi_init: float = 0.0
     validate_augmented: bool = False
-    score_noise: str = "adapted"
+    score_noise: str = "adapted"  # adapted | initial
 
     def __post_init__(self):
+        self.validate()
+
+    def validate(self):
+        check_widths("nce.widths", self.widths)
         if self.nu <= 0:
-            raise ValueError(f"nu must be positive, got {self.nu}")
+            raise ConfigError("nce.nu must be positive")
+        if self.lr <= 0:
+            raise ConfigError("nce.lr must be positive")
+        if self.psi_lr < 0:
+            raise ConfigError("nce.psi_lr must be >= 0")
+        if self.weight_decay < 0:
+            raise ConfigError("nce.weight_decay must be >= 0")
+        if self.epochs < 1:
+            raise ConfigError("nce.epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ConfigError("nce.batch_size must be >= 1")
+        if not 0.0 <= self.warmup_frac <= 1.0:
+            raise ConfigError("nce.warmup_frac must be in [0,1]")
         if self.score_noise not in ("adapted", "initial"):
-            raise ValueError(f"unknown score_noise {self.score_noise!r}")
+            raise ConfigError(f"nce.score_noise: unknown mode {self.score_noise!r}")
 
 
 class EstimatorModel:
@@ -341,15 +348,14 @@ class EstimatorModel:
         kind, meta, arrays = load_container(path)
         if kind != "estimator":
             raise ShapeError(f"{path}: expected an estimator container, got {kind}")
+        return cls.from_container(meta, arrays)
+
+    @classmethod
+    def from_container(cls, meta: dict, arrays: dict) -> "EstimatorModel":
         net = network_from_arrays(meta["net"], "net", arrays)
         base = GaussianModel(arrays["noise.mean"], arrays["noise.cov"])
         psi = arrays["noise.psi"] if meta["has_psi"] else None
         return cls(net, NoiseModel(base, psi, meta["nu"]), meta["score_noise"])
-
-
-def anomaly_score(model: EstimatorModel, z: np.ndarray) -> float:
-    """Score for a single composite feature vector."""
-    return float(model.score(np.atleast_2d(z))[0])
 
 
 def train_estimator(
@@ -380,9 +386,7 @@ def train_estimator(
 
     if noise_model is None:
         noise_model = NoiseModel.from_data(
-            train_z,
-            config.nu,
-            psi_init=config.psi_init if config.adapt_noise else None,
+            train_z, config.nu, psi_init=0.0 if config.adapt_noise else None
         )
     if noise_model.dim != dim:
         raise ShapeError("noise model dim does not match features")
@@ -398,7 +402,7 @@ def train_estimator(
                        "sigma": aug.cosine_dist.sigma},
         }
 
-    net = mlp([dim, *config.widths, 1], config.activation, Activation.IDENTITY,
+    net = mlp([dim, *config.widths, 1], Activation.TANH, Activation.IDENTITY,
               init_rng)
     opt_theta = AdamW(net.parameters(), lr=config.lr,
                       weight_decay=config.weight_decay)

@@ -11,6 +11,7 @@ from cance.nn.layers import (
     Network,
     mlp,
     require_finite,
+    sigmoid,
 )
 from cance.nn.optim import AdamW
 from cance.nn.serialize import load_container, save_container
@@ -25,4 +26,5 @@ __all__ = [
     "mlp",
     "require_finite",
     "save_container",
+    "sigmoid",
 ]

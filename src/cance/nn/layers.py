@@ -20,6 +20,17 @@ def require_finite(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
+def sigmoid(x) -> np.ndarray:
+    """Logistic function, stable on both tails."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
 def _apply_activation(kind: Activation, pre: np.ndarray) -> np.ndarray:
     if kind is Activation.IDENTITY:
         return pre
@@ -28,13 +39,7 @@ def _apply_activation(kind: Activation, pre: np.ndarray) -> np.ndarray:
     if kind is Activation.TANH:
         return np.tanh(pre)
     if kind is Activation.SIGMOID:
-        # stable on both tails
-        out = np.empty_like(pre)
-        pos = pre >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-pre[pos]))
-        e = np.exp(pre[~pos])
-        out[~pos] = e / (1.0 + e)
-        return out
+        return sigmoid(pre)
     raise ValueError(f"unknown activation {kind!r}")
 
 

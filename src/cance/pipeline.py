@@ -12,13 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from cance.compress import (
-    AeConfig,
-    AutoencoderModel,
-    PcaModel,
-    fit_pca,
-    train_autoencoder,
-)
+from cance.compress import AutoencoderModel, PcaModel, fit_pca, train_autoencoder
 from cance.config import RunConfig
 from cance.data import (
     Dataset,
@@ -33,9 +27,9 @@ from cance.data import (
     split_train_val,
     synth_generate,
 )
-from cance.errors import ConfigError
-from cance.nce import EstimatorModel, NceConfig, NoiseModel, train_estimator
-from cance.nn.serialize import load_container, save_container
+from cance.errors import ConfigError, ShapeError
+from cance.nce import EstimatorModel, NoiseModel, train_estimator
+from cance.nn.serialize import load_container
 from cance.rng import RunRng
 
 
@@ -87,41 +81,38 @@ def fit_compression(config: RunConfig, train_x, val_x, rng: RunRng):
     if cc.method == "pca":
         model = fit_pca(np.vstack([train_x, val_x]), cc.latent_dim)
         return model, {"method": "pca"}
-    ae_config = AeConfig(
-        latent_dim=cc.latent_dim,
-        hidden=tuple(int(w) for w in cc.hidden),
-        lam=cc.lam,
-        epochs=cc.epochs,
-        lr=cc.lr,
-        batch_size=cc.batch_size,
-        weight_decay=cc.weight_decay,
-        checkpoint_on=cc.checkpoint_on,
-    )
     model, history = train_autoencoder(
-        train_x, val_x, ae_config, rng.stream("ae-init"), rng.stream("ae-shuffle")
+        train_x, val_x, cc, rng.stream("ae-init"), rng.stream("ae-shuffle")
     )
     history["method"] = "ae"
     return model, history
 
 
-def build_nce_config(config: RunConfig, **overrides) -> NceConfig:
-    nc = config.nce
-    kwargs = dict(
-        widths=tuple(int(w) for w in nc.widths),
-        nu=nc.nu,
-        lr=nc.lr,
-        psi_lr=nc.psi_lr or None,
-        weight_decay=nc.weight_decay,
-        epochs=nc.epochs,
-        batch_size=nc.batch_size,
-        augmentation=nc.augmentation,
-        adapt_noise=nc.adapt_noise,
-        warmup_frac=nc.warmup_frac,
-        validate_augmented=nc.validate_augmented,
-        score_noise=nc.score_noise,
+def prepare_features(config: RunConfig, seed: int):
+    """The feature path every run shares, up to the estimator.
+
+    Loads the benchmark, splits off validation, normalizes with train
+    statistics, fits the compression model and extracts composite features.
+    Returns (normalizer, compression, compression_history, test,
+    z_train, z_val, z_test).
+    """
+    rng = RunRng(seed)
+    train_pool, test = load_benchmark(config, rng)
+    split = SplitSpec(val_fraction=config.eval.val_fraction, seed=seed)
+    train, val = split_train_val(train_pool, split, rng.stream("val-split"))
+
+    normalizer = Normalizer(config.dataset.resolved_normalization()).fit(train)
+    train_n = normalizer.transform(train)
+    val_n = normalizer.transform(val)
+    test_n = normalizer.transform(test)
+
+    compression, history = fit_compression(
+        config, train_n.features, val_n.features, rng
     )
-    kwargs.update(overrides)
-    return NceConfig(**kwargs)
+    z_train = compression.composite(train_n.features)
+    z_val = compression.composite(val_n.features)
+    z_test = compression.composite(test_n.features)
+    return normalizer, compression, history, test, z_train, z_val, z_test
 
 
 @dataclass
@@ -133,39 +124,26 @@ class RunArtifacts:
     estimator: EstimatorModel
     test: Dataset
     test_scores: np.ndarray
+    z_test: np.ndarray
     compression_history: dict = field(default_factory=dict)
     estimator_history: dict = field(default_factory=dict)
 
 
 def run_pipeline(config: RunConfig, seed: int,
                  noise_model: NoiseModel | None = None) -> RunArtifacts:
-    rng = RunRng(seed)
-    train_pool, test = load_benchmark(config, rng)
-    split = SplitSpec(val_fraction=config.eval.val_fraction, seed=seed)
-    train, val = split_train_val(train_pool, split, rng.stream("val-split"))
-
-    normalizer = Normalizer(config.dataset.resolved_normalization()).fit(train)
-    train_n = normalizer.transform(train)
-    val_n = normalizer.transform(val)
-    test_n = normalizer.transform(test)
-
-    compression, comp_history = fit_compression(
-        config, train_n.features, val_n.features, rng
+    normalizer, compression, comp_history, test, z_train, z_val, z_test = (
+        prepare_features(config, seed)
     )
-    z_train = compression.composite(train_n.features)
-    z_val = compression.composite(val_n.features)
-    z_test = compression.composite(test_n.features)
-
+    rng = RunRng(seed)
     estimator, est_history = train_estimator(
         z_train,
         z_val,
-        build_nce_config(config),
+        config.nce,
         rng.stream("nce-init"),
         rng.stream("nce-train"),
         rng.stream("nce-val"),
         noise_model=noise_model,
     )
-    scores = estimator.score(z_test)
     return RunArtifacts(
         seed=seed,
         config_hash=config.hash(),
@@ -173,7 +151,8 @@ def run_pipeline(config: RunConfig, seed: int,
         normalizer=normalizer,
         estimator=estimator,
         test=test,
-        test_scores=scores,
+        test_scores=estimator.score(z_test),
+        z_test=z_test,
         compression_history=comp_history,
         estimator_history=est_history,
     )
@@ -198,13 +177,7 @@ def save_run(outdir, config: RunConfig, artifacts: RunArtifacts) -> None:
     if aug_fit:
         est_meta["augmentation"] = _jsonable(aug_fit)
     artifacts.estimator.save(os.path.join(outdir, ESTIMATOR_FILE), est_meta)
-    norm = artifacts.normalizer
-    save_container(
-        os.path.join(outdir, NORMALIZER_FILE),
-        "normalizer",
-        {"method": norm.method, **tag},
-        {"shift": norm._shift, "scale": norm._scale},
-    )
+    artifacts.normalizer.save(os.path.join(outdir, NORMALIZER_FILE), tag)
     with open(os.path.join(outdir, CONFIG_FILE), "w") as fh:
         fh.write(config.canonical())
     report = {
@@ -218,16 +191,22 @@ def save_run(outdir, config: RunConfig, artifacts: RunArtifacts) -> None:
         fh.write("\n")
 
 
+COMPRESSION_KINDS = {"autoencoder": AutoencoderModel, "pca": PcaModel}
+
+
 def load_run(outdir):
-    """Load persisted models; refuses directories with mismatched hashes."""
-    comp_path = os.path.join(outdir, COMPRESSION_FILE)
-    kind, meta, _ = load_container(comp_path)
-    compression = (
-        AutoencoderModel.load(comp_path) if kind == "autoencoder"
-        else PcaModel.load(comp_path)
-    )
-    estimator = EstimatorModel.load(os.path.join(outdir, ESTIMATOR_FILE))
-    _, est_meta, _ = load_container(os.path.join(outdir, ESTIMATOR_FILE))
+    """Load persisted models; refuses directories with mismatched hashes.
+
+    Returns (compression, estimator, normalizer, config_hash, estimator_meta).
+    """
+    kind, meta, arrays = load_container(os.path.join(outdir, COMPRESSION_FILE))
+    if kind not in COMPRESSION_KINDS:
+        raise ShapeError(f"{outdir}: unexpected compression container kind {kind!r}")
+    compression = COMPRESSION_KINDS[kind].from_container(meta, arrays)
+    ekind, est_meta, earrays = load_container(os.path.join(outdir, ESTIMATOR_FILE))
+    if ekind != "estimator":
+        raise ShapeError(f"{outdir}: expected an estimator container, got {ekind}")
+    estimator = EstimatorModel.from_container(est_meta, earrays)
     nkind, nmeta, narrays = load_container(os.path.join(outdir, NORMALIZER_FILE))
     if nkind != "normalizer":
         raise ConfigError(f"{outdir}: unexpected container kind {nkind!r}")
@@ -237,10 +216,8 @@ def load_run(outdir):
         raise ConfigError(
             f"{outdir}: artifacts carry mismatched config hashes {sorted(hashes)}"
         )
-    normalizer = Normalizer(nmeta["method"])
-    normalizer._shift = narrays["shift"]
-    normalizer._scale = narrays["scale"]
-    return compression, estimator, normalizer, hashes.pop()
+    normalizer = Normalizer.from_container(nmeta, narrays)
+    return compression, estimator, normalizer, hashes.pop(), est_meta
 
 
 def _jsonable(obj):

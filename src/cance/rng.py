@@ -27,7 +27,3 @@ class RunRng:
         digest = hashlib.sha256(name.encode("utf-8")).digest()
         words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
         return np.random.default_rng([self.seed, *words])
-
-    def child(self, offset: int) -> "RunRng":
-        """Derive the rng for repeat number `offset` of an experiment."""
-        return RunRng(self.seed + offset)

@@ -68,10 +68,6 @@ class StreamingMoments:
         return self.merge(StreamingMoments.from_batch(batch))
 
 
-def update_moments(state: StreamingMoments, batch: np.ndarray) -> StreamingMoments:
-    return state.update(batch)
-
-
 def lognormal_mode(samples: np.ndarray) -> float:
     """Mode estimate for a positive, right-skewed feature.
 

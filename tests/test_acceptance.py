@@ -366,7 +366,6 @@ def test_criterion_8_abalone_f1():
         "nce.lr=1e-3",
         "nce.batch_size=256",
         "eval.repeats=5",
-        "eval.metric=f1",
     ])
     report = run_experiment(config)
     mean_f1 = report.mean("f1")

@@ -11,7 +11,6 @@ from cance.compress import (
     AeConfig,
     AutoencoderModel,
     PcaModel,
-    composite_feature,
     covariance_loss,
     covariance_loss_grad,
     fit_pca,
@@ -215,11 +214,10 @@ class TestCompositePacking:
         rng = np.random.default_rng(12)
         config = AeConfig(latent_dim=2, hidden=(), epochs=2)
         model = AutoencoderModel.build(3, config, rng)
-        feature = composite_feature(model, np.array([1.0, 2.0, 3.0]))
-        assert feature.latent.shape == (2,)
-        assert feature.squared_error >= 0.0
-        assert 0.0 <= feature.cosine_dissimilarity <= 1.0
-        packed = feature.packed()
+        packed = model.composite(np.array([1.0, 2.0, 3.0]))[0]
+        assert packed[:-2].shape == (2,)
+        assert packed[-2] >= 0.0
+        assert 0.0 <= packed[-1] <= 1.0
         assert packed.shape == (4,)
 
 
@@ -240,9 +238,9 @@ class TestPca:
         model = fit_pca(data, 2)
         v = 0.7 * ortho
         x = model.mean + v
-        feature = model.composite_one(x)
-        np.testing.assert_allclose(feature.latent, 0.0, atol=1e-10)
-        assert feature.squared_error == pytest.approx(
+        feature = model.composite(x)[0]
+        np.testing.assert_allclose(feature[:-2], 0.0, atol=1e-10)
+        assert feature[-2] == pytest.approx(
             np.dot(v, v) / 4, rel=1e-10
         )
 

@@ -14,7 +14,6 @@ from cance.data import (
     load_embeddings,
     load_idx,
     make_multimodal,
-    make_unimodal,
     split_labeled_benchmark,
     split_train_val,
     synth_generate,
@@ -148,14 +147,14 @@ def toy_classes():
 
 class TestBenchmarks:
     def test_unimodal_filters_train_and_labels_test(self, toy_classes):
-        train, test = make_unimodal(toy_classes, 0,
-                                    rng=np.random.default_rng(4))
+        train, test = make_multimodal(toy_classes, [0],
+                                      rng=np.random.default_rng(4))
         assert np.all(train.class_ids == 0)
         np.testing.assert_array_equal(test.labels, (test.class_ids != 0))
 
     def test_partition_counts_sum(self, toy_classes):
-        train, test = make_unimodal(toy_classes, 0, test_fraction=0.25,
-                                    rng=np.random.default_rng(5))
+        train, test = make_multimodal(toy_classes, [0], test_fraction=0.25,
+                                      rng=np.random.default_rng(5))
         # train keeps only class-0 rows from the non-test side; totals add up
         assert test.n == round(90 * 0.25)
         non_test = 90 - test.n
@@ -164,13 +163,13 @@ class TestBenchmarks:
 
     def test_absent_class_rejected(self, toy_classes):
         with pytest.raises(ValueError, match="absent"):
-            make_unimodal(toy_classes, 9, rng=np.random.default_rng(6))
+            make_multimodal(toy_classes, [9], rng=np.random.default_rng(6))
 
     def test_normal_class_with_no_training_rows_rejected(self, toy_classes):
         # a test fraction this large sends every row to the test side
         with pytest.raises(ValueError, match="no training rows"):
-            make_unimodal(toy_classes, 0, test_fraction=0.999,
-                          rng=np.random.default_rng(7))
+            make_multimodal(toy_classes, [0], test_fraction=0.999,
+                            rng=np.random.default_rng(7))
 
     def test_multimodal_anomalies_are_complement(self, toy_classes):
         train, test = make_multimodal(toy_classes, [0, 1],
@@ -191,7 +190,7 @@ class TestBenchmarks:
     def test_separate_test_dataset(self, toy_classes):
         other = Dataset(np.zeros((10, 2)),
                         class_ids=np.array([0] * 5 + [2] * 5))
-        train, test = make_unimodal(toy_classes, 0, test_dataset=other)
+        train, test = make_multimodal(toy_classes, [0], test_dataset=other)
         assert train.n == 30  # all class-0 rows of the full training set
         assert test.n == 10
         np.testing.assert_array_equal(test.labels, [0] * 5 + [1] * 5)

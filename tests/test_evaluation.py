@@ -199,16 +199,16 @@ class TestRunAblation:
             assert 0.0 <= report.mean("auroc") <= 1.0
 
     def test_variants_share_one_compression_fit(self, monkeypatch):
-        import cance.evaluation as evaluation_module
+        import cance.pipeline as pipeline_module
 
         count = {"fits": 0}
-        original = evaluation_module.fit_compression
+        original = pipeline_module.fit_compression
 
         def counting(config, train_x, val_x, rng):
             count["fits"] += 1
             return original(config, train_x, val_x, rng)
 
-        monkeypatch.setattr(evaluation_module, "fit_compression", counting)
+        monkeypatch.setattr(pipeline_module, "fit_compression", counting)
         run_ablation(tiny_config(), repeats=2)
         assert count["fits"] == 2  # one per seed, shared across variants
 

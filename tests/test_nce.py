@@ -12,7 +12,6 @@ from cance.nce import (
     adapt_noise,
     adnce_objective,
     adnce_psi_grad,
-    anomaly_score,
     augment_batch,
     nce_loss,
     nce_loss_and_grads,
@@ -327,7 +326,7 @@ class TestScoring:
         t = trained.log_odds(z)[0]
         log_noise = trained.noise.adapted_gaussian().logpdf(z)[0]
         expected = -(t + np.log(8.0) + log_noise)
-        assert anomaly_score(trained, z[0]) == pytest.approx(expected, rel=1e-12)
+        assert trained.score(z[0])[0] == pytest.approx(expected, rel=1e-12)
 
     def test_score_deterministic_bitwise(self, trained):
         z = np.random.default_rng(124).standard_normal((7, 2))

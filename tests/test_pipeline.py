@@ -116,7 +116,6 @@ class TestRecipePipeline:
             f"dataset.path={raw}",
             f"dataset.recipe={recipe}",
             "dataset.name=toy-recipe",
-            "eval.metric=f1",
             *fast_nce_overrides(),
         ])
         report = run_experiment(config, repeats=2)

@@ -12,7 +12,6 @@ from cance.stats import (
     TruncatedNormalParams,
     gaussian_kde_silverman,
     lognormal_mode,
-    update_moments,
     verify_augmentation_margin,
 )
 
@@ -26,7 +25,7 @@ def one_pass_moments(data):
 class TestStreamingMoments:
     def test_mean_of_two_batches(self):
         state = StreamingMoments.from_batch(np.array([[1.0], [3.0]]))
-        state = update_moments(state, np.array([[5.0]]))
+        state = state.update(np.array([[5.0]]))
         np.testing.assert_allclose(state.mean, [3.0])
         assert state.count == 3
 
