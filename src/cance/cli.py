@@ -5,17 +5,24 @@ Subcommands: train, score, eval, ablate, synth, inspect. Exit codes:
 """
 
 import argparse
-import csv
 import json
 import logging
 import os
 import sys
+from itertools import repeat
 
 import numpy as np
 
 from cance import evaluation
 from cance.config import RunConfig, load_config
-from cance.data import Dataset, load_csv, load_embeddings, synth_generate, write_csv
+from cance.data import (
+    Dataset,
+    load_csv,
+    load_embeddings,
+    synth_generate,
+    write_csv,
+    write_lines,
+)
 from cance.errors import CanceError, ConfigError
 from cance.pipeline import REPORT_FILE, load_run, run_pipeline, save_run
 from cance.rng import RunRng
@@ -41,17 +48,25 @@ def _resolve_outdir(explicit: str, config: RunConfig) -> str:
 
 
 def write_scores(path, scores, z_e=None, z_c=None) -> None:
-    """Deterministic score CSV: id, z_e, z_c, score."""
+    """Deterministic score CSV: id, z_e, z_c, score.
+
+    Each float is written as the `repr` of its float64 (the shortest text
+    that round-trips), and an absent z_e or z_c column as empty fields, so
+    the same scores always give the same bytes.
+    """
     scores = np.asarray(scores, dtype=np.float64)
+    n = len(scores)
+
+    def column(values):
+        if values is None:
+            return repeat("", n)
+        return map(repr, np.asarray(values, dtype=np.float64).tolist())
+
+    columns = (map(str, range(n)), column(z_e), column(z_c),
+               map(repr, scores.tolist()))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "z_e", "z_c", "score"])
-        for i, s in enumerate(scores):
-            row = [str(i)]
-            row.append(repr(float(z_e[i])) if z_e is not None else "")
-            row.append(repr(float(z_c[i])) if z_c is not None else "")
-            row.append(repr(float(s)))
-            writer.writerow(row)
+        fh.write("id,z_e,z_c,score\n")
+        write_lines(fh, map(",".join, zip(*columns, strict=True)))
 
 
 def _load_input(path, ignore_columns) -> Dataset:

@@ -9,6 +9,8 @@ import re
 import struct
 import warnings
 from dataclasses import dataclass
+from itertools import islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -86,13 +88,43 @@ def split_train_val(dataset: Dataset, spec: SplitSpec,
 # file formats
 
 
+def _integral(values):
+    """True where a float is an integer that int64 can hold."""
+    return (np.trunc(values) == values) & (np.abs(values) < 2.0**63)
+
+
+def _first_bad_cell(path, cells, columns, n_features):
+    """The error for the first cell, in file order, that is not a number,
+    or that is not an integer in a label or class column; else None.
+
+    `cells` holds the selected cells of each data row in turn, one per
+    entry of `columns`.
+    """
+    for k, raw in enumerate(cells):
+        try:
+            value = float(raw)
+        except ValueError:
+            problem = f"cannot parse {raw!r}"
+        else:
+            if k % len(columns) < n_features or _integral(value):
+                continue
+            problem = f"expected an integer, got {raw!r}"
+        row, col = divmod(k, len(columns))
+        return DataFormatError(
+            f"{path}: row {row + 2}, column {columns[col]!r}: {problem}"
+        )
+    return None
+
+
 def load_csv(path, feature_columns=None, label_column=None, class_column=None,
              name=None) -> Dataset:
     """Read a numeric CSV with a header row.
 
     Column roles are given by name; unlisted columns become features when
-    `feature_columns` is None. Non-numeric cells are errors that cite the
-    row and column.
+    `feature_columns` is None. Cells are parsed with Python's `float`.
+    Non-numeric cells, and label or class cells that are not integers, are
+    errors that cite the row and column; the first such cell in file order
+    is reported.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -112,62 +144,79 @@ def load_csv(path, feature_columns=None, label_column=None, class_column=None,
             for col in feature_columns:
                 if col not in header:
                     raise DataFormatError(f"{path}: missing column {col!r}")
+        n_features = len(feature_columns)
+        columns = [*feature_columns, *filter(None, (label_column, class_column))]
         index = {h: i for i, h in enumerate(header)}
-        rows, labels, classes = [], [], []
-        for lineno, row in enumerate(reader, start=2):
+        positions = [index[c] for c in columns]
+        # itemgetter of one index returns the bare cell, not a tuple
+        pick = (itemgetter(*positions) if len(positions) > 1
+                else lambda row: [row[i] for i in positions])
+        cells = []
+        n_rows = 0
+        for n_rows, row in enumerate(reader, start=1):
             if len(row) != len(header):
-                raise DataFormatError(
-                    f"{path}: row {lineno} has {len(row)} fields, expected "
+                earlier = _first_bad_cell(path, cells, columns, n_features)
+                raise earlier or DataFormatError(
+                    f"{path}: row {n_rows + 1} has {len(row)} fields, expected "
                     f"{len(header)}"
                 )
-            def cell(col):
-                raw = row[index[col]]
-                try:
-                    return float(raw)
-                except ValueError:
-                    raise DataFormatError(
-                        f"{path}: row {lineno}, column {col!r}: "
-                        f"cannot parse {raw!r}"
-                    ) from None
-            rows.append([cell(c) for c in feature_columns])
-            if label_column:
-                labels.append(int(cell(label_column)))
-            if class_column:
-                classes.append(int(cell(class_column)))
-    if not rows:
+            cells.extend(pick(row))
+    if not n_rows:
         raise DataFormatError(f"{path}: no data rows")
+    try:
+        values = np.fromiter(map(float, cells), np.float64, count=len(cells))
+    except ValueError:
+        raise _first_bad_cell(path, cells, columns, n_features) from None
+    values = values.reshape(n_rows, len(columns))
+    ints = values[:, n_features:]
+    if not np.all(_integral(ints)):
+        raise _first_bad_cell(path, cells, columns, n_features)
+    # one row per integer column: the label, then the class
+    ints = ints.astype(np.int64).T
     return Dataset(
-        np.array(rows, dtype=np.float64),
-        np.array(labels) if label_column else None,
-        np.array(classes) if class_column else None,
+        np.ascontiguousarray(values[:, :n_features]),
+        ints[0] if label_column else None,
+        ints[-1] if class_column else None,
         name or str(path),
     )
 
 
+_WRITE_BLOCK_LINES = 1 << 16
+
+
+def write_lines(fh, lines) -> None:
+    """Write each line followed by "\\n", joined in blocks of 64k lines."""
+    lines = iter(lines)
+    while block := list(islice(lines, _WRITE_BLOCK_LINES)):
+        fh.write("\n".join(block))
+        fh.write("\n")
+
+
 def write_csv(path, dataset: Dataset, feature_prefix: str = "f") -> None:
-    """Write a dataset with full float round-trip precision."""
+    """Write a dataset with full float round-trip precision: each feature is
+    the `repr` of its float64, each label and class id its integer."""
     header = [f"{feature_prefix}{i}" for i in range(dataset.dim)]
+    columns = [map(repr, col) for col in dataset.features.T.tolist()]
     if dataset.labels is not None:
         header.append("label")
+        columns.append(map(str, dataset.labels.tolist()))
     if dataset.class_ids is not None:
         header.append("class")
+        columns.append(map(str, dataset.class_ids.tolist()))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i in range(dataset.n):
-            row = [repr(float(v)) for v in dataset.features[i]]
-            if dataset.labels is not None:
-                row.append(str(int(dataset.labels[i])))
-            if dataset.class_ids is not None:
-                row.append(str(int(dataset.class_ids[i])))
-            writer.writerow(row)
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        write_lines(fh, map(",".join, zip(*columns)))
+
+
+def _read_exact(fh, size, path, what) -> bytes:
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise DataFormatError(f"{path}: truncated {what}")
+    return raw
 
 
 def _read_be_u32(fh, path, what) -> int:
-    raw = fh.read(4)
-    if len(raw) != 4:
-        raise DataFormatError(f"{path}: truncated {what}")
-    return struct.unpack(">I", raw)[0]
+    return struct.unpack(">I", _read_exact(fh, 4, path, what))[0]
 
 
 def load_idx(images_path, labels_path, name=None) -> Dataset:
@@ -228,10 +277,12 @@ def load_embeddings(path, name=None) -> Dataset:
         magic = fh.read(4)
         if magic != EMBEDDINGS_MAGIC:
             raise DataFormatError(f"{path}: not an embedding container")
-        version = struct.unpack("<I", fh.read(4))[0]
+        version = struct.unpack("<I", _read_exact(fh, 4, path, "version"))[0]
         if version != EMBEDDINGS_VERSION:
             raise DataFormatError(f"{path}: embedding format version {version}")
-        n, dim, has_labels = struct.unpack("<QQB", fh.read(17))
+        n, dim, has_labels = struct.unpack(
+            "<QQB", _read_exact(fh, 17, path, "header")
+        )
         payload = fh.read(n * dim * 8)
         if len(payload) != n * dim * 8:
             raise DataFormatError(
@@ -241,9 +292,7 @@ def load_embeddings(path, name=None) -> Dataset:
         features = np.frombuffer(payload, dtype="<f8").reshape(n, dim)
         class_ids = None
         if has_labels:
-            raw = fh.read(n * 8)
-            if len(raw) != n * 8:
-                raise DataFormatError(f"{path}: truncated labels")
+            raw = _read_exact(fh, n * 8, path, "labels")
             class_ids = np.frombuffer(raw, dtype="<i8").astype(np.int64)
     return Dataset(features.astype(np.float64), class_ids=class_ids,
                    name=name or str(path))

@@ -94,12 +94,18 @@ class DenseLayer:
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ShapeError(f"expected input (*, {self.in_dim}), got {x.shape}")
-        pre = x @ self.weights.T + self.bias
-        post = _apply_activation(self.activation, pre)
+        pre = x @ self.weights.T
+        pre += self.bias
         if train:
+            post = _apply_activation(self.activation, pre)
             # eval-mode forwards leave all state untouched so a frozen
             # model is safe for concurrent callers
             self._x, self._pre, self._post = x, pre, post
+        elif self.activation is Activation.TANH:
+            # nothing keeps pre in eval mode, so tanh may overwrite it
+            post = np.tanh(pre, out=pre)
+        else:
+            post = _apply_activation(self.activation, pre)
         return require_finite(post, "dense layer output")
 
     def backward(self, upstream: np.ndarray) -> np.ndarray:

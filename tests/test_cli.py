@@ -1,13 +1,21 @@
 """Command-line interface: subcommands, exit codes, reproducibility."""
 
+import csv
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from cance.cli import main
+from cance.cli import main, write_scores
+from cance.data import Dataset, write_embeddings
 from cance.pipeline import COMPRESSION_FILE, ESTIMATOR_FILE
+
+# shortest round-trip text switches to an exponent below 1e-4 and from
+# 1e16 on; the neighbours of each switch, the float64 extremes and the
+# non-finite values
+EDGE_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324,
+               1e16, 9999999999999998.0, 1e-5, 0.0001, 0.1]
 
 
 @pytest.fixture
@@ -38,6 +46,47 @@ def file_hashes(outdir, names):
         name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
         for name in names
     }
+
+
+def reference_write_scores(path, scores, z_e=None, z_c=None):
+    """Cell-at-a-time csv.writer loop: the byte layout of `write_scores`."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id", "z_e", "z_c", "score"])
+        for i, s in enumerate(np.asarray(scores, dtype=np.float64)):
+            row = [str(i)]
+            row.append(repr(float(z_e[i])) if z_e is not None else "")
+            row.append(repr(float(z_c[i])) if z_c is not None else "")
+            row.append(repr(float(s)))
+            writer.writerow(row)
+
+
+class TestWriteScores:
+    @pytest.mark.parametrize("with_e, with_c", [
+        (True, True), (True, False), (False, True), (False, False),
+    ])
+    def test_matches_reference_writer(self, tmp_path, with_e, with_c):
+        rng = np.random.default_rng(0)
+        scores = np.concatenate([rng.standard_normal(50) * 1e3, EDGE_FLOATS])
+        z = rng.standard_normal((scores.size, 2))
+        z[: len(EDGE_FLOATS), 0] = EDGE_FLOATS[::-1]
+        z_e = z[:, 0] if with_e else None
+        z_c = z[:, 1] if with_c else None
+        write_scores(tmp_path / "new.csv", scores, z_e=z_e, z_c=z_c)
+        reference_write_scores(tmp_path / "ref.csv", scores, z_e=z_e, z_c=z_c)
+        assert (tmp_path / "new.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
+
+    def test_edge_floats_written_as_repr(self, tmp_path):
+        write_scores(tmp_path / "s.csv", EDGE_FLOATS)
+        rows = (tmp_path / "s.csv").read_text().splitlines()[1:]
+        assert rows == [f"{i},,,{v!r}" for i, v in enumerate(EDGE_FLOATS)]
+
+    def test_empty_scores_match_reference_writer(self, tmp_path):
+        write_scores(tmp_path / "new.csv", np.empty(0))
+        reference_write_scores(tmp_path / "ref.csv", np.empty(0))
+        assert (tmp_path / "new.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes() == b"id,z_e,z_c,score\n"
 
 
 class TestTrainAndScore:
@@ -100,6 +149,17 @@ class TestTrainAndScore:
         assert main(["score", "-m", str(outdir), "-i", str(empty),
                      "-o", str(scores_csv)]) == 0
         assert scores_csv.read_text() == "id,z_e,z_c,score\n"
+
+    def test_score_truncated_embeddings_is_runtime_error(self, tiny_ini,
+                                                         tmp_path, capsys):
+        outdir = tmp_path / "run"
+        main(["train", "-c", str(tiny_ini), "-o", str(outdir)])
+        emb = tmp_path / "trunc.emb"
+        write_embeddings(emb, Dataset(np.ones((3, 2))))
+        emb.write_bytes(emb.read_bytes()[:12])
+        assert main(["score", "-m", str(outdir), "-i", str(emb),
+                     "-o", str(tmp_path / "s.csv")]) == 2
+        assert "truncated" in capsys.readouterr().err
 
     def test_score_dim_mismatch_is_config_error(self, tiny_ini, tmp_path):
         outdir = tmp_path / "run"

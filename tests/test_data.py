@@ -1,5 +1,6 @@
 """File formats, benchmark construction, normalization, synthetic data."""
 
+import csv
 import struct
 
 import numpy as np
@@ -22,6 +23,54 @@ from cance.data import (
 )
 from cance.errors import DataFormatError, ShapeError
 from cance.rng import RunRng
+
+# shortest round-trip text switches to an exponent below 1e-4 and from
+# 1e16 on; the neighbours of each switch, the float64 extremes and the
+# non-finite values
+EDGE_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324,
+               1e16, 9999999999999998.0, 1e-5, 0.0001, 0.1]
+
+
+def reference_load_csv(path, feature_columns=None, label_column=None,
+                       class_column=None):
+    """Row-at-a-time reader: the loader's semantics on valid files."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        if feature_columns is None:
+            feature_columns = [
+                h for h in header if h not in (label_column, class_column)
+            ]
+        index = {h: i for i, h in enumerate(header)}
+        rows, labels, classes = [], [], []
+        for row in reader:
+            rows.append([float(row[index[c]]) for c in feature_columns])
+            if label_column:
+                labels.append(int(float(row[index[label_column]])))
+            if class_column:
+                classes.append(int(float(row[index[class_column]])))
+    return (np.array(rows, dtype=np.float64),
+            np.array(labels, dtype=np.int64) if label_column else None,
+            np.array(classes, dtype=np.int64) if class_column else None)
+
+
+def reference_write_csv(path, dataset, feature_prefix="f"):
+    """Cell-at-a-time csv.writer loop: the byte layout of `write_csv`."""
+    header = [f"{feature_prefix}{i}" for i in range(dataset.dim)]
+    if dataset.labels is not None:
+        header.append("label")
+    if dataset.class_ids is not None:
+        header.append("class")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for i in range(dataset.n):
+            row = [repr(float(v)) for v in dataset.features[i]]
+            if dataset.labels is not None:
+                row.append(str(int(dataset.labels[i])))
+            if dataset.class_ids is not None:
+                row.append(str(int(dataset.class_ids[i])))
+            writer.writerow(row)
 
 
 class TestCsv:
@@ -59,6 +108,94 @@ class TestCsv:
         back = load_csv(path, label_column="label")
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.labels, ds.labels)
+
+    @pytest.mark.parametrize("cell", ["0.5", "inf", "nan", "1e300"])
+    @pytest.mark.parametrize("column", ["label", "class"])
+    def test_non_integer_label_or_class_rejected(self, tmp_path, column, cell):
+        path = tmp_path / "d.csv"
+        path.write_text(f"a,{column}\n1,0\n2,{cell}\n3,1\n")
+        kwargs = {f"{column}_column": column}
+        with pytest.raises(DataFormatError,
+                           match=rf"row 3, column '{column}'.*'{cell}'"):
+            load_csv(path, **kwargs)
+
+    @pytest.mark.parametrize("text, kwargs", [
+        ('a,b,label\n"1.5","-2",0\n" 3 ",4e-3,"1"\n', {"label_column": "label"}),
+        ("a,b\n 1.5 , 2\n1_000,-0.0\n", {}),
+        ("a\n1\n2.5\n", {}),
+        ("a,b,c,label,class\n1,2,3,1.0,7\n4,5,6,-0.0,8\n",
+         {"feature_columns": ["c", "a"], "label_column": "label",
+          "class_column": "class"}),
+    ])
+    def test_matches_reference_reader(self, tmp_path, text, kwargs):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        ds = load_csv(path, **kwargs)
+        features, labels, classes = reference_load_csv(path, **kwargs)
+        assert ds.features.tobytes() == features.tobytes()
+        assert ds.features.shape == features.shape
+        assert ds.features.flags.c_contiguous
+        for got, want in ((ds.labels, labels), (ds.class_ids, classes)):
+            if want is None:
+                assert got is None
+            else:
+                np.testing.assert_array_equal(got, want)
+                assert got.dtype == np.int64
+
+    def test_header_only_file_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b\n")
+        with pytest.raises(DataFormatError, match="no data rows"):
+            load_csv(path)
+
+    def test_bad_cell_reported_before_later_ragged_row(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b\n1,2\n3,x\n5,6\n7\n")
+        with pytest.raises(DataFormatError, match=r"row 3, column 'b'.*'x'"):
+            load_csv(path)
+
+    def test_bad_label_reported_before_later_bad_feature(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,label\n1,0\n2,0.5\nbad,1\n")
+        with pytest.raises(DataFormatError, match=r"row 3, column 'label'"):
+            load_csv(path, label_column="label")
+
+    def test_bad_feature_reported_before_bad_label_in_same_row(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("label,a\n0,1\nnan,bad\n")
+        with pytest.raises(DataFormatError, match=r"row 3, column 'a'"):
+            load_csv(path, label_column="label")
+
+    @pytest.mark.parametrize("labels, class_ids", [
+        (None, None), ([0, 1, 0, 1], None), (None, [3, 9, 3, 0]),
+        ([0, 1, 0, 1], [3, 9, 3, 0]),
+    ])
+    def test_write_matches_reference_writer(self, tmp_path, labels, class_ids):
+        rng = np.random.default_rng(4)
+        features = np.concatenate([
+            rng.standard_normal((2, 3)) * 1e7,
+            np.array([[-0.0, 5e-324, 1e16], [9999999999999998.0, 1e-5, 0.1]]),
+        ])
+        ds = Dataset(features, labels=labels, class_ids=class_ids)
+        write_csv(tmp_path / "new.csv", ds)
+        reference_write_csv(tmp_path / "ref.csv", ds)
+        assert (tmp_path / "new.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
+
+    def test_write_edge_floats_match_reference_writer(self, tmp_path):
+        # Dataset rejects non-finite features, so build one past that check
+        ds = Dataset(np.zeros((len(EDGE_FLOATS), 1)))
+        ds.features = np.array(EDGE_FLOATS).reshape(-1, 1)
+        write_csv(tmp_path / "new.csv", ds, feature_prefix="x")
+        reference_write_csv(tmp_path / "ref.csv", ds, feature_prefix="x")
+        text = (tmp_path / "new.csv").read_text()
+        assert text == (tmp_path / "ref.csv").read_text()
+        assert text.splitlines()[1:] == [repr(v) for v in EDGE_FLOATS]
+
+    def test_write_empty_dataset_is_header_only(self, tmp_path):
+        ds = Dataset(np.empty((0, 2)), labels=np.empty(0, dtype=np.int64))
+        write_csv(tmp_path / "e.csv", ds)
+        assert (tmp_path / "e.csv").read_text() == "f0,f1,label\n"
 
 
 class TestIdx:
@@ -133,6 +270,14 @@ class TestEmbeddings:
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "e.emb"
         path.write_bytes(b"NOPE" + bytes(32))
+        with pytest.raises(DataFormatError):
+            load_embeddings(path)
+
+    @pytest.mark.parametrize("cut", [2, 6, 12])
+    def test_truncated_header_rejected(self, tmp_path, cut):
+        path = tmp_path / "e.emb"
+        write_embeddings(path, Dataset(np.ones((2, 3))))
+        path.write_bytes(path.read_bytes()[:cut])
         with pytest.raises(DataFormatError):
             load_embeddings(path)
 

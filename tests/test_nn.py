@@ -68,6 +68,20 @@ class TestDenseForward:
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
             layer.forward(np.full((1, 1), 1e308))
 
+    @pytest.mark.parametrize("activation", list(Activation))
+    def test_eval_forward_is_pure_and_matches_train(self, activation):
+        rng = np.random.default_rng(5)
+        layer = DenseLayer.glorot(3, 6, activation, rng)
+        layer.bias = rng.standard_normal(6)
+        x = rng.standard_normal((9, 3))
+        x_before = x.copy()
+        evaluated = layer.forward(x, train=False)
+        assert layer._x is None and layer._pre is None and layer._post is None
+        assert x.tobytes() == x_before.tobytes()
+        trained = layer.forward(x, train=True)
+        assert evaluated.tobytes() == trained.tobytes()
+        assert x.tobytes() == x_before.tobytes()
+
     def test_forward_deterministic(self):
         rng = np.random.default_rng(0)
         net = mlp([3, 8, 1], Activation.TANH, Activation.IDENTITY, rng)
