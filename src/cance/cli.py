@@ -5,6 +5,7 @@ Subcommands: train, score, eval, ablate, synth, inspect. Exit codes:
 """
 
 import argparse
+import csv
 import json
 import logging
 import os
@@ -72,10 +73,11 @@ def write_scores(path, scores, z_e=None, z_c=None) -> None:
 def _load_input(path, ignore_columns) -> Dataset:
     if path.endswith(".emb"):
         return load_embeddings(path)
-    with open(path) as fh:
-        header = fh.readline().strip()
+    with open(path, newline="") as fh:
+        # the header is split as load_csv splits it, quoted commas included
+        header = next(csv.reader([fh.readline()]), [])
         has_rows = bool(fh.readline().strip())
-    columns = [h.strip() for h in header.split(",")] if header else []
+    columns = [h.strip() for h in header]
     features = [c for c in columns if c not in ignore_columns]
     if not features or not has_rows:
         return Dataset(np.empty((0, len(features))))

@@ -282,7 +282,7 @@ def train_autoencoder(
             dz = model.decoder.backward(2.0 * (rec - xb) / rec.size)
             if use_cov:
                 dz = dz + config.lam * covariance_loss_grad(z)
-            model.encoder.backward(dz)
+            model.encoder.backward(dz, input_grad=False)
             opt.step(
                 model.encoder.parameters() + model.decoder.parameters(),
                 model.encoder.gradients() + model.decoder.gradients(),
@@ -306,7 +306,7 @@ def train_autoencoder(
             xb = train_x[order[start : start + batch]]
             z = model.encoder.forward(xb, train=False)
             rec = model.decoder.forward(z, train=True)
-            model.decoder.backward(2.0 * (rec - xb) / rec.size)
+            model.decoder.backward(2.0 * (rec - xb) / rec.size, input_grad=False)
             opt.step(model.decoder.parameters(), model.decoder.gradients())
         loss = val_loss(include_cov=False)
         if not np.isfinite(loss):

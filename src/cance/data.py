@@ -39,7 +39,12 @@ class Dataset:
         for attr in ("labels", "class_ids"):
             vec = getattr(self, attr)
             if vec is not None:
-                vec = np.asarray(vec, dtype=np.int64)
+                vec = np.asarray(vec)
+                if vec.dtype.kind == "f" and not np.all(_integral(vec)):
+                    raise DataFormatError(
+                        f"dataset {self.name!r}: {attr} must be integers"
+                    )
+                vec = vec.astype(np.int64, copy=False)
                 if vec.shape != (self.features.shape[0],):
                     raise ShapeError(f"{attr} length != number of rows")
                 setattr(self, attr, vec)
@@ -564,6 +569,8 @@ def load_recipe_dataset(recipe_path, data_path) -> Dataset:
         raise DataFormatError(f"{recipe_path}: missing [recipe] section")
     section = parser["recipe"]
     label_col = section.getint("label_column")
+    if label_col is None or label_col < 0:
+        raise DataFormatError(f"{recipe_path}: needs a label_column >= 0")
     normal = {float(v) for v in section.get("normal_values", "").split(",") if v.strip()}
     anomaly = {float(v) for v in section.get("anomaly_values", "").split(",") if v.strip()}
     if not normal or not anomaly:
@@ -600,6 +607,11 @@ def load_recipe_dataset(recipe_path, data_path) -> Dataset:
                         f"{data_path}: row {lineno}, column {col}: "
                         f"cannot parse {raw!r}"
                     ) from None
+            if label_col >= len(values):
+                raise DataFormatError(
+                    f"{data_path}: row {lineno} has {len(values)} columns, "
+                    f"no label column {label_col}"
+                )
             label_value = values[label_col]
             if label_value in normal:
                 labels.append(0)

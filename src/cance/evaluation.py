@@ -1,7 +1,13 @@
 """Metrics and repeated-run experiment orchestration."""
 
+import ctypes
+import functools
 import logging
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -185,12 +191,74 @@ def _variant_columns(z: np.ndarray, latent_dim: int, variant: str) -> np.ndarray
     return z
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS numpy ships, or None."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        try:
+            handle = ctypes.CDLL(str(lib))
+            get = handle.scipy_openblas_get_num_threads64_
+            set_ = handle.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.restype = ctypes.c_int
+        set_.argtypes = [ctypes.c_int]
+        return get, set_
+    return None
+
+
+def _pool_workers() -> int:
+    """One worker per usable CPU, at most one per estimator."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return min(3, cpus)
+
+
+@contextmanager
+def _estimator_pool():
+    """Thread pool for concurrent estimator fits, BLAS pinned to one thread.
+
+    The pin is process-wide and lasts until the pool is shut down; the old
+    thread count is restored even on error. Without a known OpenBLAS to
+    pin, the pool has one worker so no BLAS call is oversubscribed.
+    """
+    blas = _openblas_threads()
+    if blas is None:
+        with ThreadPoolExecutor(1) as pool:
+            yield pool
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        with ThreadPoolExecutor(_pool_workers()) as pool:
+            yield pool
+    finally:
+        set_(before)
+
+
+def _fit_and_score(variant, config, latent_dim, z_train, z_val, z_test, rngs):
+    cfg = replace(config.nce, augmentation=(variant == "CANCE"))
+    estimator, _ = train_estimator(
+        _variant_columns(z_train, latent_dim, variant),
+        _variant_columns(z_val, latent_dim, variant),
+        cfg,
+        *rngs,
+    )
+    return estimator.score(_variant_columns(z_test, latent_dim, variant))
+
+
 def run_ablation(config: RunConfig, repeats: int | None = None) -> dict:
     """Run Error / LatNCE / CNCE / CANCE on identical splits and compression.
 
     Per seed, one compression model is fitted and shared; only the feature
     columns fed to the estimator and the augmentation flag differ. Error
     needs no estimator: its score is the squared-error feature itself.
+
+    The three estimators of a seed are fitted concurrently on threads with
+    BLAS pinned to one thread. Each variant draws from its own named
+    streams, so the reports do not depend on the number of threads.
     """
     repeats = config.eval.repeats if repeats is None else repeats
     seeds = [config.eval.seed + i for i in range(repeats)]
@@ -203,38 +271,35 @@ def run_ablation(config: RunConfig, repeats: int | None = None) -> dict:
         for variant in ABLATION_VARIANTS
     }
     latent_dim = config.compress.latent_dim
-    for seed in seeds:
-        _, _, _, test, z_train, z_val, z_test = prepare_features(config, seed)
-        rng = RunRng(seed)
-        for variant in ABLATION_VARIANTS:
-            try:
-                if variant == "Error":
-                    scores = z_test[:, -2]
-                else:
-                    cfg = replace(
-                        config.nce, augmentation=(variant == "CANCE")
-                    )
-                    estimator, _ = train_estimator(
-                        _variant_columns(z_train, latent_dim, variant),
-                        _variant_columns(z_val, latent_dim, variant),
-                        cfg,
-                        rng.stream(f"nce-init-{variant}"),
-                        rng.stream(f"nce-train-{variant}"),
-                        rng.stream(f"nce-val-{variant}"),
-                    )
-                    scores = estimator.score(
-                        _variant_columns(z_test, latent_dim, variant)
-                    )
-                metrics = _score_metrics(
-                    scores, test.labels, config.eval.contamination
+    with _estimator_pool() as pool:
+        for seed in seeds:
+            _, _, _, test, z_train, z_val, z_test = prepare_features(config, seed)
+            rng = RunRng(seed)
+            fits = {
+                variant: pool.submit(
+                    _fit_and_score, variant, config, latent_dim,
+                    z_train, z_val, z_test,
+                    [rng.stream(f"nce-{part}-{variant}")
+                     for part in ("init", "train", "val")],
                 )
-                reports[variant].records.append(
-                    RunRecord(seed=seed, metrics=metrics)
-                )
-            except Exception as exc:  # noqa: BLE001
-                log.warning("%s with seed %d failed: %s", variant, seed, exc)
-                reports[variant].records.append(
-                    RunRecord(seed=seed, metrics={}, error=str(exc))
-                )
-                reports[variant].partial = True
+                for variant in ABLATION_VARIANTS if variant != "Error"
+            }
+            for variant in ABLATION_VARIANTS:
+                try:
+                    if variant == "Error":
+                        scores = z_test[:, -2]
+                    else:
+                        scores = fits[variant].result()
+                    metrics = _score_metrics(
+                        scores, test.labels, config.eval.contamination
+                    )
+                    reports[variant].records.append(
+                        RunRecord(seed=seed, metrics=metrics)
+                    )
+                except Exception as exc:  # noqa: BLE001
+                    log.warning("%s with seed %d failed: %s", variant, seed, exc)
+                    reports[variant].records.append(
+                        RunRecord(seed=seed, metrics={}, error=str(exc))
+                    )
+                    reports[variant].partial = True
     return reports

@@ -125,7 +125,11 @@ def nce_loss(net: Network, data_batch: np.ndarray, noise_batch: np.ndarray,
 
 def nce_loss_and_grads(net: Network, data_batch: np.ndarray,
                        noise_batch: np.ndarray, nu: float):
-    """Loss plus parameter gradients via one stacked forward/backward."""
+    """Loss plus parameter gradients via one stacked forward/backward.
+
+    The gradients are the network's own arrays, replaced by the next
+    backward that computes parameter gradients.
+    """
     m, n = data_batch.shape[0], noise_batch.shape[0]
     if m == 0 or n == 0:
         raise ShapeError("empty batch")
@@ -134,8 +138,8 @@ def nce_loss_and_grads(net: Network, data_batch: np.ndarray,
     dt = np.empty_like(t)
     dt[:m] = -sigmoid(-t[:m]) / m
     dt[m:] = nu * sigmoid(t[m:]) / n
-    net.backward(dt[:, None])
-    return loss, [g.copy() for g in net.gradients()]
+    net.backward(dt[:, None], input_grad=False)
+    return loss, net.gradients()
 
 
 @dataclass
@@ -235,7 +239,7 @@ def adnce_psi_grad(
     dt = np.empty_like(t)
     dt[:m] = sigmoid(-t[:m]) / m
     dt[m:] = -noise.nu * sigmoid(t[m:]) / n
-    dinput = net.backward(dt[:, None])
+    dinput = net.backward(dt[:, None], param_grads=False)
     dk = (dinput[:m] * (inner_points - noise.base.mean)).sum(axis=0)
     dk += (dinput[m:] * (noise_base_batch - noise.base.mean)).sum(axis=0)
     return objective, dk * sigmoid(noise.psi)

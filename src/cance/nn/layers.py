@@ -32,27 +32,40 @@ def sigmoid(x) -> np.ndarray:
 
 
 def _apply_activation(kind: Activation, pre: np.ndarray) -> np.ndarray:
+    """act(pre); may overwrite or return `pre` itself."""
     if kind is Activation.IDENTITY:
         return pre
     if kind is Activation.RELU:
         return np.maximum(pre, 0.0)
     if kind is Activation.TANH:
-        return np.tanh(pre)
+        return np.tanh(pre, out=pre)
     if kind is Activation.SIGMOID:
         return sigmoid(pre)
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def _activation_grad(kind: Activation, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
-    """d(post)/d(pre), elementwise, using whichever of pre/post is cheaper."""
+def _activation_grad(kind: Activation, post: np.ndarray,
+                     upstream: np.ndarray) -> np.ndarray:
+    """upstream * d(post)/d(pre), elementwise, from the cached output alone.
+
+    The derivative is built in a fresh buffer and then multiplied by
+    upstream in place; as multiplication commutes, this equals
+    upstream * derivative bit for bit. Identity returns upstream itself.
+    """
     if kind is Activation.IDENTITY:
-        return np.ones_like(pre)
+        return upstream
     if kind is Activation.RELU:
-        return (pre > 0).astype(np.float64)
+        # max(pre, 0) > 0 exactly where pre > 0
+        return upstream * (post > 0).astype(np.float64)
     if kind is Activation.TANH:
-        return 1.0 - post * post
+        d = post * post
+        np.subtract(1.0, d, out=d)
+        d *= upstream
+        return d
     if kind is Activation.SIGMOID:
-        return post * (1.0 - post)
+        d = post * (1.0 - post)
+        d *= upstream
+        return d
     raise ValueError(f"unknown activation {kind!r}")
 
 
@@ -72,7 +85,6 @@ class DenseLayer:
         self.grad_weights = np.zeros_like(weights)
         self.grad_bias = np.zeros_like(bias)
         self._x = None
-        self._pre = None
         self._post = None
 
     @classmethod
@@ -96,28 +108,37 @@ class DenseLayer:
             raise ShapeError(f"expected input (*, {self.in_dim}), got {x.shape}")
         pre = x @ self.weights.T
         pre += self.bias
+        # backward needs only the output, so pre need not survive
+        post = _apply_activation(self.activation, pre)
         if train:
-            post = _apply_activation(self.activation, pre)
             # eval-mode forwards leave all state untouched so a frozen
             # model is safe for concurrent callers
-            self._x, self._pre, self._post = x, pre, post
-        elif self.activation is Activation.TANH:
-            # nothing keeps pre in eval mode, so tanh may overwrite it
-            post = np.tanh(pre, out=pre)
-        else:
-            post = _apply_activation(self.activation, pre)
+            self._x, self._post = x, post
         return require_finite(post, "dense layer output")
 
-    def backward(self, upstream: np.ndarray) -> np.ndarray:
+    def backward(self, upstream: np.ndarray, param_grads: bool = True,
+                 input_grad: bool = True) -> np.ndarray | None:
+        """Set the parameter gradients and return the input gradient;
+        either half can be skipped (the input gradient is then None)."""
         if self._x is None:
             raise RuntimeError("backward called without a cached train-mode forward")
         if upstream.shape != self._post.shape:
             raise ShapeError(
                 f"upstream gradient {upstream.shape} != output {self._post.shape}"
             )
-        dpre = upstream * _activation_grad(self.activation, self._pre, self._post)
-        self.grad_weights = dpre.T @ self._x
-        self.grad_bias = dpre.sum(axis=0)
+        dpre = _activation_grad(self.activation, self._post, upstream)
+        if param_grads:
+            self.grad_weights = dpre.T @ self._x
+            self.grad_bias = dpre.sum(axis=0)
+        if not input_grad:
+            return None
+        if self.out_dim == 1:
+            # (N, 1) @ (1, in) is one product per entry, so a broadcast gives
+            # the GEMM's bits without the call; adding +0.0 turns a -0.0
+            # product into +0.0, as the GEMM's zeroed accumulator does
+            dx = dpre * self.weights
+            dx += 0.0
+            return dx
         return dpre @ self.weights
 
     def parameters(self) -> list:
@@ -187,12 +208,16 @@ class BatchNormLayer:
             xnorm = (x - self.running_mean) / std
         return require_finite(self.gamma * xnorm + self.beta, "batch norm output")
 
-    def backward(self, upstream: np.ndarray) -> np.ndarray:
+    def backward(self, upstream: np.ndarray, param_grads: bool = True,
+                 input_grad: bool = True) -> np.ndarray | None:
         if self._xnorm is None:
             raise RuntimeError("backward called without a cached train-mode forward")
         xnorm, std = self._xnorm, self._std
-        self.grad_gamma = (upstream * xnorm).sum(axis=0)
-        self.grad_beta = upstream.sum(axis=0)
+        if param_grads:
+            self.grad_gamma = (upstream * xnorm).sum(axis=0)
+            self.grad_beta = upstream.sum(axis=0)
+        if not input_grad:
+            return None
         dxnorm = upstream * self.gamma
         # compact form folding the mean/variance dependence on x; clamped
         # columns have a constant divisor, so their variance path is zero
@@ -241,10 +266,18 @@ class Network:
             x = layer.forward(x, train=train)
         return x
 
-    def backward(self, upstream: np.ndarray) -> np.ndarray:
-        """Propagate an upstream gradient; returns the input gradient."""
+    def backward(self, upstream: np.ndarray, param_grads: bool = True,
+                 input_grad: bool = True) -> np.ndarray | None:
+        """Propagate an upstream gradient and return the input gradient.
+
+        `param_grads=False` leaves every layer's gradients as they were;
+        `input_grad=False` skips the first layer's input gradient and
+        returns None.
+        """
+        first = self.layers[0]
         for layer in reversed(self.layers):
-            upstream = layer.backward(upstream)
+            upstream = layer.backward(upstream, param_grads=param_grads,
+                                      input_grad=input_grad or layer is not first)
         return upstream
 
     def parameters(self) -> list:

@@ -68,6 +68,7 @@ def load_container(path):
         header = json.loads(body[16 : 16 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"{path}: unreadable header: {exc}") from exc
+    _check_header(path, header)
     payload = body[16 + header_len :]
     declared = sum(int(np.prod(e["shape"])) for e in header["arrays"])
     if declared * 8 != len(payload):
@@ -85,6 +86,22 @@ def load_container(path):
         arrays[entry["name"]] = arr.astype(np.float64)
         offset += count * 8
     return header["kind"], header["meta"], arrays
+
+
+def _check_header(path, header) -> None:
+    """Raise ModelFormatError unless the header has the layout above."""
+    if not (isinstance(header, dict) and {"kind", "meta", "arrays"} <= header.keys()
+            and isinstance(header["meta"], dict)
+            and isinstance(header["arrays"], list)):
+        raise ModelFormatError(f"{path}: header needs kind, meta and arrays")
+    for entry in header["arrays"]:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(type(d) is int and d >= 0 for d in entry["shape"])):
+            raise ModelFormatError(
+                f"{path}: array entry {entry!r} needs a name and a shape of "
+                "non-negative integers"
+            )
 
 
 def network_to_arrays(net: Network, prefix: str, arrays: dict) -> None:

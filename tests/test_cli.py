@@ -140,6 +140,24 @@ class TestTrainAndScore:
         main(["score", "-m", str(outdir), "-i", str(data_csv), "-o", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_score_quoted_header_name_with_comma(self, tiny_ini, tmp_path):
+        outdir = tmp_path / "run"
+        main(["train", "-c", str(tiny_ini), "-o", str(outdir)])
+        plain = tmp_path / "plain.csv"
+        main(["synth", "--spec", "ring(n=30) + box(n=5, low=-2, high=2)",
+              "--seed", "4", "-o", str(plain)])
+        header, rest = plain.read_text().split("\n", 1)
+        assert header.startswith("f0,")
+        quoted = tmp_path / "quoted.csv"
+        quoted.write_text('"f,0"' + header[2:] + "\n" + rest)
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        assert main(["score", "-m", str(outdir), "-i", str(plain),
+                     "-o", str(a)]) == 0
+        assert main(["score", "-m", str(outdir), "-i", str(quoted),
+                     "-o", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_score_empty_input_writes_header_only(self, tiny_ini, tmp_path):
         outdir = tmp_path / "run"
         main(["train", "-c", str(tiny_ini), "-o", str(outdir)])

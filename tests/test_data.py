@@ -449,6 +449,19 @@ class TestSynth:
         with pytest.raises(ShapeError):
             Dataset(np.zeros((3, 2)), labels=np.zeros(2))
 
+    @pytest.mark.parametrize("attr", ["labels", "class_ids"])
+    @pytest.mark.parametrize("value", [0.5, 1.7, np.nan, np.inf, 1e300])
+    def test_non_integer_labels_rejected(self, attr, value):
+        with pytest.raises(DataFormatError, match=attr):
+            Dataset(np.zeros((2, 1)), **{attr: np.array([0.0, value])})
+
+    def test_integer_valued_float_labels_allowed(self):
+        ds = Dataset(np.zeros((2, 1)), labels=np.array([0.0, 1.0]),
+                     class_ids=[3.0, -2.0])
+        assert ds.labels.dtype == np.int64 and ds.class_ids.dtype == np.int64
+        np.testing.assert_array_equal(ds.labels, [0, 1])
+        np.testing.assert_array_equal(ds.class_ids, [3, -2])
+
 
 class TestRecipe:
     def write_recipe(self, tmp_path):
@@ -482,6 +495,21 @@ class TestRecipe:
         raw = tmp_path / "raw.csv"
         raw.write_text("A,0.5,7\n")
         with pytest.raises(DataFormatError, match="no rows matched"):
+            load_recipe_dataset(recipe, raw)
+
+    def test_row_without_label_column_cites_row(self, tmp_path):
+        recipe = self.write_recipe(tmp_path)
+        raw = tmp_path / "raw.csv"
+        raw.write_text("A,0.5,1\nB,0.6\n")
+        with pytest.raises(DataFormatError, match="row 2 has 2 columns"):
+            load_recipe_dataset(recipe, raw)
+
+    def test_missing_label_column_rejected(self, tmp_path):
+        recipe = tmp_path / "r.ini"
+        recipe.write_text("[recipe]\nnormal_values = 1\nanomaly_values = 9\n")
+        raw = tmp_path / "raw.csv"
+        raw.write_text("0.5,1\n")
+        with pytest.raises(DataFormatError, match="label_column"):
             load_recipe_dataset(recipe, raw)
 
     def test_shipped_abalone_recipe_parses(self, tmp_path):

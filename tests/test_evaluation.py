@@ -1,5 +1,7 @@
 """Metrics against brute-force oracles; experiment and ablation harness."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -226,3 +228,106 @@ class TestRunAblation:
         run_ablation(tiny_config(), repeats=1)
         # LatNCE trains on latent dim 2; CNCE and CANCE on 2+2
         assert dims == {2: 1, 4: 2}
+
+
+class TestAblationFanOut:
+    def summary_text(self, reports):
+        return json.dumps(
+            {variant: report.summary() for variant, report in reports.items()},
+            sort_keys=True,
+        )
+
+    def run_with_workers(self, monkeypatch, workers):
+        import cance.evaluation as evaluation_module
+
+        monkeypatch.setattr(evaluation_module, "_pool_workers", lambda: workers)
+        return run_ablation(tiny_config(), repeats=1)
+
+    def test_summary_independent_of_worker_count(self, monkeypatch, reports):
+        serial = self.run_with_workers(monkeypatch, 1)
+        pooled = self.run_with_workers(monkeypatch, 2)
+        assert self.summary_text(serial) == self.summary_text(pooled)
+        assert self.summary_text(pooled) == self.summary_text(reports)
+
+    def fake_blas(self, monkeypatch, threads=4):
+        import cance.evaluation as evaluation_module
+
+        state = {"threads": threads, "seen": set()}
+
+        def get():
+            return state["threads"]
+
+        def set_(n):
+            state["threads"] = n
+
+        monkeypatch.setattr(evaluation_module, "_openblas_threads",
+                            lambda: (get, set_))
+        original = evaluation_module.train_estimator
+
+        def failing_cnce(train_z, val_z, cfg, *rngs):
+            state["seen"].add(state["threads"])
+            if train_z.shape[1] == 4 and not cfg.augmentation:
+                raise RuntimeError("synthetic CNCE failure")
+            return original(train_z, val_z, cfg, *rngs)
+
+        monkeypatch.setattr(evaluation_module, "train_estimator", failing_cnce)
+        return state
+
+    def test_blas_pinned_during_fits_and_restored_after_a_failed_variant(
+            self, monkeypatch):
+        state = self.fake_blas(monkeypatch)
+        result = self.run_with_workers(monkeypatch, 2)
+        assert state["seen"] == {1}
+        assert state["threads"] == 4
+        assert result["CNCE"].partial
+        assert "synthetic CNCE failure" in result["CNCE"].records[0].error
+        assert not any(result[v].partial for v in ("Error", "LatNCE", "CANCE"))
+
+    def test_blas_restored_when_the_run_raises(self, monkeypatch):
+        import cance.evaluation as evaluation_module
+
+        state = self.fake_blas(monkeypatch)
+
+        def broken(config, seed):
+            raise RuntimeError("synthetic feature failure")
+
+        monkeypatch.setattr(evaluation_module, "prepare_features", broken)
+        with pytest.raises(RuntimeError, match="synthetic feature failure"):
+            run_ablation(tiny_config(), repeats=1)
+        assert state["threads"] == 4
+
+    def test_real_blas_thread_count_restored(self):
+        from cance.evaluation import _openblas_threads
+
+        blas = _openblas_threads()
+        if blas is None:
+            pytest.skip("numpy does not ship a known OpenBLAS")
+        before = blas[0]()
+        run_ablation(tiny_config(), repeats=1)
+        assert blas[0]() == before
+
+    def test_without_blas_symbol_fits_run_one_at_a_time(self, monkeypatch,
+                                                        reports):
+        import threading
+
+        import cance.evaluation as evaluation_module
+
+        monkeypatch.setattr(evaluation_module, "_openblas_threads", lambda: None)
+        original = evaluation_module.train_estimator
+        lock = threading.Lock()
+        active = {"now": 0, "max": 0}
+
+        def counting(*args):
+            with lock:
+                active["now"] += 1
+                active["max"] = max(active["max"], active["now"])
+            try:
+                return original(*args)
+            finally:
+                with lock:
+                    active["now"] -= 1
+
+        monkeypatch.setattr(evaluation_module, "train_estimator", counting)
+        result = self.run_with_workers(monkeypatch, 3)
+        assert active["max"] == 1
+        assert self.summary_text(result) == self.summary_text(reports)

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from cance.errors import NonFiniteError, ShapeError
-from cance.nn import Activation, AdamW, BatchNormLayer, DenseLayer, Network, mlp
+from cance.nn import (
+    Activation,
+    AdamW,
+    BatchNormLayer,
+    DenseLayer,
+    Network,
+    mlp,
+    sigmoid,
+)
 
 
 def finite_difference_param_grads(net, x, upstream, h=1e-5):
@@ -76,7 +84,7 @@ class TestDenseForward:
         x = rng.standard_normal((9, 3))
         x_before = x.copy()
         evaluated = layer.forward(x, train=False)
-        assert layer._x is None and layer._pre is None and layer._post is None
+        assert layer._x is None and layer._post is None
         assert x.tobytes() == x_before.tobytes()
         trained = layer.forward(x, train=True)
         assert evaluated.tobytes() == trained.tobytes()
@@ -149,6 +157,80 @@ class TestBackward:
                 xm[i, j] -= h
                 fd = (net.forward(xp).sum() - net.forward(xm).sum()) / (2 * h)
                 assert abs(fd - dx[i, j]) / max(abs(fd), 1e-8) < 1e-4
+
+
+def reference_dense_pass(layer, x, upstream):
+    """The former train forward and full backward, formula for formula:
+    (output, grad_weights, grad_bias, input gradient)."""
+    pre = x @ layer.weights.T
+    pre += layer.bias
+    act = layer.activation
+    if act is Activation.IDENTITY:
+        post, deriv = pre, np.ones_like(pre)
+    elif act is Activation.RELU:
+        post = np.maximum(pre, 0.0)
+        deriv = (pre > 0).astype(np.float64)
+    elif act is Activation.TANH:
+        post = np.tanh(pre)
+        deriv = 1.0 - post * post
+    else:
+        post = sigmoid(pre)
+        deriv = post * (1.0 - post)
+    dpre = upstream * deriv
+    return post, dpre.T @ x, dpre.sum(axis=0), dpre @ layer.weights
+
+
+def bn_dense_net(rng):
+    return Network([
+        DenseLayer.glorot(4, 8, Activation.TANH, rng),
+        BatchNormLayer(8),
+        DenseLayer.glorot(8, 6, Activation.RELU, rng),
+        DenseLayer.glorot(6, 1, Activation.IDENTITY, rng),
+    ])
+
+
+class TestBackwardModes:
+    @pytest.mark.parametrize("out_dim", [6, 1])
+    @pytest.mark.parametrize("activation", list(Activation))
+    def test_dense_pass_matches_former_formulas_bit_for_bit(self, activation,
+                                                           out_dim):
+        rng = np.random.default_rng(11)
+        layer = DenseLayer.glorot(64, out_dim, activation, rng)
+        layer.bias = rng.standard_normal(out_dim)
+        x = rng.standard_normal((300, 64))
+        upstream = rng.standard_normal((300, out_dim))
+        post, gw, gb, dx = reference_dense_pass(layer, x, upstream)
+        assert layer.forward(x, train=True).tobytes() == post.tobytes()
+        assert layer.backward(upstream).tobytes() == dx.tobytes()
+        assert layer.grad_weights.tobytes() == gw.tobytes()
+        assert layer.grad_bias.tobytes() == gb.tobytes()
+
+    def test_input_only_backward_matches_full_backward(self):
+        rng = np.random.default_rng(12)
+        net = bn_dense_net(rng)
+        x = rng.standard_normal((32, 4))
+        upstream = rng.standard_normal((32, 1))
+        net.forward(x, train=True)
+        full = net.backward(upstream)
+        grads = net.gradients()
+        net.forward(x, train=True)
+        input_only = net.backward(upstream, param_grads=False)
+        assert input_only.tobytes() == full.tobytes()
+        # the parameter gradients are those of the full backward, untouched
+        assert all(a is b for a, b in zip(net.gradients(), grads))
+
+    def test_params_only_backward_matches_full_backward(self):
+        rng = np.random.default_rng(13)
+        net = bn_dense_net(rng)
+        x = rng.standard_normal((32, 4))
+        upstream = rng.standard_normal((32, 1))
+        net.forward(x, train=True)
+        net.backward(upstream)
+        full = [g.copy() for g in net.gradients()]
+        net.forward(x, train=True)
+        assert net.backward(upstream, input_grad=False) is None
+        for a, b in zip(net.gradients(), full):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestBatchNorm:

@@ -87,6 +87,34 @@ def test_mismatched_declared_dims_rejected(tmp_path):
         load_container(path)
 
 
+@pytest.mark.parametrize("doctor", [
+    lambda h: h.pop("kind"),
+    lambda h: h.pop("meta"),
+    lambda h: h.pop("arrays"),
+    lambda h: h.update(arrays={"w": [3]}),
+    lambda h: h["arrays"][0].pop("name"),
+    lambda h: h["arrays"][0].pop("shape"),
+    lambda h: h["arrays"][0].update(shape=["3"]),
+    lambda h: h["arrays"][0].update(shape=[-3]),
+], ids=["no-kind", "no-meta", "no-arrays", "arrays-not-list", "no-name",
+        "no-shape", "string-dim", "negative-dim"])
+def test_malformed_header_rejected(container, doctor):
+    import hashlib
+    import json
+
+    path, _ = container
+    raw = path.read_bytes()
+    header_len = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16 : 16 + header_len])
+    doctor(header)
+    text = json.dumps(header).encode()
+    body = raw[:8] + len(text).to_bytes(8, "little") + text
+    body += raw[16 + header_len : -32]
+    path.write_bytes(body + hashlib.sha256(body).digest())
+    with pytest.raises(ModelFormatError, match="header|array entry"):
+        load_container(path)
+
+
 def test_autoencoder_round_trip_bit_identical(tmp_path):
     rng = np.random.default_rng(1)
     config = AeConfig(latent_dim=3, hidden=(8,), epochs=2)
