@@ -14,7 +14,7 @@ from cance.compress import (
     fit_pca,
     train_autoencoder,
 )
-from cance.data import Dataset, SplitSpec, synth_generate
+from cance.data import Dataset, synth_generate
 from cance.evaluation import ScoredSet, auroc, f1_at_contamination
 from cance.nce import (
     AugmentationParams,
@@ -45,7 +45,6 @@ __all__ = [
     "PcaModel",
     "RunRng",
     "ScoredSet",
-    "SplitSpec",
     "StreamingMoments",
     "TruncatedNormalParams",
     "augment_batch",

@@ -212,11 +212,11 @@ def cmd_inspect(args) -> int:
           f"{compression.input_dim} -> {compression.latent_dim}")
     print(f"normalization    {normalizer.method}")
     noise = estimator.noise
-    np.set_printoptions(precision=4, suppress=True)
-    print(f"noise-sample ratio  {noise.nu}")
-    print(f"noise mean       {noise.base.mean}")
-    print(f"noise cov diag   {np.diag(noise.base.cov)}")
-    print(f"K diagonal       {noise.k_diag()}")
+    with np.printoptions(precision=4, suppress=True):
+        print(f"noise-sample ratio  {noise.nu}")
+        print(f"noise mean       {noise.base.mean}")
+        print(f"noise cov diag   {np.diag(noise.base.cov)}")
+        print(f"K diagonal       {noise.k_diag()}")
     if est_meta.get("augmentation"):
         print(f"mode estimates   {est_meta['augmentation']}")
     report_path = os.path.join(args.model_dir, REPORT_FILE)

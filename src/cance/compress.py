@@ -13,12 +13,6 @@ import numpy as np
 
 from cance.errors import ConfigError, DegenerateFeatureError, NonFiniteError, ShapeError
 from cance.nn import AdamW, Activation, BatchNormLayer, Network, mlp
-from cance.nn.serialize import (
-    load_container,
-    network_from_arrays,
-    network_to_arrays,
-    save_container,
-)
 
 log = logging.getLogger(__name__)
 
@@ -176,28 +170,7 @@ class AutoencoderModel:
         z_e, z_c = reconstruction_features(x, x_rec)
         return pack_composite(z_l, z_e, z_c)
 
-    def _state(self) -> list:
-        buffers = []
-        for layer in self.encoder.layers:
-            if isinstance(layer, BatchNormLayer):
-                buffers += [layer.running_mean, layer.running_var]
-        return [p.copy() for p in self.encoder.parameters()] + [
-            b.copy() for b in buffers
-        ] + [p.copy() for p in self.decoder.parameters()]
-
-    def _restore(self, state: list) -> None:
-        n_enc = len(self.encoder.parameters())
-        buffers = []
-        for layer in self.encoder.layers:
-            if isinstance(layer, BatchNormLayer):
-                buffers += [layer.running_mean, layer.running_var]
-        n_buf = len(buffers)
-        self.encoder.set_parameters(state[:n_enc])
-        for buf, saved in zip(buffers, state[n_enc : n_enc + n_buf]):
-            buf[...] = saved
-        self.decoder.set_parameters(state[n_enc + n_buf :])
-
-    def save(self, path, extra_meta: dict | None = None) -> None:
+    def to_container(self):
         meta = {
             "input_dim": self.input_dim,
             "latent_dim": self.latent_dim,
@@ -205,24 +178,13 @@ class AutoencoderModel:
             "encoder": [layer.spec() for layer in self.encoder.layers],
             "decoder": [layer.spec() for layer in self.decoder.layers],
         }
-        if extra_meta:
-            meta.update(extra_meta)
-        arrays = {}
-        network_to_arrays(self.encoder, "enc", arrays)
-        network_to_arrays(self.decoder, "dec", arrays)
-        save_container(path, "autoencoder", meta, arrays)
-
-    @classmethod
-    def load(cls, path) -> "AutoencoderModel":
-        kind, meta, arrays = load_container(path)
-        if kind != "autoencoder":
-            raise ShapeError(f"{path}: expected an autoencoder container, got {kind}")
-        return cls.from_container(meta, arrays)
+        arrays = {**self.encoder.state("enc"), **self.decoder.state("dec")}
+        return "autoencoder", meta, arrays
 
     @classmethod
     def from_container(cls, meta: dict, arrays: dict) -> "AutoencoderModel":
-        encoder = network_from_arrays(meta["encoder"], "enc", arrays)
-        decoder = network_from_arrays(meta["decoder"], "dec", arrays)
+        encoder = Network.from_state(meta["encoder"], arrays, "enc")
+        decoder = Network.from_state(meta["decoder"], arrays, "dec")
         return cls(encoder, decoder, meta["lambda"])
 
 
@@ -270,7 +232,7 @@ def train_autoencoder(
         weight_decay=config.weight_decay,
     )
     include_cov_in_val = config.checkpoint_on == "stage-loss"
-    best = (np.inf, model._state())
+    best = (np.inf, model.encoder.snapshot(), model.decoder.snapshot())
     for _ in range(stage1_epochs):
         order = rng_shuffle.permutation(n)
         for start in range(0, n, batch):
@@ -292,14 +254,16 @@ def train_autoencoder(
             raise NonFiniteError("validation loss diverged during joint training")
         history["stage1_val"].append(loss)
         if loss < best[0]:
-            best = (loss, model._state())
-    model._restore(best[1])
+            best = (loss, model.encoder.snapshot(), model.decoder.snapshot())
+    model.encoder.restore(best[1])
+    model.decoder.restore(best[2])
 
-    # stage 2: decoder only, encoder frozen on eval statistics
+    # stage 2: decoder only, encoder frozen on eval statistics, so the
+    # checkpoints need only the decoder
     opt = AdamW(
         model.decoder.parameters(), lr=config.lr, weight_decay=config.weight_decay
     )
-    best2 = (val_loss(include_cov=False), model._state())
+    best2 = (val_loss(include_cov=False), model.decoder.snapshot())
     for _ in range(stage2_epochs):
         order = rng_shuffle.permutation(n)
         for start in range(0, n, batch):
@@ -313,8 +277,8 @@ def train_autoencoder(
             raise NonFiniteError("validation loss diverged during decoder training")
         history["stage2_val"].append(loss)
         if loss < best2[0]:
-            best2 = (loss, model._state())
-    model._restore(best2[1])
+            best2 = (loss, model.decoder.snapshot())
+    model.decoder.restore(best2[1])
 
     cond = latent_condition_number(model, val_x)
     history["latent_condition_number"] = cond
@@ -375,20 +339,9 @@ class PcaModel:
         z_e, z_c = reconstruction_features(x, x_rec)
         return pack_composite(z_l, z_e, z_c)
 
-    def save(self, path, extra_meta: dict | None = None) -> None:
+    def to_container(self):
         meta = {"input_dim": self.input_dim, "latent_dim": self.latent_dim}
-        if extra_meta:
-            meta.update(extra_meta)
-        save_container(
-            path, "pca", meta, {"mean": self.mean, "components": self.components}
-        )
-
-    @classmethod
-    def load(cls, path) -> "PcaModel":
-        kind, meta, arrays = load_container(path)
-        if kind != "pca":
-            raise ShapeError(f"{path}: expected a pca container, got {kind}")
-        return cls.from_container(meta, arrays)
+        return "pca", meta, {"mean": self.mean, "components": self.components}
 
     @classmethod
     def from_container(cls, meta: dict, arrays: dict) -> "PcaModel":

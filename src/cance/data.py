@@ -15,7 +15,6 @@ from operator import itemgetter
 import numpy as np
 
 from cance.errors import DataFormatError, ShapeError
-from cance.nn.serialize import save_container
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -66,21 +65,13 @@ class Dataset:
         )
 
 
-@dataclass
-class SplitSpec:
-    val_fraction: float = 0.2
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ValueError(f"val_fraction must be in (0,1), got {self.val_fraction}")
-
-
-def split_train_val(dataset: Dataset, spec: SplitSpec,
+def split_train_val(dataset: Dataset, val_fraction: float,
                     rng: np.random.Generator):
     """Deterministic partition into (train, val); val gets the stated fraction."""
+    if not 0.0 < val_fraction < 1.0:
+        raise ValueError(f"val_fraction must be in (0,1), got {val_fraction}")
     order = rng.permutation(dataset.n)
-    n_val = max(1, int(round(dataset.n * spec.val_fraction)))
+    n_val = max(1, int(round(dataset.n * val_fraction)))
     if n_val >= dataset.n:
         raise ShapeError("validation fraction leaves no training rows")
     return (
@@ -401,10 +392,9 @@ class Normalizer:
             dataset.name,
         )
 
-    def save(self, path, extra_meta: dict | None = None) -> None:
-        meta = {"method": self.method, **(extra_meta or {})}
-        save_container(path, "normalizer", meta,
-                       {"shift": self._shift, "scale": self._scale})
+    def to_container(self):
+        arrays = {"shift": self._shift, "scale": self._scale}
+        return "normalizer", {"method": self.method}, arrays
 
     @classmethod
     def from_container(cls, meta: dict, arrays: dict) -> "Normalizer":

@@ -20,14 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from cance.compress import check_widths
-from cance.errors import ConfigError, NonFiniteError, ShapeError
+from cance.errors import ConfigError, ModelFormatError, NonFiniteError, ShapeError
 from cance.nn import AdamW, Activation, Network, mlp, sigmoid
-from cance.nn.serialize import (
-    load_container,
-    network_from_arrays,
-    network_to_arrays,
-    save_container,
-)
 from cance.stats import (
     GaussianModel,
     StreamingMoments,
@@ -332,31 +326,24 @@ class EstimatorModel:
         log_noise = self._score_gaussian.logpdf(z)
         return -(t + np.log(self.noise.nu) + log_noise)
 
-    def save(self, path, extra_meta: dict | None = None) -> None:
+    def to_container(self):
         meta = {
             "net": [layer.spec() for layer in self.net.layers],
             "nu": self.noise.nu,
             "score_noise": self.score_noise,
             "has_psi": self.noise.psi is not None,
         }
-        if extra_meta:
-            meta.update(extra_meta)
         arrays = {"noise.mean": self.noise.base.mean, "noise.cov": self.noise.base.cov}
         if self.noise.psi is not None:
             arrays["noise.psi"] = self.noise.psi
-        network_to_arrays(self.net, "net", arrays)
-        save_container(path, "estimator", meta, arrays)
-
-    @classmethod
-    def load(cls, path) -> "EstimatorModel":
-        kind, meta, arrays = load_container(path)
-        if kind != "estimator":
-            raise ShapeError(f"{path}: expected an estimator container, got {kind}")
-        return cls.from_container(meta, arrays)
+        arrays.update(self.net.state("net"))
+        return "estimator", meta, arrays
 
     @classmethod
     def from_container(cls, meta: dict, arrays: dict) -> "EstimatorModel":
-        net = network_from_arrays(meta["net"], "net", arrays)
+        if meta["score_noise"] not in ("adapted", "initial"):
+            raise ModelFormatError(f"unknown score_noise {meta['score_noise']!r}")
+        net = Network.from_state(meta["net"], arrays, "net")
         base = GaussianModel(arrays["noise.mean"], arrays["noise.cov"])
         psi = arrays["noise.psi"] if meta["has_psi"] else None
         return cls(net, NoiseModel(base, psi, meta["nu"]), meta["score_noise"])
@@ -469,7 +456,7 @@ def train_estimator(
         raise NonFiniteError("training diverged before any finite checkpoint")
     if diverged:
         log.warning("returning last finite checkpoint (val loss %.6g)", best[0])
-    net.set_parameters(best[1])
+    net.restore(best[1])
     frozen = NoiseModel(noise_model.base, best[2], config.nu)
     history["best_val_loss"] = best[0]
     history["k_diag"] = frozen.k_diag().tolist()

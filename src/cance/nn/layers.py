@@ -4,7 +4,7 @@ from enum import Enum
 
 import numpy as np
 
-from cance.errors import NonFiniteError, ShapeError
+from cance.errors import ModelFormatError, NonFiniteError, ShapeError
 
 
 class Activation(str, Enum):
@@ -72,6 +72,8 @@ def _activation_grad(kind: Activation, post: np.ndarray,
 class DenseLayer:
     """Fully connected layer: y = act(x @ W.T + b), W of shape (out, in)."""
 
+    STATE = ("weights", "bias")
+
     def __init__(self, weights: np.ndarray, bias: np.ndarray, activation: Activation):
         weights = np.asarray(weights, dtype=np.float64)
         bias = np.asarray(bias, dtype=np.float64)
@@ -94,6 +96,16 @@ class DenseLayer:
         limit = np.sqrt(6.0 / (in_dim + out_dim))
         weights = rng.uniform(-limit, limit, size=(out_dim, in_dim))
         return cls(weights, np.zeros(out_dim), activation)
+
+    @classmethod
+    def from_state(cls, spec: dict, state: dict) -> "DenseLayer":
+        layer = cls(state["weights"], state["bias"], Activation(spec["activation"]))
+        if layer.in_dim != spec["in"] or layer.out_dim != spec["out"]:
+            raise ShapeError(
+                f"declared dims {spec['in']}x{spec['out']} do not match stored "
+                f"array {layer.weights.shape}"
+            )
+        return layer
 
     @property
     def in_dim(self) -> int:
@@ -147,6 +159,9 @@ class DenseLayer:
     def gradients(self) -> list:
         return [self.grad_weights, self.grad_bias]
 
+    def state(self) -> dict:
+        return {name: getattr(self, name) for name in self.STATE}
+
     def spec(self) -> dict:
         return {
             "type": "dense",
@@ -162,6 +177,8 @@ class BatchNormLayer:
     Train mode normalizes with batch moments (biased variance) and updates
     the running statistics; eval mode depends only on the frozen statistics.
     """
+
+    STATE = ("gamma", "beta", "running_mean", "running_var")
 
     def __init__(self, dim: int, momentum: float = 0.1, epsilon: float = 1e-5):
         if not 0.0 < momentum < 1.0:
@@ -232,6 +249,15 @@ class BatchNormLayer:
     def gradients(self) -> list:
         return [self.grad_gamma, self.grad_beta]
 
+    def state(self) -> dict:
+        return {name: getattr(self, name) for name in self.STATE}
+
+    @classmethod
+    def from_state(cls, spec: dict, state: dict) -> "BatchNormLayer":
+        layer = cls(spec["dim"], spec["momentum"], spec["epsilon"])
+        _write_state(layer.state(), state)
+        return layer
+
     def spec(self) -> dict:
         return {
             "type": "batchnorm",
@@ -286,17 +312,47 @@ class Network:
     def gradients(self) -> list:
         return [g for layer in self.layers for g in layer.gradients()]
 
-    def set_parameters(self, values: list) -> None:
-        params = self.parameters()
-        if len(values) != len(params):
-            raise ShapeError("parameter count mismatch")
-        for p, v in zip(params, values):
-            if p.shape != v.shape:
-                raise ShapeError(f"parameter shape mismatch: {p.shape} vs {v.shape}")
-            p[...] = v
+    def state(self, prefix: str = "") -> dict:
+        """Every layer's arrays, live, named f"{prefix}{i}.{name}" in layer order."""
+        return {
+            f"{prefix}{i}.{name}": arr
+            for i, layer in enumerate(self.layers)
+            for name, arr in layer.state().items()
+        }
 
-    def snapshot(self) -> list:
-        return [p.copy() for p in self.parameters()]
+    @classmethod
+    def from_state(cls, specs: list, arrays: dict, prefix: str = "") -> "Network":
+        """Rebuild a network from layer specs and arrays named as in `state`."""
+        layers = []
+        for i, spec in enumerate(specs):
+            layer_cls = LAYER_TYPES.get(spec["type"])
+            if layer_cls is None:
+                raise ModelFormatError(f"unknown layer type {spec['type']!r}")
+            state = {name: arrays[f"{prefix}{i}.{name}"] for name in layer_cls.STATE}
+            layers.append(layer_cls.from_state(spec, state))
+        return cls(layers)
+
+    def snapshot(self) -> dict:
+        """Copies of the full state, batch-norm statistics included."""
+        return {name: arr.copy() for name, arr in self.state().items()}
+
+    def restore(self, snapshot: dict) -> None:
+        """Write a snapshot back in place, so optimizers keep their arrays."""
+        _write_state(self.state(), snapshot)
+
+
+LAYER_TYPES = {"dense": DenseLayer, "batchnorm": BatchNormLayer}
+
+
+def _write_state(live: dict, values: dict) -> None:
+    if live.keys() != values.keys():
+        raise ShapeError(f"state names differ: {sorted(live)} vs {sorted(values)}")
+    for name, arr in live.items():
+        if arr.shape != values[name].shape:
+            raise ShapeError(
+                f"{name}: shape mismatch: {arr.shape} vs {values[name].shape}"
+            )
+        arr[...] = values[name]
 
 
 def mlp(dims: list, hidden_activation: Activation, output_activation: Activation,

@@ -18,7 +18,6 @@ import json
 import numpy as np
 
 from cance.errors import ModelFormatError, ShapeError
-from cance.nn.layers import Activation, BatchNormLayer, DenseLayer, Network
 
 MAGIC = b"CNCM"
 VERSION = 1
@@ -103,42 +102,3 @@ def _check_header(path, header) -> None:
                 "non-negative integers"
             )
 
-
-def network_to_arrays(net: Network, prefix: str, arrays: dict) -> None:
-    for i, layer in enumerate(net.layers):
-        if isinstance(layer, DenseLayer):
-            arrays[f"{prefix}{i}.weights"] = layer.weights
-            arrays[f"{prefix}{i}.bias"] = layer.bias
-        elif isinstance(layer, BatchNormLayer):
-            arrays[f"{prefix}{i}.gamma"] = layer.gamma
-            arrays[f"{prefix}{i}.beta"] = layer.beta
-            arrays[f"{prefix}{i}.running_mean"] = layer.running_mean
-            arrays[f"{prefix}{i}.running_var"] = layer.running_var
-        else:
-            raise ShapeError(f"cannot serialize layer {type(layer).__name__}")
-
-
-def network_from_arrays(specs: list, prefix: str, arrays: dict) -> Network:
-    layers = []
-    for i, spec in enumerate(specs):
-        if spec["type"] == "dense":
-            layer = DenseLayer(
-                arrays[f"{prefix}{i}.weights"],
-                arrays[f"{prefix}{i}.bias"],
-                Activation(spec["activation"]),
-            )
-            if layer.in_dim != spec["in"] or layer.out_dim != spec["out"]:
-                raise ShapeError(
-                    f"declared dims {spec['in']}x{spec['out']} do not match stored "
-                    f"array {layer.weights.shape}"
-                )
-        elif spec["type"] == "batchnorm":
-            layer = BatchNormLayer(spec["dim"], spec["momentum"], spec["epsilon"])
-            layer.gamma = arrays[f"{prefix}{i}.gamma"].copy()
-            layer.beta = arrays[f"{prefix}{i}.beta"].copy()
-            layer.running_mean = arrays[f"{prefix}{i}.running_mean"].copy()
-            layer.running_var = arrays[f"{prefix}{i}.running_var"].copy()
-        else:
-            raise ShapeError(f"unknown layer type {spec['type']!r}")
-        layers.append(layer)
-    return Network(layers)

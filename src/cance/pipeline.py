@@ -17,7 +17,6 @@ from cance.config import RunConfig
 from cance.data import (
     Dataset,
     Normalizer,
-    SplitSpec,
     load_csv,
     load_embeddings,
     load_idx,
@@ -27,9 +26,9 @@ from cance.data import (
     split_train_val,
     synth_generate,
 )
-from cance.errors import ConfigError, ShapeError
+from cance.errors import ConfigError, ModelFormatError
 from cance.nce import EstimatorModel, NoiseModel, train_estimator
-from cance.nn.serialize import load_container
+from cance.nn.serialize import load_container, save_container
 from cance.rng import RunRng
 
 
@@ -98,8 +97,8 @@ def prepare_features(config: RunConfig, seed: int):
     """
     rng = RunRng(seed)
     train_pool, test = load_benchmark(config, rng)
-    split = SplitSpec(val_fraction=config.eval.val_fraction, seed=seed)
-    train, val = split_train_val(train_pool, split, rng.stream("val-split"))
+    train, val = split_train_val(train_pool, config.eval.val_fraction,
+                                 rng.stream("val-split"))
 
     normalizer = Normalizer(config.dataset.resolved_normalization()).fit(train)
     train_n = normalizer.transform(train)
@@ -168,16 +167,50 @@ CONFIG_FILE = "config.ini"
 REPORT_FILE = "train_report.json"
 
 
+MODEL_KINDS = {
+    "normalizer": Normalizer,
+    "autoencoder": AutoencoderModel,
+    "pca": PcaModel,
+    "estimator": EstimatorModel,
+}
+
+
+def save_model(path, model, extra_meta: dict | None = None) -> None:
+    """Write a model's container, its meta extended by `extra_meta`."""
+    kind, meta, arrays = model.to_container()
+    save_container(path, kind, {**meta, **(extra_meta or {})}, arrays)
+
+
+def load_model(path, *kinds):
+    """Read a model file of one of `kinds`; returns (model, meta).
+
+    A wrong kind, a missing meta key or array, or a value the model cannot
+    take (an unknown activation, layer type or normalization) raises
+    ModelFormatError.
+    """
+    kind, meta, arrays = load_container(path)
+    if kind not in kinds:
+        raise ModelFormatError(
+            f"{path}: expected a {' or '.join(kinds)} model, got {kind!r}"
+        )
+    try:
+        return MODEL_KINDS[kind].from_container(meta, arrays), meta
+    except KeyError as exc:
+        raise ModelFormatError(f"{path}: {kind} model lacks {exc}") from exc
+    except (ModelFormatError, TypeError, ValueError) as exc:
+        raise ModelFormatError(f"{path}: malformed {kind} model: {exc}") from exc
+
+
 def save_run(outdir, config: RunConfig, artifacts: RunArtifacts) -> None:
     os.makedirs(outdir, exist_ok=True)
     tag = {"config_hash": artifacts.config_hash, "seed": artifacts.seed}
-    artifacts.compression.save(os.path.join(outdir, COMPRESSION_FILE), tag)
+    save_model(os.path.join(outdir, COMPRESSION_FILE), artifacts.compression, tag)
     est_meta = dict(tag)
     aug_fit = artifacts.estimator_history.get("augmentation_fit")
     if aug_fit:
         est_meta["augmentation"] = _jsonable(aug_fit)
-    artifacts.estimator.save(os.path.join(outdir, ESTIMATOR_FILE), est_meta)
-    artifacts.normalizer.save(os.path.join(outdir, NORMALIZER_FILE), tag)
+    save_model(os.path.join(outdir, ESTIMATOR_FILE), artifacts.estimator, est_meta)
+    save_model(os.path.join(outdir, NORMALIZER_FILE), artifacts.normalizer, tag)
     with open(os.path.join(outdir, CONFIG_FILE), "w") as fh:
         fh.write(config.canonical())
     report = {
@@ -191,32 +224,23 @@ def save_run(outdir, config: RunConfig, artifacts: RunArtifacts) -> None:
         fh.write("\n")
 
 
-COMPRESSION_KINDS = {"autoencoder": AutoencoderModel, "pca": PcaModel}
-
-
 def load_run(outdir):
     """Load persisted models; refuses directories with mismatched hashes.
 
     Returns (compression, estimator, normalizer, config_hash, estimator_meta).
     """
-    kind, meta, arrays = load_container(os.path.join(outdir, COMPRESSION_FILE))
-    if kind not in COMPRESSION_KINDS:
-        raise ShapeError(f"{outdir}: unexpected compression container kind {kind!r}")
-    compression = COMPRESSION_KINDS[kind].from_container(meta, arrays)
-    ekind, est_meta, earrays = load_container(os.path.join(outdir, ESTIMATOR_FILE))
-    if ekind != "estimator":
-        raise ShapeError(f"{outdir}: expected an estimator container, got {ekind}")
-    estimator = EstimatorModel.from_container(est_meta, earrays)
-    nkind, nmeta, narrays = load_container(os.path.join(outdir, NORMALIZER_FILE))
-    if nkind != "normalizer":
-        raise ConfigError(f"{outdir}: unexpected container kind {nkind!r}")
+    compression, meta = load_model(os.path.join(outdir, COMPRESSION_FILE),
+                                   "autoencoder", "pca")
+    estimator, est_meta = load_model(os.path.join(outdir, ESTIMATOR_FILE),
+                                     "estimator")
+    normalizer, nmeta = load_model(os.path.join(outdir, NORMALIZER_FILE),
+                                   "normalizer")
     hashes = {meta.get("config_hash"), est_meta.get("config_hash"),
               nmeta.get("config_hash")}
     if len(hashes) != 1:
         raise ConfigError(
             f"{outdir}: artifacts carry mismatched config hashes {sorted(hashes)}"
         )
-    normalizer = Normalizer.from_container(nmeta, narrays)
     return compression, estimator, normalizer, hashes.pop(), est_meta
 
 

@@ -3,13 +3,15 @@
 import csv
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from cance.cli import main, write_scores
 from cance.data import Dataset, write_embeddings
-from cance.pipeline import COMPRESSION_FILE, ESTIMATOR_FILE
+from cance.nn.serialize import load_container, save_container
+from cance.pipeline import COMPRESSION_FILE, ESTIMATOR_FILE, NORMALIZER_FILE
 
 # shortest round-trip text switches to an exponent below 1e-4 and from
 # 1e16 on; the neighbours of each switch, the float64 extremes and the
@@ -18,27 +20,46 @@ EDGE_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324,
                1e16, 9999999999999998.0, 1e-5, 0.0001, 0.1]
 
 
+TINY_INI = (
+    "[dataset]\n"
+    "kind = synth\n"
+    "synth = ring(n=220, radius=1, noise=0.05) + box(n=60, low=-2, high=2)\n"
+    "name = tiny\n"
+    "[compress]\n"
+    "method = pca\n"
+    "latent_dim = 2\n"
+    "[nce]\n"
+    "widths = 16\n"
+    "epochs = 4\n"
+    "lr = 2e-3\n"
+    "batch_size = 64\n"
+    "[eval]\n"
+    "repeats = 2\n"
+    "seed = 0\n"
+)
+
+
 @pytest.fixture
 def tiny_ini(tmp_path):
     path = tmp_path / "run.ini"
-    path.write_text(
-        "[dataset]\n"
-        "kind = synth\n"
-        "synth = ring(n=220, radius=1, noise=0.05) + box(n=60, low=-2, high=2)\n"
-        "name = tiny\n"
-        "[compress]\n"
-        "method = pca\n"
-        "latent_dim = 2\n"
-        "[nce]\n"
-        "widths = 16\n"
-        "epochs = 4\n"
-        "lr = 2e-3\n"
-        "batch_size = 64\n"
-        "[eval]\n"
-        "repeats = 2\n"
-        "seed = 0\n"
-    )
+    path.write_text(TINY_INI)
     return path
+
+
+@pytest.fixture(scope="module")
+def ae_run(tmp_path_factory):
+    """A trained autoencoder model directory and a CSV to score with it."""
+    root = tmp_path_factory.mktemp("ae-run")
+    ini = root / "run.ini"
+    ini.write_text(TINY_INI)
+    assert main(["train", "-c", str(ini), "-o", str(root / "model"),
+                 "--set", "compress.method=ae", "--set", "compress.hidden=8",
+                 "--set", "compress.epochs=2"]) == 0
+    assert main(["synth", "--spec", "ring(n=20)", "--seed", "2",
+                 "-o", str(root / "points.csv")]) == 0
+    assert main(["score", "-m", str(root / "model"), "-i", str(root / "points.csv"),
+                 "-o", str(root / "scores.csv")]) == 0
+    return root
 
 
 def file_hashes(outdir, names):
@@ -202,6 +223,51 @@ class TestTrainAndScore:
                      "-o", str(tmp_path / "s.csv")]) == 1
 
 
+# file, container kind written back, change to (meta, arrays)
+DOCTORED_FILES = {
+    "estimator-without-net": (
+        ESTIMATOR_FILE, "estimator", lambda meta, arrays: meta.pop("net")),
+    "estimator-without-has_psi": (
+        ESTIMATOR_FILE, "estimator", lambda meta, arrays: meta.pop("has_psi")),
+    "estimator-without-weights": (
+        ESTIMATOR_FILE, "estimator",
+        lambda meta, arrays: arrays.pop("net0.weights")),
+    "compression-without-encoder": (
+        COMPRESSION_FILE, "autoencoder", lambda meta, arrays: meta.pop("encoder")),
+    "activation-gelu": (
+        ESTIMATOR_FILE, "estimator",
+        lambda meta, arrays: meta["net"][0].update(activation="gelu")),
+    "normalizer-of-kind-pca": (
+        NORMALIZER_FILE, "pca", lambda meta, arrays: None),
+    "normalization-robust": (
+        NORMALIZER_FILE, "normalizer",
+        lambda meta, arrays: meta.update(method="robust")),
+    "layer-type-conv": (
+        COMPRESSION_FILE, "autoencoder",
+        lambda meta, arrays: meta["encoder"][0].update(type="conv")),
+    "score_noise-Adapted": (
+        ESTIMATOR_FILE, "estimator",
+        lambda meta, arrays: meta.update(score_noise="Adapted")),
+}
+
+
+@pytest.mark.parametrize("case", DOCTORED_FILES)
+def test_score_doctored_model_file_is_runtime_error(ae_run, tmp_path, capsys,
+                                                    case):
+    name, kind, change = DOCTORED_FILES[case]
+    model_dir = tmp_path / "model"
+    shutil.copytree(ae_run / "model", model_dir)
+    _, meta, arrays = load_container(model_dir / name)
+    change(meta, arrays)
+    save_container(model_dir / name, kind, meta, arrays)
+    capsys.readouterr()
+    assert main(["score", "-m", str(model_dir), "-i", str(ae_run / "points.csv"),
+                 "-o", str(tmp_path / "s.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+    assert "Traceback" not in err
+
+
 class TestEvalAndAblate:
     def test_eval_writes_report_and_per_run_scores(self, tiny_ini, tmp_path,
                                                    capsys):
@@ -249,6 +315,13 @@ class TestSynthAndInspect:
         assert "noise mean" in out
         assert "config hash" in out
         assert "mode estimates" in out
+
+    def test_inspect_leaves_print_options_unchanged(self, ae_run):
+        # options unlike inspect's own, whatever an earlier caller left set
+        with np.printoptions(precision=6, suppress=False):
+            before = np.get_printoptions()
+            assert main(["inspect", "-m", str(ae_run / "model")]) == 0
+            assert np.get_printoptions() == before
 
     def test_output_root_env_var(self, tiny_ini, tmp_path, monkeypatch):
         monkeypatch.setenv("CANCE_OUTPUT_ROOT", str(tmp_path / "root"))

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from cance.compress import (
     AeConfig,
     AutoencoderModel,
-    PcaModel,
     covariance_loss,
     covariance_loss_grad,
     fit_pca,
@@ -18,6 +17,8 @@ from cance.compress import (
     train_autoencoder,
 )
 from cance.errors import DegenerateFeatureError, ShapeError
+from cance.nn import AdamW
+from cance.pipeline import load_model, save_model
 
 
 class TestReconstructionFeatures:
@@ -185,6 +186,43 @@ class TestTrainAutoencoder:
         assert [bn.running_mean.tobytes(),
                 bn.running_var.tobytes()] == state["stats"]
 
+    def test_encoder_snapshot_restore_round_trip(self):
+        rng = np.random.default_rng(11)
+        model = AutoencoderModel.build(5, AeConfig(latent_dim=3, hidden=(8,)), rng)
+        x = rng.standard_normal((32, 5))
+        model.encoder.forward(x, train=True)  # non-default running stats
+        bn = model.encoder.layers[-1]
+        before = (model.latents(x).tobytes(), bn.running_mean.tobytes(),
+                  bn.running_var.tobytes())
+        params = model.encoder.parameters()
+        opt = AdamW(params, lr=1e-2)
+        snap = model.encoder.snapshot()
+        assert set(snap) == {"0.weights", "0.bias", "1.weights", "1.bias",
+                             "2.gamma", "2.beta", "2.running_mean",
+                             "2.running_var"}
+
+        z = model.encoder.forward(x, train=True)
+        model.encoder.backward(z / z.size)
+        opt.step(params, model.encoder.gradients())
+        assert model.latents(x).tobytes() != before[0]
+
+        model.encoder.restore(snap)
+        assert (model.latents(x).tobytes(), bn.running_mean.tobytes(),
+                bn.running_var.tobytes()) == before
+        # written in place: the optimizer still holds the live arrays
+        assert all(a is b for a, b in zip(params, model.encoder.parameters()))
+
+    def test_restore_rejects_mismatched_snapshot(self):
+        rng = np.random.default_rng(12)
+        model = AutoencoderModel.build(5, AeConfig(latent_dim=3, hidden=(8,)), rng)
+        snap = model.encoder.snapshot()
+        snap["1.bias"] = np.zeros(4)
+        with pytest.raises(ShapeError):
+            model.encoder.restore(snap)
+        del snap["1.bias"]
+        with pytest.raises(ShapeError):
+            model.encoder.restore(snap)
+
     def test_empty_dataset_rejected(self):
         config = AeConfig(latent_dim=2, hidden=(4,), epochs=2)
         with pytest.raises(ShapeError):
@@ -294,8 +332,8 @@ class TestPca:
         x = rng.standard_normal((50, 4))
         model = fit_pca(x, 2)
         path = tmp_path / "pca.model"
-        model.save(path)
-        loaded = PcaModel.load(path)
+        save_model(path, model)
+        loaded, _ = load_model(path, "pca")
         np.testing.assert_array_equal(model.mean, loaded.mean)
         np.testing.assert_array_equal(model.components, loaded.components)
         np.testing.assert_array_equal(model.composite(x), loaded.composite(x))

@@ -5,10 +5,14 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from cance.compress import AeConfig, AutoencoderModel, fit_pca
 from cance.config import RunConfig, load_config
 from cance.data import Dataset, Normalizer
 from cance.errors import ConfigError
-from cance.nn.serialize import load_container, save_container
+from cance.nce import EstimatorModel, NoiseModel
+from cance.nn import Activation, mlp
+from cance.nn.serialize import save_container
+from cance.pipeline import load_model, save_model
 
 
 class TestDefaults:
@@ -146,19 +150,75 @@ class TestSchema:
         }
         assert actual == expected
 
-    def test_normalizer_save_matches_container_layout(self, tmp_path):
-        x = np.random.default_rng(0).standard_normal((20, 3))
+    @pytest.mark.parametrize("kind", ["normalizer", "autoencoder", "pca",
+                                      "estimator"])
+    def test_save_model_matches_container_layout(self, tmp_path, kind):
+        model, meta, arrays, apply = layout_case(kind)
         tag = {"config_hash": "0123456789abcdef", "seed": 4}
-        fitted = Normalizer("zscore").fit(Dataset(x))
-        fitted.save(tmp_path / "a.model", tag)
-        save_container(
-            tmp_path / "b.model", "normalizer", {"method": "zscore", **tag},
-            {"shift": x.mean(axis=0), "scale": x.std(axis=0)},
-        )
+        save_model(tmp_path / "a.model", model, tag)
+        save_container(tmp_path / "b.model", kind, {**meta, **tag}, arrays)
         saved = (tmp_path / "a.model").read_bytes()
         assert saved == (tmp_path / "b.model").read_bytes()
-        _, meta, arrays = load_container(tmp_path / "a.model")
-        loaded = Normalizer.from_container(meta, arrays)
-        assert loaded.method == "zscore"
-        expected = fitted.transform(Dataset(x)).features
-        assert loaded.transform(Dataset(x)).features.tobytes() == expected.tobytes()
+        loaded, loaded_meta = load_model(tmp_path / "a.model", kind)
+        assert loaded_meta == {**meta, **tag}
+        assert loaded.to_container()[:2] == (kind, meta)
+        assert apply(loaded).tobytes() == apply(model).tobytes()
+
+
+def layout_case(kind):
+    """(model, meta, arrays, apply) with the file layout spelled out by hand."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((40, 4))
+    if kind == "normalizer":
+        model = Normalizer("zscore").fit(Dataset(x))
+        return (model, {"method": "zscore"},
+                {"shift": x.mean(axis=0), "scale": x.std(axis=0)},
+                lambda m: m.transform(Dataset(x)).features)
+    if kind == "pca":
+        model = fit_pca(x, 2)
+        return (model, {"input_dim": 4, "latent_dim": 2},
+                {"mean": model.mean, "components": model.components},
+                lambda m: m.composite(x))
+    if kind == "autoencoder":
+        model = AutoencoderModel.build(4, AeConfig(latent_dim=2, hidden=(3,)), rng)
+        model.encoder.forward(x, train=True)  # non-default running stats
+        enc, dec = model.encoder.layers, model.decoder.layers
+        meta = {
+            "input_dim": 4, "latent_dim": 2, "lambda": 0.1,
+            "encoder": [
+                {"type": "dense", "in": 4, "out": 3, "activation": "tanh"},
+                {"type": "dense", "in": 3, "out": 2, "activation": "identity"},
+                {"type": "batchnorm", "dim": 2, "momentum": 0.1, "epsilon": 1e-5},
+            ],
+            "decoder": [
+                {"type": "dense", "in": 2, "out": 3, "activation": "tanh"},
+                {"type": "dense", "in": 3, "out": 4, "activation": "identity"},
+            ],
+        }
+        arrays = {
+            "enc0.weights": enc[0].weights, "enc0.bias": enc[0].bias,
+            "enc1.weights": enc[1].weights, "enc1.bias": enc[1].bias,
+            "enc2.gamma": enc[2].gamma, "enc2.beta": enc[2].beta,
+            "enc2.running_mean": enc[2].running_mean,
+            "enc2.running_var": enc[2].running_var,
+            "dec0.weights": dec[0].weights, "dec0.bias": dec[0].bias,
+            "dec1.weights": dec[1].weights, "dec1.bias": dec[1].bias,
+        }
+        return model, meta, arrays, lambda m: m.composite(x)
+    net = mlp([4, 3, 1], Activation.TANH, Activation.IDENTITY, rng)
+    noise = NoiseModel.from_data(x, 8.0, psi_init=0.3)
+    model = EstimatorModel(net, noise)
+    meta = {
+        "net": [
+            {"type": "dense", "in": 4, "out": 3, "activation": "tanh"},
+            {"type": "dense", "in": 3, "out": 1, "activation": "identity"},
+        ],
+        "nu": 8.0, "score_noise": "adapted", "has_psi": True,
+    }
+    arrays = {
+        "noise.mean": noise.base.mean, "noise.cov": noise.base.cov,
+        "noise.psi": noise.psi,
+        "net0.weights": net.layers[0].weights, "net0.bias": net.layers[0].bias,
+        "net1.weights": net.layers[1].weights, "net1.bias": net.layers[1].bias,
+    }
+    return model, meta, arrays, lambda m: m.score(x)

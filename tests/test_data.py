@@ -10,7 +10,6 @@ from cance.data import (
     Dataset,
     load_recipe_dataset,
     Normalizer,
-    SplitSpec,
     load_csv,
     load_embeddings,
     load_idx,
@@ -353,8 +352,8 @@ class TestBenchmarks:
 class TestSplitsAndNormalize:
     def test_split_deterministic(self):
         ds = Dataset(np.arange(40, dtype=float).reshape(20, 2))
-        a = split_train_val(ds, SplitSpec(0.2, 0), RunRng(5).stream("s"))
-        b = split_train_val(ds, SplitSpec(0.2, 0), RunRng(5).stream("s"))
+        a = split_train_val(ds, 0.2, RunRng(5).stream("s"))
+        b = split_train_val(ds, 0.2, RunRng(5).stream("s"))
         np.testing.assert_array_equal(a[0].features, b[0].features)
         np.testing.assert_array_equal(a[1].features, b[1].features)
         assert a[1].n == 4

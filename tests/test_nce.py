@@ -18,6 +18,7 @@ from cance.nce import (
     train_estimator,
 )
 from cance.nn import Activation, AdamW, DenseLayer, Network, mlp
+from cance.pipeline import load_model, save_model
 from cance.stats import GaussianModel
 
 
@@ -344,8 +345,8 @@ class TestScoring:
 
     def test_save_load_round_trip_scores(self, trained, tmp_path):
         path = tmp_path / "estimator.model"
-        trained.save(path)
-        loaded = EstimatorModel.load(path)
+        save_model(path, trained)
+        loaded, _ = load_model(path, "estimator")
         z = np.random.default_rng(125).standard_normal((11, 2))
         np.testing.assert_array_equal(trained.score(z), loaded.score(z))
 

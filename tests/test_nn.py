@@ -366,5 +366,7 @@ class TestDeterminism:
                 opt.step(net.parameters(), net.gradients())
             return net.snapshot()
 
-        for pa, pb in zip(run(), run()):
-            np.testing.assert_array_equal(pa, pb)
+        a, b = run(), run()
+        assert list(a) == list(b) == ["0.weights", "0.bias", "1.weights", "1.bias"]
+        for name in a:
+            np.testing.assert_array_equal(a[name], b[name])

@@ -6,6 +6,7 @@ import pytest
 from cance.compress import AutoencoderModel, AeConfig
 from cance.errors import ModelFormatError, ShapeError
 from cance.nn.serialize import MAGIC, load_container, save_container
+from cance.pipeline import load_model, save_model
 
 
 @pytest.fixture
@@ -122,8 +123,8 @@ def test_autoencoder_round_trip_bit_identical(tmp_path):
     # give running stats non-default values
     model.encoder.forward(rng.standard_normal((16, 5)), train=True)
     path = tmp_path / "ae.model"
-    model.save(path)
-    loaded = AutoencoderModel.load(path)
+    save_model(path, model)
+    loaded, _ = load_model(path, "autoencoder")
     for a, b in zip(model.encoder.parameters(), loaded.encoder.parameters()):
         assert a.tobytes() == b.tobytes()
     for a, b in zip(model.decoder.parameters(), loaded.decoder.parameters()):
@@ -143,7 +144,7 @@ def test_tampered_header_dims_rejected(tmp_path):
     rng = np.random.default_rng(2)
     model = AutoencoderModel.build(4, AeConfig(latent_dim=2, hidden=(6,)), rng)
     path = tmp_path / "ae.model"
-    model.save(path)
+    save_model(path, model)
     raw = path.read_bytes()
     header_len = int.from_bytes(raw[8:16], "little")
     header = json.loads(raw[16 : 16 + header_len])
@@ -153,4 +154,4 @@ def test_tampered_header_dims_rejected(tmp_path):
     body += raw[16 + header_len : -32]
     path.write_bytes(body + hashlib.sha256(body).digest())
     with pytest.raises(ShapeError):
-        AutoencoderModel.load(path)
+        load_model(path, "autoencoder")
