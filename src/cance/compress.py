@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cance.errors import ConfigError, DegenerateFeatureError, NonFiniteError, ShapeError
-from cance.nn import AdamW, Activation, BatchNormLayer, Network, mlp
+from cance.nn import AdamW, BatchNormLayer, Network, mlp
 
 log = logging.getLogger(__name__)
 
@@ -101,8 +101,6 @@ class AeConfig:
     lr: float = 1e-4
     batch_size: int = 256
     weight_decay: float = 0.0
-    # validation metric during the joint stage: full stage loss or error only
-    checkpoint_on: str = "stage-loss"  # stage-loss | error
 
     def __post_init__(self):
         self.validate()
@@ -123,10 +121,6 @@ class AeConfig:
             raise ConfigError("compress.batch_size must be >= 1")
         if self.weight_decay < 0:
             raise ConfigError("compress.weight_decay must be >= 0")
-        if self.checkpoint_on not in ("stage-loss", "error"):
-            raise ConfigError(
-                f"compress.checkpoint_on: unknown metric {self.checkpoint_on!r}"
-            )
 
 
 class AutoencoderModel:
@@ -153,11 +147,9 @@ class AutoencoderModel:
     def build(
         cls, input_dim: int, config: AeConfig, rng: np.random.Generator
     ) -> "AutoencoderModel":
-        enc = mlp([input_dim, *config.hidden, config.latent_dim],
-                  Activation.TANH, Activation.IDENTITY, rng)
+        enc = mlp([input_dim, *config.hidden, config.latent_dim], rng)
         encoder = Network(enc.layers + [BatchNormLayer(config.latent_dim)])
-        decoder = mlp([config.latent_dim, *reversed(config.hidden), input_dim],
-                      Activation.TANH, Activation.IDENTITY, rng)
+        decoder = mlp([config.latent_dim, *reversed(config.hidden), input_dim], rng)
         return cls(encoder, decoder, config.lam)
 
     def latents(self, x: np.ndarray) -> np.ndarray:
@@ -231,7 +223,6 @@ def train_autoencoder(
         lr=config.lr,
         weight_decay=config.weight_decay,
     )
-    include_cov_in_val = config.checkpoint_on == "stage-loss"
     best = (np.inf, model.encoder.snapshot(), model.decoder.snapshot())
     for _ in range(stage1_epochs):
         order = rng_shuffle.permutation(n)
@@ -249,7 +240,7 @@ def train_autoencoder(
                 model.encoder.parameters() + model.decoder.parameters(),
                 model.encoder.gradients() + model.decoder.gradients(),
             )
-        loss = val_loss(include_cov_in_val)
+        loss = val_loss(include_cov=True)
         if not np.isfinite(loss):
             raise NonFiniteError("validation loss diverged during joint training")
         history["stage1_val"].append(loss)

@@ -399,9 +399,18 @@ class Normalizer:
     @classmethod
     def from_container(cls, meta: dict, arrays: dict) -> "Normalizer":
         normalizer = cls(meta["method"])
-        normalizer._shift = arrays["shift"]
-        normalizer._scale = arrays["scale"]
+        shift, scale = arrays["shift"], arrays["scale"]
+        if shift.ndim != 1 or shift.shape != scale.shape:
+            raise ValueError(
+                f"shift {shift.shape} and scale {scale.shape} are not "
+                "vectors of one length"
+            )
+        normalizer._shift, normalizer._scale = shift, scale
         return normalizer
+
+    @property
+    def dim(self) -> int:
+        return self._shift.size
 
 
 # --------------------------------------------------------------------------

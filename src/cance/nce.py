@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from cance.compress import check_widths
-from cance.errors import ConfigError, ModelFormatError, NonFiniteError, ShapeError
-from cance.nn import AdamW, Activation, Network, mlp, sigmoid
+from cance.errors import ConfigError, NonFiniteError, ShapeError
+from cance.nn import AdamW, Network, mlp
 from cance.stats import (
     GaussianModel,
     StreamingMoments,
@@ -32,9 +32,23 @@ from cance.stats import (
 log = logging.getLogger(__name__)
 
 
+MOMENT_BATCH = 4096
+
+
 def softplus(x):
     x = np.asarray(x, dtype=np.float64)
     return np.logaddexp(0.0, x)
+
+
+def sigmoid(x) -> np.ndarray:
+    """Logistic function, stable on both tails."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
 
 
 @dataclass
@@ -80,11 +94,8 @@ class NoiseModel:
             return np.asarray(z, dtype=np.float64)
         return (z - self.base.mean) / self.k_diag() + self.base.mean
 
-    def sample_base(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self.base.sample(n, rng)
-
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self.transform(self.sample_base(n, rng))
+        return self.transform(self.base.sample(n, rng))
 
     def adapted_gaussian(self) -> GaussianModel:
         if self.psi is None:
@@ -94,14 +105,13 @@ class NoiseModel:
 
     @classmethod
     def from_data(
-        cls, data: np.ndarray, nu: float, psi_init: float | None = 0.0,
-        moment_batch: int = 4096,
+        cls, data: np.ndarray, nu: float, psi_init: float | None = 0.0
     ) -> "NoiseModel":
         """Fit the Gaussian base to data moments accumulated batch-wise."""
         data = np.asarray(data, dtype=np.float64)
         moments = StreamingMoments.empty(data.shape[1])
-        for start in range(0, data.shape[0], moment_batch):
-            moments = moments.update(data[start : start + moment_batch])
+        for start in range(0, data.shape[0], MOMENT_BATCH):
+            moments = moments.update(data[start : start + MOMENT_BATCH])
         base = GaussianModel(moments.mean, moments.cov)
         psi = None if psi_init is None else np.full(data.shape[1], float(psi_init))
         return cls(base, psi, nu)
@@ -160,23 +170,18 @@ def augment_batch(
     batch: np.ndarray,
     params: AugmentationParams,
     rng: np.random.Generator,
-    force_indicator: int | None = None,
 ) -> np.ndarray:
     """Mix original rows with rows whose reconstruction features are redrawn.
 
     Each row independently keeps its original values with probability 1/2;
     otherwise the latent part is kept and the last two columns are replaced
-    by independent truncated-normal draws. `force_indicator` pins the coin
-    to 1 (keep) or 0 (replace) for every row.
+    by independent truncated-normal draws.
     """
     if params is None:
         raise ValueError("augmentation parameters not fitted")
     batch = np.asarray(batch, dtype=np.float64)
     out = batch.copy()
-    if force_indicator is None:
-        keep = rng.random(batch.shape[0]) < 0.5
-    else:
-        keep = np.full(batch.shape[0], bool(force_indicator))
+    keep = rng.random(batch.shape[0]) < 0.5
     k = int((~keep).sum())
     if k:
         out[~keep, -2] = params.error_dist.sample(k, rng)
@@ -214,7 +219,6 @@ def adnce_psi_grad(
     noise: NoiseModel,
     data_batch: np.ndarray,
     noise_base_batch: np.ndarray,
-    inner_points: np.ndarray | None = None,
 ):
     """Objective value and its gradient with respect to psi.
 
@@ -223,8 +227,7 @@ def adnce_psi_grad(
     """
     if noise.psi is None:
         raise ValueError("noise model has no adaptable parameters")
-    if inner_points is None:
-        inner_points = noise.inverse_transform(data_batch)
+    inner_points = noise.inverse_transform(data_batch)
     a = noise.transform(inner_points)
     b = noise.transform(noise_base_batch)
     m, n = a.shape[0], b.shape[0]
@@ -268,7 +271,6 @@ class NceConfig:
     augmentation: bool = True
     adapt_noise: bool = True
     warmup_frac: float = 0.1
-    validate_augmented: bool = False
     score_noise: str = "adapted"  # adapted | initial
 
     def __post_init__(self):
@@ -302,6 +304,8 @@ class EstimatorModel:
             raise ShapeError("estimator network must have scalar output")
         if net.in_dim != noise.dim:
             raise ShapeError("estimator input dim != noise dim")
+        if score_noise not in ("adapted", "initial"):
+            raise ValueError(f"unknown score_noise {score_noise!r}")
         self.net = net
         self.noise = noise
         self.score_noise = score_noise
@@ -341,8 +345,6 @@ class EstimatorModel:
 
     @classmethod
     def from_container(cls, meta: dict, arrays: dict) -> "EstimatorModel":
-        if meta["score_noise"] not in ("adapted", "initial"):
-            raise ModelFormatError(f"unknown score_noise {meta['score_noise']!r}")
         net = Network.from_state(meta["net"], arrays, "net")
         base = GaussianModel(arrays["noise.mean"], arrays["noise.cov"])
         psi = arrays["noise.psi"] if meta["has_psi"] else None
@@ -393,25 +395,21 @@ def train_estimator(
                        "sigma": aug.cosine_dist.sigma},
         }
 
-    net = mlp([dim, *config.widths, 1], Activation.TANH, Activation.IDENTITY,
-              init_rng)
+    net = mlp([dim, *config.widths, 1], init_rng)
     opt_theta = AdamW(net.parameters(), lr=config.lr,
                       weight_decay=config.weight_decay)
     opt_psi = None
     if config.adapt_noise and noise_model.psi is not None:
         opt_psi = AdamW([noise_model.psi], lr=config.psi_lr or config.lr)
 
-    val_noise_base = noise_model.sample_base(
+    val_noise_base = noise_model.base.sample(
         max(1, int(round(config.nu * val_z.shape[0]))), val_rng
     )
     warmup_epochs = int(np.ceil(config.epochs * config.warmup_frac))
     batch = min(config.batch_size, n)
 
     def validation_loss() -> float:
-        data = val_z
-        if config.validate_augmented and aug is not None:
-            data = augment_batch(val_z, aug, train_rng)
-        return nce_loss(net, data, noise_model.transform(val_noise_base), config.nu)
+        return nce_loss(net, val_z, noise_model.transform(val_noise_base), config.nu)
 
     best = None
     diverged = False
@@ -423,7 +421,7 @@ def train_estimator(
             for start in range(0, n, batch):
                 zb = train_z[order[start : start + batch]]
                 zm = augment_batch(zb, aug, train_rng) if aug is not None else zb
-                vbase = noise_model.sample_base(
+                vbase = noise_model.base.sample(
                     max(1, int(round(config.nu * zb.shape[0]))), train_rng
                 )
                 v = noise_model.transform(vbase)

@@ -11,7 +11,6 @@ from cance.nn.layers import (
     Network,
     mlp,
     require_finite,
-    sigmoid,
 )
 from cance.nn.optim import AdamW
 from cance.nn.serialize import load_container, save_container
@@ -26,5 +25,4 @@ __all__ = [
     "mlp",
     "require_finite",
     "save_container",
-    "sigmoid",
 ]

@@ -9,9 +9,7 @@ from cance.errors import ModelFormatError, NonFiniteError, ShapeError
 
 class Activation(str, Enum):
     IDENTITY = "identity"
-    RELU = "relu"
     TANH = "tanh"
-    SIGMOID = "sigmoid"
 
 
 def require_finite(arr: np.ndarray, what: str) -> np.ndarray:
@@ -20,57 +18,9 @@ def require_finite(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
-def sigmoid(x) -> np.ndarray:
-    """Logistic function, stable on both tails."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
-def _apply_activation(kind: Activation, pre: np.ndarray) -> np.ndarray:
-    """act(pre); may overwrite or return `pre` itself."""
-    if kind is Activation.IDENTITY:
-        return pre
-    if kind is Activation.RELU:
-        return np.maximum(pre, 0.0)
-    if kind is Activation.TANH:
-        return np.tanh(pre, out=pre)
-    if kind is Activation.SIGMOID:
-        return sigmoid(pre)
-    raise ValueError(f"unknown activation {kind!r}")
-
-
-def _activation_grad(kind: Activation, post: np.ndarray,
-                     upstream: np.ndarray) -> np.ndarray:
-    """upstream * d(post)/d(pre), elementwise, from the cached output alone.
-
-    The derivative is built in a fresh buffer and then multiplied by
-    upstream in place; as multiplication commutes, this equals
-    upstream * derivative bit for bit. Identity returns upstream itself.
-    """
-    if kind is Activation.IDENTITY:
-        return upstream
-    if kind is Activation.RELU:
-        # max(pre, 0) > 0 exactly where pre > 0
-        return upstream * (post > 0).astype(np.float64)
-    if kind is Activation.TANH:
-        d = post * post
-        np.subtract(1.0, d, out=d)
-        d *= upstream
-        return d
-    if kind is Activation.SIGMOID:
-        d = post * (1.0 - post)
-        d *= upstream
-        return d
-    raise ValueError(f"unknown activation {kind!r}")
-
-
 class DenseLayer:
-    """Fully connected layer: y = act(x @ W.T + b), W of shape (out, in)."""
+    """Fully connected layer: y = act(x @ W.T + b), W of shape (out, in),
+    act tanh or identity."""
 
     STATE = ("weights", "bias")
 
@@ -121,7 +71,7 @@ class DenseLayer:
         pre = x @ self.weights.T
         pre += self.bias
         # backward needs only the output, so pre need not survive
-        post = _apply_activation(self.activation, pre)
+        post = np.tanh(pre, out=pre) if self.activation is Activation.TANH else pre
         if train:
             # eval-mode forwards leave all state untouched so a frozen
             # model is safe for concurrent callers
@@ -138,7 +88,14 @@ class DenseLayer:
             raise ShapeError(
                 f"upstream gradient {upstream.shape} != output {self._post.shape}"
             )
-        dpre = _activation_grad(self.activation, self._post, upstream)
+        if self.activation is Activation.TANH:
+            # upstream * (1 - post^2), built as (1 - post^2) * upstream in a
+            # fresh buffer; multiplication commutes, so the bits are the same
+            dpre = self._post * self._post
+            np.subtract(1.0, dpre, out=dpre)
+            dpre *= upstream
+        else:
+            dpre = upstream
         if param_grads:
             self.grad_weights = dpre.T @ self._x
             self.grad_bias = dpre.sum(axis=0)
@@ -147,7 +104,8 @@ class DenseLayer:
         if self.out_dim == 1:
             # (N, 1) @ (1, in) is one product per entry, so a broadcast gives
             # the GEMM's bits without the call; adding +0.0 turns a -0.0
-            # product into +0.0, as the GEMM's zeroed accumulator does
+            # product into +0.0, as the GEMM's zeroed accumulator does (a
+            # saturated tanh, post == +-1, gives such zero derivatives)
             dx = dpre * self.weights
             dx += 0.0
             return dx
@@ -355,13 +313,13 @@ def _write_state(live: dict, values: dict) -> None:
         arr[...] = values[name]
 
 
-def mlp(dims: list, hidden_activation: Activation, output_activation: Activation,
-        rng: np.random.Generator) -> Network:
-    """Build a dense MLP with the given layer widths, e.g. [4, 64, 64, 1]."""
+def mlp(dims: list, rng: np.random.Generator) -> Network:
+    """Build a dense MLP with the given layer widths, e.g. [4, 64, 64, 1]:
+    tanh hidden layers and an identity output."""
     if len(dims) < 2:
         raise ValueError("mlp needs at least input and output dims")
     layers = []
     for i, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
-        act = output_activation if i == len(dims) - 2 else hidden_activation
+        act = Activation.IDENTITY if i == len(dims) - 2 else Activation.TANH
         layers.append(DenseLayer.glorot(a, b, act, rng))
     return Network(layers)

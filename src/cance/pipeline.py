@@ -27,7 +27,7 @@ from cance.data import (
     synth_generate,
 )
 from cance.errors import ConfigError, ModelFormatError
-from cance.nce import EstimatorModel, NoiseModel, train_estimator
+from cance.nce import EstimatorModel, train_estimator
 from cance.nn.serialize import load_container, save_container
 from cance.rng import RunRng
 
@@ -128,8 +128,7 @@ class RunArtifacts:
     estimator_history: dict = field(default_factory=dict)
 
 
-def run_pipeline(config: RunConfig, seed: int,
-                 noise_model: NoiseModel | None = None) -> RunArtifacts:
+def run_pipeline(config: RunConfig, seed: int) -> RunArtifacts:
     normalizer, compression, comp_history, test, z_train, z_val, z_test = (
         prepare_features(config, seed)
     )
@@ -141,7 +140,6 @@ def run_pipeline(config: RunConfig, seed: int,
         rng.stream("nce-init"),
         rng.stream("nce-train"),
         rng.stream("nce-val"),
-        noise_model=noise_model,
     )
     return RunArtifacts(
         seed=seed,
@@ -225,21 +223,33 @@ def save_run(outdir, config: RunConfig, artifacts: RunArtifacts) -> None:
 
 
 def load_run(outdir):
-    """Load persisted models; refuses directories with mismatched hashes.
+    """Load persisted models; refuses directories with mismatched hashes
+    (ConfigError) or with models whose dimensions do not chain
+    (ModelFormatError naming the normalizer or estimator file).
 
     Returns (compression, estimator, normalizer, config_hash, estimator_meta).
     """
     compression, meta = load_model(os.path.join(outdir, COMPRESSION_FILE),
                                    "autoencoder", "pca")
-    estimator, est_meta = load_model(os.path.join(outdir, ESTIMATOR_FILE),
-                                     "estimator")
-    normalizer, nmeta = load_model(os.path.join(outdir, NORMALIZER_FILE),
-                                   "normalizer")
+    estimator_path = os.path.join(outdir, ESTIMATOR_FILE)
+    estimator, est_meta = load_model(estimator_path, "estimator")
+    normalizer_path = os.path.join(outdir, NORMALIZER_FILE)
+    normalizer, nmeta = load_model(normalizer_path, "normalizer")
     hashes = {meta.get("config_hash"), est_meta.get("config_hash"),
               nmeta.get("config_hash")}
     if len(hashes) != 1:
         raise ConfigError(
             f"{outdir}: artifacts carry mismatched config hashes {sorted(hashes)}"
+        )
+    if normalizer.dim != compression.input_dim:
+        raise ModelFormatError(
+            f"{normalizer_path}: normalizes {normalizer.dim} columns, but the "
+            f"compression model takes {compression.input_dim}"
+        )
+    if estimator.dim != compression.latent_dim + 2:
+        raise ModelFormatError(
+            f"{estimator_path}: takes {estimator.dim} features, but the "
+            f"compression model gives {compression.latent_dim + 2}"
         )
     return compression, estimator, normalizer, hashes.pop(), est_meta
 

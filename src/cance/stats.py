@@ -11,6 +11,10 @@ from scipy.special import ndtr, ndtri
 
 from cance.errors import DegenerateFeatureError, NonFiniteError, ShapeError
 
+# added to the diagonal of a covariance that Cholesky rejects
+JITTER = 1e-8
+MARGIN_GRID_SIZE = 512
+
 
 @dataclass
 class StreamingMoments:
@@ -129,19 +133,6 @@ class TruncatedNormalParams:
         )
         return out
 
-    def logpdf(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=np.float64)
-        out = np.full(z.shape, -np.inf)
-        inside = (z >= 0.0) & (z <= self.mode)
-        u = (z[inside] - self.mode) / self.sigma
-        out[inside] = (
-            -0.5 * u * u
-            - 0.5 * np.log(2.0 * np.pi)
-            - np.log(self.sigma)
-            - np.log(self._mass())
-        )
-        return out
-
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Rejection from the parent normal; inverse CDF when acceptance is poor."""
         mass = self._mass()
@@ -166,7 +157,7 @@ class TruncatedNormalParams:
 class GaussianModel:
     """Multivariate normal with a cached lower-triangular factor."""
 
-    def __init__(self, mean: np.ndarray, cov: np.ndarray, jitter: float = 1e-8):
+    def __init__(self, mean: np.ndarray, cov: np.ndarray):
         mean = np.asarray(mean, dtype=np.float64).ravel()
         cov = np.asarray(cov, dtype=np.float64)
         if cov.shape != (mean.size, mean.size):
@@ -177,11 +168,11 @@ class GaussianModel:
             self.factor = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
             try:
-                self.factor = np.linalg.cholesky(cov + jitter * np.eye(mean.size))
+                self.factor = np.linalg.cholesky(cov + JITTER * np.eye(mean.size))
             except np.linalg.LinAlgError as exc:
                 raise NonFiniteError(
                     "covariance is not positive definite even after "
-                    f"+{jitter:g}*I jitter; condition too poor to factorize"
+                    f"+{JITTER:g}*I jitter; condition too poor to factorize"
                 ) from exc
 
     @property
@@ -242,25 +233,21 @@ def verify_augmentation_margin(
     params: TruncatedNormalParams,
     noise_mean: float,
     noise_sigma: float,
-    grid_size: int = 512,
-    include_truncated_term: bool = True,
 ) -> MarginReport:
     """Check that the augmented marginal dominates the Gaussian noise marginal.
 
     Evaluates 0.5*kde(z) + 0.5*p_t(z) - N(noise_mean, noise_sigma^2)(z) on a
-    grid over [0, mode] and reports the worst margin. With
-    `include_truncated_term` off only the kernel-density half remains,
-    which shows the truncated component is doing real work.
+    grid of MARGIN_GRID_SIZE points over [0, mode] and reports the worst
+    margin.
     """
     p0_samples = np.asarray(p0_samples, dtype=np.float64).ravel()
     if p0_samples.size == 0:
         raise ShapeError("empty sample")
     if noise_sigma <= 0.0:
         raise DegenerateFeatureError("noise marginal needs positive sigma")
-    grid = np.linspace(0.0, params.mode, grid_size)
-    mixture = 0.5 * gaussian_kde_silverman(p0_samples)(grid)
-    if include_truncated_term:
-        mixture = mixture + 0.5 * params.pdf(grid)
+    grid = np.linspace(0.0, params.mode, MARGIN_GRID_SIZE)
+    mixture = (0.5 * gaussian_kde_silverman(p0_samples)(grid)
+               + 0.5 * params.pdf(grid))
     u = (grid - noise_mean) / noise_sigma
     noise_pdf = np.exp(-0.5 * u * u) / (np.sqrt(2.0 * np.pi) * noise_sigma)
     margins = mixture - noise_pdf

@@ -10,8 +10,11 @@ import pytest
 
 from cance.cli import main, write_scores
 from cance.data import Dataset, write_embeddings
+from cance.nce import EstimatorModel, NoiseModel
+from cance.nn import Activation, DenseLayer, Network
 from cance.nn.serialize import load_container, save_container
 from cance.pipeline import COMPRESSION_FILE, ESTIMATOR_FILE, NORMALIZER_FILE
+from cance.stats import GaussianModel
 
 # shortest round-trip text switches to an exponent below 1e-4 and from
 # 1e16 on; the neighbours of each switch, the float64 extremes and the
@@ -223,6 +226,19 @@ class TestTrainAndScore:
                      "-o", str(tmp_path / "s.csv")]) == 1
 
 
+def replace_estimator(dim):
+    """A change that swaps in a one-layer estimator over `dim` features."""
+    def change(meta, arrays):
+        net = Network([DenseLayer(np.zeros((1, dim)), np.zeros(1),
+                                  Activation.IDENTITY)])
+        noise = NoiseModel(GaussianModel(np.zeros(dim), np.eye(dim)), None, 8.0)
+        _, new_meta, new_arrays = EstimatorModel(net, noise).to_container()
+        meta.update(new_meta)
+        arrays.clear()
+        arrays.update(new_arrays)
+    return change
+
+
 # file, container kind written back, change to (meta, arrays)
 DOCTORED_FILES = {
     "estimator-without-net": (
@@ -237,6 +253,12 @@ DOCTORED_FILES = {
     "activation-gelu": (
         ESTIMATOR_FILE, "estimator",
         lambda meta, arrays: meta["net"][0].update(activation="gelu")),
+    "activation-relu": (
+        ESTIMATOR_FILE, "estimator",
+        lambda meta, arrays: meta["net"][0].update(activation="relu")),
+    "activation-sigmoid": (
+        ESTIMATOR_FILE, "estimator",
+        lambda meta, arrays: meta["net"][0].update(activation="sigmoid")),
     "normalizer-of-kind-pca": (
         NORMALIZER_FILE, "pca", lambda meta, arrays: None),
     "normalization-robust": (
@@ -248,6 +270,15 @@ DOCTORED_FILES = {
     "score_noise-Adapted": (
         ESTIMATOR_FILE, "estimator",
         lambda meta, arrays: meta.update(score_noise="Adapted")),
+    "normalizer-scale-of-3-columns": (
+        NORMALIZER_FILE, "normalizer",
+        lambda meta, arrays: arrays.update(scale=np.ones(3))),
+    # each file below is well formed alone but does not chain with the
+    # 2-column, 2-latent autoencoder beside it
+    "normalizer-of-3-columns": (
+        NORMALIZER_FILE, "normalizer",
+        lambda meta, arrays: arrays.update(shift=np.zeros(3), scale=np.ones(3))),
+    "estimator-of-3-features": (ESTIMATOR_FILE, "estimator", replace_estimator(3)),
 }
 
 

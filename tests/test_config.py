@@ -10,7 +10,7 @@ from cance.config import RunConfig, load_config
 from cance.data import Dataset, Normalizer
 from cance.errors import ConfigError
 from cance.nce import EstimatorModel, NoiseModel
-from cance.nn import Activation, mlp
+from cance.nn import mlp
 from cance.nn.serialize import save_container
 from cance.pipeline import load_model, save_model
 
@@ -133,12 +133,12 @@ class TestSchema:
             },
             "compress": {
                 "method", "latent_dim", "lam", "hidden", "epochs", "lr",
-                "batch_size", "weight_decay", "checkpoint_on",
+                "batch_size", "weight_decay",
             },
             "nce": {
                 "widths", "nu", "lr", "psi_lr", "weight_decay", "epochs",
                 "batch_size", "augmentation", "adapt_noise", "warmup_frac",
-                "validate_augmented", "score_noise",
+                "score_noise",
             },
             "eval": {"repeats", "seed", "val_fraction", "contamination"},
             "output": {"dir"},
@@ -205,7 +205,7 @@ def layout_case(kind):
             "dec1.weights": dec[1].weights, "dec1.bias": dec[1].bias,
         }
         return model, meta, arrays, lambda m: m.composite(x)
-    net = mlp([4, 3, 1], Activation.TANH, Activation.IDENTITY, rng)
+    net = mlp([4, 3, 1], rng)
     noise = NoiseModel.from_data(x, 8.0, psi_init=0.3)
     model = EstimatorModel(net, noise)
     meta = {

@@ -15,6 +15,7 @@ from cance.nce import (
     augment_batch,
     nce_loss,
     nce_loss_and_grads,
+    sigmoid,
     train_estimator,
 )
 from cance.nn import Activation, AdamW, DenseLayer, Network, mlp
@@ -32,7 +33,7 @@ def constant_net(dim, value):
 def small_problem():
     rng = np.random.default_rng(0)
     dim = 3
-    net = mlp([dim, 12, 1], Activation.TANH, Activation.IDENTITY, rng)
+    net = mlp([dim, 12, 1], rng)
     data = rng.standard_normal((10, dim))
     base = GaussianModel(data.mean(axis=0), np.cov(data.T, bias=True))
     noise_model = NoiseModel(base, psi=rng.standard_normal(dim) * 0.3, nu=8.0)
@@ -57,6 +58,13 @@ class TestNceLoss:
     def test_empty_batch_rejected(self):
         with pytest.raises(ShapeError):
             nce_loss(constant_net(2, 0.0), np.zeros((0, 2)), np.zeros((3, 2)), 8.0)
+
+    def test_sigmoid_at_zero_is_half(self):
+        np.testing.assert_array_equal(sigmoid(np.zeros(3)), 0.5)
+        # both tails stay finite, with no overflow warning
+        with np.errstate(over="raise"):
+            np.testing.assert_array_equal(sigmoid(np.array([-800.0, 800.0])),
+                                          [0.0, 1.0])
 
     def test_loss_and_grads_match_loss(self, small_problem):
         rng, net, data, noise_model = small_problem
@@ -155,17 +163,17 @@ class TestAugmentation:
         composite = np.column_stack([latents, z_e, z_c])
         return rng, composite, AugmentationParams.fit(composite)
 
-    def test_forced_replacement_keeps_latents(self, fitted):
+    def test_rows_kept_or_redrawn_below_mode(self, fitted):
         rng, composite, params = fitted
-        out = augment_batch(composite, params, rng, force_indicator=0)
+        out = augment_batch(composite, params, rng)
         np.testing.assert_array_equal(out[:, :3], composite[:, :3])
-        assert np.all((out[:, 3] >= 0) & (out[:, 3] <= params.error_dist.mode))
-        assert np.all((out[:, 4] >= 0) & (out[:, 4] <= params.cosine_dist.mode))
-
-    def test_forced_keep_returns_input(self, fitted):
-        rng, composite, params = fitted
-        out = augment_batch(composite, params, rng, force_indicator=1)
-        np.testing.assert_array_equal(out, composite)
+        kept = np.all(out == composite, axis=1)
+        redrawn = out[~kept]
+        assert np.all((redrawn[:, 3] >= 0)
+                      & (redrawn[:, 3] <= params.error_dist.mode))
+        assert np.all((redrawn[:, 4] >= 0)
+                      & (redrawn[:, 4] <= params.cosine_dist.mode))
+        assert kept.any() and not kept.all()
 
     def test_mixture_fraction_is_half(self, fitted):
         rng, composite, params = fitted
@@ -187,10 +195,9 @@ class TestAugmentation:
 class TestAdaptNoise:
     def test_psi_gradient_matches_finite_differences(self, small_problem):
         rng, net, data, noise_model = small_problem
-        vbase = noise_model.sample_base(24, rng)
+        vbase = noise_model.base.sample(24, rng)
         inner = noise_model.inverse_transform(data)
-        _, dpsi = adnce_psi_grad(net, noise_model, data, vbase,
-                                 inner_points=inner)
+        _, dpsi = adnce_psi_grad(net, noise_model, data, vbase)
         h = 1e-5
         for j in range(noise_model.dim):
             orig = noise_model.psi[j]
@@ -206,7 +213,7 @@ class TestAdaptNoise:
         rng, net, data, noise_model = small_problem
         before = [p.tobytes() for p in net.parameters()]
         opt = AdamW([noise_model.psi], lr=1e-2)
-        vbase = noise_model.sample_base(24, rng)
+        vbase = noise_model.base.sample(24, rng)
         adapt_noise(net, noise_model, opt, data, vbase)
         assert [p.tobytes() for p in net.parameters()] == before
 
@@ -214,7 +221,7 @@ class TestAdaptNoise:
         rng, net, data, noise_model = small_problem
         opt = AdamW([noise_model.psi], lr=0.5)
         for _ in range(50):
-            vbase = noise_model.sample_base(24, rng)
+            vbase = noise_model.base.sample(24, rng)
             adapt_noise(net, noise_model, opt, data, vbase)
         assert np.all(noise_model.k_diag() >= 1.0)
 
@@ -222,7 +229,7 @@ class TestAdaptNoise:
         rng, net, data, noise_model = small_problem
         frozen = NoiseModel(noise_model.base, psi=None, nu=8.0)
         with pytest.raises(ValueError):
-            adnce_psi_grad(net, frozen, data, frozen.sample_base(8, rng))
+            adnce_psi_grad(net, frozen, data, frozen.base.sample(8, rng))
 
 
 class TestTrainEstimator:
@@ -278,8 +285,10 @@ class TestTrainEstimator:
         )
         assert all(v >= 0 for v in history["augmentation_margins"].values())
         aug = AugmentationParams.fit(composite[:2400])
-        low = augment_batch(composite[:500], aug,
-                            np.random.default_rng(112), force_indicator=0)
+        low = composite[:500].copy()
+        low_rng = np.random.default_rng(112)
+        low[:, -2] = aug.error_dist.sample(500, low_rng)
+        low[:, -1] = aug.cosine_dist.sample(500, low_rng)
         high = composite[:500].copy()
         high[:, 2] = np.quantile(composite[:2400, 2], 0.95) * 2.0
         assert model.score(low).mean() <= model.score(high).mean()
@@ -336,6 +345,10 @@ class TestScoring:
     def test_dim_mismatch_rejected(self, trained):
         with pytest.raises(ShapeError):
             trained.score(np.zeros((2, 5)))
+
+    def test_unknown_score_noise_rejected(self, trained):
+        with pytest.raises(ValueError, match="score_noise"):
+            EstimatorModel(trained.net, trained.noise, "Adapted")
 
     def test_initial_noise_flag_changes_density(self, trained):
         initial = EstimatorModel(trained.net, trained.noise, "initial")

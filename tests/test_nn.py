@@ -11,7 +11,6 @@ from cance.nn import (
     DenseLayer,
     Network,
     mlp,
-    sigmoid,
 )
 
 
@@ -46,11 +45,6 @@ class TestDenseForward:
         layer = DenseLayer(np.eye(3), np.zeros(3), Activation.IDENTITY)
         x = np.arange(6.0).reshape(2, 3)
         np.testing.assert_array_equal(layer.forward(x), x)
-
-    def test_sigmoid_at_zero_is_half(self):
-        layer = DenseLayer(np.zeros((4, 2)), np.zeros(4), Activation.SIGMOID)
-        out = layer.forward(np.zeros((3, 2)))
-        np.testing.assert_allclose(out, 0.5)
 
     def test_two_layer_net_matches_matrix_arithmetic(self):
         rng = np.random.default_rng(7)
@@ -90,9 +84,14 @@ class TestDenseForward:
         assert evaluated.tobytes() == trained.tobytes()
         assert x.tobytes() == x_before.tobytes()
 
+    def test_mlp_has_tanh_hidden_layers_and_identity_output(self):
+        net = mlp([3, 8, 5, 1], np.random.default_rng(0))
+        assert [layer.activation for layer in net.layers] == [
+            Activation.TANH, Activation.TANH, Activation.IDENTITY]
+
     def test_forward_deterministic(self):
         rng = np.random.default_rng(0)
-        net = mlp([3, 8, 1], Activation.TANH, Activation.IDENTITY, rng)
+        net = mlp([3, 8, 1], rng)
         x = rng.standard_normal((4, 3))
         np.testing.assert_array_equal(net.forward(x), net.forward(x))
 
@@ -100,7 +99,7 @@ class TestDenseForward:
 class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         rng = np.random.default_rng(1)
-        net = mlp([3, 6, 2], Activation.RELU, Activation.IDENTITY, rng)
+        net = mlp([3, 6, 2], rng)
         out = net.forward(rng.standard_normal((5, 3)), train=True)
         net.backward(np.zeros_like(out))
         for g in net.gradients():
@@ -123,18 +122,13 @@ class TestBackward:
         with pytest.raises(RuntimeError):
             layer.backward(np.zeros((1, 2)))
 
-    @pytest.mark.parametrize(
-        "activation",
-        [Activation.IDENTITY, Activation.RELU, Activation.TANH,
-         Activation.SIGMOID],
-    )
+    @pytest.mark.parametrize("activation", list(Activation))
     def test_dense_gradients_match_finite_differences(self, activation):
         rng = np.random.default_rng(3)
         net = Network([
             DenseLayer.glorot(4, 6, activation, rng),
             DenseLayer.glorot(6, 2, Activation.IDENTITY, rng),
         ])
-        # keep relu pre-activations away from the kink
         x = rng.standard_normal((7, 4)) + 0.05
         upstream = rng.standard_normal((7, 2))
         net.forward(x, train=True)
@@ -145,7 +139,7 @@ class TestBackward:
 
     def test_input_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(4)
-        net = mlp([3, 8, 1], Activation.TANH, Activation.IDENTITY, rng)
+        net = mlp([3, 8, 1], rng)
         x = rng.standard_normal((5, 3))
         net.forward(x, train=True)
         dx = net.backward(np.ones((5, 1)))
@@ -167,15 +161,9 @@ def reference_dense_pass(layer, x, upstream):
     act = layer.activation
     if act is Activation.IDENTITY:
         post, deriv = pre, np.ones_like(pre)
-    elif act is Activation.RELU:
-        post = np.maximum(pre, 0.0)
-        deriv = (pre > 0).astype(np.float64)
-    elif act is Activation.TANH:
+    else:
         post = np.tanh(pre)
         deriv = 1.0 - post * post
-    else:
-        post = sigmoid(pre)
-        deriv = post * (1.0 - post)
     dpre = upstream * deriv
     return post, dpre.T @ x, dpre.sum(axis=0), dpre @ layer.weights
 
@@ -184,7 +172,7 @@ def bn_dense_net(rng):
     return Network([
         DenseLayer.glorot(4, 8, Activation.TANH, rng),
         BatchNormLayer(8),
-        DenseLayer.glorot(8, 6, Activation.RELU, rng),
+        DenseLayer.glorot(8, 6, Activation.TANH, rng),
         DenseLayer.glorot(6, 1, Activation.IDENTITY, rng),
     ])
 
@@ -204,6 +192,18 @@ class TestBackwardModes:
         assert layer.backward(upstream).tobytes() == dx.tobytes()
         assert layer.grad_weights.tobytes() == gw.tobytes()
         assert layer.grad_bias.tobytes() == gb.tobytes()
+
+    def test_saturated_tanh_width_one_input_gradient_matches_gemm(self):
+        # post == +-1 gives zero derivatives, so the broadcast's products
+        # are -0.0 wherever upstream is negative; the GEMM gives +0.0
+        rng = np.random.default_rng(14)
+        layer = DenseLayer(np.full((1, 3), 1e3), np.zeros(1), Activation.TANH)
+        x = rng.standard_normal((50, 3))
+        upstream = rng.standard_normal((50, 1))
+        post, _, _, dx = reference_dense_pass(layer, x, upstream)
+        assert np.all(np.abs(post) == 1.0) and np.any(upstream < 0)
+        layer.forward(x, train=True)
+        assert layer.backward(upstream).tobytes() == dx.tobytes()
 
     def test_input_only_backward_matches_full_backward(self):
         rng = np.random.default_rng(12)
@@ -347,17 +347,15 @@ class TestAdamW:
 
 class TestDeterminism:
     def test_same_seed_same_network(self):
-        a = mlp([4, 8, 1], Activation.TANH, Activation.IDENTITY,
-                np.random.default_rng(11))
-        b = mlp([4, 8, 1], Activation.TANH, Activation.IDENTITY,
-                np.random.default_rng(11))
+        a = mlp([4, 8, 1], np.random.default_rng(11))
+        b = mlp([4, 8, 1], np.random.default_rng(11))
         for pa, pb in zip(a.parameters(), b.parameters()):
             np.testing.assert_array_equal(pa, pb)
 
     def test_training_step_deterministic(self):
         def run():
             rng = np.random.default_rng(12)
-            net = mlp([3, 6, 1], Activation.TANH, Activation.IDENTITY, rng)
+            net = mlp([3, 6, 1], rng)
             opt = AdamW(net.parameters(), lr=1e-3)
             x = rng.standard_normal((16, 3))
             for _ in range(5):

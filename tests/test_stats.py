@@ -158,12 +158,12 @@ class TestTruncatedNormal:
         assert draws.min() >= 0.0 and draws.max() <= 1.0
         assert abs(draws.mean() - 0.5) < 0.01
 
-    def test_logpdf_outside_support(self):
+    def test_pdf_outside_support(self):
         params = TruncatedNormalParams(mode=1.0, sigma=0.5)
-        out = params.logpdf(np.array([-0.1, 0.5, 1.1]))
-        assert out[0] == -np.inf
-        assert np.isfinite(out[1])
-        assert out[2] == -np.inf
+        out = params.pdf(np.array([-0.1, 0.5, 1.1]))
+        assert out[0] == 0.0
+        assert out[1] > 0.0
+        assert out[2] == 0.0
 
     def test_fit_uses_mode_and_std(self):
         rng = np.random.default_rng(12)
@@ -258,9 +258,8 @@ class TestAugmentationMargin:
         params = TruncatedNormalParams.fit(samples)
         report = verify_augmentation_margin(
             samples, params, samples.mean(), samples.std(),
-            include_truncated_term=False,
         )
-        assert report.worst_margin < 0.0
+        assert min(report.margins - 0.5 * params.pdf(report.grid)) < 0.0
 
     def test_zero_variance_guarded(self):
         with pytest.raises(DegenerateFeatureError):
