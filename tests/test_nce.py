@@ -163,6 +163,29 @@ class TestAugmentation:
         composite = np.column_stack([latents, z_e, z_c])
         return rng, composite, AugmentationParams.fit(composite)
 
+    @staticmethod
+    def _forced_rng(rng, indicator):
+        """Wrap rng so every per-row keep draw equals indicator."""
+        class Forced:
+            def random(self, size):
+                return np.full(size, float(indicator))
+
+            def __getattr__(self, name):
+                return getattr(rng, name)
+        return Forced()
+
+    def test_forced_replacement_keeps_latents(self, fitted):
+        rng, composite, params = fitted
+        out = augment_batch(composite, params, self._forced_rng(rng, 1))
+        np.testing.assert_array_equal(out[:, :3], composite[:, :3])
+        assert np.all((out[:, 3] >= 0) & (out[:, 3] <= params.error_dist.mode))
+        assert np.all((out[:, 4] >= 0) & (out[:, 4] <= params.cosine_dist.mode))
+
+    def test_forced_keep_returns_input(self, fitted):
+        rng, composite, params = fitted
+        out = augment_batch(composite, params, self._forced_rng(rng, 0))
+        np.testing.assert_array_equal(out, composite)
+
     def test_rows_kept_or_redrawn_below_mode(self, fitted):
         rng, composite, params = fitted
         out = augment_batch(composite, params, rng)
