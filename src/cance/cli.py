@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Subcommands: train, score, eval, ablate, synth, inspect. Exit codes:
-0 success, 1 configuration error, 2 runtime failure, 3 partial report.
+0 success, 1 configuration error or other ValueError, 2 any other package
+error or an OS error, 3 a report written with some fits failed by a
+package error. Any other exception propagates.
 """
 
 import argparse
@@ -142,39 +144,37 @@ def _score_persister(outdir, prefix=""):
     return persist
 
 
+def _write_report(path, summary, reports) -> int:
+    """Write a report's JSON; exit 3 if any run failed with a package error."""
+    with open(path, "w") as fh:
+        json.dump(summary, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"report written to {path}")
+    return EXIT_PARTIAL if any(r.partial for r in reports) else EXIT_OK
+
+
 def cmd_eval(args) -> int:
     config = load_config(args.config, args.set or ())
     outdir = _resolve_outdir(args.outdir, config)
     os.makedirs(outdir, exist_ok=True)
-
-    sweep = (config.dataset.benchmark == "unimodal"
-             and len(config.dataset.normal_classes) > 1)
-    if sweep:
+    path = os.path.join(outdir, "report.json")
+    if (config.dataset.benchmark == "unimodal"
+            and len(config.dataset.normal_classes) > 1):
         reports = evaluation.run_unimodal_sweep(
             config,
-            on_run_factory=lambda cls: _score_persister(
-                outdir, prefix=f"class{cls}-"
-            ),
+            on_run_factory=lambda cls: _score_persister(outdir, f"class{cls}-"),
         )
         summary = {str(cls): r.summary() for cls, r in reports.items()}
-        partial = any(r.partial for r in reports.values())
         for cls in sorted(reports):
             _print_report(summary[str(cls)])
         aurocs = [r.mean("auroc") for r in reports.values()]
         print(f"average auroc over classes: {np.mean(aurocs):.4f}")
-    else:
-        report = evaluation.run_experiment(
-            config, on_run=_score_persister(outdir)
-        )
-        summary = report.summary()
-        partial = report.partial
-        print(f"seeds: {', '.join(str(s) for s in report.seeds)}")
-        _print_report(summary)
-    with open(os.path.join(outdir, "report.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"report written to {os.path.join(outdir, 'report.json')}")
-    return EXIT_PARTIAL if partial else EXIT_OK
+        return _write_report(path, summary, reports.values())
+    report = evaluation.run_experiment(config, on_run=_score_persister(outdir))
+    print(f"seeds: {', '.join(str(s) for s in report.seeds)}")
+    summary = report.summary()
+    _print_report(summary)
+    return _write_report(path, summary, [report])
 
 
 def cmd_ablate(args) -> int:
@@ -183,15 +183,10 @@ def cmd_ablate(args) -> int:
     os.makedirs(outdir, exist_ok=True)
     reports = evaluation.run_ablation(config)
     summaries = {variant: r.summary() for variant, r in reports.items()}
-    with open(os.path.join(outdir, "ablation.json"), "w") as fh:
-        json.dump(summaries, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    partial = False
     for variant in evaluation.ABLATION_VARIANTS:
         _print_report(summaries[variant])
-        partial = partial or reports[variant].partial
-    print(f"report written to {os.path.join(outdir, 'ablation.json')}")
-    return EXIT_PARTIAL if partial else EXIT_OK
+    return _write_report(os.path.join(outdir, "ablation.json"), summaries,
+                         reports.values())
 
 
 def cmd_synth(args) -> int:

@@ -1,18 +1,18 @@
 """Metrics and repeated-run experiment orchestration."""
 
+import copy
 import ctypes
-import functools
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from dataclasses import asdict, dataclass, replace
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
 
 from cance.config import RunConfig
-from cance.errors import ShapeError
+from cance.errors import CanceError, ShapeError
 from cance.nce import train_estimator
 from cance.pipeline import prepare_features, run_pipeline
 from cance.rng import RunRng
@@ -89,8 +89,11 @@ class ExperimentReport:
     name: str
     config_hash: str
     seeds: list
-    records: list = field(default_factory=list)
-    partial: bool = False
+    records: list
+
+    @property
+    def partial(self) -> bool:
+        return any(r.error for r in self.records)
 
     def metric_values(self, key: str) -> np.ndarray:
         return np.array(
@@ -112,10 +115,7 @@ class ExperimentReport:
             "config_hash": self.config_hash,
             "seeds": list(self.seeds),
             "partial": self.partial,
-            "per_run": [
-                {"seed": r.seed, "metrics": r.metrics, "error": r.error}
-                for r in self.records
-            ],
+            "per_run": [asdict(r) for r in self.records],
             "mean": {k: self.mean(k) for k in keys},
             "std": {k: self.std(k) for k in keys},
         }
@@ -133,65 +133,7 @@ def _score_metrics(scores, labels, contamination: float) -> dict:
     return metrics
 
 
-def run_experiment(config: RunConfig, repeats: int | None = None,
-                   on_run=None) -> ExperimentReport:
-    """Run the pipeline `repeats` times with seeds seed+0..repeats-1."""
-    repeats = config.eval.repeats if repeats is None else repeats
-    seeds = [config.eval.seed + i for i in range(repeats)]
-    report = ExperimentReport(
-        name=config.dataset.name or config.dataset.kind,
-        config_hash=config.hash(),
-        seeds=seeds,
-    )
-    for seed in seeds:
-        try:
-            artifacts = run_pipeline(config, seed)
-            metrics = _score_metrics(
-                artifacts.test_scores,
-                artifacts.test.labels,
-                config.eval.contamination,
-            )
-            report.records.append(RunRecord(seed=seed, metrics=metrics))
-            if on_run is not None:
-                on_run(seed, artifacts)
-        except Exception as exc:  # noqa: BLE001 - report partial, keep going
-            log.warning("run with seed %d failed: %s", seed, exc)
-            report.records.append(RunRecord(seed=seed, metrics={}, error=str(exc)))
-            report.partial = True
-    return report
-
-
-def single_class_config(config: RunConfig, cls: int) -> RunConfig:
-    """Copy of a unimodal config restricted to one normal class."""
-    import copy
-
-    sub = copy.deepcopy(config)
-    sub.dataset.normal_classes = (int(cls),)
-    sub.dataset.name = f"{config.dataset.name or config.dataset.kind}/{cls}"
-    return sub
-
-
-def run_unimodal_sweep(config: RunConfig, repeats: int | None = None,
-                       on_run_factory=None) -> dict:
-    """One one-vs-rest experiment per configured normal class."""
-    if config.dataset.benchmark != "unimodal":
-        raise ValueError("sweep applies to unimodal benchmarks")
-    reports = {}
-    for cls in config.dataset.normal_classes:
-        on_run = on_run_factory(int(cls)) if on_run_factory else None
-        reports[int(cls)] = run_experiment(
-            single_class_config(config, cls), repeats, on_run=on_run
-        )
-    return reports
-
-
-def _variant_columns(z: np.ndarray, latent_dim: int, variant: str) -> np.ndarray:
-    if variant == "LatNCE":
-        return z[:, :latent_dim]
-    return z
-
-
-@functools.cache
+@cache
 def _openblas_threads():
     """(get, set) of the thread count of the OpenBLAS numpy ships, or None."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
@@ -208,45 +150,128 @@ def _openblas_threads():
     return None
 
 
-def _pool_workers() -> int:
-    """One worker per usable CPU, at most one per estimator."""
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+def _usable_cpus() -> int:
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    return min(3, cpus)
 
 
-@contextmanager
-def _estimator_pool():
-    """Thread pool for concurrent estimator fits, BLAS pinned to one thread.
+def _outcome(key, job):
+    """The job's result, or the CanceError it raised."""
+    try:
+        return job()
+    except CanceError as exc:
+        log.warning("job %s failed: %s", key, exc)
+        return exc
 
-    The pin is process-wide and lasts until the pool is shut down; the old
-    thread count is restored even on error. Without a known OpenBLAS to
-    pin, the pool has one worker so no BLAS call is oversubscribed.
+
+def run_jobs(jobs) -> dict:
+    """Run independent (key, callable) jobs; {key: outcome} in job order.
+
+    An outcome is the job's result or the CanceError it raised; any other
+    exception cancels the jobs not yet started and propagates once the
+    running ones finish. Jobs run on min(len(jobs), usable CPUs) threads
+    with numpy's OpenBLAS pinned to one thread (process-wide) until the
+    last ends; with one worker or no such OpenBLAS, in the calling thread.
     """
+    jobs = list(jobs)
+    workers = min(len(jobs), _usable_cpus())
     blas = _openblas_threads()
-    if blas is None:
-        with ThreadPoolExecutor(1) as pool:
-            yield pool
-        return
+    if workers < 2 or blas is None:
+        return {key: _outcome(key, job) for key, job in jobs}
     get, set_ = blas
     before = get()
     set_(1)
     try:
-        with ThreadPoolExecutor(_pool_workers()) as pool:
-            yield pool
+        with ThreadPoolExecutor(workers) as pool:
+            futures = [pool.submit(_outcome, key, job) for key, job in jobs]
+            try:
+                wait(futures, return_when=FIRST_EXCEPTION)
+            finally:  # also on an interrupt of the wait
+                pool.shutdown(cancel_futures=True)
+            # jobs are cancelled only after one raised; result() re-raises that
+            return {key: future.result() for (key, _), future in zip(jobs, futures)
+                    if not future.cancelled()}
     finally:
         set_(before)
 
 
-def _fit_and_score(variant, config, latent_dim, z_train, z_val, z_test, rngs):
-    cfg = replace(config.nce, augmentation=(variant == "CANCE"))
-    estimator, _ = train_estimator(
-        _variant_columns(z_train, latent_dim, variant),
-        _variant_columns(z_val, latent_dim, variant),
-        cfg,
-        *rngs,
+def _seeds(config: RunConfig, repeats: int | None) -> list:
+    repeats = config.eval.repeats if repeats is None else repeats
+    return [config.eval.seed + i for i in range(repeats)]
+
+
+def _report(config: RunConfig, seeds, outcomes, suffix="") -> ExperimentReport:
+    """One record per seed: its metrics, or the CanceError its job raised."""
+    return ExperimentReport(
+        (config.dataset.name or config.dataset.kind) + suffix, config.hash(), seeds,
+        [RunRecord(seed, {}, str(out) or type(out).__name__)
+         if isinstance(out, CanceError) else RunRecord(seed, out)
+         for seed, out in zip(seeds, outcomes)],
     )
-    return estimator.score(_variant_columns(z_test, latent_dim, variant))
+
+
+def _pipeline_metrics(config: RunConfig, seed: int, on_run) -> dict:
+    """Fit and score one seed; only its metrics outlive the job."""
+    artifacts = run_pipeline(config, seed)
+    metrics = _score_metrics(artifacts.test_scores, artifacts.test.labels,
+                             config.eval.contamination)
+    if on_run is not None:
+        on_run(seed, artifacts)
+    return metrics
+
+
+def run_experiment(config: RunConfig, repeats: int | None = None,
+                   on_run=None) -> ExperimentReport:
+    """Run the pipeline `repeats` times with seeds seed+0..repeats-1.
+
+    Each seed is one job; `on_run(seed, artifacts)` is called inside it,
+    so possibly on a worker thread.
+    """
+    seeds = _seeds(config, repeats)
+    outcomes = run_jobs((seed, partial(_pipeline_metrics, config, seed, on_run))
+                        for seed in seeds)
+    return _report(config, seeds, outcomes.values())
+
+
+def run_unimodal_sweep(config: RunConfig, repeats: int | None = None,
+                       on_run_factory=None) -> dict:
+    """One one-vs-rest experiment per configured normal class.
+
+    All class x seed fits are jobs of one list, so the classes share the
+    CPUs too. `on_run_factory(cls)` gives the `on_run` of a class.
+    """
+    if config.dataset.benchmark != "unimodal":
+        raise ValueError("sweep applies to unimodal benchmarks")
+    seeds = _seeds(config, repeats)
+    configs = {}
+    for cls in map(int, config.dataset.normal_classes):
+        configs[cls] = sub = copy.deepcopy(config)
+        sub.dataset.normal_classes = (cls,)
+        sub.dataset.name = f"{config.dataset.name or config.dataset.kind}/{cls}"
+    outcomes = run_jobs(
+        ((cls, seed), partial(_pipeline_metrics, sub, seed,
+                              on_run_factory(cls) if on_run_factory else None))
+        for cls, sub in configs.items() for seed in seeds
+    )
+    return {cls: _report(sub, seeds, [outcomes[cls, seed] for seed in seeds])
+            for cls, sub in configs.items()}
+
+
+def _variant_metrics(config: RunConfig, seed: int, variant: str, features) -> dict:
+    """Score one variant on one seed's features; all but Error fit an estimator."""
+    *_, test, z_train, z_val, z_test = features
+    if variant == "Error":
+        return _score_metrics(z_test[:, -2], test.labels, config.eval.contamination)
+    cols = slice(config.compress.latent_dim if variant == "LatNCE" else None)
+    rng = RunRng(seed)
+    estimator, _ = train_estimator(
+        z_train[:, cols],
+        z_val[:, cols],
+        replace(config.nce, augmentation=(variant == "CANCE")),
+        *(rng.stream(f"nce-{part}-{variant}") for part in ("init", "train", "val")),
+    )
+    return _score_metrics(estimator.score(z_test[:, cols]), test.labels,
+                          config.eval.contamination)
 
 
 def run_ablation(config: RunConfig, repeats: int | None = None) -> dict:
@@ -256,50 +281,29 @@ def run_ablation(config: RunConfig, repeats: int | None = None) -> dict:
     columns fed to the estimator and the augmentation flag differ. Error
     needs no estimator: its score is the squared-error feature itself.
 
-    The three estimators of a seed are fitted concurrently on threads with
-    BLAS pinned to one thread. Each variant draws from its own named
-    streams, so the reports do not depend on the number of threads.
+    Two job lists: the features of every seed, then the LatNCE, CNCE and
+    CANCE fits of every seed. Each fit draws from its own named streams, so
+    the reports do not depend on the number of workers.
     """
-    repeats = config.eval.repeats if repeats is None else repeats
-    seeds = [config.eval.seed + i for i in range(repeats)]
-    reports = {
-        variant: ExperimentReport(
-            name=f"{config.dataset.name or config.dataset.kind}/{variant}",
-            config_hash=config.hash(),
-            seeds=seeds,
-        )
+    seeds = _seeds(config, repeats)
+    features = run_jobs((seed, partial(prepare_features, config, seed))
+                        for seed in seeds)
+    fits = run_jobs(
+        ((seed, variant), partial(_variant_metrics, config, seed, variant, feats))
+        for seed, feats in features.items() if not isinstance(feats, CanceError)
+        for variant in ABLATION_VARIANTS[1:]
+    )
+
+    def outcome(seed, variant):
+        feats = features[seed]
+        if isinstance(feats, CanceError):
+            return feats
+        if variant == "Error":
+            return _variant_metrics(config, seed, variant, feats)
+        return fits[seed, variant]
+
+    return {
+        variant: _report(config, seeds, [outcome(seed, variant) for seed in seeds],
+                         f"/{variant}")
         for variant in ABLATION_VARIANTS
     }
-    latent_dim = config.compress.latent_dim
-    with _estimator_pool() as pool:
-        for seed in seeds:
-            _, _, _, test, z_train, z_val, z_test = prepare_features(config, seed)
-            rng = RunRng(seed)
-            fits = {
-                variant: pool.submit(
-                    _fit_and_score, variant, config, latent_dim,
-                    z_train, z_val, z_test,
-                    [rng.stream(f"nce-{part}-{variant}")
-                     for part in ("init", "train", "val")],
-                )
-                for variant in ABLATION_VARIANTS if variant != "Error"
-            }
-            for variant in ABLATION_VARIANTS:
-                try:
-                    if variant == "Error":
-                        scores = z_test[:, -2]
-                    else:
-                        scores = fits[variant].result()
-                    metrics = _score_metrics(
-                        scores, test.labels, config.eval.contamination
-                    )
-                    reports[variant].records.append(
-                        RunRecord(seed=seed, metrics=metrics)
-                    )
-                except Exception as exc:  # noqa: BLE001
-                    log.warning("%s with seed %d failed: %s", variant, seed, exc)
-                    reports[variant].records.append(
-                        RunRecord(seed=seed, metrics={}, error=str(exc))
-                    )
-                    reports[variant].partial = True
-    return reports

@@ -26,7 +26,7 @@ from cance.data import (
     split_train_val,
     synth_generate,
 )
-from cance.errors import ConfigError, ModelFormatError
+from cance.errors import ConfigError, ModelFormatError, ShapeError
 from cance.nce import EstimatorModel, train_estimator
 from cance.nn.serialize import load_container, save_container
 from cance.rng import RunRng
@@ -183,8 +183,8 @@ def load_model(path, *kinds):
     """Read a model file of one of `kinds`; returns (model, meta).
 
     A wrong kind, a missing meta key or array, or a value the model cannot
-    take (an unknown activation, layer type or normalization) raises
-    ModelFormatError.
+    take (an unknown activation, layer type or normalization, or arrays
+    whose shapes disagree) raises ModelFormatError.
     """
     kind, meta, arrays = load_container(path)
     if kind not in kinds:
@@ -195,7 +195,7 @@ def load_model(path, *kinds):
         return MODEL_KINDS[kind].from_container(meta, arrays), meta
     except KeyError as exc:
         raise ModelFormatError(f"{path}: {kind} model lacks {exc}") from exc
-    except (ModelFormatError, TypeError, ValueError) as exc:
+    except (ModelFormatError, ShapeError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: malformed {kind} model: {exc}") from exc
 
 

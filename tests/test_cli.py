@@ -10,6 +10,7 @@ import pytest
 
 from cance.cli import main, write_scores
 from cance.data import Dataset, write_embeddings
+from cance.errors import NonFiniteError
 from cance.nce import EstimatorModel, NoiseModel
 from cance.nn import Activation, DenseLayer, Network
 from cance.nn.serialize import load_container, save_container
@@ -270,6 +271,15 @@ DOCTORED_FILES = {
     "score_noise-Adapted": (
         ESTIMATOR_FILE, "estimator",
         lambda meta, arrays: meta.update(score_noise="Adapted")),
+    "noise-psi-of-5": (
+        ESTIMATOR_FILE, "estimator",
+        lambda meta, arrays: arrays.update({"noise.psi": np.zeros(5)})),
+    "noise-cov-of-3": (
+        ESTIMATOR_FILE, "estimator",
+        lambda meta, arrays: arrays.update({"noise.cov": np.eye(3)})),
+    "dense-spec-in-7": (
+        ESTIMATOR_FILE, "estimator",
+        lambda meta, arrays: meta["net"][0].update({"in": 7})),
     "normalizer-scale-of-3-columns": (
         NORMALIZER_FILE, "normalizer",
         lambda meta, arrays: arrays.update(scale=np.ones(3))),
@@ -321,6 +331,82 @@ class TestEvalAndAblate:
         assert sorted(summary) == ["CANCE", "CNCE", "Error", "LatNCE"]
         out = capsys.readouterr().out
         assert out.count("auroc") == 4
+
+
+def run_with_workers(monkeypatch, workers, argv, outdir):
+    """Run a CLI command on `workers` jobs at once; {file name: bytes}."""
+    import cance.evaluation as evaluation_module
+
+    monkeypatch.setattr(evaluation_module, "_usable_cpus", lambda: workers)
+    assert main([*argv, "-o", str(outdir)]) == 0
+    return {path.name: path.read_bytes() for path in sorted(outdir.iterdir())}
+
+
+class TestWorkerCount:
+    def test_eval_output_independent_of_workers(self, tiny_ini, tmp_path,
+                                                monkeypatch):
+        argv = ["eval", "-c", str(tiny_ini)]
+        serial = run_with_workers(monkeypatch, 1, argv, tmp_path / "one")
+        pooled = run_with_workers(monkeypatch, 2, argv, tmp_path / "two")
+        assert sorted(serial) == ["report.json", "scores-seed0.csv",
+                                  "scores-seed1.csv"]
+        assert serial == pooled
+
+    def test_ablation_output_independent_of_workers(self, tiny_ini, tmp_path,
+                                                    monkeypatch):
+        argv = ["ablate", "-c", str(tiny_ini), "--set", "eval.repeats=2"]
+        serial = run_with_workers(monkeypatch, 1, argv, tmp_path / "one")
+        pooled = run_with_workers(monkeypatch, 2, argv, tmp_path / "two")
+        assert sorted(serial) == ["ablation.json"]
+        assert serial == pooled
+
+
+class TestEvalFailures:
+    def test_programming_error_propagates(self, tiny_ini, tmp_path,
+                                          monkeypatch):
+        import cance.evaluation as evaluation_module
+
+        blas = evaluation_module._openblas_threads()
+        before = blas[0]() if blas else None
+        original = evaluation_module.run_pipeline
+
+        def buggy(config, seed):
+            if seed == 1:
+                raise TypeError("synthetic bug")
+            return original(config, seed)
+
+        monkeypatch.setattr(evaluation_module, "run_pipeline", buggy)
+        monkeypatch.setattr(evaluation_module, "_usable_cpus", lambda: 2)
+        with pytest.raises(TypeError, match="synthetic bug"):
+            main(["eval", "-c", str(tiny_ini), "-o", str(tmp_path / "eval")])
+        assert not (tmp_path / "eval" / "report.json").exists()
+        if blas:
+            assert blas[0]() == before
+
+    def test_package_error_gives_partial_exit(self, tiny_ini, tmp_path,
+                                              monkeypatch):
+        import cance.evaluation as evaluation_module
+
+        original = evaluation_module.run_pipeline
+
+        def failing(config, seed):
+            if seed == 1:
+                raise NonFiniteError("synthetic divergence")
+            return original(config, seed)
+
+        monkeypatch.setattr(evaluation_module, "run_pipeline", failing)
+        outdir = tmp_path / "eval"
+        assert main(["eval", "-c", str(tiny_ini), "-o", str(outdir)]) == 3
+        report = json.loads((outdir / "report.json").read_text())
+        assert report["partial"]
+        assert report["per_run"][1]["error"] == "synthetic divergence"
+        assert not (outdir / "scores-seed1.csv").exists()
+
+    def test_no_anomalies_is_config_error(self, tiny_ini, tmp_path, capsys):
+        code = main(["eval", "-c", str(tiny_ini), "-o", str(tmp_path / "eval"),
+                     "--set", "dataset.synth=ring(n=220, radius=1, noise=0.05)"])
+        assert code == 1
+        assert "AUROC needs both classes" in capsys.readouterr().err
 
 
 class TestSynthAndInspect:

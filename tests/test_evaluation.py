@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cance.config import load_config
+from cance.errors import CanceError, NonFiniteError
 from cance.evaluation import (
     ABLATION_VARIANTS,
     ScoredSet,
@@ -170,13 +171,11 @@ class TestRunExperiment:
     def test_failures_mark_partial(self, monkeypatch):
         import cance.evaluation as evaluation_module
 
-        calls = {"n": 0}
         original = evaluation_module.run_pipeline
 
         def flaky(config, seed, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise RuntimeError("synthetic failure")
+            if seed == 0:
+                raise NonFiniteError("synthetic failure")
             return original(config, seed, **kwargs)
 
         monkeypatch.setattr(evaluation_module, "run_pipeline", flaky)
@@ -240,7 +239,7 @@ class TestAblationFanOut:
     def run_with_workers(self, monkeypatch, workers):
         import cance.evaluation as evaluation_module
 
-        monkeypatch.setattr(evaluation_module, "_pool_workers", lambda: workers)
+        monkeypatch.setattr(evaluation_module, "_usable_cpus", lambda: workers)
         return run_ablation(tiny_config(), repeats=1)
 
     def test_summary_independent_of_worker_count(self, monkeypatch, reports):
@@ -267,7 +266,7 @@ class TestAblationFanOut:
         def failing_cnce(train_z, val_z, cfg, *rngs):
             state["seen"].add(state["threads"])
             if train_z.shape[1] == 4 and not cfg.augmentation:
-                raise RuntimeError("synthetic CNCE failure")
+                raise NonFiniteError("synthetic CNCE failure")
             return original(train_z, val_z, cfg, *rngs)
 
         monkeypatch.setattr(evaluation_module, "train_estimator", failing_cnce)
@@ -287,13 +286,16 @@ class TestAblationFanOut:
         import cance.evaluation as evaluation_module
 
         state = self.fake_blas(monkeypatch)
+        monkeypatch.setattr(evaluation_module, "_usable_cpus", lambda: 2)
 
         def broken(config, seed):
+            state["seen"].add(state["threads"])
             raise RuntimeError("synthetic feature failure")
 
         monkeypatch.setattr(evaluation_module, "prepare_features", broken)
         with pytest.raises(RuntimeError, match="synthetic feature failure"):
-            run_ablation(tiny_config(), repeats=1)
+            run_ablation(tiny_config(), repeats=2)
+        assert state["seen"] == {1}
         assert state["threads"] == 4
 
     def test_real_blas_thread_count_restored(self):
@@ -331,3 +333,162 @@ class TestAblationFanOut:
         result = self.run_with_workers(monkeypatch, 3)
         assert active["max"] == 1
         assert self.summary_text(result) == self.summary_text(reports)
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    """Two workers and a fake OpenBLAS at 4 threads; yields the fake's state."""
+    import cance.evaluation as evaluation_module
+
+    state = {"threads": 4}
+
+    def set_(n):
+        state["threads"] = n
+
+    monkeypatch.setattr(evaluation_module, "_openblas_threads",
+                        lambda: (lambda: state["threads"], set_))
+    monkeypatch.setattr(evaluation_module, "_usable_cpus", lambda: 2)
+    return state
+
+
+class TestRunJobs:
+    def test_outcomes_come_back_in_job_order(self, pooled):
+        import time
+
+        from cance.evaluation import run_jobs
+
+        def job(i):
+            def run():
+                time.sleep(0.02 * (4 - i))  # later jobs finish first
+                return i * i
+            return run
+
+        outcomes = run_jobs((f"job{i}", job(i)) for i in range(5))
+        assert list(outcomes.items()) == [(f"job{i}", i * i) for i in range(5)]
+        assert pooled["threads"] == 4
+
+    def test_more_workers_than_cores_keep_job_order(self, pooled, monkeypatch):
+        import sys
+        from functools import partial
+
+        import cance.evaluation as evaluation_module
+        from cance.evaluation import run_jobs
+
+        monkeypatch.setattr(evaluation_module, "_usable_cpus", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            outcomes = run_jobs((i, partial(sum, range(i))) for i in range(400))
+        finally:
+            sys.setswitchinterval(interval)
+        assert list(outcomes.items()) == [(i, sum(range(i))) for i in range(400)]
+        assert pooled["threads"] == 4
+
+    def test_package_error_is_the_jobs_outcome(self, pooled):
+        from cance.evaluation import run_jobs
+
+        def fail():
+            raise NonFiniteError("synthetic")
+
+        outcomes = run_jobs([("a", lambda: 1), ("b", fail), ("c", lambda: 3)])
+        assert outcomes["a"] == 1 and outcomes["c"] == 3
+        assert isinstance(outcomes["b"], CanceError)
+        assert str(outcomes["b"]) == "synthetic"
+
+    def test_other_error_cancels_pending_jobs_and_propagates(self, pooled):
+        import threading
+        import time
+
+        from cance.evaluation import run_jobs
+
+        lock = threading.Lock()
+        started, finished = set(), set()
+
+        def job(i):
+            def run():
+                with lock:
+                    started.add(i)
+                if i == 0:
+                    raise TypeError("synthetic bug")
+                time.sleep(0.05)
+                with lock:
+                    finished.add(i)
+            return run
+
+        with pytest.raises(TypeError, match="synthetic bug"):
+            run_jobs((i, job(i)) for i in range(20))
+        # the running jobs ended before the error left; the rest never began
+        assert started - {0} == finished
+        assert len(started) < 20
+        assert pooled["threads"] == 4
+
+    def test_interrupted_wait_cancels_pending_jobs(self, pooled, monkeypatch):
+        import time
+
+        import cance.evaluation as evaluation_module
+        from cance.evaluation import run_jobs
+
+        started = []
+
+        def interrupted(futures, return_when):
+            time.sleep(0.01)
+            raise KeyboardInterrupt
+
+        def job(i):
+            def run():
+                started.append(i)
+                time.sleep(0.05)
+            return run
+
+        monkeypatch.setattr(evaluation_module, "wait", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_jobs((i, job(i)) for i in range(20))
+        assert len(started) < 20
+        assert pooled["threads"] == 4
+
+    def test_one_worker_runs_in_the_calling_thread_unpinned(self, pooled,
+                                                            monkeypatch):
+        import threading
+
+        import cance.evaluation as evaluation_module
+        from cance.evaluation import run_jobs
+
+        monkeypatch.setattr(evaluation_module, "_usable_cpus", lambda: 1)
+        seen = run_jobs([(i, lambda: (threading.current_thread(),
+                                      pooled["threads"])) for i in range(3)])
+        assert set(seen.values()) == {(threading.current_thread(), 4)}
+
+
+class TestProgrammingErrorsPropagate:
+    def test_type_error_leaves_run_experiment(self, pooled, monkeypatch):
+        import cance.evaluation as evaluation_module
+
+        original = evaluation_module.run_pipeline
+
+        def buggy(config, seed):
+            if seed == 1:
+                raise TypeError("synthetic bug")
+            return original(config, seed)
+
+        monkeypatch.setattr(evaluation_module, "run_pipeline", buggy)
+        with pytest.raises(TypeError, match="synthetic bug"):
+            run_experiment(tiny_config(), repeats=2)
+        assert pooled["threads"] == 4
+
+    @pytest.mark.parametrize("stage", ["prepare_features", "train_estimator"])
+    def test_type_error_leaves_run_ablation(self, pooled, monkeypatch, stage):
+        import cance.evaluation as evaluation_module
+
+        original = getattr(evaluation_module, stage)
+
+        def buggy(*args):
+            if stage == "prepare_features" and args[1] == 1:
+                raise TypeError("synthetic bug")
+            if stage == "train_estimator" and args[2].augmentation:
+                raise TypeError("synthetic bug")
+            return original(*args)
+
+        monkeypatch.setattr(evaluation_module, stage, buggy)
+        with pytest.raises(TypeError, match="synthetic bug"):
+            run_ablation(tiny_config(), repeats=2)
+        assert pooled["threads"] == 4

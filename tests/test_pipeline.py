@@ -149,6 +149,23 @@ class TestUnimodalSweep:
             *fast_nce_overrides(),
         ])
 
+    def sweep_overrides(self, path, repeats):
+        pairs = [
+            "dataset.kind=csv",
+            f"dataset.path={path}",
+            "dataset.class_column=cls",
+            "dataset.benchmark=unimodal",
+            "dataset.normal_classes=0, 1",
+            "dataset.name=toy-2class",
+            "compress.method=pca",
+            "compress.latent_dim=2",
+            "nce.widths=16",
+            "nce.epochs=4",
+            "nce.batch_size=64",
+            f"eval.repeats={repeats}",
+        ]
+        return [arg for pair in pairs for arg in ("--set", pair)]
+
     def test_sweep_reports_every_class(self, class_csv):
         reports = run_unimodal_sweep(self.sweep_config(class_csv), repeats=1)
         assert sorted(reports) == [0, 1]
@@ -164,21 +181,8 @@ class TestUnimodalSweep:
     def test_cmd_eval_writes_per_class_report(self, class_csv, tmp_path,
                                               capsys):
         outdir = tmp_path / "sweep"
-        code = main([
-            "eval", "-o", str(outdir),
-            "--set", "dataset.kind=csv",
-            "--set", f"dataset.path={class_csv}",
-            "--set", "dataset.class_column=cls",
-            "--set", "dataset.benchmark=unimodal",
-            "--set", "dataset.normal_classes=0, 1",
-            "--set", "dataset.name=toy-2class",
-            "--set", "compress.method=pca",
-            "--set", "compress.latent_dim=2",
-            "--set", "nce.widths=16",
-            "--set", "nce.epochs=4",
-            "--set", "nce.batch_size=64",
-            "--set", "eval.repeats=1",
-        ])
+        code = main(["eval", "-o", str(outdir),
+                     *self.sweep_overrides(class_csv, repeats=1)])
         assert code == 0
         report = json.loads((outdir / "report.json").read_text())
         assert sorted(report) == ["0", "1"]
@@ -188,6 +192,26 @@ class TestUnimodalSweep:
         assert "average auroc over classes" in out
         assert (outdir / "scores-class0-seed0.csv").exists()
         assert (outdir / "scores-class1-seed0.csv").exists()
+
+
+    def test_cmd_eval_output_independent_of_workers(self, class_csv, tmp_path,
+                                                    monkeypatch):
+        import cance.evaluation as evaluation_module
+
+        files = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(evaluation_module, "_usable_cpus",
+                                lambda: workers)
+            outdir = tmp_path / f"sweep-{workers}"
+            assert main(["eval", "-o", str(outdir),
+                         *self.sweep_overrides(class_csv, repeats=2)]) == 0
+            files[workers] = {path.name: path.read_bytes()
+                              for path in sorted(outdir.iterdir())}
+        assert sorted(files[1]) == [
+            "report.json", "scores-class0-seed0.csv", "scores-class0-seed1.csv",
+            "scores-class1-seed0.csv", "scores-class1-seed1.csv",
+        ]
+        assert files[1] == files[2]
 
 
 class TestImageScaleConfig:
