@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cance.errors import ConfigError, DegenerateFeatureError, NonFiniteError, ShapeError
-from cance.nn import AdamW, BatchNormLayer, Network, mlp
+from cance.errors import ConfigError, DegenerateFeatureError, ShapeError
+from cance.nn import AdamW, BatchNormLayer, Network, fit_epochs, mlp
 
 log = logging.getLogger(__name__)
 
@@ -76,10 +76,6 @@ def covariance_loss_grad(latent_batch: np.ndarray) -> np.ndarray:
     # dL/dSigma = 2*off/(d(d-1)); dSigma/dZ folds to 2*centered@G/n, and the
     # batch-mean term vanishes because `centered` has zero column sums
     return centered @ off * (4.0 / (n * d * (d - 1)))
-
-
-def _mse(x: np.ndarray, x_rec: np.ndarray) -> float:
-    return float(np.mean((x - x_rec) ** 2))
 
 
 def check_widths(key: str, widths) -> None:
@@ -192,84 +188,65 @@ def train_autoencoder(
     Stage 1 jointly optimizes encoder and decoder on reconstruction error
     plus the weighted covariance penalty. Stage 2 freezes the encoder
     (batch norm switched to its accumulated statistics) and trains the
-    decoder further on reconstruction error alone. Each stage keeps the
-    checkpoint with the lowest validation loss; the returned model is the
-    best stage-2 checkpoint, which starts from the best stage-1 state.
+    decoder further on reconstruction error alone, from the best stage-1
+    state. Each stage runs `fit_epochs`, so it keeps its checkpoint of
+    lowest validation loss and a divergence ends it with a warning; only a
+    stage 1 that diverges in its first epoch raises NonFiniteError.
     """
     train_x = np.asarray(train_x, dtype=np.float64)
     val_x = np.asarray(val_x, dtype=np.float64)
     if train_x.size == 0 or val_x.size == 0:
         raise ShapeError("empty training or validation data")
     model = AutoencoderModel.build(train_x.shape[1], config, rng_init)
+    enc, dec = model.encoder, model.decoder
     n = train_x.shape[0]
     batch = min(config.batch_size, n)
     stage1_epochs = config.epochs // 2
-    stage2_epochs = config.epochs - stage1_epochs
     use_cov = config.lam > 0.0 and model.latent_dim >= 2
 
     history = {"stage1_val": [], "stage2_val": []}
 
-    def val_loss(include_cov: bool) -> float:
+    def val_loss(include_cov: bool = True) -> float:
         z = model.latents(val_x)
-        rec = model.decoder.forward(z, train=False)
-        loss = _mse(val_x, rec)
+        loss = float(np.mean((val_x - dec.forward(z, train=False)) ** 2))
         if include_cov and use_cov and val_x.shape[0] >= 2:
             loss += config.lam * covariance_loss(z)
         return loss
 
-    # stage 1: joint
-    opt = AdamW(
-        model.encoder.parameters() + model.decoder.parameters(),
-        lr=config.lr,
-        weight_decay=config.weight_decay,
-    )
-    best = (np.inf, model.encoder.snapshot(), model.decoder.snapshot())
-    for _ in range(stage1_epochs):
-        order = rng_shuffle.permutation(n)
-        for start in range(0, n, batch):
-            xb = train_x[order[start : start + batch]]
-            if xb.shape[0] < 2:
-                continue
-            z = model.encoder.forward(xb, train=True)
-            rec = model.decoder.forward(z, train=True)
-            dz = model.decoder.backward(2.0 * (rec - xb) / rec.size)
-            if use_cov:
-                dz = dz + config.lam * covariance_loss_grad(z)
-            model.encoder.backward(dz, input_grad=False)
-            opt.step(
-                model.encoder.parameters() + model.decoder.parameters(),
-                model.encoder.gradients() + model.decoder.gradients(),
-            )
-        loss = val_loss(include_cov=True)
-        if not np.isfinite(loss):
-            raise NonFiniteError("validation loss diverged during joint training")
-        history["stage1_val"].append(loss)
-        if loss < best[0]:
-            best = (loss, model.encoder.snapshot(), model.decoder.snapshot())
-    model.encoder.restore(best[1])
-    model.decoder.restore(best[2])
+    def joint_step(epoch, rows):
+        xb = train_x[rows]
+        if xb.shape[0] < 2:  # batch norm needs 2 rows
+            return
+        z = enc.forward(xb, train=True)
+        rec = dec.forward(z, train=True)
+        dz = dec.backward(2.0 * (rec - xb) / rec.size)
+        if use_cov:
+            dz = dz + config.lam * covariance_loss_grad(z)
+        enc.backward(dz, input_grad=False)
+        joint_opt.step(params, enc.gradients() + dec.gradients())
 
-    # stage 2: decoder only, encoder frozen on eval statistics, so the
-    # checkpoints need only the decoder
-    opt = AdamW(
-        model.decoder.parameters(), lr=config.lr, weight_decay=config.weight_decay
+    def decoder_step(epoch, rows):
+        xb = train_x[rows]
+        rec = dec.forward(enc.forward(xb, train=False), train=True)
+        dec.backward(2.0 * (rec - xb) / rec.size, input_grad=False)
+        decoder_opt.step(dec.parameters(), dec.gradients())
+
+    params = enc.parameters() + dec.parameters()
+    joint_opt = AdamW(params, lr=config.lr, weight_decay=config.weight_decay)
+    _, best1, diverged1 = fit_epochs(
+        stage1_epochs, n, batch, rng_shuffle, joint_step, val_loss,
+        {**enc.state("enc"), **dec.state("dec")}, history["stage1_val"],
     )
-    best2 = (val_loss(include_cov=False), model.decoder.snapshot())
-    for _ in range(stage2_epochs):
-        order = rng_shuffle.permutation(n)
-        for start in range(0, n, batch):
-            xb = train_x[order[start : start + batch]]
-            z = model.encoder.forward(xb, train=False)
-            rec = model.decoder.forward(z, train=True)
-            model.decoder.backward(2.0 * (rec - xb) / rec.size, input_grad=False)
-            opt.step(model.decoder.parameters(), model.decoder.gradients())
-        loss = val_loss(include_cov=False)
-        if not np.isfinite(loss):
-            raise NonFiniteError("validation loss diverged during decoder training")
-        history["stage2_val"].append(loss)
-        if loss < best2[0]:
-            best2 = (loss, model.decoder.snapshot())
-    model.decoder.restore(best2[1])
+    # stage 2: the encoder is frozen on eval statistics, so the checkpoints
+    # need only the decoder
+    decoder_opt = AdamW(dec.parameters(), lr=config.lr, weight_decay=config.weight_decay)
+    _, best2, diverged2 = fit_epochs(
+        config.epochs - stage1_epochs, n, batch, rng_shuffle, decoder_step,
+        lambda: val_loss(include_cov=False), dec.state(),
+        history["stage2_val"], best_loss=val_loss(include_cov=False),
+    )
+    history["best_epoch"] = {"stage1": best1, "stage2": best2}
+    history["diverged_at_epoch"] = {"stage1": diverged1, "stage2": diverged2}
 
     cond = latent_condition_number(model, val_x)
     history["latent_condition_number"] = cond

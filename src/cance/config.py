@@ -49,6 +49,12 @@ class DatasetSection:
             )
         if self.benchmark == "multimodal" and not self.normal_classes:
             raise ConfigError("multimodal benchmark needs normal classes")
+        # synth and recipe data carry no class ids; idx data is always split by class
+        if self.kind in ("synth", "recipe", "idx") and (
+                (self.benchmark == "labels") == (self.kind == "idx")):
+            raise ConfigError(f"dataset.benchmark={self.benchmark} is not run on "
+                              f"{self.kind} data: idx takes unimodal or multimodal, "
+                              "synth and recipe take labels")
         if self.kind == "csv" and not self.path:
             raise ConfigError("dataset.path required for csv datasets")
         if self.kind == "embeddings" and not self.path:

@@ -21,7 +21,7 @@ import numpy as np
 
 from cance.compress import check_widths
 from cance.errors import ConfigError, NonFiniteError, ShapeError
-from cance.nn import AdamW, Network, mlp
+from cance.nn import AdamW, Network, fit_epochs, mlp
 from cance.stats import (
     GaussianModel,
     StreamingMoments,
@@ -366,16 +366,19 @@ def train_estimator(
     (data rows drawn through the augmentation mixture when enabled) and,
     after a warmup, one psi step on the adversarial objective using the
     same un-augmented batch and base noise draws. Noise is resampled fresh
-    every batch. Checkpoints on the lowest validation loss, computed on
-    un-augmented validation rows against a fixed set of base draws pushed
-    through the current widening.
+    every batch. The epochs run through `fit_epochs`, which checkpoints the
+    network and psi on the lowest validation loss, computed on un-augmented
+    validation rows against a fixed set of base draws pushed through the
+    current widening. Divergence ends training with a warning and the best
+    checkpoint; NonFiniteError is raised only if the first epoch diverges.
     """
     train_z = np.asarray(train_z, dtype=np.float64)
     val_z = np.asarray(val_z, dtype=np.float64)
     if train_z.ndim != 2 or val_z.ndim != 2:
         raise ShapeError("composite feature matrices must be 2-D")
-    dim = train_z.shape[1]
-    n = train_z.shape[0]
+    if train_z.size == 0 or val_z.size == 0:
+        raise ShapeError("empty training or validation data")
+    n, dim = train_z.shape
 
     if noise_model is None:
         noise_model = NoiseModel.from_data(
@@ -398,65 +401,46 @@ def train_estimator(
     net = mlp([dim, *config.widths, 1], init_rng)
     opt_theta = AdamW(net.parameters(), lr=config.lr,
                       weight_decay=config.weight_decay)
-    opt_psi = None
-    if config.adapt_noise and noise_model.psi is not None:
-        opt_psi = AdamW([noise_model.psi], lr=config.psi_lr or config.lr)
+    opt_psi, state = None, net.state()
+    if noise_model.psi is not None:
+        state["psi"] = noise_model.psi
+        if config.adapt_noise:
+            opt_psi = AdamW([noise_model.psi], lr=config.psi_lr or config.lr)
 
     val_noise_base = noise_model.base.sample(
         max(1, int(round(config.nu * val_z.shape[0]))), val_rng
     )
     warmup_epochs = int(np.ceil(config.epochs * config.warmup_frac))
-    batch = min(config.batch_size, n)
+    epoch_loss = [0.0, 0]  # sum of batch losses, batch count
+
+    def step(epoch, rows):
+        zb = train_z[rows]
+        zm = augment_batch(zb, aug, train_rng) if aug is not None else zb
+        vbase = noise_model.base.sample(
+            max(1, int(round(config.nu * zb.shape[0]))), train_rng
+        )
+        loss, grads = nce_loss_and_grads(net, zm, noise_model.transform(vbase),
+                                         config.nu)
+        if not np.isfinite(loss):
+            raise NonFiniteError("contrastive loss diverged")
+        opt_theta.step(net.parameters(), grads)
+        epoch_loss[0] += loss
+        epoch_loss[1] += 1
+        if opt_psi is not None and epoch >= warmup_epochs:
+            history["adapt_objective"].append(
+                adapt_noise(net, noise_model, opt_psi, zb, vbase)
+            )
 
     def validation_loss() -> float:
+        history["train_loss"].append(epoch_loss[0] / epoch_loss[1])
+        epoch_loss[:] = [0.0, 0]
         return nce_loss(net, val_z, noise_model.transform(val_noise_base), config.nu)
 
-    best = None
-    diverged = False
-    for epoch in range(config.epochs):
-        order = train_rng.permutation(n)
-        epoch_loss = 0.0
-        steps = 0
-        try:
-            for start in range(0, n, batch):
-                zb = train_z[order[start : start + batch]]
-                zm = augment_batch(zb, aug, train_rng) if aug is not None else zb
-                vbase = noise_model.base.sample(
-                    max(1, int(round(config.nu * zb.shape[0]))), train_rng
-                )
-                v = noise_model.transform(vbase)
-                loss, grads = nce_loss_and_grads(net, zm, v, config.nu)
-                if not np.isfinite(loss):
-                    raise NonFiniteError("contrastive loss diverged")
-                opt_theta.step(net.parameters(), grads)
-                epoch_loss += loss
-                steps += 1
-                if opt_psi is not None and epoch >= warmup_epochs:
-                    history["adapt_objective"].append(
-                        adapt_noise(net, noise_model, opt_psi, zb, vbase)
-                    )
-        except NonFiniteError as exc:
-            log.warning("training aborted at epoch %d: %s", epoch, exc)
-            diverged = True
-            break
-        history["train_loss"].append(epoch_loss / max(steps, 1))
-        vloss = validation_loss()
-        if not np.isfinite(vloss):
-            log.warning("validation loss diverged at epoch %d", epoch)
-            diverged = True
-            break
-        history["val_loss"].append(vloss)
-        if best is None or vloss < best[0]:
-            psi_snap = None if noise_model.psi is None else noise_model.psi.copy()
-            best = (vloss, net.snapshot(), psi_snap)
-
-    if best is None:
-        raise NonFiniteError("training diverged before any finite checkpoint")
-    if diverged:
-        log.warning("returning last finite checkpoint (val loss %.6g)", best[0])
-    net.restore(best[1])
-    frozen = NoiseModel(noise_model.base, best[2], config.nu)
-    history["best_val_loss"] = best[0]
+    history["best_val_loss"], history["best_epoch"], history["diverged_at_epoch"] = (
+        fit_epochs(config.epochs, n, min(config.batch_size, n), train_rng, step,
+                   validation_loss, state, history["val_loss"])
+    )
+    frozen = NoiseModel(noise_model.base, noise_model.psi, config.nu)
     history["k_diag"] = frozen.k_diag().tolist()
     return EstimatorModel(net, frozen, config.score_noise), history
 
@@ -464,13 +448,12 @@ def train_estimator(
 def _augmentation_margins(train_z, aug, noise_model) -> dict:
     """Diagnostic: augmented marginals must dominate the noise marginals."""
     out = {}
-    for name, column, dist in (
-        ("squared_error", train_z[:, -2], aug.error_dist),
-        ("cosine_dissimilarity", train_z[:, -1], aug.cosine_dist),
+    for name, j, dist in (
+        ("squared_error", -2, aug.error_dist),
+        ("cosine_dissimilarity", -1, aug.cosine_dist),
     ):
-        j = train_z.shape[1] - 2 if name == "squared_error" else train_z.shape[1] - 1
         report = verify_augmentation_margin(
-            column,
+            train_z[:, j],
             dist,
             float(noise_model.base.mean[j]),
             float(np.sqrt(noise_model.base.cov[j, j])),

@@ -12,7 +12,7 @@ from cance.nn.layers import (
     mlp,
     require_finite,
 )
-from cance.nn.optim import AdamW
+from cance.nn.optim import AdamW, fit_epochs
 from cance.nn.serialize import load_container, save_container
 
 __all__ = [
@@ -21,6 +21,7 @@ __all__ = [
     "BatchNormLayer",
     "DenseLayer",
     "Network",
+    "fit_epochs",
     "load_container",
     "mlp",
     "require_finite",

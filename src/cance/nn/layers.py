@@ -175,8 +175,9 @@ class BatchNormLayer:
             clamped = var < self.epsilon
             std = np.sqrt(np.maximum(var, self.epsilon))
             xnorm = (x - mean) / std
-            self.running_mean = (1.0 - self.momentum) * self.running_mean + self.momentum * mean
-            self.running_var = (1.0 - self.momentum) * self.running_var + self.momentum * var
+            m = self.momentum  # updated in place, as `state()` hands out live arrays
+            self.running_mean[...] = (1.0 - m) * self.running_mean + m * mean
+            self.running_var[...] = (1.0 - m) * self.running_var + m * var
             self._xnorm, self._std, self._clamped = xnorm, std, clamped
         else:
             std = np.sqrt(np.maximum(self.running_var, self.epsilon))
@@ -213,7 +214,7 @@ class BatchNormLayer:
     @classmethod
     def from_state(cls, spec: dict, state: dict) -> "BatchNormLayer":
         layer = cls(spec["dim"], spec["momentum"], spec["epsilon"])
-        _write_state(layer.state(), state)
+        write_state(layer.state(), state)
         return layer
 
     def spec(self) -> dict:
@@ -290,19 +291,17 @@ class Network:
             layers.append(layer_cls.from_state(spec, state))
         return cls(layers)
 
-    def snapshot(self) -> dict:
-        """Copies of the full state, batch-norm statistics included."""
-        return {name: arr.copy() for name, arr in self.state().items()}
-
-    def restore(self, snapshot: dict) -> None:
-        """Write a snapshot back in place, so optimizers keep their arrays."""
-        _write_state(self.state(), snapshot)
-
 
 LAYER_TYPES = {"dense": DenseLayer, "batchnorm": BatchNormLayer}
 
 
-def _write_state(live: dict, values: dict) -> None:
+def copy_state(state: dict) -> dict:
+    """A checkpoint: copies of named live arrays, e.g. `Network.state()`."""
+    return {name: arr.copy() for name, arr in state.items()}
+
+
+def write_state(live: dict, values: dict) -> None:
+    """Write a checkpoint back in place, so optimizers keep their arrays."""
     if live.keys() != values.keys():
         raise ShapeError(f"state names differ: {sorted(live)} vs {sorted(values)}")
     for name, arr in live.items():

@@ -1,8 +1,13 @@
-"""AdamW with decoupled weight decay, operating on lists of arrays in place."""
+"""AdamW with decoupled weight decay, and the epoch loop of every training stage."""
+
+import logging
 
 import numpy as np
 
 from cance.errors import NonFiniteError, ShapeError
+from cance.nn.layers import copy_state, write_state
+
+log = logging.getLogger(__name__)
 
 
 class AdamW:
@@ -39,3 +44,35 @@ class AdamW:
             if self.weight_decay:
                 update = update + self.weight_decay * p
             p -= self.lr * update
+
+
+def fit_epochs(epochs, n, batch_size, rng, step, val_loss, state, losses,
+               best_loss=np.inf):
+    """Each epoch, run `step(epoch, rows)` on the `batch_size` slices of a
+    permutation of `n` rows, then append `val_loss()` to `losses`.
+
+    The arrays of `state` (name -> live array) are checkpointed at the lowest
+    loss and written back in place at the end. A NonFiniteError in a step or
+    in validation, or a non-finite loss, ends training with a warning; it
+    raises only if no finite checkpoint exists. Returns (best_loss,
+    best_epoch, diverged_at_epoch), each epoch None if there is none.
+    """
+    best, best_epoch, diverged_at = copy_state(state), None, None
+    try:
+        for epoch in range(epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, batch_size):
+                step(epoch, order[start : start + batch_size])
+            loss = val_loss()
+            if not np.isfinite(loss):
+                raise NonFiniteError(f"validation loss is {loss}")
+            losses.append(loss)
+            if loss < best_loss:
+                best, best_loss, best_epoch = copy_state(state), loss, epoch
+    except NonFiniteError as exc:
+        log.warning("training diverged at epoch %d: %s", epoch, exc)
+        diverged_at = epoch
+    if diverged_at is not None and not np.isfinite(best_loss):
+        raise NonFiniteError("training diverged before any finite checkpoint")
+    write_state(state, best)
+    return best_loss, best_epoch, diverged_at

@@ -40,15 +40,12 @@ def load_benchmark(config: RunConfig, rng: RunRng):
             "a single run takes one normal class; several unimodal classes "
             "are swept by evaluation.run_unimodal_sweep"
         )
+    # the config pairs synth and recipe data with the labels split
     if dc.kind == "synth":
         full = synth_generate(dc.synth, rng.stream("synth"), name=dc.name or None)
-        return split_labeled_benchmark(full, dc.test_fraction,
-                                       rng.stream("benchmark-split"))
-    if dc.kind == "recipe":
+    elif dc.kind == "recipe":
         full = load_recipe_dataset(dc.recipe, dc.path)
-        return split_labeled_benchmark(full, dc.test_fraction,
-                                       rng.stream("benchmark-split"))
-    if dc.kind == "csv":
+    elif dc.kind == "csv":
         full = load_csv(
             dc.path,
             label_column=dc.label_column or None,

@@ -16,8 +16,9 @@ from cance.compress import (
     reconstruction_features,
     train_autoencoder,
 )
-from cance.errors import DegenerateFeatureError, ShapeError
+from cance.errors import DegenerateFeatureError, NonFiniteError, ShapeError
 from cance.nn import AdamW
+from cance.nn.layers import copy_state, write_state
 from cance.pipeline import load_model, save_model
 
 
@@ -196,7 +197,7 @@ class TestTrainAutoencoder:
                   bn.running_var.tobytes())
         params = model.encoder.parameters()
         opt = AdamW(params, lr=1e-2)
-        snap = model.encoder.snapshot()
+        snap = copy_state(model.encoder.state())
         assert set(snap) == {"0.weights", "0.bias", "1.weights", "1.bias",
                              "2.gamma", "2.beta", "2.running_mean",
                              "2.running_var"}
@@ -206,7 +207,7 @@ class TestTrainAutoencoder:
         opt.step(params, model.encoder.gradients())
         assert model.latents(x).tobytes() != before[0]
 
-        model.encoder.restore(snap)
+        write_state(model.encoder.state(), snap)
         assert (model.latents(x).tobytes(), bn.running_mean.tobytes(),
                 bn.running_var.tobytes()) == before
         # written in place: the optimizer still holds the live arrays
@@ -215,13 +216,90 @@ class TestTrainAutoencoder:
     def test_restore_rejects_mismatched_snapshot(self):
         rng = np.random.default_rng(12)
         model = AutoencoderModel.build(5, AeConfig(latent_dim=3, hidden=(8,)), rng)
-        snap = model.encoder.snapshot()
+        snap = copy_state(model.encoder.state())
         snap["1.bias"] = np.zeros(4)
         with pytest.raises(ShapeError):
-            model.encoder.restore(snap)
+            write_state(model.encoder.state(), snap)
         del snap["1.bias"]
         with pytest.raises(ShapeError):
-            model.encoder.restore(snap)
+            write_state(model.encoder.state(), snap)
+
+    @staticmethod
+    def train_with_stage1_losses(monkeypatch, extra):
+        """Train a small AE whose stage-1 validation loss at epoch e gets
+        `extra(e)` added; returns (model, history, the encoder state and
+        optimizer parameter lists seen at each stage-1 validation)."""
+        import cance.compress as compress_module
+
+        seen = {"encoder": [], "opt_params": []}
+        original_build = AutoencoderModel.build.__func__
+        original_loss = compress_module.covariance_loss
+        original_adamw = compress_module.AdamW
+
+        def capture_build(cls, input_dim, cfg, rng):
+            seen["model"] = original_build(cls, input_dim, cfg, rng)
+            return seen["model"]
+
+        def shifted_loss(z):
+            epoch = len(seen["encoder"])
+            seen["encoder"].append(copy_state(seen["model"].encoder.state()))
+            return original_loss(z) + extra(epoch)
+
+        class RecordingAdamW(original_adamw):
+            def __init__(self, params, **kwargs):
+                super().__init__(params, **kwargs)
+                seen["opt_params"].append(list(params))
+
+        monkeypatch.setattr(AutoencoderModel, "build", classmethod(capture_build))
+        monkeypatch.setattr(compress_module, "covariance_loss", shifted_loss)
+        monkeypatch.setattr(compress_module, "AdamW", RecordingAdamW)
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((120, 4))
+        config = AeConfig(latent_dim=2, hidden=(6,), lam=0.1, epochs=8,
+                          lr=1e-2, batch_size=32)
+        model, history = train_autoencoder(
+            x[:90], x[90:], config,
+            np.random.default_rng(14), np.random.default_rng(15),
+        )
+        return model, history, seen
+
+    def test_stage_divergence_keeps_best_checkpoint(self, monkeypatch, caplog):
+        # epoch 1 is the best, epoch 2 worse, epoch 3 diverges
+        extra = {0: 1.0, 1: 0.0, 2: 5.0}
+        with caplog.at_level(logging.WARNING):
+            model, history, seen = self.train_with_stage1_losses(
+                monkeypatch, lambda epoch: extra.get(epoch, np.nan)
+            )
+        assert len(history["stage1_val"]) == 3
+        assert history["best_epoch"]["stage1"] == 1
+        assert history["diverged_at_epoch"] == {"stage1": 3, "stage2": None}
+        assert len(history["stage2_val"]) == 4
+        assert "diverged at epoch 3" in caplog.text
+        # stage 2 leaves the encoder alone, so it is still stage 1's best
+        final = model.encoder.state()
+        for name, arr in seen["encoder"][1].items():
+            assert final[name].tobytes() == arr.tobytes(), name
+
+    def test_state_restored_in_place(self, monkeypatch):
+        # the last stage-1 epoch is not the best, so its restore matters
+        model, history, seen = self.train_with_stage1_losses(
+            monkeypatch, lambda epoch: 0.0 if epoch == 1 else 1.0
+        )
+        assert history["best_epoch"]["stage1"] == 1
+        assert history["diverged_at_epoch"] == {"stage1": None, "stage2": None}
+        bn = model.encoder.layers[-1]
+        best = seen["encoder"][1]
+        assert bn.running_mean.tobytes() == best["2.running_mean"].tobytes()
+        assert bn.running_var.tobytes() == best["2.running_var"].tobytes()
+        stage1, stage2 = seen["opt_params"]
+        live = model.encoder.parameters() + model.decoder.parameters()
+        assert len(stage1) == len(live)
+        assert all(a is b for a, b in zip(stage1, live))
+        assert all(a is b for a, b in zip(stage2, model.decoder.parameters()))
+
+    def test_first_epoch_divergence_raises(self, monkeypatch):
+        with pytest.raises(NonFiniteError, match="before any finite checkpoint"):
+            self.train_with_stage1_losses(monkeypatch, lambda epoch: np.inf)
 
     def test_empty_dataset_rejected(self):
         config = AeConfig(latent_dim=2, hidden=(4,), epochs=2)

@@ -104,6 +104,47 @@ class TestParsing:
             load_config(None, ["dataset.kind=parquet"])
 
 
+class TestBenchmarkModeMatchesKind:
+    """A benchmark mode the dataset kind would ignore is refused up front."""
+
+    def test_synth_refuses_a_class_split(self):
+        with pytest.raises(ConfigError, match="synth"):
+            load_config(None, ["dataset.synth=ring(n=200) + box(n=50)",
+                               "dataset.benchmark=unimodal",
+                               "dataset.normal_classes=0, 1"])
+        with pytest.raises(ConfigError, match="synth"):
+            load_config(None, ["dataset.benchmark=multimodal",
+                               "dataset.normal_classes=0"])
+
+    def test_recipe_refuses_a_class_split(self, tmp_path):
+        with pytest.raises(ConfigError, match="recipe"):
+            load_config(None, ["dataset.kind=recipe",
+                               f"dataset.path={tmp_path / 'missing.data'}",
+                               f"dataset.recipe={tmp_path / 'missing.ini'}",
+                               "dataset.benchmark=unimodal",
+                               "dataset.normal_classes=1"])
+
+    def test_idx_refuses_the_labels_split_before_reading_files(self, tmp_path):
+        paths = [f"dataset.{key}={tmp_path / key}" for key in
+                 ("train_images", "train_labels", "test_images", "test_labels")]
+        with pytest.raises(ConfigError, match="idx"):
+            load_config(None, ["dataset.kind=idx", *paths])
+        config = load_config(None, ["dataset.kind=idx", *paths,
+                                    "dataset.benchmark=multimodal",
+                                    "dataset.normal_classes=1"])
+        assert config.dataset.benchmark == "multimodal"
+
+    def test_eval_sweep_on_synth_data_is_a_config_error(self, tmp_path):
+        from cance.cli import main
+
+        code = main(["eval", "-o", str(tmp_path / "out"),
+                     "--set", "dataset.synth=ring(n=200) + box(n=50)",
+                     "--set", "dataset.benchmark=unimodal",
+                     "--set", "dataset.normal_classes=0, 1"])
+        assert code == 1
+        assert not (tmp_path / "out").exists()
+
+
 class TestHashing:
     def test_hash_stable_across_instances(self):
         assert RunConfig().hash() == RunConfig().hash()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cance.errors import ShapeError
+from cance.errors import NonFiniteError, ShapeError
 from cance.nce import (
     AugmentationParams,
     EstimatorModel,
@@ -19,6 +19,7 @@ from cance.nce import (
     train_estimator,
 )
 from cance.nn import Activation, AdamW, DenseLayer, Network, mlp
+from cance.nn.layers import copy_state
 from cance.pipeline import load_model, save_model
 from cance.stats import GaussianModel
 
@@ -330,6 +331,62 @@ class TestTrainEstimator:
                 np.random.default_rng(116),
             )
         assert np.all(np.isfinite(model.score(data[:5])))
+
+    def test_validation_forward_error_is_divergence(self, monkeypatch, caplog):
+        import logging
+
+        import cance.nce as nce_module
+
+        seen = {"net": [], "opt_params": []}
+        original_forward = Network.forward
+        original_adamw = nce_module.AdamW
+
+        def failing_forward(self, x, train=False):
+            if not train:  # validation: two eval forwards per epoch
+                if len(seen["net"]) == 6:
+                    raise NonFiniteError("non-finite values in dense layer output")
+                seen["net"].append(copy_state(self.state()))
+            return original_forward(self, x, train=train)
+
+        class RecordingAdamW(original_adamw):
+            def __init__(self, params, **kwargs):
+                super().__init__(params, **kwargs)
+                seen["opt_params"].append(list(params))
+
+        rng = np.random.default_rng(117)
+        data = rng.standard_normal((300, 3))
+        config = NceConfig(widths=(8,), epochs=6, lr=1e-2, batch_size=64,
+                           augmentation=False, adapt_noise=True, warmup_frac=0.0)
+        with monkeypatch.context() as patch, caplog.at_level(logging.WARNING):
+            patch.setattr(Network, "forward", failing_forward)
+            patch.setattr(nce_module, "AdamW", RecordingAdamW)
+            model, history = train_estimator(
+                data[:240], data[240:], config,
+                np.random.default_rng(118), np.random.default_rng(119),
+                np.random.default_rng(120),
+            )
+        assert history["diverged_at_epoch"] == 3
+        assert len(history["val_loss"]) == 3
+        best = history["best_epoch"]
+        assert history["best_val_loss"] == history["val_loss"][best]
+        assert "diverged at epoch 3" in caplog.text
+        final = model.net.state()
+        for name, arr in seen["net"][2 * best].items():
+            assert final[name].tobytes() == arr.tobytes(), name
+        opt_theta, opt_psi = seen["opt_params"]
+        assert all(a is b for a, b in zip(opt_theta, model.net.parameters()))
+        assert opt_psi[0] is model.noise.psi
+        assert np.all(np.isfinite(model.score(data[:5])))
+
+    @pytest.mark.parametrize("augmentation", [False, True])
+    @pytest.mark.parametrize("n_train,n_val", [(0, 5), (20, 0)])
+    def test_empty_data_rejected(self, augmentation, n_train, n_val):
+        rng = np.random.default_rng(121)
+        config = NceConfig(widths=(4,), epochs=2, augmentation=augmentation)
+        rngs = [np.random.default_rng(i) for i in range(3)]
+        with pytest.raises(ShapeError, match="empty training or validation data"):
+            train_estimator(rng.random((n_train, 4)), rng.random((n_val, 4)),
+                            config, *rngs)
 
     def test_theta_and_psi_updates_are_disjoint(self, small_problem):
         rng, net, data, noise_model = small_problem

@@ -10,8 +10,10 @@ from cance.nn import (
     BatchNormLayer,
     DenseLayer,
     Network,
+    fit_epochs,
     mlp,
 )
+from cance.nn.layers import copy_state
 
 
 def finite_difference_param_grads(net, x, upstream, h=1e-5):
@@ -362,9 +364,82 @@ class TestDeterminism:
                 out = net.forward(x, train=True)
                 net.backward(2 * out / out.size)
                 opt.step(net.parameters(), net.gradients())
-            return net.snapshot()
+            return copy_state(net.state())
 
         a, b = run(), run()
         assert list(a) == list(b) == ["0.weights", "0.bias", "1.weights", "1.bias"]
         for name in a:
             np.testing.assert_array_equal(a[name], b[name])
+
+
+class TestFitEpochs:
+    """The one training loop: batches, checkpoints and divergence."""
+
+    @staticmethod
+    def run(losses_by_epoch, epochs=4, n=10, batch_size=4, best_loss=np.inf,
+            step_error_at=None):
+        """Train a one-array `state` whose value becomes 10 + epoch in each
+        epoch's steps; validation returns losses_by_epoch[epoch]."""
+        state = {"w": np.zeros(2)}
+        live = state["w"]
+        calls = []
+
+        def step(epoch, rows):
+            if epoch == step_error_at:
+                raise NonFiniteError("non-finite gradient passed to AdamW")
+            calls.append((epoch, rows.tolist()))
+            live[:] = 10.0 + epoch
+
+        losses = []
+        out = fit_epochs(epochs, n, batch_size, np.random.default_rng(3), step,
+                         lambda: losses_by_epoch[calls[-1][0]], state, losses,
+                         best_loss=best_loss)
+        assert state["w"] is live  # restored in place
+        return out, live, losses, calls
+
+    def test_one_permutation_per_epoch_in_consecutive_slices(self):
+        _, _, _, calls = self.run([3.0, 2.0, 1.0, 0.5], epochs=2)
+        rng = np.random.default_rng(3)
+        expected = []
+        for epoch in range(2):
+            order = rng.permutation(10).tolist()
+            expected += [(epoch, order[0:4]), (epoch, order[4:8]), (epoch, order[8:])]
+        assert calls == expected
+
+    def test_best_checkpoint_written_back(self):
+        out, live, losses, _ = self.run([3.0, 1.0, 2.0, 4.0])
+        assert out == (1.0, 1, None)
+        assert losses == [3.0, 1.0, 2.0, 4.0]
+        assert live.tolist() == [11.0, 11.0]
+
+    def test_starting_state_kept_when_no_epoch_beats_it(self):
+        out, live, losses, _ = self.run([3.0, 1.0, 2.0, 4.0], best_loss=0.5)
+        assert out == (0.5, None, None)
+        assert live.tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_validation_loss_ends_training(self, bad, caplog):
+        out, live, losses, calls = self.run([3.0, 1.0, bad, 0.1])
+        assert out == (1.0, 1, 2)
+        assert losses == [3.0, 1.0]
+        assert calls[-1][0] == 2
+        assert live.tolist() == [11.0, 11.0]
+        assert "diverged at epoch 2" in caplog.text
+
+    def test_step_error_ends_training(self):
+        out, live, losses, calls = self.run([3.0, 1.0, 2.0, 0.1], step_error_at=3)
+        assert out == (1.0, 1, 3)
+        assert losses == [3.0, 1.0, 2.0]
+        assert live.tolist() == [11.0, 11.0]
+
+    def test_divergence_without_finite_checkpoint_raises(self):
+        with pytest.raises(NonFiniteError, match="before any finite checkpoint"):
+            self.run([np.nan, 1.0])
+        with pytest.raises(NonFiniteError, match="before any finite checkpoint"):
+            self.run([1.0], step_error_at=0)
+
+    def test_zero_epochs_keep_the_starting_state(self):
+        out, live, losses, calls = self.run([], epochs=0)
+        assert out == (np.inf, None, None)
+        assert (losses, calls) == ([], [])
+        assert live.tolist() == [0.0, 0.0]
