@@ -79,9 +79,8 @@ def _load_input(path, ignore_columns) -> Dataset:
         # the header is split as load_csv splits it, quoted commas included
         header = next(csv.reader([fh.readline()]), [])
         has_rows = bool(fh.readline().strip())
-    columns = [h.strip() for h in header]
-    features = [c for c in columns if c not in ignore_columns]
-    if not features or not has_rows:
+    features = [c for c in (h.strip() for h in header) if c not in ignore_columns]
+    if not has_rows:
         return Dataset(np.empty((0, len(features))))
     return load_csv(path, feature_columns=features)
 
@@ -96,8 +95,10 @@ def cmd_train(args) -> int:
     print(f"config hash      {artifacts.config_hash}")
     comp = artifacts.compression_history
     if comp.get("method") == "ae":
-        print(f"ae val loss      stage1 {comp['stage1_val'][-1]:.6g}  "
-              f"stage2 {comp['stage2_val'][-1]:.6g}")
+        # the loss of each stage's kept checkpoint; "-" if it kept no epoch
+        print("ae val loss      " + "  ".join(
+            f"{stage} {'-' if i is None else format(comp[stage + '_val'][i], '.6g')}"
+            for stage, i in comp["best_epoch"].items()))
     print(f"nce best val     {est['best_val_loss']:.6g}")
     return EXIT_OK
 

@@ -10,71 +10,9 @@ import hashlib
 from dataclasses import dataclass, field, fields
 
 from cance.compress import AeConfig
+from cance.data import DatasetConfig
 from cance.errors import ConfigError
 from cance.nce import NceConfig
-
-
-@dataclass
-class DatasetSection:
-    kind: str = "synth"  # synth | csv | idx | embeddings | recipe
-    name: str = ""
-    synth: str = "ring(n=2000) + box(n=500)"
-    path: str = ""
-    recipe: str = ""
-    label_column: str = ""
-    class_column: str = ""
-    train_images: str = ""
-    train_labels: str = ""
-    test_images: str = ""
-    test_labels: str = ""
-    benchmark: str = "labels"  # labels | unimodal | multimodal
-    normal_classes: tuple = ()
-    test_fraction: float = 0.2
-    # auto: min-max for image-like (idx) data, z-score otherwise
-    normalization: str = "auto"  # auto | zscore | minmax | none
-
-    def validate(self):
-        if self.kind not in ("synth", "csv", "idx", "embeddings", "recipe"):
-            raise ConfigError(f"dataset.kind: unknown kind {self.kind!r}")
-        if self.kind == "recipe" and not (self.path and self.recipe):
-            raise ConfigError(
-                "dataset.path and dataset.recipe required for recipe datasets"
-            )
-        if self.benchmark not in ("labels", "unimodal", "multimodal"):
-            raise ConfigError(f"dataset.benchmark: unknown mode {self.benchmark!r}")
-        if self.benchmark == "unimodal" and not self.normal_classes:
-            raise ConfigError(
-                "unimodal benchmark needs at least one normal class; several "
-                "run as separate one-vs-rest experiments"
-            )
-        if self.benchmark == "multimodal" and not self.normal_classes:
-            raise ConfigError("multimodal benchmark needs normal classes")
-        # synth and recipe data carry no class ids; idx data is always split by class
-        if self.kind in ("synth", "recipe", "idx") and (
-                (self.benchmark == "labels") == (self.kind == "idx")):
-            raise ConfigError(f"dataset.benchmark={self.benchmark} is not run on "
-                              f"{self.kind} data: idx takes unimodal or multimodal, "
-                              "synth and recipe take labels")
-        if self.kind == "csv" and not self.path:
-            raise ConfigError("dataset.path required for csv datasets")
-        if self.kind == "embeddings" and not self.path:
-            raise ConfigError("dataset.path required for embedding datasets")
-        if self.kind == "idx":
-            for key in ("train_images", "train_labels", "test_images",
-                        "test_labels"):
-                if not getattr(self, key):
-                    raise ConfigError(f"dataset.{key} required for idx datasets")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ConfigError("dataset.test_fraction must be in (0,1)")
-        if self.normalization not in ("auto", "zscore", "minmax", "none"):
-            raise ConfigError(
-                f"dataset.normalization: unknown method {self.normalization!r}"
-            )
-
-    def resolved_normalization(self) -> str:
-        if self.normalization == "auto":
-            return "minmax" if self.kind == "idx" else "zscore"
-        return self.normalization
 
 
 @dataclass
@@ -103,7 +41,7 @@ class OutputSection:
 
 @dataclass
 class RunConfig:
-    dataset: DatasetSection = field(default_factory=DatasetSection)
+    dataset: DatasetConfig = field(default_factory=DatasetConfig)
     compress: AeConfig = field(default_factory=AeConfig)
     nce: NceConfig = field(default_factory=NceConfig)
     eval: EvalSection = field(default_factory=EvalSection)

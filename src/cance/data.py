@@ -1,4 +1,5 @@
-"""Dataset ingestion, benchmark construction, and synthetic generators.
+"""Dataset ingestion, benchmark construction, synthetic generators, and the
+[dataset] config section that selects among them.
 
 All splits and generators are deterministic given a seed; no statistic
 computed on test rows ever reaches a fitted transform.
@@ -14,7 +15,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from cance.errors import DataFormatError, ShapeError
+from cance.errors import ConfigError, DataFormatError, ShapeError
+from cance.rng import RunRng
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -535,7 +537,10 @@ def synth_generate(spec: str, rng: np.random.Generator, name=None) -> Dataset:
     features, labels = [], []
     for i, text in enumerate(parts):
         kind, args = _parse_part(text)
-        x, lab = _GENERATORS[kind](dict(args), rng)
+        x, lab = _GENERATORS[kind](args, rng)  # pops the arguments it knows
+        if args:
+            raise ValueError(f"unknown {kind} argument(s) {', '.join(args)} "
+                             f"in {text.strip()!r}")
         if i > 0:
             lab = np.ones(len(lab), dtype=np.int64)
         features.append(x)
@@ -654,3 +659,96 @@ def split_labeled_benchmark(dataset: Dataset, test_fraction: float,
         np.concatenate([test_normals, anom_idx]), name=f"{dataset.name}/test"
     )
     return train, test
+
+
+# --------------------------------------------------------------------------
+# the [dataset] config section
+
+_IDX_FILES = ("train_images", "train_labels", "test_images", "test_labels")
+
+# kind -> {benchmark mode the kind runs: config keys that pair requires}
+DATASET_KINDS = {
+    "synth": {"labels": ()},
+    "recipe": {"labels": ("path", "recipe")},
+    "csv": {
+        "labels": ("path", "label_column"),
+        "unimodal": ("path", "class_column", "normal_classes"),
+        "multimodal": ("path", "class_column", "normal_classes"),
+    },
+    "idx": dict.fromkeys(("unimodal", "multimodal"), (*_IDX_FILES, "normal_classes")),
+    "embeddings": dict.fromkeys(("unimodal", "multimodal"), ("path", "normal_classes")),
+}
+
+
+@dataclass
+class DatasetConfig:
+    """The [dataset] config section; `DATASET_KINDS` lists its kinds."""
+
+    kind: str = "synth"
+    name: str = ""
+    synth: str = "ring(n=2000) + box(n=500)"
+    path: str = ""
+    recipe: str = ""
+    label_column: str = ""
+    class_column: str = ""
+    train_images: str = ""
+    train_labels: str = ""
+    test_images: str = ""
+    test_labels: str = ""
+    benchmark: str = "labels"  # labels | unimodal | multimodal
+    normal_classes: tuple = ()
+    test_fraction: float = 0.2
+    # auto: min-max for image-like (idx) data, z-score otherwise
+    normalization: str = "auto"  # auto | zscore | minmax | none
+
+    def validate(self):
+        if self.kind not in DATASET_KINDS:
+            raise ConfigError(f"dataset.kind: unknown kind {self.kind!r}; "
+                              f"expected one of {', '.join(DATASET_KINDS)}")
+        modes = DATASET_KINDS[self.kind]
+        if self.benchmark not in modes:
+            raise ConfigError(f"dataset.benchmark={self.benchmark} is not run on "
+                              f"{self.kind} data, which takes {' or '.join(modes)}")
+        for key in modes[self.benchmark]:
+            if not getattr(self, key):
+                raise ConfigError(f"dataset.{key} required for {self.kind} data "
+                                  f"with benchmark={self.benchmark}")
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ConfigError("dataset.test_fraction must be in (0,1)")
+        if self.normalization not in ("auto", "zscore", "minmax", "none"):
+            raise ConfigError(
+                f"dataset.normalization: unknown method {self.normalization!r}"
+            )
+
+    def resolved_normalization(self) -> str:
+        if self.normalization == "auto":
+            return "minmax" if self.kind == "idx" else "zscore"
+        return self.normalization
+
+
+def load_benchmark(dc: DatasetConfig, rng: RunRng):
+    """Return (train Dataset of normals only, labeled test Dataset)."""
+    if dc.benchmark == "unimodal" and len(dc.normal_classes) > 1:
+        raise ConfigError(
+            "a single run takes one normal class; several unimodal classes "
+            "are swept by evaluation.run_unimodal_sweep"
+        )
+    name = dc.name or None
+    if dc.kind == "idx":
+        train_ds = load_idx(dc.train_images, dc.train_labels, name=name)
+        test_ds = load_idx(dc.test_images, dc.test_labels)
+        return make_multimodal(train_ds, dc.normal_classes, test_dataset=test_ds)
+    if dc.kind == "synth":
+        full = synth_generate(dc.synth, rng.stream("synth"), name=name)
+    elif dc.kind == "recipe":
+        full = load_recipe_dataset(dc.recipe, dc.path)
+    elif dc.kind == "csv":
+        full = load_csv(dc.path, label_column=dc.label_column or None,
+                        class_column=dc.class_column or None, name=name)
+    else:
+        full = load_embeddings(dc.path, name=name)
+    if dc.benchmark == "labels":
+        return split_labeled_benchmark(full, dc.test_fraction,
+                                       rng.stream("benchmark-split"))
+    return make_multimodal(full, dc.normal_classes, test_fraction=dc.test_fraction,
+                           rng=rng.stream("benchmark-split"))

@@ -14,62 +14,11 @@ import numpy as np
 
 from cance.compress import AutoencoderModel, PcaModel, fit_pca, train_autoencoder
 from cance.config import RunConfig
-from cance.data import (
-    Dataset,
-    Normalizer,
-    load_csv,
-    load_embeddings,
-    load_idx,
-    load_recipe_dataset,
-    make_multimodal,
-    split_labeled_benchmark,
-    split_train_val,
-    synth_generate,
-)
+from cance.data import Dataset, Normalizer, load_benchmark, split_train_val
 from cance.errors import ConfigError, ModelFormatError, ShapeError
 from cance.nce import EstimatorModel, train_estimator
 from cance.nn.serialize import load_container, save_container
 from cance.rng import RunRng
-
-
-def load_benchmark(config: RunConfig, rng: RunRng):
-    """Return (train Dataset of normals only, labeled test Dataset)."""
-    dc = config.dataset
-    if dc.benchmark == "unimodal" and len(dc.normal_classes) > 1:
-        raise ConfigError(
-            "a single run takes one normal class; several unimodal classes "
-            "are swept by evaluation.run_unimodal_sweep"
-        )
-    # the config pairs synth and recipe data with the labels split
-    if dc.kind == "synth":
-        full = synth_generate(dc.synth, rng.stream("synth"), name=dc.name or None)
-    elif dc.kind == "recipe":
-        full = load_recipe_dataset(dc.recipe, dc.path)
-    elif dc.kind == "csv":
-        full = load_csv(
-            dc.path,
-            label_column=dc.label_column or None,
-            class_column=dc.class_column or None,
-            name=dc.name or None,
-        )
-    elif dc.kind == "embeddings":
-        full = load_embeddings(dc.path, name=dc.name or None)
-    elif dc.kind == "idx":
-        train_ds = load_idx(dc.train_images, dc.train_labels, name=dc.name or None)
-        test_ds = load_idx(dc.test_images, dc.test_labels)
-        return make_multimodal(train_ds, dc.normal_classes, test_dataset=test_ds)
-    else:
-        raise ConfigError(f"unsupported dataset kind {dc.kind!r}")
-
-    if dc.benchmark in ("unimodal", "multimodal"):
-        return make_multimodal(
-            full,
-            dc.normal_classes,
-            test_fraction=dc.test_fraction,
-            rng=rng.stream("benchmark-split"),
-        )
-    return split_labeled_benchmark(full, dc.test_fraction,
-                                   rng.stream("benchmark-split"))
 
 
 def fit_compression(config: RunConfig, train_x, val_x, rng: RunRng):
@@ -93,7 +42,7 @@ def prepare_features(config: RunConfig, seed: int):
     z_train, z_val, z_test).
     """
     rng = RunRng(seed)
-    train_pool, test = load_benchmark(config, rng)
+    train_pool, test = load_benchmark(config.dataset, rng)
     train, val = split_train_val(train_pool, config.eval.val_fraction,
                                  rng.stream("val-split"))
 

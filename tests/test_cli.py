@@ -124,6 +124,20 @@ class TestTrainAndScore:
         out = capsys.readouterr().out
         assert "nce best val" in out
 
+    def test_train_prints_kept_losses_of_a_stage_without_epochs(
+            self, tiny_ini, tmp_path, capsys):
+        # one autoencoder epoch in all leaves stage 1 with none
+        outdir = tmp_path / "run"
+        assert main(["train", "-c", str(tiny_ini), "-o", str(outdir),
+                     "--set", "compress.method=ae", "--set", "compress.hidden=8",
+                     "--set", "compress.epochs=1"]) == 0
+        history = json.loads((outdir / "train_report.json").read_text())["compression"]
+        assert history["stage1_val"] == []
+        kept = history["best_epoch"]["stage2"]
+        stage2 = "-" if kept is None else f"{history['stage2_val'][kept]:.6g}"
+        out = capsys.readouterr().out
+        assert f"ae val loss      stage1 -  stage2 {stage2}\n" in out
+
     def test_train_rerun_identical_checksums(self, tiny_ini, tmp_path):
         out1 = tmp_path / "a"
         out2 = tmp_path / "b"
@@ -192,6 +206,20 @@ class TestTrainAndScore:
         assert main(["score", "-m", str(outdir), "-i", str(empty),
                      "-o", str(scores_csv)]) == 0
         assert scores_csv.read_text() == "id,z_e,z_c,score\n"
+
+    def test_score_rows_without_features_is_config_error(self, tiny_ini,
+                                                         tmp_path, capsys):
+        outdir = tmp_path / "run"
+        main(["train", "-c", str(tiny_ini), "-o", str(outdir)])
+        ids_only = tmp_path / "ids.csv"
+        ids_only.write_text("label,class\n" + "0,1\n" * 50)
+        assert main(["score", "-m", str(outdir), "-i", str(ids_only),
+                     "-o", str(tmp_path / "s.csv")]) == 1
+        assert "input has 0 features, model expects 2" in capsys.readouterr().err
+        ids_only.write_text("label,class\n")
+        assert main(["score", "-m", str(outdir), "-i", str(ids_only),
+                     "-o", str(tmp_path / "s.csv")]) == 0
+        assert (tmp_path / "s.csv").read_text() == "id,z_e,z_c,score\n"
 
     def test_score_truncated_embeddings_is_runtime_error(self, tiny_ini,
                                                          tmp_path, capsys):

@@ -7,7 +7,14 @@ import pytest
 
 from cance.compress import AeConfig, AutoencoderModel, fit_pca
 from cance.config import RunConfig, load_config
-from cance.data import Dataset, Normalizer
+from cance.data import (
+    DATASET_KINDS,
+    Dataset,
+    DatasetConfig,
+    Normalizer,
+    write_csv,
+    write_embeddings,
+)
 from cance.errors import ConfigError
 from cance.nce import EstimatorModel, NoiseModel
 from cance.nn import mlp
@@ -143,6 +150,90 @@ class TestBenchmarkModeMatchesKind:
                      "--set", "dataset.normal_classes=0, 1"])
         assert code == 1
         assert not (tmp_path / "out").exists()
+
+
+# the benchmark modes each dataset kind runs
+KIND_MODES = {
+    "synth": {"labels"},
+    "recipe": {"labels"},
+    "csv": {"labels", "unimodal", "multimodal"},
+    "idx": {"unimodal", "multimodal"},
+    "embeddings": {"unimodal", "multimodal"},
+}
+# a value for every key some kind or mode requires
+REQUIRED_VALUES = {
+    "path": "data.csv", "recipe": "recipe.ini", "label_column": "label",
+    "class_column": "class", "train_images": "ti", "train_labels": "tl",
+    "test_images": "vi", "test_labels": "vl", "normal_classes": (0,),
+}
+
+
+class TestDatasetKinds:
+    """Each kind runs its own benchmark modes, given the keys they read."""
+
+    @pytest.mark.parametrize("mode", ["labels", "unimodal", "multimodal"])
+    @pytest.mark.parametrize("kind", sorted(KIND_MODES))
+    def test_kind_runs_exactly_its_modes(self, kind, mode):
+        config = DatasetConfig(kind=kind, benchmark=mode, **REQUIRED_VALUES)
+        if mode in KIND_MODES[kind]:
+            config.validate()
+        else:
+            with pytest.raises(ConfigError,
+                               match=f"benchmark={mode} is not run on {kind}"):
+                config.validate()
+
+    @pytest.mark.parametrize("kind, mode, key", [
+        (kind, mode, key)
+        for kind, modes in DATASET_KINDS.items()
+        for mode, keys in modes.items()
+        for key in keys
+    ])
+    def test_missing_key_is_named(self, kind, mode, key):
+        values = {**REQUIRED_VALUES, key: type(REQUIRED_VALUES[key])()}
+        config = DatasetConfig(kind=kind, benchmark=mode, **values)
+        with pytest.raises(ConfigError, match=f"dataset.{key} required for {kind}"):
+            config.validate()
+
+    def test_csv_labels_split_needs_label_column(self):
+        with pytest.raises(ConfigError, match="label_column"):
+            load_config(None, ["dataset.kind=csv", "dataset.path=data.csv",
+                               "dataset.class_column=class"])
+
+    @pytest.mark.parametrize("mode", ["unimodal", "multimodal"])
+    def test_csv_class_split_needs_class_column(self, mode):
+        with pytest.raises(ConfigError, match="class_column"):
+            load_config(None, ["dataset.kind=csv", "dataset.path=data.csv",
+                               "dataset.label_column=label",
+                               f"dataset.benchmark={mode}",
+                               "dataset.normal_classes=0"])
+
+    @pytest.mark.parametrize("overrides", [
+        ["dataset.kind=embeddings", "dataset.path={emb}"],
+        ["dataset.kind=csv", "dataset.path={csv}", "dataset.class_column=class"],
+        ["dataset.kind=csv", "dataset.path={csv}", "dataset.label_column=label",
+         "dataset.benchmark=multimodal", "dataset.normal_classes=0"],
+    ], ids=["embeddings-labels", "csv-labels-no-label-column",
+            "csv-multimodal-no-class-column"])
+    def test_eval_on_an_unrunnable_pair_reads_no_file(self, tmp_path, overrides,
+                                                      monkeypatch, capsys):
+        import cance.data
+        from cance.cli import main
+
+        rng = np.random.default_rng(0)
+        classes = np.repeat([0, 1], 40)
+        data = Dataset(rng.standard_normal((80, 2)) + classes[:, None] * 4,
+                       labels=classes, class_ids=classes)
+        paths = {"emb": tmp_path / "data.emb", "csv": tmp_path / "data.csv"}
+        write_embeddings(paths["emb"], data)
+        write_csv(paths["csv"], data)
+        for loader in ("load_csv", "load_embeddings"):
+            monkeypatch.setattr(cance.data, loader,
+                                lambda *a, **k: pytest.fail("a data file was read"))
+        args = [arg for pair in overrides
+                for arg in ("--set", pair.format(**paths))]
+        assert main(["eval", "-o", str(tmp_path / "out"), *args]) == 1
+        assert not (tmp_path / "out").exists()
+        assert "config error: dataset." in capsys.readouterr().err
 
 
 class TestHashing:

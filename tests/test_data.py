@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cance.data import (
+    SYNTH_KINDS,
     Dataset,
     load_recipe_dataset,
     Normalizer,
@@ -408,6 +409,13 @@ class TestSynth:
     def test_unknown_spec_rejected(self):
         with pytest.raises(ValueError, match="unknown synthetic kind"):
             synth_generate("blob(n=10)", RunRng(0).stream("synth"))
+
+    @pytest.mark.parametrize("kind", SYNTH_KINDS)
+    def test_unknown_argument_rejected(self, kind):
+        # a misspelt argument must not fall back silently to its default
+        with pytest.raises(ValueError, match=f"unknown {kind} argument.*radus"):
+            synth_generate(f"ring(n=20) + {kind}(n=20, radus=3)",
+                           RunRng(0).stream("synth"))
 
     def test_two_moons_and_mixture_generate(self):
         for spec in ("two-moons(n=50, noise=0.1)",

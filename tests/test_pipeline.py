@@ -8,9 +8,10 @@ import pytest
 
 from cance.cli import main
 from cance.config import load_config
+from cance.data import load_benchmark
 from cance.errors import ConfigError
 from cance.evaluation import run_experiment, run_unimodal_sweep
-from cance.pipeline import load_benchmark, run_pipeline
+from cance.pipeline import run_pipeline
 from cance.rng import RunRng
 
 
@@ -84,7 +85,7 @@ class TestIdxPipeline:
             "dataset.benchmark=unimodal",
             "dataset.normal_classes=1",
         ])
-        train, test = load_benchmark(config, RunRng(0))
+        train, test = load_benchmark(config.dataset, RunRng(0))
         assert np.all(train.class_ids == 1)
         np.testing.assert_array_equal(test.labels, (test.class_ids != 1))
 

@@ -1,11 +1,14 @@
 """Static checks over the package source."""
 
 import ast
+from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import cance
+from cance.config import RunConfig
 
 BROAD = {"Exception", "BaseException"}
 
@@ -56,3 +59,55 @@ def test_no_handler_swallows_every_exception():
         for line in broad_handlers(path.read_text(), str(path.relative_to(root)))
     ]
     assert found == []
+
+
+def _attribute_reads(node) -> Counter:
+    return Counter(n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+
+def unread_fields(sources, sections) -> list:
+    """`Class.field` for each field of `sections` (class name -> field names)
+    that no source reads as an attribute outside that class's validate()."""
+    trees = [ast.parse(source) for source in sources]
+    reads = sum(map(_attribute_reads, trees), Counter())
+    found = []
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.ClassDef) and node.name in sections:
+            in_validate = sum((_attribute_reads(f) for f in node.body
+                               if isinstance(f, ast.FunctionDef)
+                               and f.name == "validate"), Counter())
+            found += [f"{node.name}.{name}" for name in sections[node.name]
+                      if reads[name] <= in_validate[name]]
+    return found
+
+
+SECTION = """
+class S:
+    def validate(self):
+        if self.a < 0 or not self.b:
+            raise ValueError(getattr(self, "c"))
+"""
+
+
+@pytest.mark.parametrize("other, flagged", [
+    ("", ["S.a", "S.b", "S.c"]),
+    ("def run(s):\n    return s.a, s.c\n", ["S.b"]),
+    ("def run(s):\n    s.b = 1\n    return getattr(s, 'b')\n", ["S.a", "S.b", "S.c"]),
+    ("class T:\n    def norm(self):\n        return self.a + self.b + self.c\n", []),
+])
+def test_guard_flags_keys_read_only_by_validate(other, flagged):
+    assert unread_fields([SECTION, other], {"S": ["a", "b", "c"]}) == flagged
+
+
+def test_every_config_key_is_read_outside_validate():
+    # a key that only validate() reads changes the config hash but no result
+    root = Path(cance.__file__).parent
+    config = RunConfig()
+    sections = {
+        type(getattr(config, sec.name)).__name__:
+            [f.name for f in fields(getattr(config, sec.name))]
+        for sec in fields(config)
+    }
+    sources = [path.read_text() for path in sorted(root.rglob("*.py"))]
+    assert unread_fields(sources, sections) == []
