@@ -19,6 +19,7 @@ import numpy as np
 from cance import evaluation
 from cance.config import RunConfig, load_config
 from cance.data import (
+    WRITE_BLOCK_LINES,
     Dataset,
     load_csv,
     load_embeddings,
@@ -26,7 +27,7 @@ from cance.data import (
     write_csv,
     write_lines,
 )
-from cance.errors import CanceError, ConfigError
+from cance.errors import CanceError, ConfigError, ShapeError
 from cance.pipeline import REPORT_FILE, load_run, run_pipeline, save_run
 from cance.rng import RunRng
 
@@ -55,21 +56,22 @@ def write_scores(path, scores, z_e=None, z_c=None) -> None:
 
     Each float is written as the `repr` of its float64 (the shortest text
     that round-trips), and an absent z_e or z_c column as empty fields, so
-    the same scores always give the same bytes.
+    the same scores always give the same bytes. Rows are formatted in
+    blocks of WRITE_BLOCK_LINES.
     """
     scores = np.asarray(scores, dtype=np.float64)
     n = len(scores)
-
-    def column(values):
-        if values is None:
-            return repeat("", n)
-        return map(repr, np.asarray(values, dtype=np.float64).tolist())
-
-    columns = (map(str, range(n)), column(z_e), column(z_c),
-               map(repr, scores.tolist()))
+    columns = [None if v is None else np.asarray(v, dtype=np.float64)
+               for v in (z_e, z_c)] + [scores]
+    if any(c is not None and len(c) != n for c in columns):
+        raise ShapeError("z_e, z_c and scores must have equal length")
     with open(path, "w", newline="") as fh:
         fh.write("id,z_e,z_c,score\n")
-        write_lines(fh, map(",".join, zip(*columns, strict=True)))
+        for start in range(0, n, WRITE_BLOCK_LINES):
+            ids = range(start, min(start + WRITE_BLOCK_LINES, n))
+            cells = [repeat("", len(ids)) if c is None
+                     else map(repr, c[ids.start:ids.stop].tolist()) for c in columns]
+            write_lines(fh, map(",".join, zip(map(str, ids), *cells)))
 
 
 def _load_input(path, ignore_columns) -> Dataset:
@@ -116,8 +118,9 @@ def cmd_score(args) -> int:
             f"input has {dataset.dim} features, model expects "
             f"{compression.input_dim}"
         )
-    z = compression.composite(normalizer.transform(dataset).features)
-    scores = estimator.score(z)
+    print(f"scoring on {evaluation.blas_summary()}", file=sys.stderr)
+    z, scores = evaluation.score_blocks(compression, estimator,
+                                        normalizer.transform(dataset).features)
     write_scores(args.output, scores, z_e=z[:, -2], z_c=z[:, -1])
     print(f"{dataset.n} rows scored -> {args.output}")
     return EXIT_OK

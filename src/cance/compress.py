@@ -19,11 +19,11 @@ log = logging.getLogger(__name__)
 COND_WARN_THRESHOLD = 1e6
 
 
-def reconstruction_features(x: np.ndarray, x_rec: np.ndarray):
+def reconstruction_features(x: np.ndarray, x_rec: np.ndarray, real_rows=None):
     """Per-row (squared_error, cosine_dissimilarity) for a batch.
 
     Rows where either vector has zero norm get dissimilarity 0.5, the
-    midpoint of its range, and a warning is logged.
+    midpoint of its range; a warning counts them in the first `real_rows`.
     """
     x = np.atleast_2d(x)
     x_rec = np.atleast_2d(x_rec)
@@ -39,11 +39,11 @@ def reconstruction_features(x: np.ndarray, x_rec: np.ndarray):
         np.sum(x * x_rec, axis=1), norm_x * norm_r, out=cos, where=ok
     )
     z_c = np.where(ok, 0.5 * (1.0 - cos), 0.5)
-    if not np.all(ok):
+    if bad := int((~ok[:real_rows]).sum()):
         log.warning(
             "%d row(s) with zero-norm input or reconstruction; "
             "cosine dissimilarity set to 0.5",
-            int((~ok).sum()),
+            bad,
         )
     return z_e, np.clip(z_c, 0.0, 1.0)
 
@@ -151,11 +151,11 @@ class AutoencoderModel:
     def latents(self, x: np.ndarray) -> np.ndarray:
         return self.encoder.forward(np.atleast_2d(x), train=False)
 
-    def composite(self, x: np.ndarray) -> np.ndarray:
+    def composite(self, x: np.ndarray, real_rows=None) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         z_l = self.latents(x)
         x_rec = self.decoder.forward(z_l, train=False)
-        z_e, z_c = reconstruction_features(x, x_rec)
+        z_e, z_c = reconstruction_features(x, x_rec, real_rows)
         return pack_composite(z_l, z_e, z_c)
 
     def to_container(self):
@@ -300,11 +300,11 @@ class PcaModel:
     def latents(self, x: np.ndarray) -> np.ndarray:
         return (np.atleast_2d(x) - self.mean) @ self.components.T
 
-    def composite(self, x: np.ndarray) -> np.ndarray:
+    def composite(self, x: np.ndarray, real_rows=None) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         z_l = self.latents(x)
         x_rec = self.mean + z_l @ self.components
-        z_e, z_c = reconstruction_features(x, x_rec)
+        z_e, z_c = reconstruction_features(x, x_rec, real_rows)
         return pack_composite(z_l, z_e, z_c)
 
     def to_container(self):

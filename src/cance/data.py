@@ -22,6 +22,7 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 EMBEDDINGS_MAGIC = b"CEMB"
 EMBEDDINGS_VERSION = 1
+PARSE_BLOCK_ROWS = 1 << 16  # data rows whose cells load_csv holds as text
 
 
 @dataclass
@@ -91,13 +92,17 @@ def _integral(values):
     return (np.trunc(values) == values) & (np.abs(values) < 2.0**63)
 
 
-def _first_bad_cell(path, cells, columns, n_features):
-    """The error for the first cell, in file order, that is not a number,
-    or that is not an integer in a label or class column; else None.
-
-    `cells` holds the selected cells of each data row in turn, one per
-    entry of `columns`.
-    """
+def _parse_cells(path, cells, columns, n_features, rows: range):
+    """Data rows `rows` (0-based), one cell per column in turn, as a float64
+    matrix. The first cell, in file order, that is not a number, or not an
+    integer in a label or class column, raises DataFormatError."""
+    try:
+        values = np.fromiter(map(float, cells), np.float64, count=len(cells))
+        values = values.reshape(len(rows), len(columns))
+        if np.all(_integral(values[:, n_features:])):
+            return values
+    except ValueError:
+        pass
     for k, raw in enumerate(cells):
         try:
             value = float(raw)
@@ -108,10 +113,9 @@ def _first_bad_cell(path, cells, columns, n_features):
                 continue
             problem = f"expected an integer, got {raw!r}"
         row, col = divmod(k, len(columns))
-        return DataFormatError(
-            f"{path}: row {row + 2}, column {columns[col]!r}: {problem}"
-        )
-    return None
+        raise DataFormatError(f"{path}: row {rows.start + row + 2}, "
+                              f"column {columns[col]!r}: {problem}")
+    raise AssertionError("the fast path rejected only valid cells")
 
 
 def load_csv(path, feature_columns=None, label_column=None, class_column=None,
@@ -119,10 +123,10 @@ def load_csv(path, feature_columns=None, label_column=None, class_column=None,
     """Read a numeric CSV with a header row.
 
     Column roles are given by name; unlisted columns become features when
-    `feature_columns` is None. Cells are parsed with Python's `float`.
-    Non-numeric cells, and label or class cells that are not integers, are
-    errors that cite the row and column; the first such cell in file order
-    is reported.
+    `feature_columns` is None. Cells are parsed with Python's `float`,
+    PARSE_BLOCK_ROWS rows at a time. Non-numeric cells, and label or class
+    cells that are not integers, are errors that cite the row and column;
+    the first such cell in file order is reported.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -149,28 +153,25 @@ def load_csv(path, feature_columns=None, label_column=None, class_column=None,
         # itemgetter of one index returns the bare cell, not a tuple
         pick = (itemgetter(*positions) if len(positions) > 1
                 else lambda row: [row[i] for i in positions])
-        cells = []
-        n_rows = 0
+        cells, blocks, first, n_rows = [], [], 0, 0
         for n_rows, row in enumerate(reader, start=1):
             if len(row) != len(header):
-                earlier = _first_bad_cell(path, cells, columns, n_features)
-                raise earlier or DataFormatError(
+                _parse_cells(path, cells, columns, n_features, range(first, n_rows - 1))
+                raise DataFormatError(
                     f"{path}: row {n_rows + 1} has {len(row)} fields, expected "
                     f"{len(header)}"
                 )
             cells.extend(pick(row))
+            if n_rows - first == PARSE_BLOCK_ROWS:
+                blocks.append(_parse_cells(path, cells, columns, n_features,
+                                           range(first, n_rows)))
+                cells, first = [], n_rows
     if not n_rows:
         raise DataFormatError(f"{path}: no data rows")
-    try:
-        values = np.fromiter(map(float, cells), np.float64, count=len(cells))
-    except ValueError:
-        raise _first_bad_cell(path, cells, columns, n_features) from None
-    values = values.reshape(n_rows, len(columns))
-    ints = values[:, n_features:]
-    if not np.all(_integral(ints)):
-        raise _first_bad_cell(path, cells, columns, n_features)
+    blocks.append(_parse_cells(path, cells, columns, n_features, range(first, n_rows)))
+    values = np.concatenate(blocks)
     # one row per integer column: the label, then the class
-    ints = ints.astype(np.int64).T
+    ints = values[:, n_features:].astype(np.int64).T
     return Dataset(
         np.ascontiguousarray(values[:, :n_features]),
         ints[0] if label_column else None,
@@ -179,13 +180,13 @@ def load_csv(path, feature_columns=None, label_column=None, class_column=None,
     )
 
 
-_WRITE_BLOCK_LINES = 1 << 16
+WRITE_BLOCK_LINES = 1 << 16
 
 
 def write_lines(fh, lines) -> None:
     """Write each line followed by "\\n", joined in blocks of 64k lines."""
     lines = iter(lines)
-    while block := list(islice(lines, _WRITE_BLOCK_LINES)):
+    while block := list(islice(lines, WRITE_BLOCK_LINES)):
         fh.write("\n".join(block))
         fh.write("\n")
 
@@ -421,6 +422,7 @@ class Normalizer:
 _PART_RE = re.compile(r"^\s*([a-z-]+)\s*(?:\(([^)]*)\))?\s*$")
 
 SYNTH_KINDS = ("ring", "gaussian-mixture", "two-moons", "box", "offplane")
+_COUNT_ARGS = ("n", "k", "dim", "latent", "anomalies")  # non-negative integers
 
 
 def _parse_part(text: str):
@@ -435,8 +437,16 @@ def _parse_part(text: str):
     for piece in filter(None, (m.group(2) or "").split(",")):
         if "=" not in piece:
             raise ValueError(f"bad argument {piece!r} in {text!r}")
-        key, value = piece.split("=", 1)
-        args[key.strip()] = float(value)
+        key, value = (t.strip() for t in piece.split("=", 1))
+        where = f"{kind} argument {key!r} in {text.strip()!r}"
+        if key in args:
+            raise ValueError(f"{where} is repeated")
+        try:
+            args[key] = float(value)
+        except ValueError:
+            raise ValueError(f"{where} must be a number, got {value!r}") from None
+        if key in _COUNT_ARGS and not (args[key] >= 0 and args[key].is_integer()):
+            raise ValueError(f"{where} must be a non-negative integer, got {value!r}")
     return kind, args
 
 

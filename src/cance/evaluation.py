@@ -1,10 +1,11 @@
-"""Metrics and repeated-run experiment orchestration."""
+"""Metrics, block scoring and repeated-run experiment orchestration."""
 
 import copy
 import ctypes
 import logging
 import os
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from functools import cache, partial
 from pathlib import Path
@@ -134,20 +135,71 @@ def _score_metrics(scores, labels, contamination: float) -> dict:
 
 
 @cache
-def _openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS numpy ships, or None."""
+def _openblas():
+    """The OpenBLAS library numpy ships, or None."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for lib in sorted(libs.glob("*openblas*")):
         try:
             handle = ctypes.CDLL(str(lib))
-            get = handle.scipy_openblas_get_num_threads64_
-            set_ = handle.scipy_openblas_set_num_threads64_
+            handle.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+            handle.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+            handle.scipy_openblas_get_config64_.restype = ctypes.c_char_p
         except (OSError, AttributeError):
             continue
-        get.restype = ctypes.c_int
-        set_.argtypes = [ctypes.c_int]
-        return get, set_
+        return handle
     return None
+
+
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS numpy ships, or None."""
+    lib = _openblas()
+    return lib and (lib.scipy_openblas_get_num_threads64_,
+                    lib.scipy_openblas_set_num_threads64_)
+
+
+@contextmanager
+def single_blas_thread():
+    """Pin numpy's OpenBLAS to one thread, process-wide, and restore the
+    previous count on exit, also on error; without it, pin nothing."""
+    get, set_ = _openblas_threads() or (lambda: None, lambda threads: None)
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+SCORE_BLOCK = 2048
+
+
+def blas_summary() -> str:
+    """The BLAS that `score_blocks` runs on, its threads and its block size."""
+    lib = _openblas()
+    name = lib.scipy_openblas_get_config64_().decode() if lib else "unknown BLAS"
+    threads = "1 BLAS thread" if _openblas_threads() else "BLAS threads not pinned"
+    return f"{' '.join(name.split())}; {threads}; blocks of {SCORE_BLOCK} rows"
+
+
+def score_blocks(compression, estimator, x):
+    """(composite features, scores) of normalized rows, computed in blocks
+    of SCORE_BLOCK rows with OpenBLAS on one thread.
+
+    The last block is padded with copies of its first row, so every forward
+    has one shape and a row's bits do not depend on the rows around it.
+    """
+    n = x.shape[0]
+    z, scores = np.empty((n, compression.latent_dim + 2)), np.empty(n)
+    with single_blas_thread():
+        for start in range(0, n, SCORE_BLOCK):
+            block = x[start:start + SCORE_BLOCK]
+            rows = len(block)
+            pad = np.repeat(block[:1], SCORE_BLOCK - rows, axis=0)
+            block = np.concatenate([block, pad])
+            zb = compression.composite(block, real_rows=rows)
+            z[start:start + rows] = zb[:rows]
+            scores[start:start + rows] = estimator.score(zb)[:rows]
+    return z, scores
 
 
 def _usable_cpus() -> int:
@@ -175,24 +227,17 @@ def run_jobs(jobs) -> dict:
     """
     jobs = list(jobs)
     workers = min(len(jobs), _usable_cpus())
-    blas = _openblas_threads()
-    if workers < 2 or blas is None:
+    if workers < 2 or _openblas_threads() is None:
         return {key: _outcome(key, job) for key, job in jobs}
-    get, set_ = blas
-    before = get()
-    set_(1)
-    try:
-        with ThreadPoolExecutor(workers) as pool:
-            futures = [pool.submit(_outcome, key, job) for key, job in jobs]
-            try:
-                wait(futures, return_when=FIRST_EXCEPTION)
-            finally:  # also on an interrupt of the wait
-                pool.shutdown(cancel_futures=True)
-            # jobs are cancelled only after one raised; result() re-raises that
-            return {key: future.result() for (key, _), future in zip(jobs, futures)
-                    if not future.cancelled()}
-    finally:
-        set_(before)
+    with single_blas_thread(), ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(_outcome, key, job) for key, job in jobs]
+        try:
+            wait(futures, return_when=FIRST_EXCEPTION)
+        finally:  # also on an interrupt of the wait
+            pool.shutdown(cancel_futures=True)
+        # jobs are cancelled only after one raised; result() re-raises that
+        return {key: future.result() for (key, _), future in zip(jobs, futures)
+                if not future.cancelled()}
 
 
 def _seeds(config: RunConfig, repeats: int | None) -> list:

@@ -8,13 +8,14 @@ import shutil
 import numpy as np
 import pytest
 
+from cance import evaluation
 from cance.cli import main, write_scores
-from cance.data import Dataset, write_embeddings
-from cance.errors import NonFiniteError
+from cance.data import WRITE_BLOCK_LINES, Dataset, write_embeddings
+from cance.errors import NonFiniteError, ShapeError
 from cance.nce import EstimatorModel, NoiseModel
 from cance.nn import Activation, DenseLayer, Network
 from cance.nn.serialize import load_container, save_container
-from cance.pipeline import COMPRESSION_FILE, ESTIMATOR_FILE, NORMALIZER_FILE
+from cance.pipeline import COMPRESSION_FILE, ESTIMATOR_FILE, NORMALIZER_FILE, load_run
 from cance.stats import GaussianModel
 
 # shortest round-trip text switches to an exponent below 1e-4 and from
@@ -106,6 +107,20 @@ class TestWriteScores:
         write_scores(tmp_path / "s.csv", EDGE_FLOATS)
         rows = (tmp_path / "s.csv").read_text().splitlines()[1:]
         assert rows == [f"{i},,,{v!r}" for i, v in enumerate(EDGE_FLOATS)]
+
+    @pytest.mark.parametrize("rows", [WRITE_BLOCK_LINES - 1, WRITE_BLOCK_LINES,
+                                      WRITE_BLOCK_LINES + 1])
+    def test_block_boundaries_match_reference_writer(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        scores, z_e = rng.standard_normal((2, rows)) * 1e3
+        write_scores(tmp_path / "new.csv", scores, z_e=z_e)
+        reference_write_scores(tmp_path / "ref.csv", scores, z_e=z_e)
+        assert (tmp_path / "new.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
+
+    def test_columns_of_unequal_length_rejected(self, tmp_path):
+        with pytest.raises(ShapeError, match="equal length"):
+            write_scores(tmp_path / "s.csv", np.zeros(3), z_c=np.zeros(4))
 
     def test_empty_scores_match_reference_writer(self, tmp_path):
         write_scores(tmp_path / "new.csv", np.empty(0))
@@ -254,6 +269,82 @@ class TestTrainAndScore:
         assert main(["score", "-m", str(out1), "-i", str(data_csv),
                      "-o", str(tmp_path / "s.csv")]) == 1
 
+
+
+@pytest.fixture(scope="module")
+def pca_run(tmp_path_factory):
+    """A trained PCA model directory and a 10-row CSV to score with it."""
+    root = tmp_path_factory.mktemp("pca-run")
+    ini = root / "run.ini"
+    ini.write_text(TINY_INI)
+    assert main(["train", "-c", str(ini), "-o", str(root / "model")]) == 0
+    assert main(["synth", "--spec", "ring(n=10)", "--seed", "6",
+                 "-o", str(root / "points.csv")]) == 0
+    return root
+
+
+class TestBlockScoring:
+    def score(self, run, points, out):
+        return main(["score", "-m", str(run / "model"), "-i", str(points),
+                     "-o", str(out)])
+
+    def test_one_zero_norm_row_is_counted_once(self, pca_run, tmp_path, caplog):
+        # the zero row is the first of its block, so padding copies it
+        _, _, normalizer, _, _ = load_run(pca_run / "model")
+        rows = [",".join(map(repr, normalizer._shift.tolist())) + ",0"]
+        rows += pca_run.joinpath("points.csv").read_text().splitlines()[1:]
+        points = tmp_path / "zero.csv"
+        points.write_text("f0,f1,label\n" + "\n".join(rows[:-1]) + "\n")
+        with caplog.at_level("WARNING", logger="cance.compress"):
+            assert self.score(pca_run, points, tmp_path / "s.csv") == 0
+        assert [r.getMessage().split(" with")[0] for r in caplog.records] == \
+            ["1 row(s)"]
+
+    def test_failure_in_a_block_exits_2_and_restores_blas(
+            self, pca_run, tmp_path, monkeypatch, capsys):
+        import cance.evaluation as evaluation_module
+
+        state = {"threads": 4, "seen": [], "calls": 0}
+        monkeypatch.setattr(evaluation_module, "_openblas_threads", lambda: (
+            lambda: state["threads"], lambda n: state.update(threads=n)))
+        monkeypatch.setattr(evaluation_module, "SCORE_BLOCK", 4)
+        original = EstimatorModel.score
+
+        def failing(self, z):
+            state["seen"].append(state["threads"])
+            if len(state["seen"]) == 2:
+                raise NonFiniteError("synthetic score failure")
+            return original(self, z)
+
+        monkeypatch.setattr(EstimatorModel, "score", failing)
+        out = tmp_path / "s.csv"
+        assert self.score(pca_run, pca_run / "points.csv", out) == 2
+        assert "synthetic score failure" in capsys.readouterr().err
+        assert state["seen"] == [1, 1] and state["threads"] == 4
+        assert not out.exists()
+
+    def test_blas_summary_on_stderr_only(self, pca_run, tmp_path, capsys):
+        blas = evaluation._openblas_threads()
+        before = blas[0]() if blas else None
+        out = tmp_path / "s.csv"
+        assert self.score(pca_run, pca_run / "points.csv", out) == 0
+        captured = capsys.readouterr()
+        assert captured.out == f"10 rows scored -> {out}\n"
+        summary, = captured.err.splitlines()
+        assert summary.startswith("scoring on ")
+        assert summary.endswith(f"; blocks of {evaluation.SCORE_BLOCK} rows")
+        if blas:
+            assert "OpenBLAS" in summary and "; 1 BLAS thread;" in summary
+            assert blas[0]() == before
+
+    def test_without_blas_symbol_nothing_is_pinned(self, pca_run, tmp_path,
+                                                   monkeypatch, capsys):
+        assert self.score(pca_run, pca_run / "points.csv", tmp_path / "a.csv") == 0
+        monkeypatch.setattr(evaluation, "_openblas_threads", lambda: None)
+        capsys.readouterr()
+        assert self.score(pca_run, pca_run / "points.csv", tmp_path / "b.csv") == 0
+        assert "; BLAS threads not pinned;" in capsys.readouterr().err
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 def replace_estimator(dim):
     """A change that swaps in a one-layer estimator over `dim` features."""
@@ -444,6 +535,12 @@ class TestSynthAndInspect:
         main(["synth", "--spec", "ring(n=40)", "--seed", "9", "-o", str(a)])
         main(["synth", "--spec", "ring(n=40)", "--seed", "9", "-o", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_synth_bad_count_is_config_error(self, tmp_path, capsys):
+        assert main(["synth", "--spec", "ring(n=2.5)", "-o",
+                     str(tmp_path / "x.csv")]) == 1
+        assert "ring argument 'n'" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_synth_unknown_kind_fails(self, tmp_path, capsys):
         code = main(["synth", "--spec", "wat(n=1)", "--seed", "0",

@@ -198,6 +198,54 @@ class TestCsv:
         assert (tmp_path / "e.csv").read_text() == "f0,f1,label\n"
 
 
+class TestCsvBlocks:
+    """load_csv parses PARSE_BLOCK_ROWS rows at a time; here 2 rows."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        import cance.data as data_module
+
+        monkeypatch.setattr(data_module, "PARSE_BLOCK_ROWS", 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_reference_reader(self, tmp_path, n):
+        path = tmp_path / "d.csv"
+        rng = np.random.default_rng(n)
+        rows = [f"{a!r},{b!r},{i % 2},{i}" for i, (a, b) in
+                enumerate(rng.standard_normal((n, 2)).tolist())]
+        path.write_text("a,b,label,class\n" + "\n".join(rows) + "\n")
+        kwargs = {"label_column": "label", "class_column": "class"}
+        ds = load_csv(path, **kwargs)
+        features, labels, classes = reference_load_csv(path, **kwargs)
+        assert ds.features.tobytes() == features.tobytes()
+        assert ds.features.shape == (n, 2) and ds.features.flags.c_contiguous
+        np.testing.assert_array_equal(ds.labels, labels)
+        np.testing.assert_array_equal(ds.class_ids, classes)
+
+    @pytest.mark.parametrize("text, match", [
+        # a bad cell in the second and third block keeps its row number
+        ("a,b\n1,2\n3,4\n5,x\n7,8\n", r"row 4, column 'b'.*'x'"),
+        ("a,b\n1,2\n3,4\n5,6\n7,8\ny,0\n", r"row 6, column 'a'.*'y'"),
+        # a bad cell is reported before a ragged row of a later block
+        ("a,b\n1,x\n3,4\n5\n", r"row 2, column 'b'.*'x'"),
+        # ... and before a later ragged row of its own block
+        ("a,b\n1,2\n3,4\n5,x\n7\n", r"row 4, column 'b'.*'x'"),
+        # a ragged row that starts a block
+        ("a,b\n1,2\n3,4\n5\n", r"row 4 has 1 fields"),
+    ])
+    def test_first_fault_in_file_order(self, tmp_path, text, match):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match=match):
+            load_csv(path)
+
+    def test_non_integer_label_in_a_later_block(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,label\n1,0\n2,1\n3,0.5\nbad,1\n")
+        with pytest.raises(DataFormatError, match=r"row 4, column 'label'.*'0.5'"):
+            load_csv(path, label_column="label")
+
+
 class TestIdx:
     def write_pair(self, tmp_path, n=2, rows=28, cols=28, label_count=None):
         images = tmp_path / "imgs"
@@ -416,6 +464,39 @@ class TestSynth:
         with pytest.raises(ValueError, match=f"unknown {kind} argument.*radus"):
             synth_generate(f"ring(n=20) + {kind}(n=20, radus=3)",
                            RunRng(0).stream("synth"))
+
+    COUNT_ARGS = {"ring": ("n",), "gaussian-mixture": ("n", "k", "dim"),
+                  "two-moons": ("n",), "box": ("n", "dim"),
+                  "offplane": ("n", "anomalies", "dim", "latent")}
+
+    def test_count_arguments_cover_every_kind(self):
+        assert sorted(self.COUNT_ARGS) == sorted(SYNTH_KINDS)
+
+    @pytest.mark.parametrize("kind", SYNTH_KINDS)
+    @pytest.mark.parametrize("args, problem", [
+        ("n=20, n=30", "is repeated"),
+        ("n=abc", "must be a number, got 'abc'"),
+        ("n=", "must be a number, got ''"),
+    ])
+    def test_bad_argument_names_part_and_argument(self, kind, args, problem):
+        with pytest.raises(ValueError) as info:
+            synth_generate(f"ring(n=5) + {kind}({args})", RunRng(0).stream("synth"))
+        assert str(info.value) == f"{kind} argument 'n' in '{kind}({args})' {problem}"
+
+    @pytest.mark.parametrize("kind, key", [
+        (kind, key) for kind, keys in COUNT_ARGS.items() for key in keys])
+    @pytest.mark.parametrize("value", ["2.5", "-5", "-1e-300", "inf", "nan"])
+    def test_count_must_be_a_non_negative_integer(self, kind, key, value):
+        part = f"{kind}({key}={value})"
+        with pytest.raises(ValueError) as info:
+            synth_generate(part, RunRng(0).stream("synth"))
+        assert str(info.value) == (f"{kind} argument {key!r} in {part!r} must be "
+                                   f"a non-negative integer, got {value!r}")
+
+    @pytest.mark.parametrize("kind", SYNTH_KINDS)
+    def test_integer_valued_counts_accepted(self, kind):
+        ds = synth_generate(f"{kind}(n=1e1)", RunRng(0).stream("synth"))
+        assert (ds.labels == 0).sum() == 10 or kind == "box" and ds.n == 10
 
     def test_two_moons_and_mixture_generate(self):
         for spec in ("two-moons(n=50, noise=0.1)",
