@@ -12,22 +12,20 @@ import json
 import logging
 import os
 import sys
-from itertools import repeat
 
 import numpy as np
 
 from cance import evaluation
 from cance.config import RunConfig, load_config
 from cance.data import (
-    WRITE_BLOCK_LINES,
     Dataset,
     load_csv,
     load_embeddings,
     synth_generate,
     write_csv,
-    write_lines,
+    write_table,
 )
-from cance.errors import CanceError, ConfigError, ShapeError
+from cance.errors import CanceError, ConfigError
 from cance.pipeline import REPORT_FILE, load_run, run_pipeline, save_run
 from cance.rng import RunRng
 
@@ -56,22 +54,12 @@ def write_scores(path, scores, z_e=None, z_c=None) -> None:
 
     Each float is written as the `repr` of its float64 (the shortest text
     that round-trips), and an absent z_e or z_c column as empty fields, so
-    the same scores always give the same bytes. Rows are formatted in
-    blocks of WRITE_BLOCK_LINES.
+    the same scores always give the same bytes (see `data.write_table`).
     """
-    scores = np.asarray(scores, dtype=np.float64)
     n = len(scores)
     columns = [None if v is None else np.asarray(v, dtype=np.float64)
-               for v in (z_e, z_c)] + [scores]
-    if any(c is not None and len(c) != n for c in columns):
-        raise ShapeError("z_e, z_c and scores must have equal length")
-    with open(path, "w", newline="") as fh:
-        fh.write("id,z_e,z_c,score\n")
-        for start in range(0, n, WRITE_BLOCK_LINES):
-            ids = range(start, min(start + WRITE_BLOCK_LINES, n))
-            cells = [repeat("", len(ids)) if c is None
-                     else map(repr, c[ids.start:ids.stop].tolist()) for c in columns]
-            write_lines(fh, map(",".join, zip(map(str, ids), *cells)))
+               for v in (z_e, z_c, scores)]
+    write_table(path, ["id", "z_e", "z_c", "score"], [np.arange(n), *columns], n)
 
 
 def _load_input(path, ignore_columns) -> Dataset:

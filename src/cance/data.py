@@ -6,15 +6,20 @@ computed on test rows ever reaches a fitted transform.
 """
 
 import csv
+import os
 import re
 import struct
+import subprocess
+import sys
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import islice
+from functools import partial
 from operator import itemgetter
 
 import numpy as np
 
+from cance import _rows
 from cance.errors import ConfigError, DataFormatError, ShapeError
 from cance.rng import RunRng
 
@@ -22,7 +27,10 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 EMBEDDINGS_MAGIC = b"CEMB"
 EMBEDDINGS_VERSION = 1
-PARSE_BLOCK_ROWS = 1 << 16  # data rows whose cells load_csv holds as text
+PARSE_BLOCK_ROWS = 1 << 16  # data rows whose cells load_csv's rescan holds as text
+# a formatter child costs about 25 ms (14 of them to start) on 2 CPUs; half
+# the rows of a score file repay that from about 24k rows
+FORMAT_CHILD_MIN_ROWS = 1 << 15
 
 
 @dataclass
@@ -118,15 +126,37 @@ def _parse_cells(path, cells, columns, n_features, rows: range):
     raise AssertionError("the fast path rejected only valid cells")
 
 
+def _load_numeric(path, width):
+    """Every data row, parsed by numpy's C reader, or None where it and the
+    rescan could disagree. It rejects more cells than `float` (quotes, `1_0`,
+    non-ASCII digits), but it skips empty lines and does not check the field
+    count against the header."""
+    try:
+        with open(path) as fh:  # universal newlines, as numpy splits lines
+            fh.readline()
+            lines, last = 0, fh.read(1)
+            if last in ("", "\n"):
+                return None  # numpy warns if it finds no row; the rescan raises
+            for chunk in iter(partial(fh.read, 1 << 20), ""):
+                lines, last = lines + chunk.count("\n"), chunk[-1]
+        lines += last != "\n"
+        values = np.loadtxt(path, delimiter=",", comments=None, skiprows=1,
+                            ndmin=2)
+    except ValueError:
+        return None
+    return values if values.shape == (lines, width) else None
+
+
 def load_csv(path, feature_columns=None, label_column=None, class_column=None,
              name=None) -> Dataset:
     """Read a numeric CSV with a header row.
 
     Column roles are given by name; unlisted columns become features when
-    `feature_columns` is None. Cells are parsed with Python's `float`,
-    PARSE_BLOCK_ROWS rows at a time. Non-numeric cells, and label or class
-    cells that are not integers, are errors that cite the row and column;
-    the first such cell in file order is reported.
+    `feature_columns` is None. Non-numeric cells, and label or class cells
+    that are not integers, are errors that cite the row and column; the
+    first such cell in file order is reported. A file numpy's C reader
+    rejects is rescanned with `csv` and `float`, PARSE_BLOCK_ROWS rows at a
+    time, and values are always those of `float`.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -150,26 +180,32 @@ def load_csv(path, feature_columns=None, label_column=None, class_column=None,
         columns = [*feature_columns, *filter(None, (label_column, class_column))]
         index = {h: i for i, h in enumerate(header)}
         positions = [index[c] for c in columns]
-        # itemgetter of one index returns the bare cell, not a tuple
-        pick = (itemgetter(*positions) if len(positions) > 1
-                else lambda row: [row[i] for i in positions])
-        cells, blocks, first, n_rows = [], [], 0, 0
-        for n_rows, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                _parse_cells(path, cells, columns, n_features, range(first, n_rows - 1))
-                raise DataFormatError(
-                    f"{path}: row {n_rows + 1} has {len(row)} fields, expected "
-                    f"{len(header)}"
-                )
-            cells.extend(pick(row))
-            if n_rows - first == PARSE_BLOCK_ROWS:
-                blocks.append(_parse_cells(path, cells, columns, n_features,
-                                           range(first, n_rows)))
-                cells, first = [], n_rows
-    if not n_rows:
-        raise DataFormatError(f"{path}: no data rows")
-    blocks.append(_parse_cells(path, cells, columns, n_features, range(first, n_rows)))
-    values = np.concatenate(blocks)
+        values = _load_numeric(path, len(header)) if fh.seekable() else None
+        if values is not None:
+            values = values[:, positions]
+        if values is None or not np.all(_integral(values[:, n_features:])):
+            # itemgetter of one index returns the bare cell, not a tuple
+            pick = (itemgetter(*positions) if len(positions) > 1
+                    else lambda row: [row[i] for i in positions])
+            cells, blocks, first, n_rows = [], [], 0, 0
+            for n_rows, row in enumerate(reader, start=1):
+                if len(row) != len(header):
+                    _parse_cells(path, cells, columns, n_features,
+                                 range(first, n_rows - 1))
+                    raise DataFormatError(
+                        f"{path}: row {n_rows + 1} has {len(row)} fields, "
+                        f"expected {len(header)}"
+                    )
+                cells.extend(pick(row))
+                if n_rows - first == PARSE_BLOCK_ROWS:
+                    blocks.append(_parse_cells(path, cells, columns, n_features,
+                                               range(first, n_rows)))
+                    cells, first = [], n_rows
+            if not n_rows:
+                raise DataFormatError(f"{path}: no data rows")
+            blocks.append(_parse_cells(path, cells, columns, n_features,
+                                       range(first, n_rows)))
+            values = np.concatenate(blocks)
     # one row per integer column: the label, then the class
     ints = values[:, n_features:].astype(np.int64).T
     return Dataset(
@@ -180,31 +216,76 @@ def load_csv(path, feature_columns=None, label_column=None, class_column=None,
     )
 
 
-WRITE_BLOCK_LINES = 1 << 16
+def usable_cpus() -> int:
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
-def write_lines(fh, lines) -> None:
-    """Write each line followed by "\\n", joined in blocks of 64k lines."""
-    lines = iter(lines)
-    while block := list(islice(lines, WRITE_BLOCK_LINES)):
-        fh.write("\n".join(block))
-        fh.write("\n")
+def _start_formatter(columns, rows):
+    """A child process formatting `rows` of `columns`, its input written;
+    None if it could not start."""
+    try:
+        child = subprocess.Popen([sys.executable, "-I", "-S", _rows.__file__],
+                                 stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                 stderr=subprocess.DEVNULL)
+    except OSError:
+        return None
+    kinds = "".join("-" if col is None else "dq"[col.dtype.kind != "f"]
+                    for col in columns)
+    try:
+        with child.stdin as pipe:
+            pipe.write(f"{len(rows)} {kinds}\n".encode("ascii"))
+            for col, kind in zip(columns, kinds):
+                if col is not None:
+                    pipe.write(np.ascontiguousarray(col[rows.start:rows.stop], kind))
+    except OSError:
+        pass  # it exited early; its exit code or line count tells
+    return child
+
+
+def write_table(path, header, columns, n_rows) -> None:
+    """Write a CSV: the header, then a line per row of `columns`, each a
+    float64 array (cells are the `repr` of each float), an int64 array or
+    None (empty cells).
+
+    From FORMAT_CHILD_MIN_ROWS rows on, with two usable CPUs and a seekable
+    file, a child process formats the second half of the rows, and its text
+    is copied to the file as it arrives. If the child cannot start, exits
+    non-zero or returns the wrong number of lines, that text is cut off and
+    this process formats the half itself: the bytes never depend on it.
+    """
+    if any(col is not None and len(col) != n_rows for col in columns):
+        raise ShapeError("table columns must have equal length")
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        half = (n_rows // 2 if n_rows >= FORMAT_CHILD_MIN_ROWS and usable_cpus() > 1
+                and fh.seekable() else n_rows)
+        child = _start_formatter(columns, range(half, n_rows)) if half < n_rows else None
+        with child or nullcontext():
+            fh.writelines(_rows.text_blocks(columns, range(half)))
+            if child:
+                fh.flush()
+                start, lines = fh.buffer.tell(), 0
+                for chunk in iter(partial(child.stdout.read, 1 << 16), b""):
+                    lines += chunk.count(b"\n")
+                    fh.buffer.write(chunk)
+                if child.wait() == 0 and lines == n_rows - half:
+                    return
+                fh.buffer.seek(start)
+                fh.buffer.truncate()
+            fh.writelines(_rows.text_blocks(columns, range(half, n_rows)))
 
 
 def write_csv(path, dataset: Dataset, feature_prefix: str = "f") -> None:
     """Write a dataset with full float round-trip precision: each feature is
     the `repr` of its float64, each label and class id its integer."""
     header = [f"{feature_prefix}{i}" for i in range(dataset.dim)]
-    columns = [map(repr, col) for col in dataset.features.T.tolist()]
-    if dataset.labels is not None:
-        header.append("label")
-        columns.append(map(str, dataset.labels.tolist()))
-    if dataset.class_ids is not None:
-        header.append("class")
-        columns.append(map(str, dataset.class_ids.tolist()))
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
-        write_lines(fh, map(",".join, zip(*columns)))
+    columns = list(dataset.features.T)
+    for name, ints in (("label", dataset.labels), ("class", dataset.class_ids)):
+        if ints is not None:
+            header.append(name)
+            columns.append(ints)
+    write_table(path, header, columns, dataset.n)
 
 
 def _read_exact(fh, size, path, what) -> bytes:

@@ -3,7 +3,6 @@
 import copy
 import ctypes
 import logging
-import os
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
@@ -13,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from cance.config import RunConfig
+from cance.data import usable_cpus as _usable_cpus
 from cance.errors import CanceError, ShapeError
 from cance.nce import train_estimator
 from cance.pipeline import prepare_features, run_pipeline
@@ -200,11 +200,6 @@ def score_blocks(compression, estimator, x):
             z[start:start + rows] = zb[:rows]
             scores[start:start + rows] = estimator.score(zb)[:rows]
     return z, scores
-
-
-def _usable_cpus() -> int:
-    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
 
 
 def _outcome(key, job):

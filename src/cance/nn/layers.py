@@ -76,7 +76,7 @@ class DenseLayer:
             # eval-mode forwards leave all state untouched so a frozen
             # model is safe for concurrent callers
             self._x, self._post = x, post
-        return require_finite(post, "dense layer output")
+        return post
 
     def backward(self, upstream: np.ndarray, param_grads: bool = True,
                  input_grad: bool = True) -> np.ndarray | None:
@@ -182,7 +182,7 @@ class BatchNormLayer:
         else:
             std = np.sqrt(np.maximum(self.running_var, self.epsilon))
             xnorm = (x - self.running_mean) / std
-        return require_finite(self.gamma * xnorm + self.beta, "batch norm output")
+        return self.gamma * xnorm + self.beta
 
     def backward(self, upstream: np.ndarray, param_grads: bool = True,
                  input_grad: bool = True) -> np.ndarray | None:
@@ -246,10 +246,12 @@ class Network:
         return self.layers[-1].out_dim
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+        """The last layer's output; a NaN or inf anywhere inside that is not
+        squashed to a finite value on the way raises NonFiniteError."""
         x = np.asarray(x, dtype=np.float64)
         for layer in self.layers:
             x = layer.forward(x, train=train)
-        return x
+        return require_finite(x, "network output")
 
     def backward(self, upstream: np.ndarray, param_grads: bool = True,
                  input_grad: bool = True) -> np.ndarray | None:

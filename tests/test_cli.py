@@ -10,7 +10,8 @@ import pytest
 
 from cance import evaluation
 from cance.cli import main, write_scores
-from cance.data import WRITE_BLOCK_LINES, Dataset, write_embeddings
+from cance._rows import WRITE_BLOCK_LINES
+from cance.data import Dataset, write_embeddings
 from cance.errors import NonFiniteError, ShapeError
 from cance.nce import EstimatorModel, NoiseModel
 from cance.nn import Activation, DenseLayer, Network
@@ -108,8 +109,11 @@ class TestWriteScores:
         rows = (tmp_path / "s.csv").read_text().splitlines()[1:]
         assert rows == [f"{i},,,{v!r}" for i, v in enumerate(EDGE_FLOATS)]
 
-    @pytest.mark.parametrize("rows", [WRITE_BLOCK_LINES - 1, WRITE_BLOCK_LINES,
-                                      WRITE_BLOCK_LINES + 1])
+    # 16 blocks and more are formatted half in a child process, whose first
+    # row is inside a block
+    @pytest.mark.parametrize("rows", [
+        blocks * WRITE_BLOCK_LINES + d for blocks in (1, 16) for d in (-1, 0, 1)
+    ])
     def test_block_boundaries_match_reference_writer(self, tmp_path, rows):
         rng = np.random.default_rng(rows)
         scores, z_e = rng.standard_normal((2, rows)) * 1e3

@@ -1,11 +1,17 @@
 """File formats, benchmark construction, normalization, synthetic data."""
 
 import csv
+import hashlib
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import cance.data as data_module
+from cance._rows import text_blocks
 from cance.data import (
     SYNTH_KINDS,
     Dataset,
@@ -20,6 +26,7 @@ from cance.data import (
     synth_generate,
     write_csv,
     write_embeddings,
+    write_table,
 )
 from cance.errors import DataFormatError, ShapeError
 from cance.rng import RunRng
@@ -199,13 +206,13 @@ class TestCsv:
 
 
 class TestCsvBlocks:
-    """load_csv parses PARSE_BLOCK_ROWS rows at a time; here 2 rows."""
+    """load_csv's rescan parses PARSE_BLOCK_ROWS rows at a time; here 2 rows,
+    with numpy's reader off so that valid files take the rescan too."""
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
-        import cance.data as data_module
-
         monkeypatch.setattr(data_module, "PARSE_BLOCK_ROWS", 2)
+        monkeypatch.setattr(data_module, "_load_numeric", lambda path, width: None)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_reference_reader(self, tmp_path, n):
@@ -244,6 +251,180 @@ class TestCsvBlocks:
         path.write_text("a,label\n1,0\n2,1\n3,0.5\nbad,1\n")
         with pytest.raises(DataFormatError, match=r"row 4, column 'label'.*'0.5'"):
             load_csv(path, label_column="label")
+
+
+# cells float() and numpy's reader treat differently, or that fail both
+EDGE_CELLS = ["1_0", "\u0661\u0662", '"4"', '"1,5"', " 3 ", "\xa02", "", "x",
+              "#1", "1e", "0x10", "+7", "1e400", "-1e400", "1e-400", "nan",
+              "-nan", "inf", "-Infinity", "0.5", "2.0", "-0.0"]
+CELL = st.one_of(st.integers(-3, 3).map(str), st.sampled_from(EDGE_CELLS),
+                 st.floats(allow_nan=False, allow_infinity=False).map(repr))
+# a row as its cells, or a line that is not a row of `width` cells
+LINE_KINDS = ("row", "row", "row", "row", "blank", "spaces", "comment",
+              "extra", "short")
+
+
+@st.composite
+def csv_files(draw):
+    """(text, load_csv keyword arguments) of a small CSV, often clean."""
+    width = draw(st.integers(1, 4))
+    header = [f"c{i}" for i in range(width)]
+    roles = draw(st.permutations(header + [None, None]))
+    lines = []
+    for kind in draw(st.lists(st.sampled_from(LINE_KINDS), min_size=1, max_size=6)):
+        cells = draw(st.lists(CELL, min_size=width, max_size=width))
+        lines.append({"row": cells, "blank": [], "spaces": ["  "],
+                      "comment": ["#", *cells[1:]], "extra": cells + ["1"],
+                      "short": cells[:-1]}[kind])
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(",".join(line) for line in [header, *lines])
+    if draw(st.booleans()):
+        text += newline
+    return text, {"label_column": roles[0], "class_column": roles[1]}
+
+
+def load_outcome(path, **kwargs):
+    """load_csv's arrays as bytes, or its DataFormatError message."""
+    try:
+        ds = load_csv(path, **kwargs)
+    except DataFormatError as exc:
+        return str(exc)
+    return [None if a is None else (a.dtype.str, a.shape, a.tobytes())
+            for a in (ds.features, ds.labels, ds.class_ids)]
+
+
+class TestCsvFastPath:
+    """numpy's C reader gives what the csv rescan gives, or no answer."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=csv_files())
+    def test_reader_and_rescan_agree(self, tmp_path, case):
+        text, kwargs = case
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        fast = load_outcome(path, **kwargs)
+        with mock.patch.object(data_module, "_load_numeric", lambda path, width: None):
+            assert load_outcome(path, **kwargs) == fast
+
+    @pytest.mark.filterwarnings("error")  # numpy warns when it finds no row
+    @pytest.mark.parametrize("text, numpy_answers", [
+        ("a,b\n1,2\n\n3,4\n", False),    # an empty line numpy skips
+        ("a,b\n1,2\r3,4\n\n", False),    # ... after a lone CR: equal "\n" counts
+        ("a,b\n\n", False),              # no row but an empty line
+        ("a,b\n1,2,3\n4,5,6\n", False),   # every row one field too long
+        ("a\n1\n2", True),               # no final newline
+        ("a,b\r\n1,2\r\n", True),        # CRLF
+    ])
+    def test_reader_answers_only_where_it_agrees(self, tmp_path, text, numpy_answers):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode("ascii"))
+        width = len(text.splitlines()[0].split(","))
+        assert (data_module._load_numeric(path, width) is not None) == numpy_answers
+        fast = load_outcome(path)
+        with mock.patch.object(data_module, "_load_numeric", lambda path, width: None):
+            assert load_outcome(path) == fast
+
+    def test_clean_file_never_reaches_the_rescan(self, tmp_path, monkeypatch):
+        # a silent fallback to the slow parser would lose the fast path's gain
+        spec = "ring(n=3000, radius=1, noise=0.05) + box(n=300, low=-2.5, high=2.5)"
+        ds = synth_generate(spec, RunRng(0).stream("score-input"))
+        path = tmp_path / "input.csv"
+        write_csv(path, ds)
+
+        def no_rescan(*args):
+            raise AssertionError("the rescan ran on a clean file")
+
+        monkeypatch.setattr(data_module, "_parse_cells", no_rescan)
+        back = load_csv(path, label_column="label")
+        assert back.features.tobytes() == ds.features.tobytes()
+        np.testing.assert_array_equal(back.labels, ds.labels)
+
+
+def fixed_dataset(n=40_000):
+    """Features of exactly rounded arithmetic, so equal on every platform."""
+    k = np.arange(3 * n, dtype=np.float64).reshape(n, 3)
+    features = (k * 1.1 - 7e4) / 3.0 * np.array([1.0, 1e-9, 1e15])
+    rows = np.arange(n)
+    return Dataset(features, labels=(rows % 7 == 0).astype(np.int64),
+                   class_ids=rows % 10 - 3)
+
+
+# the bytes of write_csv(fixed_dataset()) from the formatting loop that
+# write_table replaced
+FIXED_DATASET_SHA256 = (
+    "c15e7ad3186f370bcc886845eb3aec99f0a84e707d9f6f2ba8d800dd5032b81b")
+
+
+class TestTableWriter:
+    """write_table formats the second half of a large table in a child."""
+
+    HEADER = ["i", "e", "x", "q"]
+
+    @pytest.fixture
+    def child_on(self, monkeypatch):
+        monkeypatch.setattr(data_module, "FORMAT_CHILD_MIN_ROWS", 0)
+        monkeypatch.setattr(data_module, "usable_cpus", lambda: 2)
+
+    @staticmethod
+    def columns(n):
+        rng = np.random.default_rng(n)
+        floats = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+        edge = min(n, len(EDGE_FLOATS))
+        floats[:edge] = EDGE_FLOATS[:edge]
+        return [np.arange(n), None, floats, rng.integers(-2**63, 2**63 - 1, n)]
+
+    def write_both(self, tmp_path, monkeypatch, n):
+        """The bytes written with the child as set up, then without it."""
+        write_table(tmp_path / "a.csv", self.HEADER, self.columns(n), n)
+        monkeypatch.setattr(data_module, "FORMAT_CHILD_MIN_ROWS", 10**9)
+        write_table(tmp_path / "b.csv", self.HEADER, self.columns(n), n)
+        return (tmp_path / "a.csv").read_bytes(), (tmp_path / "b.csv").read_bytes()
+
+    def test_child_text_equals_in_process_text(self):
+        columns = self.columns(9000)
+        rows = range(4000, 9000)
+        with data_module._start_formatter(columns, rows) as child:
+            out = child.stdout.read()
+        assert child.returncode == 0
+        assert out.decode("ascii") == "".join(text_blocks(columns, rows))
+
+    @pytest.mark.parametrize("n", [1, 2, 4097, 9000])
+    def test_child_and_in_process_files_are_equal(self, tmp_path, monkeypatch,
+                                                  child_on, n):
+        with_child, alone = self.write_both(tmp_path, monkeypatch, n)
+        assert with_child == alone
+
+    @pytest.mark.parametrize("script", [
+        None,                                  # the interpreter does not exist
+        "#!/bin/sh\nexit 1\n",                 # it fails before reading
+        "#!/bin/sh\ncat >/dev/null\nexit 1\n",  # ... after reading
+        "#!/bin/sh\ncat >/dev/null\necho 0,,0.5,1\n",  # too few lines
+        # all 2500 lines of its half, but a failed exit
+        "#!/bin/sh\ncat >/dev/null\nyes 0,,0.5,1 | head -n 2500\nexit 1\n",
+    ])
+    def test_failed_child_gives_the_same_bytes(self, tmp_path, monkeypatch,
+                                               child_on, script):
+        interpreter = tmp_path / "python"
+        if script is not None:
+            interpreter.write_text(script)
+            interpreter.chmod(0o755)
+        monkeypatch.setattr(data_module.sys, "executable", str(interpreter))
+        with_child, alone = self.write_both(tmp_path, monkeypatch, 5000)
+        assert with_child == alone
+
+    @pytest.mark.parametrize("child", [False, True])
+    def test_write_csv_bytes_are_pinned(self, tmp_path, monkeypatch, child):
+        monkeypatch.setattr(data_module, "FORMAT_CHILD_MIN_ROWS",
+                            0 if child else 10**9)
+        monkeypatch.setattr(data_module, "usable_cpus", lambda: 2)
+        write_csv(tmp_path / "d.csv", fixed_dataset())
+        digest = hashlib.sha256((tmp_path / "d.csv").read_bytes()).hexdigest()
+        assert digest == FIXED_DATASET_SHA256
+
+    def test_columns_of_unequal_length_rejected(self, tmp_path):
+        with pytest.raises(ShapeError, match="equal length"):
+            write_table(tmp_path / "t.csv", ["a", "b"], [np.zeros(3), np.zeros(4)], 3)
 
 
 class TestIdx:

@@ -70,7 +70,32 @@ class TestDenseForward:
     def test_nonfinite_output_rejected(self):
         layer = DenseLayer(np.full((1, 1), 1e308), np.zeros(1), Activation.IDENTITY)
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
-            layer.forward(np.full((1, 1), 1e308))
+            Network([layer]).forward(np.full((1, 1), 1e308))
+
+    @pytest.mark.parametrize("train", [False, True])
+    @pytest.mark.parametrize("batch_norm", [False, True])
+    def test_nan_weight_in_a_hidden_layer_rejected(self, train, batch_norm):
+        # only the network output is checked; a NaN must reach it
+        net = mlp([3, 6, 5, 2], np.random.default_rng(0))
+        if batch_norm:
+            net = Network(net.layers + [BatchNormLayer(2)])
+        net.layers[1].weights[2, 4] = np.nan
+        x = np.random.default_rng(1).standard_normal((8, 3))
+        with pytest.raises(NonFiniteError, match="network output"):
+            net.forward(x, train=train)
+
+    @pytest.mark.parametrize("train", [False, True])
+    @pytest.mark.parametrize("batch_norm", [False, True])
+    def test_inf_at_an_identity_layer_rejected(self, train, batch_norm):
+        # the identity output layer overflows; batch norm after it (as in
+        # the encoder) turns the inf into inf or NaN, never a finite value
+        hidden = DenseLayer(np.eye(2), np.zeros(2), Activation.TANH)
+        out = DenseLayer(np.full((2, 2), 1e308), np.zeros(2), Activation.IDENTITY)
+        layers = [hidden, out] + ([BatchNormLayer(2)] if batch_norm else [])
+        x = np.array([[3.0, 4.0], [5.0, 3.0]])  # tanh > 0.99: sums pass 1.8e308
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteError, match="network output"):
+            Network(layers).forward(x, train=train)
 
     @pytest.mark.parametrize("activation", list(Activation))
     def test_eval_forward_is_pure_and_matches_train(self, activation):
