@@ -7,7 +7,6 @@ package error. Any other exception propagates.
 """
 
 import argparse
-import csv
 import json
 import logging
 import os
@@ -19,6 +18,7 @@ from cance import evaluation
 from cance.config import RunConfig, load_config
 from cance.data import (
     Dataset,
+    csv_rows,
     load_csv,
     load_embeddings,
     synth_generate,
@@ -26,7 +26,8 @@ from cance.data import (
     write_table,
 )
 from cance.errors import CanceError, ConfigError
-from cance.pipeline import REPORT_FILE, load_run, run_pipeline, save_run
+from cance.pipeline import (REPORT_FILE, blas_summary, load_run, run_pipeline,
+                            save_run, score_blocks)
 from cance.rng import RunRng
 
 log = logging.getLogger(__name__)
@@ -67,8 +68,8 @@ def _load_input(path, ignore_columns) -> Dataset:
         return load_embeddings(path)
     with open(path, newline="") as fh:
         # the header is split as load_csv splits it, quoted commas included
-        header = next(csv.reader([fh.readline()]), [])
-        has_rows = bool(fh.readline().strip())
+        header = next(csv_rows(path, [fh.readline()]), [])
+        has_rows = any(map(str.strip, fh))  # reads up to the first non-blank line
     features = [c for c in (h.strip() for h in header) if c not in ignore_columns]
     if not has_rows:
         return Dataset(np.empty((0, len(features))))
@@ -106,9 +107,9 @@ def cmd_score(args) -> int:
             f"input has {dataset.dim} features, model expects "
             f"{compression.input_dim}"
         )
-    print(f"scoring on {evaluation.blas_summary()}", file=sys.stderr)
-    z, scores = evaluation.score_blocks(compression, estimator,
-                                        normalizer.transform(dataset).features)
+    print(f"scoring on {blas_summary()}", file=sys.stderr)
+    z, scores = score_blocks(compression, estimator,
+                             normalizer.transform(dataset).features)
     write_scores(args.output, scores, z_e=z[:, -2], z_c=z[:, -1])
     print(f"{dataset.n} rows scored -> {args.output}")
     return EXIT_OK
@@ -126,12 +127,9 @@ def _print_report(report_summary: dict) -> None:
 
 def _score_persister(outdir, prefix=""):
     def persist(seed, artifacts):
-        write_scores(
-            os.path.join(outdir, f"scores-{prefix}seed{seed}.csv"),
-            artifacts.test_scores,
-            z_e=artifacts.z_test[:, -2],
-            z_c=artifacts.z_test[:, -1],
-        )
+        z = artifacts.z_test
+        write_scores(os.path.join(outdir, f"scores-{prefix}seed{seed}.csv"),
+                     artifacts.test_scores, z_e=z[:, -2], z_c=z[:, -1])
 
     return persist
 

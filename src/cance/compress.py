@@ -48,10 +48,6 @@ def reconstruction_features(x: np.ndarray, x_rec: np.ndarray, real_rows=None):
     return z_e, np.clip(z_c, 0.0, 1.0)
 
 
-def pack_composite(latent: np.ndarray, z_e: np.ndarray, z_c: np.ndarray) -> np.ndarray:
-    return np.column_stack([latent, z_e, z_c])
-
-
 def covariance_loss(latent_batch: np.ndarray) -> float:
     """Mean squared off-diagonal entry of the biased sample covariance."""
     z = np.asarray(latent_batch, dtype=np.float64)
@@ -156,7 +152,7 @@ class AutoencoderModel:
         z_l = self.latents(x)
         x_rec = self.decoder.forward(z_l, train=False)
         z_e, z_c = reconstruction_features(x, x_rec, real_rows)
-        return pack_composite(z_l, z_e, z_c)
+        return np.column_stack([z_l, z_e, z_c])
 
     def to_container(self):
         meta = {
@@ -305,7 +301,7 @@ class PcaModel:
         z_l = self.latents(x)
         x_rec = self.mean + z_l @ self.components
         z_e, z_c = reconstruction_features(x, x_rec, real_rows)
-        return pack_composite(z_l, z_e, z_c)
+        return np.column_stack([z_l, z_e, z_c])
 
     def to_container(self):
         meta = {"input_dim": self.input_dim, "latent_dim": self.latent_dim}

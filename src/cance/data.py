@@ -100,6 +100,16 @@ def _integral(values):
     return (np.trunc(values) == values) & (np.abs(values) < 2.0**63)
 
 
+def csv_rows(path, lines):
+    """The rows `csv.reader` splits `lines` into; a csv.Error (a field over
+    the reader's size limit, say) raises DataFormatError naming `path`."""
+    reader = csv.reader(lines)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def _parse_cells(path, cells, columns, n_features, rows: range):
     """Data rows `rows` (0-based), one cell per column in turn, as a float64
     matrix. The first cell, in file order, that is not a number, or not an
@@ -159,7 +169,7 @@ def load_csv(path, feature_columns=None, label_column=None, class_column=None,
     time, and values are always those of `float`.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv_rows(path, fh)
         try:
             header = next(reader)
         except StopIteration:
@@ -681,7 +691,7 @@ def load_recipe_dataset(recipe_path, data_path) -> Dataset:
 
     features, labels = [], []
     with open(data_path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
+        for lineno, row in enumerate(csv_rows(data_path, fh), start=1):
             if not row:
                 continue
             values = []

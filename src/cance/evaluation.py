@@ -1,22 +1,18 @@
-"""Metrics, block scoring and repeated-run experiment orchestration."""
+"""Metrics and repeated-run experiment orchestration."""
 
 import copy
-import ctypes
 import logging
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
-from functools import cache, partial
-from pathlib import Path
+from functools import partial
 
 import numpy as np
 
+from cance import pipeline
 from cance.config import RunConfig
 from cance.data import usable_cpus as _usable_cpus
 from cance.errors import CanceError, ShapeError
-from cance.nce import train_estimator
-from cance.pipeline import prepare_features, run_pipeline
-from cance.rng import RunRng
+from cance.pipeline import fit_estimator, prepare_features, run_pipeline, score_blocks
 
 log = logging.getLogger(__name__)
 
@@ -134,74 +130,6 @@ def _score_metrics(scores, labels, contamination: float) -> dict:
     return metrics
 
 
-@cache
-def _openblas():
-    """The OpenBLAS library numpy ships, or None."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in sorted(libs.glob("*openblas*")):
-        try:
-            handle = ctypes.CDLL(str(lib))
-            handle.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
-            handle.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
-            handle.scipy_openblas_get_config64_.restype = ctypes.c_char_p
-        except (OSError, AttributeError):
-            continue
-        return handle
-    return None
-
-
-def _openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS numpy ships, or None."""
-    lib = _openblas()
-    return lib and (lib.scipy_openblas_get_num_threads64_,
-                    lib.scipy_openblas_set_num_threads64_)
-
-
-@contextmanager
-def single_blas_thread():
-    """Pin numpy's OpenBLAS to one thread, process-wide, and restore the
-    previous count on exit, also on error; without it, pin nothing."""
-    get, set_ = _openblas_threads() or (lambda: None, lambda threads: None)
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
-
-
-SCORE_BLOCK = 2048
-
-
-def blas_summary() -> str:
-    """The BLAS that `score_blocks` runs on, its threads and its block size."""
-    lib = _openblas()
-    name = lib.scipy_openblas_get_config64_().decode() if lib else "unknown BLAS"
-    threads = "1 BLAS thread" if _openblas_threads() else "BLAS threads not pinned"
-    return f"{' '.join(name.split())}; {threads}; blocks of {SCORE_BLOCK} rows"
-
-
-def score_blocks(compression, estimator, x):
-    """(composite features, scores) of normalized rows, computed in blocks
-    of SCORE_BLOCK rows with OpenBLAS on one thread.
-
-    The last block is padded with copies of its first row, so every forward
-    has one shape and a row's bits do not depend on the rows around it.
-    """
-    n = x.shape[0]
-    z, scores = np.empty((n, compression.latent_dim + 2)), np.empty(n)
-    with single_blas_thread():
-        for start in range(0, n, SCORE_BLOCK):
-            block = x[start:start + SCORE_BLOCK]
-            rows = len(block)
-            pad = np.repeat(block[:1], SCORE_BLOCK - rows, axis=0)
-            block = np.concatenate([block, pad])
-            zb = compression.composite(block, real_rows=rows)
-            z[start:start + rows] = zb[:rows]
-            scores[start:start + rows] = estimator.score(zb)[:rows]
-    return z, scores
-
-
 def _outcome(key, job):
     """The job's result, or the CanceError it raised."""
     try:
@@ -222,9 +150,9 @@ def run_jobs(jobs) -> dict:
     """
     jobs = list(jobs)
     workers = min(len(jobs), _usable_cpus())
-    if workers < 2 or _openblas_threads() is None:
+    if workers < 2 or pipeline._openblas_threads() is None:
         return {key: _outcome(key, job) for key, job in jobs}
-    with single_blas_thread(), ThreadPoolExecutor(workers) as pool:
+    with pipeline.single_blas_thread(), ThreadPoolExecutor(workers) as pool:
         futures = [pool.submit(_outcome, key, job) for key, job in jobs]
         try:
             wait(futures, return_when=FIRST_EXCEPTION)
@@ -298,20 +226,16 @@ def run_unimodal_sweep(config: RunConfig, repeats: int | None = None,
 
 
 def _variant_metrics(config: RunConfig, seed: int, variant: str, features) -> dict:
-    """Score one variant on one seed's features; all but Error fit an estimator."""
-    *_, test, z_train, z_val, z_test = features
+    """Score one variant on one seed's features: Error by the squared error,
+    the others by an estimator fitted on their composite columns."""
+    _, compression, _, test, _, _, x_test = features
     if variant == "Error":
-        return _score_metrics(z_test[:, -2], test.labels, config.eval.contamination)
-    cols = slice(config.compress.latent_dim if variant == "LatNCE" else None)
-    rng = RunRng(seed)
-    estimator, _ = train_estimator(
-        z_train[:, cols],
-        z_val[:, cols],
-        replace(config.nce, augmentation=(variant == "CANCE")),
-        *(rng.stream(f"nce-{part}-{variant}") for part in ("init", "train", "val")),
-    )
-    return _score_metrics(estimator.score(z_test[:, cols]), test.labels,
-                          config.eval.contamination)
+        scores = score_blocks(compression, None, x_test)[0][:, -2]
+    else:
+        cols = slice(config.compress.latent_dim if variant == "LatNCE" else None)
+        nce = replace(config.nce, augmentation=(variant == "CANCE"))
+        scores = fit_estimator(features, nce, seed, f"-{variant}", cols)[-1]
+    return _score_metrics(scores, test.labels, config.eval.contamination)
 
 
 def run_ablation(config: RunConfig, repeats: int | None = None) -> dict:
@@ -321,9 +245,10 @@ def run_ablation(config: RunConfig, repeats: int | None = None) -> dict:
     columns fed to the estimator and the augmentation flag differ. Error
     needs no estimator: its score is the squared-error feature itself.
 
-    Two job lists: the features of every seed, then the LatNCE, CNCE and
-    CANCE fits of every seed. Each fit draws from its own named streams, so
-    the reports do not depend on the number of workers.
+    Two job lists: the features of every seed, then the four variants of
+    every seed. Each fit draws from its own named streams, so the reports
+    do not depend on the number of workers. A seed whose features failed
+    has no variant jobs; its CanceError is the outcome of every variant.
     """
     seeds = _seeds(config, repeats)
     features = run_jobs((seed, partial(prepare_features, config, seed))
@@ -331,19 +256,10 @@ def run_ablation(config: RunConfig, repeats: int | None = None) -> dict:
     fits = run_jobs(
         ((seed, variant), partial(_variant_metrics, config, seed, variant, feats))
         for seed, feats in features.items() if not isinstance(feats, CanceError)
-        for variant in ABLATION_VARIANTS[1:]
+        for variant in ABLATION_VARIANTS
     )
-
-    def outcome(seed, variant):
-        feats = features[seed]
-        if isinstance(feats, CanceError):
-            return feats
-        if variant == "Error":
-            return _variant_metrics(config, seed, variant, feats)
-        return fits[seed, variant]
-
     return {
-        variant: _report(config, seeds, [outcome(seed, variant) for seed in seeds],
-                         f"/{variant}")
+        variant: _report(config, seeds, [fits.get((seed, variant), features[seed])
+                                         for seed in seeds], f"/{variant}")
         for variant in ABLATION_VARIANTS
     }

@@ -3,12 +3,16 @@
 Stages: load or generate data, carve a normal-only training pool with a
 labeled test set, split off validation, normalize with train statistics,
 fit the compression model, extract composite features, train the
-estimator, and score.
+estimator, and score in the fixed blocks of `score_blocks`, as `cance score`.
 """
 
+import ctypes
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 
@@ -16,7 +20,7 @@ from cance.compress import AutoencoderModel, PcaModel, fit_pca, train_autoencode
 from cance.config import RunConfig
 from cance.data import Dataset, Normalizer, load_benchmark, split_train_val
 from cance.errors import ConfigError, ModelFormatError, ShapeError
-from cance.nce import EstimatorModel, train_estimator
+from cance.nce import EstimatorModel, NceConfig, train_estimator
 from cance.nn.serialize import load_container, save_container
 from cance.rng import RunRng
 
@@ -37,9 +41,10 @@ def prepare_features(config: RunConfig, seed: int):
     """The feature path every run shares, up to the estimator.
 
     Loads the benchmark, splits off validation, normalizes with train
-    statistics, fits the compression model and extracts composite features.
-    Returns (normalizer, compression, compression_history, test,
-    z_train, z_val, z_test).
+    statistics, fits the compression model and extracts the composite
+    features of the training and validation rows. Returns (normalizer,
+    compression, compression_history, test, z_train, z_val, x_test), where
+    x_test are the normalized test features, for `score_blocks`.
     """
     rng = RunRng(seed)
     train_pool, test = load_benchmark(config.dataset, rng)
@@ -56,8 +61,77 @@ def prepare_features(config: RunConfig, seed: int):
     )
     z_train = compression.composite(train_n.features)
     z_val = compression.composite(val_n.features)
-    z_test = compression.composite(test_n.features)
-    return normalizer, compression, history, test, z_train, z_val, z_test
+    return normalizer, compression, history, test, z_train, z_val, test_n.features
+
+
+@cache
+def _openblas():
+    """The OpenBLAS library numpy ships, or None."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        try:
+            handle = ctypes.CDLL(str(lib))
+            handle.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+            handle.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+            handle.scipy_openblas_get_config64_.restype = ctypes.c_char_p
+        except (OSError, AttributeError):
+            continue
+        return handle
+    return None
+
+
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS numpy ships, or None."""
+    lib = _openblas()
+    return lib and (lib.scipy_openblas_get_num_threads64_,
+                    lib.scipy_openblas_set_num_threads64_)
+
+
+@contextmanager
+def single_blas_thread():
+    """Pin numpy's OpenBLAS to one thread, process-wide, and restore the
+    previous count on exit, also on error; without it, pin nothing."""
+    get, set_ = _openblas_threads() or (lambda: None, lambda threads: None)
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+SCORE_BLOCK = 2048
+
+
+def blas_summary() -> str:
+    """The BLAS that `score_blocks` runs on, its threads and its block size."""
+    lib = _openblas()
+    name = lib.scipy_openblas_get_config64_().decode() if lib else "unknown BLAS"
+    threads = "1 BLAS thread" if _openblas_threads() else "BLAS threads not pinned"
+    return f"{' '.join(name.split())}; {threads}; blocks of {SCORE_BLOCK} rows"
+
+
+def score_blocks(compression, estimator, x, cols=slice(None)):
+    """(composite features, scores) of normalized rows, computed in blocks
+    of SCORE_BLOCK rows with OpenBLAS on one thread. The estimator scores
+    the composite columns `cols`; without one (None) the scores are None.
+
+    The last block is padded with copies of its first row, so every forward
+    has one shape and a row's bits do not depend on the rows around it.
+    Every score after training is computed here.
+    """
+    n = x.shape[0]
+    z, scores = np.empty((n, compression.latent_dim + 2)), np.empty(n)
+    with single_blas_thread():
+        for start in range(0, n, SCORE_BLOCK):
+            block = x[start:start + SCORE_BLOCK]
+            rows = len(block)
+            pad = np.repeat(block[:1], SCORE_BLOCK - rows, axis=0)
+            zb = compression.composite(np.concatenate([block, pad]), real_rows=rows)
+            z[start:start + rows] = zb[:rows]
+            if estimator is not None:
+                scores[start:start + rows] = estimator.score(zb[:, cols])[:rows]
+    return z, None if estimator is None else scores
 
 
 @dataclass
@@ -74,19 +148,25 @@ class RunArtifacts:
     estimator_history: dict = field(default_factory=dict)
 
 
-def run_pipeline(config: RunConfig, seed: int) -> RunArtifacts:
-    normalizer, compression, comp_history, test, z_train, z_val, z_test = (
-        prepare_features(config, seed)
-    )
+def fit_estimator(features, nce: NceConfig, seed: int, tag="", cols=slice(None)):
+    """Train an estimator on the composite columns `cols` of the training and
+    validation rows of `prepare_features`, drawing from the streams
+    nce-init{tag}, nce-train{tag} and nce-val{tag}, and score the test rows.
+    Returns (estimator, history, z_test, test_scores)."""
+    _, compression, _, _, z_train, z_val, x_test = features
     rng = RunRng(seed)
-    estimator, est_history = train_estimator(
-        z_train,
-        z_val,
-        config.nce,
-        rng.stream("nce-init"),
-        rng.stream("nce-train"),
-        rng.stream("nce-val"),
+    estimator, history = train_estimator(
+        z_train[:, cols], z_val[:, cols], nce,
+        *(rng.stream(f"nce-{part}{tag}") for part in ("init", "train", "val")),
     )
+    return estimator, history, *score_blocks(compression, estimator, x_test, cols)
+
+
+def run_pipeline(config: RunConfig, seed: int) -> RunArtifacts:
+    features = prepare_features(config, seed)
+    normalizer, compression, comp_history, test, *_ = features
+    estimator, est_history, z_test, test_scores = fit_estimator(
+        features, config.nce, seed)
     return RunArtifacts(
         seed=seed,
         config_hash=config.hash(),
@@ -94,7 +174,7 @@ def run_pipeline(config: RunConfig, seed: int) -> RunArtifacts:
         normalizer=normalizer,
         estimator=estimator,
         test=test,
-        test_scores=estimator.score(z_test),
+        test_scores=test_scores,
         z_test=z_test,
         compression_history=comp_history,
         estimator_history=est_history,

@@ -8,15 +8,29 @@ import shutil
 import numpy as np
 import pytest
 
-from cance import evaluation
+from cance import pipeline
 from cance.cli import main, write_scores
 from cance._rows import WRITE_BLOCK_LINES
-from cance.data import Dataset, write_embeddings
-from cance.errors import NonFiniteError, ShapeError
+from cance.config import load_config
+from cance.data import (
+    Dataset,
+    load_benchmark,
+    load_csv,
+    write_csv,
+    write_embeddings,
+)
+from cance.errors import DataFormatError, NonFiniteError, ShapeError
 from cance.nce import EstimatorModel, NoiseModel
 from cance.nn import Activation, DenseLayer, Network
 from cance.nn.serialize import load_container, save_container
-from cance.pipeline import COMPRESSION_FILE, ESTIMATOR_FILE, NORMALIZER_FILE, load_run
+from cance.pipeline import (
+    COMPRESSION_FILE,
+    ESTIMATOR_FILE,
+    NORMALIZER_FILE,
+    SCORE_BLOCK,
+    load_run,
+)
+from cance.rng import RunRng
 from cance.stats import GaussianModel
 
 # shortest round-trip text switches to an exponent below 1e-4 and from
@@ -226,6 +240,20 @@ class TestTrainAndScore:
                      "-o", str(scores_csv)]) == 0
         assert scores_csv.read_text() == "id,z_e,z_c,score\n"
 
+    def test_score_blank_first_data_line_is_not_header_only(self, pca_run,
+                                                            tmp_path, capsys):
+        # only a file whose lines after the header are all blank has no rows
+        points, out = tmp_path / "blank.csv", tmp_path / "s.csv"
+        argv = ["score", "-m", str(pca_run / "model"), "-i", str(points),
+                "-o", str(out)]
+        points.write_text("f0,f1,label\n   \n0.1,0.2,0\n0.3,0.4,1\n")
+        assert main(argv) == 2
+        assert "blank.csv: row 2 has 1 fields" in capsys.readouterr().err
+        assert not out.exists()
+        points.write_text("f0,f1,label\n   \n\n")
+        assert main(argv) == 0
+        assert out.read_text() == "id,z_e,z_c,score\n"
+
     def test_score_rows_without_features_is_config_error(self, tiny_ini,
                                                          tmp_path, capsys):
         outdir = tmp_path / "run"
@@ -287,6 +315,24 @@ def pca_run(tmp_path_factory):
     return root
 
 
+LONG_FIELD = "x" * 140_000  # over the 131072 characters csv.reader allows
+
+
+@pytest.mark.parametrize("text", [
+    f"f0,f1,label\n0.1,0.2,0\n0.3,{LONG_FIELD},1\n",
+    f"f0,{LONG_FIELD},label\n0.1,0.2,0\n",
+], ids=["cell", "header"])
+def test_field_over_csv_limit_is_data_error(pca_run, tmp_path, capsys, text):
+    path = tmp_path / "long.csv"
+    path.write_text(text)
+    with pytest.raises(DataFormatError, match="long.csv: line .*field limit"):
+        load_csv(path)
+    assert main(["score", "-m", str(pca_run / "model"), "-i", str(path),
+                 "-o", str(tmp_path / "s.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: line ") and "Traceback" not in err
+
+
 class TestBlockScoring:
     def score(self, run, points, out):
         return main(["score", "-m", str(run / "model"), "-i", str(points),
@@ -306,12 +352,10 @@ class TestBlockScoring:
 
     def test_failure_in_a_block_exits_2_and_restores_blas(
             self, pca_run, tmp_path, monkeypatch, capsys):
-        import cance.evaluation as evaluation_module
-
         state = {"threads": 4, "seen": [], "calls": 0}
-        monkeypatch.setattr(evaluation_module, "_openblas_threads", lambda: (
+        monkeypatch.setattr(pipeline, "_openblas_threads", lambda: (
             lambda: state["threads"], lambda n: state.update(threads=n)))
-        monkeypatch.setattr(evaluation_module, "SCORE_BLOCK", 4)
+        monkeypatch.setattr(pipeline, "SCORE_BLOCK", 4)
         original = EstimatorModel.score
 
         def failing(self, z):
@@ -328,7 +372,7 @@ class TestBlockScoring:
         assert not out.exists()
 
     def test_blas_summary_on_stderr_only(self, pca_run, tmp_path, capsys):
-        blas = evaluation._openblas_threads()
+        blas = pipeline._openblas_threads()
         before = blas[0]() if blas else None
         out = tmp_path / "s.csv"
         assert self.score(pca_run, pca_run / "points.csv", out) == 0
@@ -336,7 +380,7 @@ class TestBlockScoring:
         assert captured.out == f"10 rows scored -> {out}\n"
         summary, = captured.err.splitlines()
         assert summary.startswith("scoring on ")
-        assert summary.endswith(f"; blocks of {evaluation.SCORE_BLOCK} rows")
+        assert summary.endswith(f"; blocks of {SCORE_BLOCK} rows")
         if blas:
             assert "OpenBLAS" in summary and "; 1 BLAS thread;" in summary
             assert blas[0]() == before
@@ -344,7 +388,7 @@ class TestBlockScoring:
     def test_without_blas_symbol_nothing_is_pinned(self, pca_run, tmp_path,
                                                    monkeypatch, capsys):
         assert self.score(pca_run, pca_run / "points.csv", tmp_path / "a.csv") == 0
-        monkeypatch.setattr(evaluation, "_openblas_threads", lambda: None)
+        monkeypatch.setattr(pipeline, "_openblas_threads", lambda: None)
         capsys.readouterr()
         assert self.score(pca_run, pca_run / "points.csv", tmp_path / "b.csv") == 0
         assert "; BLAS threads not pinned;" in capsys.readouterr().err
@@ -484,12 +528,36 @@ class TestWorkerCount:
         assert serial == pooled
 
 
+class TestEvalMatchesScore:
+    """`cance eval`'s score file of a seed is `cance score` on the same test
+    rows with `cance train`'s models: both come from the same padded blocks."""
+
+    @pytest.mark.parametrize("sets", [
+        ("compress.method=ae", "compress.hidden=64, 32"),
+        ("compress.method=pca",),
+    ], ids=["ae", "pca"])
+    def test_eval_score_file_equals_score_output(self, tiny_ini, tmp_path, sets):
+        sets = (*sets, "eval.repeats=1")
+        config = load_config(str(tiny_ini), sets)
+        args = ["-c", str(tiny_ini), *(arg for s in sets for arg in ("--set", s))]
+        _, test = load_benchmark(config.dataset, RunRng(config.eval.seed))
+        assert 0 < test.n < SCORE_BLOCK
+        write_csv(tmp_path / "test.csv", test)
+        assert main(["eval", *args, "-o", str(tmp_path / "eval")]) == 0
+        assert main(["train", *args, "-o", str(tmp_path / "model")]) == 0
+        assert main(["score", "-m", str(tmp_path / "model"),
+                     "-i", str(tmp_path / "test.csv"),
+                     "-o", str(tmp_path / "scores.csv")]) == 0
+        assert (tmp_path / "eval" / "scores-seed0.csv").read_bytes() == \
+            (tmp_path / "scores.csv").read_bytes()
+
+
 class TestEvalFailures:
     def test_programming_error_propagates(self, tiny_ini, tmp_path,
                                           monkeypatch):
         import cance.evaluation as evaluation_module
 
-        blas = evaluation_module._openblas_threads()
+        blas = pipeline._openblas_threads()
         before = blas[0]() if blas else None
         original = evaluation_module.run_pipeline
 

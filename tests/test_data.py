@@ -773,6 +773,13 @@ class TestRecipe:
         with pytest.raises(DataFormatError, match="row 2 has 2 columns"):
             load_recipe_dataset(recipe, raw)
 
+    def test_field_over_csv_limit_cites_file(self, tmp_path):
+        recipe = self.write_recipe(tmp_path)
+        raw = tmp_path / "raw.csv"
+        raw.write_text("A,0.5,1\nB," + "9" * 140_000 + ",9\n")
+        with pytest.raises(DataFormatError, match="raw.csv: line 2: field larger"):
+            load_recipe_dataset(recipe, raw)
+
     def test_missing_label_column_rejected(self, tmp_path):
         recipe = tmp_path / "r.ini"
         recipe.write_text("[recipe]\nnormal_values = 1\nanomaly_values = 9\n")

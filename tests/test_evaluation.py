@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cance import pipeline
 from cance.config import load_config
 from cance.errors import CanceError, NonFiniteError
 from cance.evaluation import (
@@ -214,16 +215,14 @@ class TestRunAblation:
         assert count["fits"] == 2  # one per seed, shared across variants
 
     def test_variant_feature_dims(self, monkeypatch):
-        import cance.evaluation as evaluation_module
-
         dims = {}
-        original = evaluation_module.train_estimator
+        original = pipeline.train_estimator
 
         def recording(train_z, val_z, cfg, *rngs, **kwargs):
             dims[train_z.shape[1]] = dims.get(train_z.shape[1], 0) + 1
             return original(train_z, val_z, cfg, *rngs, **kwargs)
 
-        monkeypatch.setattr(evaluation_module, "train_estimator", recording)
+        monkeypatch.setattr(pipeline, "train_estimator", recording)
         run_ablation(tiny_config(), repeats=1)
         # LatNCE trains on latent dim 2; CNCE and CANCE on 2+2
         assert dims == {2: 1, 4: 2}
@@ -249,8 +248,6 @@ class TestAblationFanOut:
         assert self.summary_text(pooled) == self.summary_text(reports)
 
     def fake_blas(self, monkeypatch, threads=4):
-        import cance.evaluation as evaluation_module
-
         state = {"threads": threads, "seen": set()}
 
         def get():
@@ -259,9 +256,8 @@ class TestAblationFanOut:
         def set_(n):
             state["threads"] = n
 
-        monkeypatch.setattr(evaluation_module, "_openblas_threads",
-                            lambda: (get, set_))
-        original = evaluation_module.train_estimator
+        monkeypatch.setattr(pipeline, "_openblas_threads", lambda: (get, set_))
+        original = pipeline.train_estimator
 
         def failing_cnce(train_z, val_z, cfg, *rngs):
             state["seen"].add(state["threads"])
@@ -269,7 +265,7 @@ class TestAblationFanOut:
                 raise NonFiniteError("synthetic CNCE failure")
             return original(train_z, val_z, cfg, *rngs)
 
-        monkeypatch.setattr(evaluation_module, "train_estimator", failing_cnce)
+        monkeypatch.setattr(pipeline, "train_estimator", failing_cnce)
         return state
 
     def test_blas_pinned_during_fits_and_restored_after_a_failed_variant(
@@ -299,9 +295,7 @@ class TestAblationFanOut:
         assert state["threads"] == 4
 
     def test_real_blas_thread_count_restored(self):
-        from cance.evaluation import _openblas_threads
-
-        blas = _openblas_threads()
+        blas = pipeline._openblas_threads()
         if blas is None:
             pytest.skip("numpy does not ship a known OpenBLAS")
         before = blas[0]()
@@ -312,10 +306,8 @@ class TestAblationFanOut:
                                                         reports):
         import threading
 
-        import cance.evaluation as evaluation_module
-
-        monkeypatch.setattr(evaluation_module, "_openblas_threads", lambda: None)
-        original = evaluation_module.train_estimator
+        monkeypatch.setattr(pipeline, "_openblas_threads", lambda: None)
+        original = pipeline.train_estimator
         lock = threading.Lock()
         active = {"now": 0, "max": 0}
 
@@ -329,7 +321,7 @@ class TestAblationFanOut:
                 with lock:
                     active["now"] -= 1
 
-        monkeypatch.setattr(evaluation_module, "train_estimator", counting)
+        monkeypatch.setattr(pipeline, "train_estimator", counting)
         result = self.run_with_workers(monkeypatch, 3)
         assert active["max"] == 1
         assert self.summary_text(result) == self.summary_text(reports)
@@ -345,7 +337,7 @@ def pooled(monkeypatch):
     def set_(n):
         state["threads"] = n
 
-    monkeypatch.setattr(evaluation_module, "_openblas_threads",
+    monkeypatch.setattr(pipeline, "_openblas_threads",
                         lambda: (lambda: state["threads"], set_))
     monkeypatch.setattr(evaluation_module, "_usable_cpus", lambda: 2)
     return state
@@ -479,7 +471,9 @@ class TestProgrammingErrorsPropagate:
     def test_type_error_leaves_run_ablation(self, pooled, monkeypatch, stage):
         import cance.evaluation as evaluation_module
 
-        original = getattr(evaluation_module, stage)
+        # each stage is patched where the ablation looks it up
+        module = evaluation_module if stage == "prepare_features" else pipeline
+        original = getattr(module, stage)
 
         def buggy(*args):
             if stage == "prepare_features" and args[1] == 1:
@@ -488,7 +482,7 @@ class TestProgrammingErrorsPropagate:
                 raise TypeError("synthetic bug")
             return original(*args)
 
-        monkeypatch.setattr(evaluation_module, stage, buggy)
+        monkeypatch.setattr(module, stage, buggy)
         with pytest.raises(TypeError, match="synthetic bug"):
             run_ablation(tiny_config(), repeats=2)
         assert pooled["threads"] == 4

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cance.cli import write_scores
 from cance.compress import AeConfig, AutoencoderModel, fit_pca
-from cance.evaluation import SCORE_BLOCK, score_blocks
+from cance.pipeline import SCORE_BLOCK, score_blocks
 from cance.nce import EstimatorModel, NoiseModel
 from cance.nn import mlp
 

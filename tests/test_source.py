@@ -111,3 +111,64 @@ def test_every_config_key_is_read_outside_validate():
     }
     sources = [path.read_text() for path in sorted(root.rglob("*.py"))]
     assert unread_fields(sources, sections) == []
+
+
+# the composite features of the training and validation rows, which the
+# estimator trains on; every score after training is computed in blocks
+TRAINING_COMPOSITES = {
+    ("prepare_features", "compression.composite(train_n.features)"),
+    ("prepare_features", "compression.composite(val_n.features)"),
+}
+
+
+def scoring_uses(source: str) -> list:
+    """(innermost function, text) of each use of a `.score` or `.composite`
+    attribute: the whole call where it is called, else the reference."""
+    tree = ast.parse(source)
+    calls = {id(n.func): n for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Attribute) and node.attr in ("score", "composite"):
+            found.append((where, ast.unparse(calls.get(id(node), node))))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "")
+    return found
+
+
+def outside_block_evaluator(source: str) -> list:
+    return [(where, text) for where, text in scoring_uses(source)
+            if where != "score_blocks" and (where, text) not in TRAINING_COMPOSITES]
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("def score_blocks(c, e, x):\n    return e.score(c.composite(x)[:, :2])\n", []),
+    ("def prepare_features(compression, train_n, val_n):\n"
+     "    return (compression.composite(train_n.features),\n"
+     "            compression.composite(val_n.features))\n", []),
+    ("def prepare_features(compression, test_n):\n"
+     "    return compression.composite(test_n.features)\n",
+     [("prepare_features", "compression.composite(test_n.features)")]),
+    ("def run(estimator, z):\n    return estimator.score(z)\n",
+     [("run", "estimator.score(z)")]),
+    ("def score_blocks(e, z):\n    def f(x):\n        return e.score(x)\n",
+     [("f", "e.score(x)")]),
+    ("scores = map(model.score, blocks)\n", [("", "model.score")]),
+    ("def run(report):\n    return report.scores, score(report)\n", []),
+])
+def test_guard_flags_scoring_outside_the_block_evaluator(source, flagged):
+    assert outside_block_evaluator(source) == flagged
+
+
+def test_scores_come_only_from_the_block_evaluator():
+    # so a row's score depends on the row and the model alone, in every command
+    root = Path(cance.__file__).parent
+    found = [(str(path.relative_to(root)), *use)
+             for path in sorted(root.rglob("*.py"))
+             for use in (scoring_uses(path.read_text()) if path.name != "pipeline.py"
+                         else outside_block_evaluator(path.read_text()))]
+    assert found == []
