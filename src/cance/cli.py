@@ -43,8 +43,6 @@ EXIT_PARTIAL = 3
 def _resolve_outdir(explicit: str, config: RunConfig) -> str:
     if explicit:
         return explicit
-    if config.output.dir:
-        return config.output.dir
     root = os.environ.get(OUTPUT_ROOT_ENV, "cance-runs")
     name = config.dataset.name or config.dataset.kind
     return os.path.join(root, f"{name}-{config.hash()}")
@@ -96,7 +94,7 @@ def cmd_train(args) -> int:
 
 def cmd_score(args) -> int:
     compression, estimator, normalizer, _, _ = load_run(args.model_dir)
-    ignore = set(filter(None, (args.ignore_columns or "label,class").split(",")))
+    ignore = set(filter(None, args.ignore_columns.split(",")))
     dataset = _load_input(args.input, ignore)
     if dataset.n == 0:
         write_scores(args.output, np.empty(0))

@@ -92,7 +92,6 @@ class AeConfig:
     epochs: int = 40
     lr: float = 1e-4
     batch_size: int = 256
-    weight_decay: float = 0.0
 
     def __post_init__(self):
         self.validate()
@@ -111,8 +110,6 @@ class AeConfig:
             raise ConfigError("compress.lr must be positive")
         if self.batch_size < 1:
             raise ConfigError("compress.batch_size must be >= 1")
-        if self.weight_decay < 0:
-            raise ConfigError("compress.weight_decay must be >= 0")
 
 
 class AutoencoderModel:
@@ -228,14 +225,14 @@ def train_autoencoder(
         decoder_opt.step(dec.parameters(), dec.gradients())
 
     params = enc.parameters() + dec.parameters()
-    joint_opt = AdamW(params, lr=config.lr, weight_decay=config.weight_decay)
+    joint_opt = AdamW(params, lr=config.lr)
     _, best1, diverged1 = fit_epochs(
         stage1_epochs, n, batch, rng_shuffle, joint_step, val_loss,
         {**enc.state("enc"), **dec.state("dec")}, history["stage1_val"],
     )
     # stage 2: the encoder is frozen on eval statistics, so the checkpoints
     # need only the decoder
-    decoder_opt = AdamW(dec.parameters(), lr=config.lr, weight_decay=config.weight_decay)
+    decoder_opt = AdamW(dec.parameters(), lr=config.lr)
     _, best2, diverged2 = fit_epochs(
         config.epochs - stage1_epochs, n, batch, rng_shuffle, decoder_step,
         lambda: val_loss(include_cov=False), dec.state(),

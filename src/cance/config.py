@@ -20,23 +20,12 @@ class EvalSection:
     repeats: int = 5
     seed: int = 0
     val_fraction: float = 0.2
-    contamination: float = 0.0  # 0 means "use the true test anomaly rate"
 
     def validate(self):
         if self.repeats < 1:
             raise ConfigError("eval.repeats must be >= 1")
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigError("eval.val_fraction must be in (0,1)")
-        if not 0.0 <= self.contamination < 1.0:
-            raise ConfigError("eval.contamination must be in [0,1)")
-
-
-@dataclass
-class OutputSection:
-    dir: str = ""
-
-    def validate(self):
-        pass
 
 
 @dataclass
@@ -45,7 +34,6 @@ class RunConfig:
     compress: AeConfig = field(default_factory=AeConfig)
     nce: NceConfig = field(default_factory=NceConfig)
     eval: EvalSection = field(default_factory=EvalSection)
-    output: OutputSection = field(default_factory=OutputSection)
 
     def validate(self) -> "RunConfig":
         for sec_field in fields(self):
@@ -107,7 +95,8 @@ def _coerce(section_name: str, key: str, raw: str, target_type):
 
 def _apply(config: RunConfig, section_name: str, key: str, raw: str) -> None:
     if section_name not in _SECTIONS:
-        raise ConfigError(f"unknown config section [{section_name}]")
+        raise ConfigError(f"unknown key {section_name}.{key} "
+                          f"(unknown config section [{section_name}])")
     section = getattr(config, section_name)
     if key not in {f.name for f in fields(section)}:
         raise ConfigError(f"unknown key {section_name}.{key}")

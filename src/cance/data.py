@@ -175,6 +175,9 @@ def load_csv(path, feature_columns=None, label_column=None, class_column=None,
         except StopIteration:
             raise DataFormatError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        if len(set(header)) < len(header):
+            repeated = next(h for i, h in enumerate(header) if h in header[:i])
+            raise DataFormatError(f"{path}: column {repeated!r} appears twice")
         for col in filter(None, (label_column, class_column)):
             if col not in header:
                 raise DataFormatError(f"{path}: missing column {col!r}")
@@ -373,17 +376,17 @@ def load_embeddings(path, name=None) -> Dataset:
         n, dim, has_labels = struct.unpack(
             "<QQB", _read_exact(fh, 17, path, "header")
         )
-        payload = fh.read(n * dim * 8)
-        if len(payload) != n * dim * 8:
+        # the sizes are checked against the file before a read allocates them
+        declared = (n * dim + (n if has_labels else 0)) * 8
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left < declared:
             raise DataFormatError(
-                f"{path}: payload holds {len(payload)} bytes, header declares "
-                f"{n * dim * 8}"
+                f"{path}: payload holds {left} bytes, header declares {declared}"
             )
-        features = np.frombuffer(payload, dtype="<f8").reshape(n, dim)
+        features = np.frombuffer(fh.read(n * dim * 8), dtype="<f8").reshape(n, dim)
         class_ids = None
         if has_labels:
-            raw = _read_exact(fh, n * 8, path, "labels")
-            class_ids = np.frombuffer(raw, dtype="<i8").astype(np.int64)
+            class_ids = np.frombuffer(fh.read(n * 8), dtype="<i8").astype(np.int64)
     return Dataset(features.astype(np.float64), class_ids=class_ids,
                    name=name or str(path))
 
@@ -814,6 +817,10 @@ class DatasetConfig:
             if not getattr(self, key):
                 raise ConfigError(f"dataset.{key} required for {self.kind} data "
                                   f"with benchmark={self.benchmark}")
+        if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool)
+                   for c in self.normal_classes):
+            raise ConfigError(f"dataset.normal_classes: class ids must be integers, "
+                              f"got {self.normal_classes!r}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError("dataset.test_fraction must be in (0,1)")
         if self.normalization not in ("auto", "zscore", "minmax", "none"):

@@ -118,16 +118,12 @@ class ExperimentReport:
         }
 
 
-def _score_metrics(scores, labels, contamination: float) -> dict:
+def _score_metrics(scores, labels) -> dict:
+    """AUROC, and F1 at the test anomaly rate (in (0,1) once auroc passes)."""
     scored = ScoredSet(scores, labels)
-    rate = contamination
-    if rate <= 0.0:
-        rate = float(np.mean(scored.labels == 1))
-    metrics = {"auroc": auroc(scored)}
-    if 0.0 < rate < 1.0:
-        metrics["f1"] = f1_at_contamination(scored, rate)
-        metrics["contamination"] = rate
-    return metrics
+    rate = float(np.mean(scored.labels == 1))
+    return {"auroc": auroc(scored), "f1": f1_at_contamination(scored, rate),
+            "contamination": rate}
 
 
 def _outcome(key, job):
@@ -181,8 +177,7 @@ def _report(config: RunConfig, seeds, outcomes, suffix="") -> ExperimentReport:
 def _pipeline_metrics(config: RunConfig, seed: int, on_run) -> dict:
     """Fit and score one seed; only its metrics outlive the job."""
     artifacts = run_pipeline(config, seed)
-    metrics = _score_metrics(artifacts.test_scores, artifacts.test.labels,
-                             config.eval.contamination)
+    metrics = _score_metrics(artifacts.test_scores, artifacts.test.labels)
     if on_run is not None:
         on_run(seed, artifacts)
     return metrics
@@ -212,7 +207,7 @@ def run_unimodal_sweep(config: RunConfig, repeats: int | None = None,
         raise ValueError("sweep applies to unimodal benchmarks")
     seeds = _seeds(config, repeats)
     configs = {}
-    for cls in map(int, config.dataset.normal_classes):
+    for cls in config.dataset.normal_classes:
         configs[cls] = sub = copy.deepcopy(config)
         sub.dataset.normal_classes = (cls,)
         sub.dataset.name = f"{config.dataset.name or config.dataset.kind}/{cls}"
@@ -235,7 +230,7 @@ def _variant_metrics(config: RunConfig, seed: int, variant: str, features) -> di
         cols = slice(config.compress.latent_dim if variant == "LatNCE" else None)
         nce = replace(config.nce, augmentation=(variant == "CANCE"))
         scores = fit_estimator(features, nce, seed, f"-{variant}", cols)[-1]
-    return _score_metrics(scores, test.labels, config.eval.contamination)
+    return _score_metrics(scores, test.labels)
 
 
 def run_ablation(config: RunConfig, repeats: int | None = None) -> dict:

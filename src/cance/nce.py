@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cance.compress import check_widths
-from cance.errors import ConfigError, NonFiniteError, ShapeError
+from cance.errors import ConfigError, ModelFormatError, NonFiniteError, ShapeError
 from cance.nn import AdamW, Network, fit_epochs, mlp
 from cance.stats import (
     GaussianModel,
@@ -264,14 +264,11 @@ class NceConfig:
     widths: tuple = (64, 64)
     nu: float = 8.0
     lr: float = 1e-4
-    psi_lr: float = 0.0  # 0 means "same as lr"
-    weight_decay: float = 0.0
     epochs: int = 100
     batch_size: int = 256
     augmentation: bool = True
     adapt_noise: bool = True
     warmup_frac: float = 0.1
-    score_noise: str = "adapted"  # adapted | initial
 
     def __post_init__(self):
         self.validate()
@@ -282,36 +279,25 @@ class NceConfig:
             raise ConfigError("nce.nu must be positive")
         if self.lr <= 0:
             raise ConfigError("nce.lr must be positive")
-        if self.psi_lr < 0:
-            raise ConfigError("nce.psi_lr must be >= 0")
-        if self.weight_decay < 0:
-            raise ConfigError("nce.weight_decay must be >= 0")
         if self.epochs < 1:
             raise ConfigError("nce.epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("nce.batch_size must be >= 1")
         if not 0.0 <= self.warmup_frac <= 1.0:
             raise ConfigError("nce.warmup_frac must be in [0,1]")
-        if self.score_noise not in ("adapted", "initial"):
-            raise ConfigError(f"nce.score_noise: unknown mode {self.score_noise!r}")
 
 
 class EstimatorModel:
     """Trained classifier plus the frozen noise model it was trained against."""
 
-    def __init__(self, net: Network, noise: NoiseModel, score_noise: str = "adapted"):
+    def __init__(self, net: Network, noise: NoiseModel):
         if net.out_dim != 1:
             raise ShapeError("estimator network must have scalar output")
         if net.in_dim != noise.dim:
             raise ShapeError("estimator input dim != noise dim")
-        if score_noise not in ("adapted", "initial"):
-            raise ValueError(f"unknown score_noise {score_noise!r}")
         self.net = net
         self.noise = noise
-        self.score_noise = score_noise
-        self._score_gaussian = (
-            noise.base if score_noise == "initial" else noise.adapted_gaussian()
-        )
+        self._score_gaussian = noise.adapted_gaussian()
 
     @property
     def dim(self) -> int:
@@ -334,7 +320,6 @@ class EstimatorModel:
         meta = {
             "net": [layer.spec() for layer in self.net.layers],
             "nu": self.noise.nu,
-            "score_noise": self.score_noise,
             "has_psi": self.noise.psi is not None,
         }
         arrays = {"noise.mean": self.noise.base.mean, "noise.cov": self.noise.base.cov}
@@ -345,10 +330,15 @@ class EstimatorModel:
 
     @classmethod
     def from_container(cls, meta: dict, arrays: dict) -> "EstimatorModel":
+        # older files name the scoring density; only the adapted one is kept
+        if meta.get("score_noise", "adapted") != "adapted":
+            raise ModelFormatError(
+                f"score_noise {meta['score_noise']!r} is not supported; "
+                "scores use the adapted noise")
         net = Network.from_state(meta["net"], arrays, "net")
         base = GaussianModel(arrays["noise.mean"], arrays["noise.cov"])
         psi = arrays["noise.psi"] if meta["has_psi"] else None
-        return cls(net, NoiseModel(base, psi, meta["nu"]), meta["score_noise"])
+        return cls(net, NoiseModel(base, psi, meta["nu"]))
 
 
 def train_estimator(
@@ -399,13 +389,12 @@ def train_estimator(
         }
 
     net = mlp([dim, *config.widths, 1], init_rng)
-    opt_theta = AdamW(net.parameters(), lr=config.lr,
-                      weight_decay=config.weight_decay)
+    opt_theta = AdamW(net.parameters(), lr=config.lr)
     opt_psi, state = None, net.state()
     if noise_model.psi is not None:
         state["psi"] = noise_model.psi
         if config.adapt_noise:
-            opt_psi = AdamW([noise_model.psi], lr=config.psi_lr or config.lr)
+            opt_psi = AdamW([noise_model.psi], lr=config.lr)
 
     val_noise_base = noise_model.base.sample(
         max(1, int(round(config.nu * val_z.shape[0]))), val_rng
@@ -442,7 +431,7 @@ def train_estimator(
     )
     frozen = NoiseModel(noise_model.base, noise_model.psi, config.nu)
     history["k_diag"] = frozen.k_diag().tolist()
-    return EstimatorModel(net, frozen, config.score_noise), history
+    return EstimatorModel(net, frozen), history
 
 
 def _augmentation_margins(train_z, aug, noise_model) -> dict:

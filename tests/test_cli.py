@@ -333,6 +333,29 @@ def test_field_over_csv_limit_is_data_error(pca_run, tmp_path, capsys, text):
     assert err.startswith(f"error: {path}: line ") and "Traceback" not in err
 
 
+def test_score_repeated_column_name_is_data_error(pca_run, tmp_path, capsys):
+    path = tmp_path / "dup.csv"
+    path.write_text("f0,f0,label\n0.1,0.2,0\n0.3,0.4,1\n")
+    assert main(["score", "-m", str(pca_run / "model"), "-i", str(path),
+                 "-o", str(tmp_path / "s.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: column 'f0' appears twice\n"
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_score_empty_ignore_columns_keeps_every_column(pca_run, tmp_path):
+    points = (pca_run / "points.csv").read_text().splitlines()
+    assert points[0] == "f0,f1,label"
+    plain, named = tmp_path / "plain.csv", tmp_path / "named.csv"
+    plain.write_text("\n".join(["f0,f1", *(r.rsplit(",", 1)[0] for r in points[1:])]))
+    named.write_text(plain.read_text().replace("f0,f1", "f0,label", 1))
+    for path in (plain, named):
+        assert main(["score", "-m", str(pca_run / "model"), "-i", str(path),
+                     "-o", str(tmp_path / f"s-{path.name}"),
+                     "--ignore-columns", ""]) == 0
+    assert ((tmp_path / "s-plain.csv").read_bytes()
+            == (tmp_path / "s-named.csv").read_bytes())
+
+
 class TestBlockScoring:
     def score(self, run, points, out):
         return main(["score", "-m", str(run / "model"), "-i", str(points),
@@ -438,6 +461,10 @@ DOCTORED_FILES = {
     "score_noise-Adapted": (
         ESTIMATOR_FILE, "estimator",
         lambda meta, arrays: meta.update(score_noise="Adapted")),
+    # the base Gaussian is not the density the classifier was trained against
+    "score_noise-initial": (
+        ESTIMATOR_FILE, "estimator",
+        lambda meta, arrays: meta.update(score_noise="initial")),
     "noise-psi-of-5": (
         ESTIMATOR_FILE, "estimator",
         lambda meta, arrays: arrays.update({"noise.psi": np.zeros(5)})),
@@ -474,6 +501,20 @@ def test_score_doctored_model_file_is_runtime_error(ae_run, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and name in err
     assert "Traceback" not in err
+
+
+def test_score_with_estimator_naming_adapted_noise(ae_run, tmp_path):
+    """Older estimator files carry score_noise="adapted"; they score alike."""
+    model_dir = tmp_path / "model"
+    shutil.copytree(ae_run / "model", model_dir)
+    kind, meta, arrays = load_container(model_dir / ESTIMATOR_FILE)
+    assert "score_noise" not in meta
+    save_container(model_dir / ESTIMATOR_FILE, kind,
+                   {**meta, "score_noise": "adapted"}, arrays)
+    out = tmp_path / "s.csv"
+    assert main(["score", "-m", str(model_dir), "-i", str(ae_run / "points.csv"),
+                 "-o", str(out)]) == 0
+    assert out.read_bytes() == (ae_run / "scores.csv").read_bytes()
 
 
 class TestEvalAndAblate:

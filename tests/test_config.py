@@ -73,9 +73,6 @@ class TestParsing:
         "nce.widths=64, -1",
         "compress.hidden=64.5",
         "compress.hidden=0, 8",
-        "nce.psi_lr=-1",
-        "nce.weight_decay=-0.5",
-        "compress.weight_decay=-1",
         "nce.batch_size=0",
         "compress.batch_size=0",
     ])
@@ -83,6 +80,38 @@ class TestParsing:
         key = override.split("=")[0]
         with pytest.raises(ConfigError, match=key):
             load_config(None, [override])
+
+    # keys that only ever held one value; that value is now built in
+    @pytest.mark.parametrize("override", [
+        "nce.psi_lr=-1",
+        "nce.weight_decay=-0.5",
+        "compress.weight_decay=-1",
+        "nce.score_noise=initial",
+        "eval.contamination=0.1",
+        "output.dir=runs",
+    ])
+    def test_removed_key_is_unknown(self, tmp_path, capsys, override):
+        from cance.cli import main
+
+        dotted, value = override.split("=")
+        section, key = dotted.split(".")
+        path = tmp_path / "run.ini"
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"unknown key {dotted}"):
+            load_config(path)
+        capsys.readouterr()
+        assert main(["train", "-o", str(tmp_path / "out"), "--set", override]) == 1
+        assert f"unknown key {dotted}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("classes", ["1.5, 2", "2, 1.0"])
+    def test_fractional_normal_class_rejected(self, tmp_path, classes):
+        with pytest.raises(ConfigError, match="normal_classes"):
+            load_config(None, ["dataset.kind=csv",
+                               f"dataset.path={tmp_path / 'd.csv'}",
+                               "dataset.class_column=class",
+                               "dataset.benchmark=multimodal",
+                               f"dataset.normal_classes={classes}"])
 
     def test_empty_widths_allowed(self):
         config = load_config(None, ["nce.widths=", "compress.hidden="])
@@ -265,15 +294,13 @@ class TestSchema:
             },
             "compress": {
                 "method", "latent_dim", "lam", "hidden", "epochs", "lr",
-                "batch_size", "weight_decay",
+                "batch_size",
             },
             "nce": {
-                "widths", "nu", "lr", "psi_lr", "weight_decay", "epochs",
-                "batch_size", "augmentation", "adapt_noise", "warmup_frac",
-                "score_noise",
+                "widths", "nu", "lr", "epochs", "batch_size", "augmentation",
+                "adapt_noise", "warmup_frac",
             },
-            "eval": {"repeats", "seed", "val_fraction", "contamination"},
-            "output": {"dir"},
+            "eval": {"repeats", "seed", "val_fraction"},
         }
         config = RunConfig()
         actual = {
@@ -345,7 +372,7 @@ def layout_case(kind):
             {"type": "dense", "in": 4, "out": 3, "activation": "tanh"},
             {"type": "dense", "in": 3, "out": 1, "activation": "identity"},
         ],
-        "nu": 8.0, "score_noise": "adapted", "has_psi": True,
+        "nu": 8.0, "has_psi": True,
     }
     arrays = {
         "noise.mean": noise.base.mean, "noise.cov": noise.base.cov,

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 import cance.data as data_module
 from cance._rows import text_blocks
 from cance.data import (
+    EMBEDDINGS_MAGIC,
+    EMBEDDINGS_VERSION,
     SYNTH_KINDS,
     Dataset,
     load_recipe_dataset,
@@ -148,6 +150,13 @@ class TestCsv:
             else:
                 np.testing.assert_array_equal(got, want)
                 assert got.dtype == np.int64
+
+    @pytest.mark.parametrize("header", ["a,a,b", "a, a ,b", "b,a,a"])
+    def test_repeated_column_name_rejected(self, tmp_path, header):
+        path = tmp_path / "dup.csv"
+        path.write_text(f"{header}\n1,2,3\n4,5,6\n")
+        with pytest.raises(DataFormatError, match=r"dup.csv: column 'a' appears twice"):
+            load_csv(path)
 
     def test_header_only_file_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -495,6 +504,29 @@ class TestEmbeddings:
         path.write_bytes(raw[:-16])
         with pytest.raises(DataFormatError):
             load_embeddings(path)
+
+    def test_header_sizes_checked_before_reading(self, tmp_path):
+        # a read of the declared 2**63 bytes could neither be sized nor held
+        path = tmp_path / "e.emb"
+        path.write_bytes(EMBEDDINGS_MAGIC + struct.pack("<I", EMBEDDINGS_VERSION)
+                         + struct.pack("<QQB", 2**40, 2**20, 0) + bytes(24))
+        with pytest.raises(DataFormatError,
+                           match=f"payload holds 24 bytes, header declares {2**63}"):
+            load_embeddings(path)
+
+    def test_labels_counted_in_declared_size(self, tmp_path):
+        path = tmp_path / "e.emb"
+        write_embeddings(path, Dataset(np.ones((2, 3)), class_ids=np.array([0, 1])))
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(DataFormatError,
+                           match="payload holds 56 bytes, header declares 64"):
+            load_embeddings(path)
+
+    def test_trailing_bytes_allowed(self, tmp_path):
+        path = tmp_path / "e.emb"
+        write_embeddings(path, Dataset(np.ones((2, 3))))
+        path.write_bytes(path.read_bytes() + b"tail")
+        assert load_embeddings(path).features.tobytes() == np.ones((2, 3)).tobytes()
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "e.emb"

@@ -6,7 +6,6 @@ import pytest
 from cance.errors import NonFiniteError, ShapeError
 from cance.nce import (
     AugmentationParams,
-    EstimatorModel,
     NceConfig,
     NoiseModel,
     adapt_noise,
@@ -425,16 +424,6 @@ class TestScoring:
     def test_dim_mismatch_rejected(self, trained):
         with pytest.raises(ShapeError):
             trained.score(np.zeros((2, 5)))
-
-    def test_unknown_score_noise_rejected(self, trained):
-        with pytest.raises(ValueError, match="score_noise"):
-            EstimatorModel(trained.net, trained.noise, "Adapted")
-
-    def test_initial_noise_flag_changes_density(self, trained):
-        initial = EstimatorModel(trained.net, trained.noise, "initial")
-        z = np.array([[2.0, 2.0]])
-        if not np.allclose(trained.noise.k_diag(), 1.0):
-            assert initial.score(z)[0] != trained.score(z)[0]
 
     def test_save_load_round_trip_scores(self, trained, tmp_path):
         path = tmp_path / "estimator.model"
