@@ -1,12 +1,14 @@
 """CSV lines from numeric columns, with the standard library only.
 
-`cance.data` imports `text_blocks`. Run as `python -I -S _rows.py`, the
-module formats rows for `data.write_table`: stdin holds the line "<rows>
-<kinds>" (per column "d" float64, "q" int64 or "-" empty), then the native
-bytes of each non-empty column. The whole text is built before any of it
-is written, as a child that wrote as it went stalled on the pipe.
+`cance.data` imports `text_blocks`. Run as `python -I -S _rows.py DATA
+TEXT`, with DATA and TEXT two open file descriptors, the module formats
+chunks of rows for `data.write_table`: each stdin line "<offset> <rows>
+<kinds>" (per column "d" float64, "q" int64 or "-" empty) names the native
+bytes of a chunk's non-empty columns at <offset> in DATA. Their text is
+appended to TEXT, and its byte count printed on stdout, a line per chunk.
 """
 
+import os
 import sys
 from itertools import repeat
 
@@ -26,11 +28,14 @@ def text_blocks(columns, rows):
 
 
 if __name__ == "__main__":
-    head, _, body = sys.stdin.buffer.read().partition(b"\n")
-    rows, kinds = head.decode("ascii").split(" ")
-    size, view, columns = 8 * int(rows), memoryview(body), []
-    for kind in kinds:
-        columns.append(None if kind == "-" else view[:size].cast(kind))
-        view = view[size * (kind != "-"):]
-    text = "".join(text_blocks(columns, range(int(rows))))
-    sys.stdout.buffer.write(text.encode("ascii"))
+    data, text = map(int, sys.argv[1:])
+    for line in sys.stdin.buffer:
+        offset, rows, kinds = line.decode("ascii").split()
+        size, columns = 8 * int(rows), []
+        view = memoryview(os.pread(data, size * len(kinds.replace("-", "")), int(offset)))
+        for kind in kinds:
+            columns.append(None if kind == "-" else view[:size].cast(kind))
+            view = view[size * (kind != "-"):]
+        chunk = "".join(text_blocks(columns, range(int(rows)))).encode("ascii")
+        # a short write shows in the text that data.write_table checks
+        print(os.write(text, chunk), flush=True)

@@ -48,17 +48,19 @@ def _resolve_outdir(explicit: str, config: RunConfig) -> str:
     return os.path.join(root, f"{name}-{config.hash()}")
 
 
-def write_scores(path, scores, z_e=None, z_c=None) -> None:
+def write_scores(path, scores, z_e=None, z_c=None, fill=None) -> None:
     """Deterministic score CSV: id, z_e, z_c, score.
 
     Each float is written as the `repr` of its float64 (the shortest text
     that round-trips), and an absent z_e or z_c column as empty fields, so
-    the same scores always give the same bytes (see `data.write_table`).
+    the same scores always give the same bytes. `fill`, if given, fills the
+    columns while they are written (see `data.write_table`).
     """
     n = len(scores)
     columns = [None if v is None else np.asarray(v, dtype=np.float64)
                for v in (z_e, z_c, scores)]
-    write_table(path, ["id", "z_e", "z_c", "score"], [np.arange(n), *columns], n)
+    write_table(path, ["id", "z_e", "z_c", "score"], [np.arange(n), *columns], n,
+                fill)
 
 
 def _load_input(path, ignore_columns) -> Dataset:
@@ -106,9 +108,12 @@ def cmd_score(args) -> int:
             f"{compression.input_dim}"
         )
     print(f"scoring on {blas_summary()}", file=sys.stderr)
-    z, scores = score_blocks(compression, estimator,
-                             normalizer.transform(dataset).features)
-    write_scores(args.output, scores, z_e=z[:, -2], z_c=z[:, -1])
+    x = normalizer.transform(dataset).features
+    z, scores = np.empty((dataset.n, compression.latent_dim + 2)), np.empty(dataset.n)
+    # rows are scored while earlier ones are formatted
+    write_scores(args.output, scores, z_e=z[:, -2], z_c=z[:, -1], fill=lambda filled:
+                 score_blocks(compression, estimator, x, out=(z, scores),
+                              on_block=filled))
     print(f"{dataset.n} rows scored -> {args.output}")
     return EXIT_OK
 

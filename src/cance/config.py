@@ -120,6 +120,8 @@ def load_config(path=None, overrides=()) -> RunConfig:
         except configparser.Error as exc:
             raise ConfigError(f"malformed config {path}: {exc}") from exc
         for section_name in parser.sections():
+            if section_name not in _SECTIONS and not parser.items(section_name):
+                raise ConfigError(f"{path}: unknown config section [{section_name}]")
             for key, raw in parser.items(section_name):
                 _apply(config, section_name, key, raw)
     for override in overrides:

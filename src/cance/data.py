@@ -11,10 +11,13 @@ import re
 import struct
 import subprocess
 import sys
+import tempfile
 import warnings
-from contextlib import nullcontext
+from collections import deque
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
 from operator import itemgetter
 
 import numpy as np
@@ -28,9 +31,9 @@ IDX_LABELS_MAGIC = 0x00000801
 EMBEDDINGS_MAGIC = b"CEMB"
 EMBEDDINGS_VERSION = 1
 PARSE_BLOCK_ROWS = 1 << 16  # data rows whose cells load_csv's rescan holds as text
-# a formatter child costs about 25 ms (14 of them to start) on 2 CPUs; half
-# the rows of a score file repay that from about 24k rows
+# a formatter child costs about 25 ms (14 of them to start) on 2 CPUs
 FORMAT_CHILD_MIN_ROWS = 1 << 15
+FORMAT_CHUNK_ROWS = 1 << 14  # a multiple of pipeline.SCORE_BLOCK: chunks end with a block
 
 
 @dataclass
@@ -178,19 +181,14 @@ def load_csv(path, feature_columns=None, label_column=None, class_column=None,
         if len(set(header)) < len(header):
             repeated = next(h for i, h in enumerate(header) if h in header[:i])
             raise DataFormatError(f"{path}: column {repeated!r} appears twice")
-        for col in filter(None, (label_column, class_column)):
-            if col not in header:
-                raise DataFormatError(f"{path}: missing column {col!r}")
+        roles = [*filter(None, (label_column, class_column))]
         if feature_columns is None:
-            feature_columns = [
-                h for h in header if h not in (label_column, class_column)
-            ]
-        else:
-            for col in feature_columns:
-                if col not in header:
-                    raise DataFormatError(f"{path}: missing column {col!r}")
+            feature_columns = [h for h in header if h not in roles]
+        missing = [col for col in (*roles, *feature_columns) if col not in header]
+        if missing:
+            raise DataFormatError(f"{path}: missing column {missing[0]!r}")
         n_features = len(feature_columns)
-        columns = [*feature_columns, *filter(None, (label_column, class_column))]
+        columns = [*feature_columns, *roles]
         index = {h: i for i, h in enumerate(header)}
         positions = [index[c] for c in columns]
         values = _load_numeric(path, len(header)) if fh.seekable() else None
@@ -234,59 +232,107 @@ def usable_cpus() -> int:
             else os.cpu_count() or 1)
 
 
-def _start_formatter(columns, rows):
-    """A child process formatting `rows` of `columns`, its input written;
-    None if it could not start."""
-    try:
-        child = subprocess.Popen([sys.executable, "-I", "-S", _rows.__file__],
-                                 stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                                 stderr=subprocess.DEVNULL)
-    except OSError:
-        return None
-    kinds = "".join("-" if col is None else "dq"[col.dtype.kind != "f"]
-                    for col in columns)
-    try:
-        with child.stdin as pipe:
-            pipe.write(f"{len(rows)} {kinds}\n".encode("ascii"))
-            for col, kind in zip(columns, kinds):
-                if col is not None:
-                    pipe.write(np.ascontiguousarray(col[rows.start:rows.stop], kind))
-    except OSError:
-        pass  # it exited early; its exit code or line count tells
-    return child
+class _Formatter:
+    """A `_rows.py` child, stopped when `stack` closes, and its text file."""
+
+    def __init__(self, stack, data):
+        self.text = stack.enter_context(tempfile.TemporaryFile())
+        self.chunks, self.acks = [], b""
+        fds = (data.fileno(), self.text.fileno())
+        self.proc = stack.enter_context(subprocess.Popen(
+            [sys.executable, "-I", "-S", _rows.__file__, *map(str, fds)], bufsize=0,
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            pass_fds=fds))
+        stack.callback(self.proc.kill)
+        os.set_blocking(self.proc.stdout.fileno(), False)
+
+    def busy(self) -> bool:
+        """Whether it holds two unacknowledged chunks or takes no more."""
+        self.acks += self.proc.stdout.read() or b""
+        return self.proc.stdin.closed or len(self.chunks) - self.acks.count(b"\n") > 1
+
+    def send(self, data, columns, kinds, chunk):
+        offset = data.tell()
+        data.writelines(np.ascontiguousarray(col[chunk.start:chunk.stop], kind)
+                        for col, kind in zip(columns, kinds) if col is not None)
+        data.flush()
+        self.chunks.append(chunk)
+        try:
+            self.proc.stdin.write(f"{offset} {len(chunk)} {kinds}\n".encode("ascii"))
+        except OSError:  # it exited: this chunk goes unacknowledged
+            self.proc.stdin.close()
+
+    def finish(self) -> dict:
+        """Wait for it to exit: {chunk start: (text file, offset, size)} of
+        the chunks sent, or {} if it exited non-zero or its text does not
+        hold one line per row of each chunk."""
+        self.proc.stdin.close()
+        os.set_blocking(self.proc.stdout.fileno(), True)
+        acks = (self.acks + self.proc.stdout.read()).split()
+        sizes = [int(ack) for ack in acks if ack.isdigit()]
+        places = {chunk.start: (self.text, at, size) for chunk, at, size
+                  in zip(self.chunks, accumulate(sizes, initial=0), sizes)
+                  if len(text := os.pread(self.text.fileno(), size, at)) == size
+                  and text.count(b"\n") == len(chunk)}
+        ok = self.proc.wait() == 0 and len(places) == len(acks) == len(self.chunks)
+        return places if ok else {}
 
 
-def write_table(path, header, columns, n_rows) -> None:
+def write_table(path, header, columns, n_rows, fill=None) -> None:
     """Write a CSV: the header, then a line per row of `columns`, each a
     float64 array (cells are the `repr` of each float), an int64 array or
-    None (empty cells).
+    None (empty cells). `fill`, if given, fills the columns in row order and
+    calls its argument with the number of rows filled so far.
 
-    From FORMAT_CHILD_MIN_ROWS rows on, with two usable CPUs and a seekable
-    file, a child process formats the second half of the rows, and its text
-    is copied to the file as it arrives. If the child cannot start, exits
-    non-zero or returns the wrong number of lines, that text is cut off and
-    this process formats the half itself: the bytes never depend on it.
+    Rows are formatted in chunks of FORMAT_CHUNK_ROWS once filled. From
+    FORMAT_CHILD_MIN_ROWS rows on, a `_rows.py` child per spare CPU takes
+    up to two chunks at a time; the others wait, and once all are filled
+    they are formatted here from the back. A child that cannot start, exits
+    non-zero or returns the wrong line count has its chunks formatted here,
+    so the bytes never depend on it. The file is opened last.
     """
     if any(col is not None and len(col) != n_rows for col in columns):
         raise ShapeError("table columns must have equal length")
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
-        half = (n_rows // 2 if n_rows >= FORMAT_CHILD_MIN_ROWS and usable_cpus() > 1
-                and fh.seekable() else n_rows)
-        child = _start_formatter(columns, range(half, n_rows)) if half < n_rows else None
-        with child or nullcontext():
-            fh.writelines(_rows.text_blocks(columns, range(half)))
-            if child:
-                fh.flush()
-                start, lines = fh.buffer.tell(), 0
-                for chunk in iter(partial(child.stdout.read, 1 << 16), b""):
-                    lines += chunk.count(b"\n")
-                    fh.buffer.write(chunk)
-                if child.wait() == 0 and lines == n_rows - half:
-                    return
-                fh.buffer.seek(start)
-                fh.buffer.truncate()
-            fh.writelines(_rows.text_blocks(columns, range(half, n_rows)))
+    kinds = "".join("-" if col is None else "dq"[col.dtype.kind != "f"]
+                    for col in columns)
+    chunks = deque(range(start, min(start + FORMAT_CHUNK_ROWS, n_rows))
+                   for start in range(0, n_rows, FORMAT_CHUNK_ROWS))
+    places = {}  # chunk start -> (text file, offset, size)
+    with ExitStack() as stack:
+        data, own = (stack.enter_context(tempfile.TemporaryFile()) for _ in range(2))
+        spare = usable_cpus() - 1 if n_rows >= FORMAT_CHILD_MIN_ROWS else 0
+        try:
+            children = [_Formatter(stack, data) for _ in range(min(spare, len(chunks)))]
+        except OSError:  # the interpreter does not start
+            children = []
+
+        def filled(rows):
+            for child in children:
+                while chunks and chunks[0].stop <= rows and not child.busy():
+                    child.send(data, columns, kinds, chunks.popleft())
+
+        def format_here(chunk):
+            text = "".join(_rows.text_blocks(columns, chunk)).encode("ascii")
+            places[chunk.start] = (own, own.tell(), len(text))
+            own.write(text)
+
+        if fill:
+            fill(filled)
+        filled(n_rows)
+        while chunks:
+            format_here(chunks.pop())
+            filled(n_rows)
+        for child in children:
+            done = child.finish()
+            places.update(done)
+            for chunk in [] if done else child.chunks:
+                format_here(chunk)
+        own.flush()
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerow(header)
+            fh.flush()
+            for text, offset, size in map(places.get, sorted(places)):
+                fh.buffer.write(os.pread(text.fileno(), size, offset))
 
 
 def write_csv(path, dataset: Dataset, feature_prefix: str = "f") -> None:
@@ -406,6 +452,9 @@ def make_multimodal(dataset: Dataset, normal_classes,
     train side is filtered to the normal classes. One normal class gives
     the unimodal benchmark.
     """
+    fractional = [c for c in normal_classes if not _integral(float(c))]
+    if fractional:
+        raise ValueError(f"normal class(es) {fractional} are not integers")
     normal_classes = sorted(set(int(c) for c in normal_classes))
     if not normal_classes:
         raise ValueError("need at least one normal class")

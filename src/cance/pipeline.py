@@ -9,12 +9,14 @@ estimator, and score in the fixed blocks of `score_blocks`, as `cance score`.
 import ctypes
 import json
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from cance.compress import AutoencoderModel, PcaModel, fit_pca, train_autoencoder
 from cance.config import RunConfig
@@ -66,31 +68,41 @@ def prepare_features(config: RunConfig, seed: int):
 
 @cache
 def _openblas():
-    """The OpenBLAS library numpy ships, or None."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in sorted(libs.glob("*openblas*")):
-        try:
-            handle = ctypes.CDLL(str(lib))
-            handle.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
-            handle.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
-            handle.scipy_openblas_get_config64_.restype = ctypes.c_char_p
-        except (OSError, AttributeError):
-            continue
-        return handle
-    return None
+    """(package, get threads, set threads, config) of the OpenBLAS numpy
+    ships (symbols suffixed 64_) and of scipy's, which `solve_triangular` uses."""
+    found = []
+    for package, suffix in ((np, "64_"), (scipy, "")):
+        root = Path(package.__file__).resolve().parent.parent
+        for lib in sorted(root.glob(f"{package.__name__}.libs/*openblas*")):
+            with suppress(OSError, AttributeError):  # not loadable, or another BLAS
+                handle = ctypes.CDLL(str(lib))
+                get, set_, config = (getattr(handle, f"scipy_openblas_{name}{suffix}")
+                                     for name in ("get_num_threads", "set_num_threads",
+                                                  "get_config"))
+                get.restype, set_.argtypes = ctypes.c_int, [ctypes.c_int]
+                config.restype = ctypes.c_char_p
+                found.append((package.__name__, get, set_, config))
+                break
+    return found
 
 
 def _openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS numpy ships, or None."""
-    lib = _openblas()
-    return lib and (lib.scipy_openblas_get_num_threads64_,
-                    lib.scipy_openblas_set_num_threads64_)
+    """(get, set) of the thread counts of every bundled OpenBLAS, or None:
+    get gives one count per library, set takes such a tuple or one count."""
+    libs = _openblas()
+
+    def set_(threads):
+        for (_, _, set_one, _), n in zip(libs, threads if isinstance(threads, tuple)
+                                         else repeat(threads)):
+            set_one(n)
+
+    return (lambda: tuple(get() for _, get, _, _ in libs), set_) if libs else None
 
 
 @contextmanager
 def single_blas_thread():
-    """Pin numpy's OpenBLAS to one thread, process-wide, and restore the
-    previous count on exit, also on error; without it, pin nothing."""
+    """Pin every bundled OpenBLAS to one thread, process-wide, and restore
+    the previous counts on exit, also on error; without one, pin nothing."""
     get, set_ = _openblas_threads() or (lambda: None, lambda threads: None)
     before = get()
     set_(1)
@@ -105,23 +117,26 @@ SCORE_BLOCK = 2048
 
 def blas_summary() -> str:
     """The BLAS that `score_blocks` runs on, its threads and its block size."""
-    lib = _openblas()
-    name = lib.scipy_openblas_get_config64_().decode() if lib else "unknown BLAS"
+    names = [f"{package}'s {' '.join(config().decode().split())}"
+             for package, _, _, config in _openblas()] or ["unknown BLAS"]
     threads = "1 BLAS thread" if _openblas_threads() else "BLAS threads not pinned"
-    return f"{' '.join(name.split())}; {threads}; blocks of {SCORE_BLOCK} rows"
+    return f"{' and '.join(names)}; {threads}; blocks of {SCORE_BLOCK} rows"
 
 
-def score_blocks(compression, estimator, x, cols=slice(None)):
+def score_blocks(compression, estimator, x, cols=slice(None), out=None,
+                 on_block=None):
     """(composite features, scores) of normalized rows, computed in blocks
     of SCORE_BLOCK rows with OpenBLAS on one thread. The estimator scores
     the composite columns `cols`; without one (None) the scores are None.
+    `out` gives the two arrays to fill instead of new ones, and `on_block`
+    is called with the number of rows filled after each block.
 
     The last block is padded with copies of its first row, so every forward
     has one shape and a row's bits do not depend on the rows around it.
     Every score after training is computed here.
     """
     n = x.shape[0]
-    z, scores = np.empty((n, compression.latent_dim + 2)), np.empty(n)
+    z, scores = out or (np.empty((n, compression.latent_dim + 2)), np.empty(n))
     with single_blas_thread():
         for start in range(0, n, SCORE_BLOCK):
             block = x[start:start + SCORE_BLOCK]
@@ -131,6 +146,8 @@ def score_blocks(compression, estimator, x, cols=slice(None)):
             z[start:start + rows] = zb[:rows]
             if estimator is not None:
                 scores[start:start + rows] = estimator.score(zb[:, cols])[:rows]
+            if on_block:
+                on_block(start + rows)
     return z, None if estimator is None else scores
 
 

@@ -2,12 +2,16 @@
 
 import csv
 import hashlib
+import importlib.util
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
+import cance.data as data_module
 from cance import pipeline
 from cance.cli import main, write_scores
 from cance._rows import WRITE_BLOCK_LINES
@@ -32,6 +36,8 @@ from cance.pipeline import (
 )
 from cance.rng import RunRng
 from cance.stats import GaussianModel
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # shortest round-trip text switches to an exponent below 1e-4 and from
 # 1e16 on; the neighbours of each switch, the float64 extremes and the
@@ -407,6 +413,82 @@ class TestBlockScoring:
         if blas:
             assert "OpenBLAS" in summary and "; 1 BLAS thread;" in summary
             assert blas[0]() == before
+
+    def test_real_numpy_and_scipy_blas_pinned_and_restored(self):
+        libs = Path(scipy.__file__).resolve().parent.parent / "scipy.libs"
+        if not any(libs.glob("*openblas*")):
+            pytest.skip("scipy does not ship its own OpenBLAS")
+        counts = {package: get for package, get, _, _ in pipeline._openblas()}
+        assert set(counts) == {"numpy", "scipy"}
+
+        def now():
+            return {package: get() for package, get in counts.items()}
+
+        before = now()
+        with pipeline.single_blas_thread():
+            assert now() == dict.fromkeys(counts, 1)
+        assert now() == before
+        with pytest.raises(RuntimeError, match="inside"):
+            with pipeline.single_blas_thread():
+                assert now() == dict.fromkeys(counts, 1)
+                raise RuntimeError("inside")
+        assert now() == before
+        assert "numpy's OpenBLAS" in pipeline.blas_summary()
+        assert "scipy's OpenBLAS" in pipeline.blas_summary()
+
+    @pytest.fixture
+    def streamed(self, monkeypatch, formatter_popens):
+        """Blocks of 2 rows and chunks of 4, every table formatted by two
+        children; gives the formatter processes started."""
+        monkeypatch.setattr(pipeline, "SCORE_BLOCK", 2)
+        monkeypatch.setattr(data_module, "FORMAT_CHUNK_ROWS", 4)
+        monkeypatch.setattr(data_module, "FORMAT_CHILD_MIN_ROWS", 0)
+        monkeypatch.setattr(data_module, "usable_cpus", lambda: 3)
+        return formatter_popens
+
+    def test_streamed_scores_equal_unstreamed(self, pca_run, tmp_path, monkeypatch,
+                                              streamed):
+        assert self.score(pca_run, pca_run / "points.csv", tmp_path / "a.csv") == 0
+        assert len(streamed) == 2
+        assert all(proc.returncode == 0 for proc in streamed)
+        monkeypatch.setattr(data_module, "FORMAT_CHILD_MIN_ROWS", 10**9)
+        assert self.score(pca_run, pca_run / "points.csv", tmp_path / "b.csv") == 0
+        assert len(streamed) == 2
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_failure_in_a_late_chunk_leaves_no_file_and_no_child(
+            self, pca_run, tmp_path, monkeypatch, capsys, streamed):
+        calls, original = [], EstimatorModel.score
+
+        def failing(self, z):
+            calls.append(len(z))
+            if len(calls) == 4:  # rows 6 and 7, after three chunks were sent
+                raise NonFiniteError("synthetic late failure")
+            return original(self, z)
+
+        monkeypatch.setattr(EstimatorModel, "score", failing)
+        out = tmp_path / "s.csv"
+        assert self.score(pca_run, pca_run / "points.csv", out) == 2
+        assert "synthetic late failure" in capsys.readouterr().err
+        assert not out.exists()
+        assert len(streamed) == 2
+        assert all(proc.returncode is not None for proc in streamed)
+
+    def test_bench_spans_see_one_call_each(self, pca_run, tmp_path, streamed):
+        # bench/spans.py counts write_scores' rows as len(args[1])
+        spec = importlib.util.spec_from_file_location(
+            "bench_spans_in_cli_test", ROOT / "bench" / "spans.py")
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        tracer = spans.Tracer()
+        with tracer.installed():
+            assert self.score(pca_run, pca_run / "points.csv", tmp_path / "s.csv") == 0
+        stats = tracer.stats
+        scores = stats["cli.write_scores"]
+        assert (scores.calls, scores.rows) == (1, 10)
+        assert stats["data.load_csv"].calls == 1
+        assert stats["data.normalizer.transform"].calls == 1
+        assert stats["nce.score"].rows == 10 and streamed
 
     def test_without_blas_symbol_nothing_is_pinned(self, pca_run, tmp_path,
                                                    monkeypatch, capsys):

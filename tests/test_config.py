@@ -5,6 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from cance.cli import main
 from cance.compress import AeConfig, AutoencoderModel, fit_pca
 from cance.config import RunConfig, load_config
 from cance.data import (
@@ -64,6 +65,19 @@ class TestParsing:
         with pytest.raises(ConfigError, match="unknown config section"):
             load_config(path)
 
+    def test_unknown_empty_section_rejected(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text("[outptu]\n[nce]\nepochs=3\n")
+        with pytest.raises(ConfigError, match=r"unknown config section \[outptu\]"):
+            load_config(path)
+        assert main(["train", "-c", str(path), "-o", str(tmp_path / "out")]) == 1
+        assert "[outptu]" in capsys.readouterr().err
+
+    def test_empty_known_section_allowed(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[eval]\n[nce]\nepochs=3\n")
+        assert load_config(path).nce.epochs == 3
+
     def test_negative_lambda_rejected_before_compute(self):
         with pytest.raises(ConfigError, match="lam"):
             load_config(None, ["compress.lam=-1"])
@@ -91,8 +105,6 @@ class TestParsing:
         "output.dir=runs",
     ])
     def test_removed_key_is_unknown(self, tmp_path, capsys, override):
-        from cance.cli import main
-
         dotted, value = override.split("=")
         section, key = dotted.split(".")
         path = tmp_path / "run.ini"

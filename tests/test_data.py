@@ -3,6 +3,9 @@
 import csv
 import hashlib
 import struct
+import sys
+import tempfile
+from contextlib import ExitStack
 from unittest import mock
 
 import numpy as np
@@ -30,7 +33,7 @@ from cance.data import (
     write_embeddings,
     write_table,
 )
-from cance.errors import DataFormatError, ShapeError
+from cance.errors import DataFormatError, NonFiniteError, ShapeError
 from cance.rng import RunRng
 
 # shortest round-trip text switches to an exponent below 1e-4 and from
@@ -366,7 +369,7 @@ FIXED_DATASET_SHA256 = (
 
 
 class TestTableWriter:
-    """write_table formats the second half of a large table in a child."""
+    """write_table formats chunks of a large table in formatter children."""
 
     HEADER = ["i", "e", "x", "q"]
 
@@ -374,6 +377,10 @@ class TestTableWriter:
     def child_on(self, monkeypatch):
         monkeypatch.setattr(data_module, "FORMAT_CHILD_MIN_ROWS", 0)
         monkeypatch.setattr(data_module, "usable_cpus", lambda: 2)
+
+    @pytest.fixture
+    def small_chunks(self, monkeypatch, child_on):
+        monkeypatch.setattr(data_module, "FORMAT_CHUNK_ROWS", 1000)
 
     @staticmethod
     def columns(n):
@@ -391,12 +398,22 @@ class TestTableWriter:
         return (tmp_path / "a.csv").read_bytes(), (tmp_path / "b.csv").read_bytes()
 
     def test_child_text_equals_in_process_text(self):
+        # two chunks at their offsets in the data file, one text file
         columns = self.columns(9000)
-        rows = range(4000, 9000)
-        with data_module._start_formatter(columns, rows) as child:
-            out = child.stdout.read()
-        assert child.returncode == 0
-        assert out.decode("ascii") == "".join(text_blocks(columns, rows))
+        chunks = [range(0, 4000), range(4000, 9000)]
+        with ExitStack() as stack:
+            data = stack.enter_context(tempfile.TemporaryFile())
+            child = data_module._Formatter(stack, data)
+            for rows in chunks:
+                child.send(data, columns, "q-dq", rows)
+            done = child.finish()
+            assert child.proc.returncode == 0
+            child.text.seek(0)
+            out = child.text.read().decode("ascii")
+        want = ["".join(text_blocks(columns, rows)) for rows in chunks]
+        assert out == "".join(want)
+        assert done == {0: (child.text, 0, len(want[0])),
+                        4000: (child.text, len(want[0]), len(want[1]))}
 
     @pytest.mark.parametrize("n", [1, 2, 4097, 9000])
     def test_child_and_in_process_files_are_equal(self, tmp_path, monkeypatch,
@@ -421,6 +438,73 @@ class TestTableWriter:
         monkeypatch.setattr(data_module.sys, "executable", str(interpreter))
         with_child, alone = self.write_both(tmp_path, monkeypatch, 5000)
         assert with_child == alone
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("n", [1, 999, 1000, 1001, 4999, 5000, 5001])
+    def test_files_are_equal_for_any_chunk_count(self, tmp_path, monkeypatch, small_chunks,
+                                                 formatter_popens, cpus, n):
+        monkeypatch.setattr(data_module, "usable_cpus", lambda: cpus)
+        with_child, alone = self.write_both(tmp_path, monkeypatch, n)
+        want = "".join(text_blocks(self.columns(n), range(n)))
+        assert with_child == alone == f"{','.join(self.HEADER)}\n{want}".encode("ascii")
+        assert len(formatter_popens) == min(cpus - 1, -(-n // 1000))
+        assert all(proc.returncode == 0 for proc in formatter_popens)
+
+    def test_chunks_are_filled_as_they_are_written(self, tmp_path, small_chunks):
+        # each chunk is read only once `fill` reports its rows filled
+        n, full = 4500, self.columns(4500)
+        columns = [np.zeros_like(col) if col is not None else None for col in full]
+
+        def fill(filled):
+            for stop in range(500, n + 500, 500):
+                for col, src in zip(columns, full):
+                    if col is not None:
+                        col[stop - 500:stop] = src[stop - 500:stop]
+                filled(stop)
+
+        write_table(tmp_path / "a.csv", self.HEADER, columns, n, fill)
+        write_table(tmp_path / "b.csv", self.HEADER, full, n)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    # the real formatter, run by a shell script in place of the interpreter
+    FAKE_CHILDREN = {
+        "exits after its first chunk": 'head -n 1 | "{python}" "$@"\n',
+        "acknowledges a byte short":
+            '"{python}" "$@" | while read n; do echo $((n - 1)); done\n',
+        "acknowledges nothing, exits 0": '"{python}" "$@" >/dev/null\n',
+        # its text has the right sizes and line counts, but a wrong first cell
+        "formats, then exits 1":
+            '"{python}" "$@"\n'
+            'printf 9 | dd of=/proc/self/fd/$5 conv=notrunc 2>/dev/null\nexit 1\n',
+    }
+
+    @pytest.mark.parametrize("child", [None, *FAKE_CHILDREN])
+    def test_failed_child_gives_the_same_bytes_in_every_chunk(
+            self, tmp_path, monkeypatch, small_chunks, formatter_popens, child):
+        # None: the interpreter does not exist, so no child starts
+        interpreter = tmp_path / "python"
+        if child is not None:
+            script = self.FAKE_CHILDREN[child].format(python=sys.executable)
+            interpreter.write_text("#!/bin/sh\n" + script)
+            interpreter.chmod(0o755)
+        monkeypatch.setattr(data_module.sys, "executable", str(interpreter))
+        with_child, alone = self.write_both(tmp_path, monkeypatch, 4500)
+        assert with_child == alone
+        assert len(formatter_popens) == (child is not None)
+        assert all(proc.returncode is not None for proc in formatter_popens)
+
+    def test_error_while_filling_leaves_no_file_and_no_child(self, tmp_path,
+                                                              small_chunks,
+                                                              formatter_popens):
+        def fill(filled):
+            for stop in range(1000, 5000, 1000):
+                filled(stop)
+            raise NonFiniteError("late chunk")
+
+        with pytest.raises(NonFiniteError, match="late chunk"):
+            write_table(tmp_path / "t.csv", self.HEADER, self.columns(5000), 5000, fill)
+        assert not (tmp_path / "t.csv").exists()
+        assert [proc.returncode is not None for proc in formatter_popens] == [True]
 
     @pytest.mark.parametrize("child", [False, True])
     def test_write_csv_bytes_are_pinned(self, tmp_path, monkeypatch, child):
@@ -592,6 +676,16 @@ class TestBenchmarks:
     def test_empty_normal_set_rejected(self, toy_classes):
         with pytest.raises(ValueError):
             make_multimodal(toy_classes, [], rng=np.random.default_rng(9))
+
+    @pytest.mark.parametrize("classes", [[0.7], [0, 1.5], [float("nan")]])
+    def test_fractional_normal_class_rejected(self, toy_classes, classes):
+        with pytest.raises(ValueError, match=r"class\(es\) \[.*\] are not integers"):
+            make_multimodal(toy_classes, classes, rng=np.random.default_rng(9))
+
+    def test_integral_float_class_accepted(self, toy_classes):
+        by_float = make_multimodal(toy_classes, [1.0], rng=np.random.default_rng(9))
+        by_int = make_multimodal(toy_classes, [1], rng=np.random.default_rng(9))
+        assert by_float[0].features.tobytes() == by_int[0].features.tobytes()
 
     def test_separate_test_dataset(self, toy_classes):
         other = Dataset(np.zeros((10, 2)),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cance.data as data_module
 from cance.cli import write_scores
 from cance.compress import AeConfig, AutoencoderModel, fit_pca
 from cance.pipeline import SCORE_BLOCK, score_blocks
@@ -69,22 +70,27 @@ def test_empty_input_gives_empty_outputs(models):
     assert z.shape == (0, 4) and scores.shape == (0,)
 
 
-def test_scoring_memory_stays_bounded(tmp_path):
-    """50k rows through the default-width autoencoder, scored and written.
+def test_scoring_memory_stays_bounded(tmp_path, monkeypatch, formatter_popens):
+    """50k rows through the default-width autoencoder, scored while they are
+    written, with a formatter child, as `cance score` does.
 
     Measured: about 5.1 MiB traced peak, that of `score_blocks`. Writing
     alone peaks at about 3.4 MiB; with 64k-line write blocks it peaked at
     18 MiB. One whole-matrix composite and score call peaks at about 80 MiB.
     """
+    monkeypatch.setattr(data_module, "usable_cpus", lambda: 2)
     rng = np.random.default_rng(0)
     compression = AutoencoderModel.build(2, AeConfig(latent_dim=2), rng)
     estimator = estimator_for(4, rng, widths=(64, 64))
     x = rng.standard_normal((50_000, 2))
     tracemalloc.start()
     try:
-        z, scores = score_blocks(compression, estimator, x)
-        write_scores(tmp_path / "s.csv", scores, z_e=z[:, -2], z_c=z[:, -1])
+        z, scores = np.empty((len(x), 4)), np.empty(len(x))
+        write_scores(tmp_path / "s.csv", scores, z_e=z[:, -2], z_c=z[:, -1],
+                     fill=lambda filled: score_blocks(compression, estimator, x,
+                                                      out=(z, scores), on_block=filled))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert len(formatter_popens) == 1 and formatter_popens[0].returncode == 0
     assert peak < 8 * 2**20
