@@ -425,19 +425,28 @@ class TestTableWriter:
         None,                                  # the interpreter does not exist
         "#!/bin/sh\nexit 1\n",                 # it fails before reading
         "#!/bin/sh\ncat >/dev/null\nexit 1\n",  # ... after reading
-        "#!/bin/sh\ncat >/dev/null\necho 0,,0.5,1\n",  # too few lines
-        # all 2500 lines of its half, but a failed exit
+        "#!/bin/sh\ncat >/dev/null\necho 0,,0.5,1\n",  # a garbled acknowledgement
+        # 2500 lines, but a failed exit
         "#!/bin/sh\ncat >/dev/null\nyes 0,,0.5,1 | head -n 2500\nexit 1\n",
+        # the real formatter, run by the script in place of the interpreter
+        '#!/bin/sh\nhead -n 1 | "{python}" "$@"\n',  # exits after its first chunk
+        '#!/bin/sh\n"{python}" "$@" | while read n; do echo $((n - 1)); done\n',
+        '#!/bin/sh\n"{python}" "$@" >/dev/null\n',  # acknowledges nothing, exits 0
+        # its text has the right sizes and line counts, but a wrong first cell
+        '#!/bin/sh\n"{python}" "$@"\n'
+        'printf 9 | dd of=/proc/self/fd/$5 conv=notrunc 2>/dev/null\nexit 1\n',
     ])
-    def test_failed_child_gives_the_same_bytes(self, tmp_path, monkeypatch,
-                                               child_on, script):
+    def test_failed_child_gives_the_same_bytes(self, tmp_path, monkeypatch, small_chunks,
+                                               formatter_popens, script):
         interpreter = tmp_path / "python"
         if script is not None:
-            interpreter.write_text(script)
+            interpreter.write_text(script.format(python=sys.executable))
             interpreter.chmod(0o755)
         monkeypatch.setattr(data_module.sys, "executable", str(interpreter))
         with_child, alone = self.write_both(tmp_path, monkeypatch, 5000)
         assert with_child == alone
+        assert len(formatter_popens) == (script is not None)
+        assert all(proc.returncode is not None for proc in formatter_popens)
 
     @pytest.mark.parametrize("cpus", [2, 3])
     @pytest.mark.parametrize("n", [1, 999, 1000, 1001, 4999, 5000, 5001])
@@ -465,33 +474,6 @@ class TestTableWriter:
         write_table(tmp_path / "a.csv", self.HEADER, columns, n, fill)
         write_table(tmp_path / "b.csv", self.HEADER, full, n)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-
-    # the real formatter, run by a shell script in place of the interpreter
-    FAKE_CHILDREN = {
-        "exits after its first chunk": 'head -n 1 | "{python}" "$@"\n',
-        "acknowledges a byte short":
-            '"{python}" "$@" | while read n; do echo $((n - 1)); done\n',
-        "acknowledges nothing, exits 0": '"{python}" "$@" >/dev/null\n',
-        # its text has the right sizes and line counts, but a wrong first cell
-        "formats, then exits 1":
-            '"{python}" "$@"\n'
-            'printf 9 | dd of=/proc/self/fd/$5 conv=notrunc 2>/dev/null\nexit 1\n',
-    }
-
-    @pytest.mark.parametrize("child", [None, *FAKE_CHILDREN])
-    def test_failed_child_gives_the_same_bytes_in_every_chunk(
-            self, tmp_path, monkeypatch, small_chunks, formatter_popens, child):
-        # None: the interpreter does not exist, so no child starts
-        interpreter = tmp_path / "python"
-        if child is not None:
-            script = self.FAKE_CHILDREN[child].format(python=sys.executable)
-            interpreter.write_text("#!/bin/sh\n" + script)
-            interpreter.chmod(0o755)
-        monkeypatch.setattr(data_module.sys, "executable", str(interpreter))
-        with_child, alone = self.write_both(tmp_path, monkeypatch, 4500)
-        assert with_child == alone
-        assert len(formatter_popens) == (child is not None)
-        assert all(proc.returncode is not None for proc in formatter_popens)
 
     def test_error_while_filling_leaves_no_file_and_no_child(self, tmp_path,
                                                               small_chunks,
