@@ -25,7 +25,7 @@ from cance.data import (
     write_csv,
     write_table,
 )
-from cance.errors import CanceError, ConfigError
+from cance.errors import CanceError, ConfigError, DataFormatError
 from cance.pipeline import (REPORT_FILE, blas_summary, load_run, run_pipeline,
                             save_run, score_blocks)
 from cance.rng import RunRng
@@ -64,14 +64,18 @@ def write_scores(path, scores, z_e=None, z_c=None, fill=None) -> None:
 
 
 def _load_input(path, ignore_columns) -> Dataset:
-    if path.endswith(".emb"):
-        return load_embeddings(path)
+    """The rows of a .emb or CSV file (none for a header and blank lines),
+    which is opened twice, so a pipe is refused before it is read."""
     with open(path, newline="") as fh:
+        if not fh.seekable():
+            raise DataFormatError(f"{path}: cannot be seeked; score a regular file")
+        if path.endswith(".emb"):
+            return load_embeddings(path)
         # the header is split as load_csv splits it, quoted commas included
         header = next(csv_rows(path, [fh.readline()]), [])
         has_rows = any(map(str.strip, fh))  # reads up to the first non-blank line
     features = [c for c in (h.strip() for h in header) if c not in ignore_columns]
-    if not has_rows:
+    if not has_rows and any(map(str.strip, header)):
         return Dataset(np.empty((0, len(features))))
     return load_csv(path, feature_columns=features)
 

@@ -178,6 +178,8 @@ def load_csv(path, feature_columns=None, label_column=None, class_column=None,
         except StopIteration:
             raise DataFormatError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        if not any(header):
+            raise DataFormatError(f"{path}: the header names no column")
         if len(set(header)) < len(header):
             repeated = next(h for i, h in enumerate(header) if h in header[:i])
             raise DataFormatError(f"{path}: column {repeated!r} appears twice")
@@ -335,10 +337,10 @@ def write_table(path, header, columns, n_rows, fill=None) -> None:
                 fh.buffer.write(os.pread(text.fileno(), size, offset))
 
 
-def write_csv(path, dataset: Dataset, feature_prefix: str = "f") -> None:
-    """Write a dataset with full float round-trip precision: each feature is
-    the `repr` of its float64, each label and class id its integer."""
-    header = [f"{feature_prefix}{i}" for i in range(dataset.dim)]
+def write_csv(path, dataset: Dataset) -> None:
+    """Write a dataset with full float round-trip precision: features f0,
+    f1, ... as the `repr` of each float64, each label and class id its integer."""
+    header = [f"f{i}" for i in range(dataset.dim)]
     columns = list(dataset.features.T)
     for name, ints in (("label", dataset.labels), ("class", dataset.class_ids)):
         if ints is not None:
@@ -504,10 +506,10 @@ def make_multimodal(dataset: Dataset, normal_classes,
 
 
 class Normalizer:
-    """Column transform fitted on training rows only."""
+    """Column transform (zscore or minmax) fitted on training rows only."""
 
     def __init__(self, method: str = "zscore"):
-        if method not in ("zscore", "minmax", "none"):
+        if method not in ("zscore", "minmax"):
             raise ValueError(f"unknown normalization {method!r}")
         self.method = method
         self._shift = None
@@ -518,12 +520,9 @@ class Normalizer:
         if self.method == "zscore":
             self._shift = x.mean(axis=0)
             scale = x.std(axis=0)
-        elif self.method == "minmax":
+        else:
             self._shift = x.min(axis=0)
             scale = x.max(axis=0) - x.min(axis=0)
-        else:
-            self._shift = np.zeros(x.shape[1])
-            scale = np.ones(x.shape[1])
         # constant columns are centered but not divided
         self._scale = np.where(scale > 0.0, scale, 1.0)
         return self
@@ -741,7 +740,7 @@ def load_recipe_dataset(recipe_path, data_path) -> Dataset:
                 table[token.strip()] = float(value)
             categorical[int(col)] = table
 
-    features, labels = [], []
+    features, labels, first = [], [], None  # (columns, row) of the first kept row
     with open(data_path, newline="") as fh:
         for lineno, row in enumerate(csv_rows(data_path, fh), start=1):
             if not row:
@@ -776,6 +775,10 @@ def load_recipe_dataset(recipe_path, data_path) -> Dataset:
                 labels.append(1)
             else:
                 continue
+            first = first or (len(values), lineno)
+            if len(values) != first[0]:
+                raise DataFormatError(f"{data_path}: row {lineno} has {len(values)} "
+                                      f"columns, row {first[1]} has {first[0]}")
             features.append(
                 [v for c, v in enumerate(values) if c != label_col]
             )
@@ -851,8 +854,6 @@ class DatasetConfig:
     benchmark: str = "labels"  # labels | unimodal | multimodal
     normal_classes: tuple = ()
     test_fraction: float = 0.2
-    # auto: min-max for image-like (idx) data, z-score otherwise
-    normalization: str = "auto"  # auto | zscore | minmax | none
 
     def validate(self):
         if self.kind not in DATASET_KINDS:
@@ -872,15 +873,6 @@ class DatasetConfig:
                               f"got {self.normal_classes!r}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError("dataset.test_fraction must be in (0,1)")
-        if self.normalization not in ("auto", "zscore", "minmax", "none"):
-            raise ConfigError(
-                f"dataset.normalization: unknown method {self.normalization!r}"
-            )
-
-    def resolved_normalization(self) -> str:
-        if self.normalization == "auto":
-            return "minmax" if self.kind == "idx" else "zscore"
-        return self.normalization
 
 
 def load_benchmark(dc: DatasetConfig, rng: RunRng):

@@ -141,12 +141,13 @@ def run_jobs(jobs) -> dict:
     An outcome is the job's result or the CanceError it raised; any other
     exception cancels the jobs not yet started and propagates once the
     running ones finish. Jobs run on min(len(jobs), usable CPUs) threads
-    with numpy's OpenBLAS pinned to one thread (process-wide) until the
-    last ends; with one worker or no such OpenBLAS, in the calling thread.
+    with numpy's and scipy's OpenBLAS pinned to one thread (process-wide)
+    until the last ends; with one worker or no such OpenBLAS, in the
+    calling thread.
     """
     jobs = list(jobs)
     workers = min(len(jobs), _usable_cpus())
-    if workers < 2 or pipeline._openblas_threads() is None:
+    if workers < 2 or not pipeline._openblas():
         return {key: _outcome(key, job) for key, job in jobs}
     with pipeline.single_blas_thread(), ThreadPoolExecutor(workers) as pool:
         futures = [pool.submit(_outcome, key, job) for key, job in jobs]

@@ -11,12 +11,10 @@ log = logging.getLogger(__name__)
 
 
 class AdamW:
-    def __init__(self, params: list, lr: float = 1e-4, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 0.0):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: list, lr: float = 1e-4, weight_decay: float = 0.0):
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.step_count = 0
         self._m = [np.zeros_like(p) for p in params]
@@ -31,16 +29,16 @@ class AdamW:
                 raise NonFiniteError("non-finite gradient passed to AdamW")
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
+        bc1 = 1.0 - self.BETA1**t
+        bc2 = 1.0 - self.BETA2**t
         for p, g, m, v in zip(params, grads, self._m, self._v):
             if p.shape != g.shape:
                 raise ShapeError(f"gradient shape {g.shape} != parameter {p.shape}")
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
             if self.weight_decay:
                 update = update + self.weight_decay * p
             p -= self.lr * update

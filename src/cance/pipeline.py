@@ -9,10 +9,10 @@ estimator, and score in the fixed blocks of `score_blocks`, as `cance score`.
 import ctypes
 import json
 import os
+import threading
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -43,8 +43,9 @@ def prepare_features(config: RunConfig, seed: int):
     """The feature path every run shares, up to the estimator.
 
     Loads the benchmark, splits off validation, normalizes with train
-    statistics, fits the compression model and extracts the composite
-    features of the training and validation rows. Returns (normalizer,
+    statistics (min-max for idx images, z-score otherwise), fits the
+    compression model and extracts the composite features of the training
+    and validation rows with `score_blocks`. Returns (normalizer,
     compression, compression_history, test, z_train, z_val, x_test), where
     x_test are the normalized test features, for `score_blocks`.
     """
@@ -53,7 +54,8 @@ def prepare_features(config: RunConfig, seed: int):
     train, val = split_train_val(train_pool, config.eval.val_fraction,
                                  rng.stream("val-split"))
 
-    normalizer = Normalizer(config.dataset.resolved_normalization()).fit(train)
+    method = "minmax" if config.dataset.kind == "idx" else "zscore"
+    normalizer = Normalizer(method).fit(train)
     train_n = normalizer.transform(train)
     val_n = normalizer.transform(val)
     test_n = normalizer.transform(test)
@@ -61,8 +63,8 @@ def prepare_features(config: RunConfig, seed: int):
     compression, history = fit_compression(
         config, train_n.features, val_n.features, rng
     )
-    z_train = compression.composite(train_n.features)
-    z_val = compression.composite(val_n.features)
+    z_train = score_blocks(compression, None, train_n.features)[0]
+    z_val = score_blocks(compression, None, val_n.features)[0]
     return normalizer, compression, history, test, z_train, z_val, test_n.features
 
 
@@ -86,30 +88,30 @@ def _openblas():
     return found
 
 
-def _openblas_threads():
-    """(get, set) of the thread counts of every bundled OpenBLAS, or None:
-    get gives one count per library, set takes such a tuple or one count."""
-    libs = _openblas()
-
-    def set_(threads):
-        for (_, _, set_one, _), n in zip(libs, threads if isinstance(threads, tuple)
-                                         else repeat(threads)):
-            set_one(n)
-
-    return (lambda: tuple(get() for _, get, _, _ in libs), set_) if libs else None
+_pin_lock = threading.Lock()
+_pins = {"depth": 0, "before": []}  # open blocks; (setter, count) before the first
 
 
 @contextmanager
 def single_blas_thread():
     """Pin every bundled OpenBLAS to one thread, process-wide, and restore
-    the previous counts on exit, also on error; without one, pin nothing."""
-    get, set_ = _openblas_threads() or (lambda: None, lambda threads: None)
-    before = get()
-    set_(1)
+    the previous counts on exit, also on error; without one, pin nothing.
+    Blocks may overlap, also across threads: the first entry pins and the
+    last exit restores."""
+    with _pin_lock:
+        if not _pins["depth"]:
+            _pins["before"] = [(set_, get()) for _, get, set_, _ in _openblas()]
+            for set_, _ in _pins["before"]:
+                set_(1)
+        _pins["depth"] += 1
     try:
         yield
     finally:
-        set_(before)
+        with _pin_lock:
+            _pins["depth"] -= 1
+            if not _pins["depth"]:
+                for set_, threads in _pins["before"]:
+                    set_(threads)
 
 
 SCORE_BLOCK = 2048
@@ -119,7 +121,7 @@ def blas_summary() -> str:
     """The BLAS that `score_blocks` runs on, its threads and its block size."""
     names = [f"{package}'s {' '.join(config().decode().split())}"
              for package, _, _, config in _openblas()] or ["unknown BLAS"]
-    threads = "1 BLAS thread" if _openblas_threads() else "BLAS threads not pinned"
+    threads = "1 BLAS thread" if _openblas() else "BLAS threads not pinned"
     return f"{' and '.join(names)}; {threads}; blocks of {SCORE_BLOCK} rows"
 
 

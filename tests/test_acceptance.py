@@ -354,7 +354,6 @@ def test_criterion_8_abalone_f1():
         f"dataset.path={path}",
         f"dataset.recipe={REPO_ROOT / 'recipes' / 'abalone.ini'}",
         "dataset.name=abalone",
-        "dataset.normalization=zscore",
         "compress.method=ae",
         "compress.latent_dim=2",
         "compress.hidden=32, 16",
@@ -404,7 +403,6 @@ def test_criterion_9_mnist_digit_one():
         "dataset.name=mnist-1",
         "dataset.benchmark=unimodal",
         "dataset.normal_classes=1",
-        "dataset.normalization=minmax",
         "compress.method=ae",
         "compress.latent_dim=6",
         "compress.epochs=20",

@@ -4,7 +4,9 @@ import csv
 import hashlib
 import importlib.util
 import json
+import os
 import shutil
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -348,6 +350,44 @@ def test_score_repeated_column_name_is_data_error(pca_run, tmp_path, capsys):
     assert not (tmp_path / "s.csv").exists()
 
 
+def test_score_from_a_pipe_refused_before_reading(pca_run, tmp_path, capsys):
+    fifo, out = tmp_path / "in.csv", tmp_path / "s.csv"
+    os.mkfifo(fifo)
+    text = (pca_run / "points.csv").read_bytes()
+    # a read-write end opens without waiting and holds the rows in the pipe
+    fd = os.open(fifo, os.O_RDWR | os.O_NONBLOCK)
+    try:
+        os.write(fd, text)
+        codes = []
+        scorer = threading.Thread(target=lambda: codes.append(main(
+            ["score", "-m", str(pca_run / "model"), "-i", str(fifo), "-o", str(out)])))
+        scorer.start()
+        scorer.join(10)
+        try:
+            left = os.read(fd, len(text) + 1)
+        except BlockingIOError:  # the scorer read the pipe empty
+            left = b""
+    finally:
+        os.close(fd)  # the end of input, should the scorer still wait for it
+    scorer.join(30)
+    assert not scorer.is_alive()
+    assert codes == [2] and left == text
+    assert capsys.readouterr().err == f"error: {fifo}: cannot be seeked; " \
+        "score a regular file\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", " \n\n"])
+def test_score_file_without_header_is_data_error(pca_run, tmp_path, capsys, text):
+    # only a header followed by blank lines scores as no rows
+    path, out = tmp_path / "empty.csv", tmp_path / "s.csv"
+    path.write_text(text)
+    assert main(["score", "-m", str(pca_run / "model"), "-i", str(path),
+                 "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    assert not out.exists()
+
+
 def test_score_empty_ignore_columns_keeps_every_column(pca_run, tmp_path):
     points = (pca_run / "points.csv").read_text().splitlines()
     assert points[0] == "f0,f1,label"
@@ -380,16 +420,14 @@ class TestBlockScoring:
             ["1 row(s)"]
 
     def test_failure_in_a_block_exits_2_and_restores_blas(
-            self, pca_run, tmp_path, monkeypatch, capsys):
-        state = {"threads": 4, "seen": [], "calls": 0}
-        monkeypatch.setattr(pipeline, "_openblas_threads", lambda: (
-            lambda: state["threads"], lambda n: state.update(threads=n)))
+            self, pca_run, tmp_path, monkeypatch, capsys, fake_blas):
+        seen = []
         monkeypatch.setattr(pipeline, "SCORE_BLOCK", 4)
         original = EstimatorModel.score
 
         def failing(self, z):
-            state["seen"].append(state["threads"])
-            if len(state["seen"]) == 2:
+            seen.append(fake_blas["threads"])
+            if len(seen) == 2:
                 raise NonFiniteError("synthetic score failure")
             return original(self, z)
 
@@ -397,12 +435,11 @@ class TestBlockScoring:
         out = tmp_path / "s.csv"
         assert self.score(pca_run, pca_run / "points.csv", out) == 2
         assert "synthetic score failure" in capsys.readouterr().err
-        assert state["seen"] == [1, 1] and state["threads"] == 4
+        assert seen == [1, 1] and fake_blas["threads"] == 4
         assert not out.exists()
 
     def test_blas_summary_on_stderr_only(self, pca_run, tmp_path, capsys):
-        blas = pipeline._openblas_threads()
-        before = blas[0]() if blas else None
+        before = [get() for _, get, _, _ in pipeline._openblas()]
         out = tmp_path / "s.csv"
         assert self.score(pca_run, pca_run / "points.csv", out) == 0
         captured = capsys.readouterr()
@@ -410,9 +447,9 @@ class TestBlockScoring:
         summary, = captured.err.splitlines()
         assert summary.startswith("scoring on ")
         assert summary.endswith(f"; blocks of {SCORE_BLOCK} rows")
-        if blas:
+        if before:
             assert "OpenBLAS" in summary and "; 1 BLAS thread;" in summary
-            assert blas[0]() == before
+            assert [get() for _, get, _, _ in pipeline._openblas()] == before
 
     def test_real_numpy_and_scipy_blas_pinned_and_restored(self):
         libs = Path(scipy.__file__).resolve().parent.parent / "scipy.libs"
@@ -435,6 +472,69 @@ class TestBlockScoring:
         assert now() == before
         assert "numpy's OpenBLAS" in pipeline.blas_summary()
         assert "scipy's OpenBLAS" in pipeline.blas_summary()
+
+    def test_overlapping_pins_hold_until_the_last_exit(self):
+        libs = pipeline._openblas()
+        if not libs:
+            pytest.skip("no bundled OpenBLAS found")
+
+        def now():
+            return [get() for _, get, _, _ in libs]
+
+        before = now()
+        first_in, second_in, first_out = (threading.Event() for _ in range(3))
+        seen = []
+
+        def first():
+            with pipeline.single_blas_thread():
+                first_in.set()
+                second_in.wait(10)
+            first_out.set()
+
+        def second():
+            first_in.wait(10)
+            with pipeline.single_blas_thread():
+                second_in.set()
+                first_out.wait(10)
+                seen.append(now())
+
+        for _, _, set_, _ in libs:
+            set_(2)
+        try:
+            threads = [threading.Thread(target=f) for f in (first, second)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert seen == [[1] * len(libs)]  # still pinned after the first exit
+            assert now() == [2] * len(libs)
+        finally:
+            for (_, _, set_, _), count in zip(libs, before):
+                set_(count)
+
+    def test_pins_from_more_threads_than_cores_restore_once(self, fake_blas):
+        import sys
+
+        seen = []
+
+        def pin_often():
+            for _ in range(200):
+                with pipeline.single_blas_thread():
+                    seen.append(fake_blas["threads"])
+
+        threads = [threading.Thread(target=pin_often) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == [1] * 1600 and fake_blas["threads"] == 4
 
     @pytest.fixture
     def streamed(self, monkeypatch, formatter_popens):
@@ -493,7 +593,7 @@ class TestBlockScoring:
     def test_without_blas_symbol_nothing_is_pinned(self, pca_run, tmp_path,
                                                    monkeypatch, capsys):
         assert self.score(pca_run, pca_run / "points.csv", tmp_path / "a.csv") == 0
-        monkeypatch.setattr(pipeline, "_openblas_threads", lambda: None)
+        monkeypatch.setattr(pipeline, "_openblas", lambda: [])
         capsys.readouterr()
         assert self.score(pca_run, pca_run / "points.csv", tmp_path / "b.csv") == 0
         assert "; BLAS threads not pinned;" in capsys.readouterr().err
@@ -537,6 +637,9 @@ DOCTORED_FILES = {
     "normalization-robust": (
         NORMALIZER_FILE, "normalizer",
         lambda meta, arrays: meta.update(method="robust")),
+    "normalization-none": (
+        NORMALIZER_FILE, "normalizer",
+        lambda meta, arrays: meta.update(method="none")),
     "layer-type-conv": (
         COMPRESSION_FILE, "autoencoder",
         lambda meta, arrays: meta["encoder"][0].update(type="conv")),
@@ -680,8 +783,7 @@ class TestEvalFailures:
                                           monkeypatch):
         import cance.evaluation as evaluation_module
 
-        blas = pipeline._openblas_threads()
-        before = blas[0]() if blas else None
+        before = [get() for _, get, _, _ in pipeline._openblas()]
         original = evaluation_module.run_pipeline
 
         def buggy(config, seed):
@@ -694,8 +796,7 @@ class TestEvalFailures:
         with pytest.raises(TypeError, match="synthetic bug"):
             main(["eval", "-c", str(tiny_ini), "-o", str(tmp_path / "eval")])
         assert not (tmp_path / "eval" / "report.json").exists()
-        if blas:
-            assert blas[0]() == before
+        assert [get() for _, get, _, _ in pipeline._openblas()] == before
 
     def test_package_error_gives_partial_exit(self, tiny_ini, tmp_path,
                                               monkeypatch):

@@ -95,7 +95,8 @@ class TestParsing:
         with pytest.raises(ConfigError, match=key):
             load_config(None, [override])
 
-    # keys that only ever held one value; that value is now built in
+    # keys that only ever held one value, or one the data kind gives;
+    # that value is now built in
     @pytest.mark.parametrize("override", [
         "nce.psi_lr=-1",
         "nce.weight_decay=-0.5",
@@ -103,6 +104,7 @@ class TestParsing:
         "nce.score_noise=initial",
         "eval.contamination=0.1",
         "output.dir=runs",
+        "dataset.normalization=zscore",
     ])
     def test_removed_key_is_unknown(self, tmp_path, capsys, override):
         dotted, value = override.split("=")
@@ -302,7 +304,6 @@ class TestSchema:
                 "kind", "name", "synth", "path", "recipe", "label_column",
                 "class_column", "train_images", "train_labels", "test_images",
                 "test_labels", "benchmark", "normal_classes", "test_fraction",
-                "normalization",
             },
             "compress": {
                 "method", "latent_dim", "lam", "hidden", "epochs", "lr",

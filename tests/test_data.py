@@ -66,9 +66,9 @@ def reference_load_csv(path, feature_columns=None, label_column=None,
             np.array(classes, dtype=np.int64) if class_column else None)
 
 
-def reference_write_csv(path, dataset, feature_prefix="f"):
+def reference_write_csv(path, dataset):
     """Cell-at-a-time csv.writer loop: the byte layout of `write_csv`."""
-    header = [f"{feature_prefix}{i}" for i in range(dataset.dim)]
+    header = [f"f{i}" for i in range(dataset.dim)]
     if dataset.labels is not None:
         header.append("label")
     if dataset.class_ids is not None:
@@ -167,6 +167,13 @@ class TestCsv:
         with pytest.raises(DataFormatError, match="no data rows"):
             load_csv(path)
 
+    @pytest.mark.parametrize("text", ["\n", "\n\n", " \n1\n", ",\n1,2\n"])
+    def test_header_naming_no_column_rejected(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match="d.csv: the header names no column"):
+            load_csv(path)
+
     def test_bad_cell_reported_before_later_ragged_row(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,b\n1,2\n3,x\n5,6\n7\n")
@@ -205,8 +212,8 @@ class TestCsv:
         # Dataset rejects non-finite features, so build one past that check
         ds = Dataset(np.zeros((len(EDGE_FLOATS), 1)))
         ds.features = np.array(EDGE_FLOATS).reshape(-1, 1)
-        write_csv(tmp_path / "new.csv", ds, feature_prefix="x")
-        reference_write_csv(tmp_path / "ref.csv", ds, feature_prefix="x")
+        write_csv(tmp_path / "new.csv", ds)
+        reference_write_csv(tmp_path / "ref.csv", ds)
         text = (tmp_path / "new.csv").read_text()
         assert text == (tmp_path / "ref.csv").read_text()
         assert text.splitlines()[1:] == [repr(v) for v in EDGE_FLOATS]
@@ -880,6 +887,21 @@ class TestRecipe:
         raw.write_text("A,0.5,1\nB,0.6\n")
         with pytest.raises(DataFormatError, match="row 2 has 2 columns"):
             load_recipe_dataset(recipe, raw)
+
+    def test_ragged_kept_rows_cite_both_widths(self, tmp_path, capsys):
+        from cance.cli import main
+
+        recipe = self.write_recipe(tmp_path)
+        raw = tmp_path / "raw.csv"
+        # the first row is dropped (label 5), so its width does not count
+        raw.write_text("A,0.5,5,7,7\nA,0.5,1\nB,0.6,9\nA,0.7,2,5\n")
+        with pytest.raises(DataFormatError,
+                           match="raw.csv: row 4 has 4 columns, row 2 has 3"):
+            load_recipe_dataset(recipe, raw)
+        assert main(["train", "-o", str(tmp_path / "out"),
+                     "--set", "dataset.kind=recipe", "--set", f"dataset.path={raw}",
+                     "--set", f"dataset.recipe={recipe}"]) == 2
+        assert "row 4 has 4 columns, row 2 has 3" in capsys.readouterr().err
 
     def test_field_over_csv_limit_cites_file(self, tmp_path):
         recipe = self.write_recipe(tmp_path)

@@ -247,16 +247,9 @@ class TestAblationFanOut:
         assert self.summary_text(serial) == self.summary_text(pooled)
         assert self.summary_text(pooled) == self.summary_text(reports)
 
-    def fake_blas(self, monkeypatch, threads=4):
-        state = {"threads": threads, "seen": set()}
-
-        def get():
-            return state["threads"]
-
-        def set_(n):
-            state["threads"] = n
-
-        monkeypatch.setattr(pipeline, "_openblas_threads", lambda: (get, set_))
+    def fail_cnce(self, monkeypatch, state):
+        """Record the BLAS threads each fit sees in state["seen"]; CNCE fails."""
+        state["seen"] = set()
         original = pipeline.train_estimator
 
         def failing_cnce(train_z, val_z, cfg, *rngs):
@@ -269,8 +262,8 @@ class TestAblationFanOut:
         return state
 
     def test_blas_pinned_during_fits_and_restored_after_a_failed_variant(
-            self, monkeypatch):
-        state = self.fake_blas(monkeypatch)
+            self, monkeypatch, fake_blas):
+        state = self.fail_cnce(monkeypatch, fake_blas)
         result = self.run_with_workers(monkeypatch, 2)
         assert state["seen"] == {1}
         assert state["threads"] == 4
@@ -278,10 +271,10 @@ class TestAblationFanOut:
         assert "synthetic CNCE failure" in result["CNCE"].records[0].error
         assert not any(result[v].partial for v in ("Error", "LatNCE", "CANCE"))
 
-    def test_blas_restored_when_the_run_raises(self, monkeypatch):
+    def test_blas_restored_when_the_run_raises(self, monkeypatch, fake_blas):
         import cance.evaluation as evaluation_module
 
-        state = self.fake_blas(monkeypatch)
+        state = self.fail_cnce(monkeypatch, fake_blas)
         monkeypatch.setattr(evaluation_module, "_usable_cpus", lambda: 2)
 
         def broken(config, seed):
@@ -295,18 +288,17 @@ class TestAblationFanOut:
         assert state["threads"] == 4
 
     def test_real_blas_thread_count_restored(self):
-        blas = pipeline._openblas_threads()
-        if blas is None:
+        before = [get() for _, get, _, _ in pipeline._openblas()]
+        if not before:
             pytest.skip("numpy does not ship a known OpenBLAS")
-        before = blas[0]()
         run_ablation(tiny_config(), repeats=1)
-        assert blas[0]() == before
+        assert [get() for _, get, _, _ in pipeline._openblas()] == before
 
     def test_without_blas_symbol_fits_run_one_at_a_time(self, monkeypatch,
                                                         reports):
         import threading
 
-        monkeypatch.setattr(pipeline, "_openblas_threads", lambda: None)
+        monkeypatch.setattr(pipeline, "_openblas", lambda: [])
         original = pipeline.train_estimator
         lock = threading.Lock()
         active = {"now": 0, "max": 0}
@@ -328,19 +320,12 @@ class TestAblationFanOut:
 
 
 @pytest.fixture
-def pooled(monkeypatch):
+def pooled(monkeypatch, fake_blas):
     """Two workers and a fake OpenBLAS at 4 threads; yields the fake's state."""
     import cance.evaluation as evaluation_module
 
-    state = {"threads": 4}
-
-    def set_(n):
-        state["threads"] = n
-
-    monkeypatch.setattr(pipeline, "_openblas_threads",
-                        lambda: (lambda: state["threads"], set_))
     monkeypatch.setattr(evaluation_module, "_usable_cpus", lambda: 2)
-    return state
+    return fake_blas
 
 
 class TestRunJobs:

@@ -67,8 +67,10 @@ class TestIdxPipeline:
             "dataset.name=toy-idx",
             *fast_nce_overrides(),
         ])
-        assert config.dataset.resolved_normalization() == "minmax"
-        report = run_experiment(config, repeats=1)
+        methods = []
+        report = run_experiment(config, repeats=1, on_run=lambda seed, artifacts:
+                                methods.append(artifacts.normalizer.method))
+        assert methods == ["minmax"]  # idx images are min-max scaled
         assert not report.partial
         assert 0.0 <= report.mean("auroc") <= 1.0
 

@@ -113,14 +113,6 @@ def test_every_config_key_is_read_outside_validate():
     assert unread_fields(sources, sections) == []
 
 
-# the composite features of the training and validation rows, which the
-# estimator trains on; every score after training is computed in blocks
-TRAINING_COMPOSITES = {
-    ("prepare_features", "compression.composite(train_n.features)"),
-    ("prepare_features", "compression.composite(val_n.features)"),
-}
-
-
 def scoring_uses(source: str) -> list:
     """(innermost function, text) of each use of a `.score` or `.composite`
     attribute: the whole call where it is called, else the reference."""
@@ -142,14 +134,16 @@ def scoring_uses(source: str) -> list:
 
 def outside_block_evaluator(source: str) -> list:
     return [(where, text) for where, text in scoring_uses(source)
-            if where != "score_blocks" and (where, text) not in TRAINING_COMPOSITES]
+            if where != "score_blocks"]
 
 
 @pytest.mark.parametrize("source, flagged", [
     ("def score_blocks(c, e, x):\n    return e.score(c.composite(x)[:, :2])\n", []),
     ("def prepare_features(compression, train_n, val_n):\n"
      "    return (compression.composite(train_n.features),\n"
-     "            compression.composite(val_n.features))\n", []),
+     "            compression.composite(val_n.features))\n",
+     [("prepare_features", "compression.composite(train_n.features)"),
+      ("prepare_features", "compression.composite(val_n.features)")]),
     ("def prepare_features(compression, test_n):\n"
      "    return compression.composite(test_n.features)\n",
      [("prepare_features", "compression.composite(test_n.features)")]),
@@ -165,10 +159,10 @@ def test_guard_flags_scoring_outside_the_block_evaluator(source, flagged):
 
 
 def test_scores_come_only_from_the_block_evaluator():
-    # so a row's score depends on the row and the model alone, in every command
+    # so a row's features and score depend on the row and the model alone,
+    # in every command and in training
     root = Path(cance.__file__).parent
     found = [(str(path.relative_to(root)), *use)
              for path in sorted(root.rglob("*.py"))
-             for use in (scoring_uses(path.read_text()) if path.name != "pipeline.py"
-                         else outside_block_evaluator(path.read_text()))]
+             for use in outside_block_evaluator(path.read_text())]
     assert found == []
