@@ -9,7 +9,6 @@ estimator, and score in the fixed blocks of `score_blocks`, as `cance score`.
 import ctypes
 import json
 import os
-import threading
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import cache
@@ -88,30 +87,20 @@ def _openblas():
     return found
 
 
-_pin_lock = threading.Lock()
-_pins = {"depth": 0, "before": []}  # open blocks; (setter, count) before the first
-
-
 @contextmanager
 def single_blas_thread():
     """Pin every bundled OpenBLAS to one thread, process-wide, and restore
     the previous counts on exit, also on error; without one, pin nothing.
-    Blocks may overlap, also across threads: the first entry pins and the
-    last exit restores."""
-    with _pin_lock:
-        if not _pins["depth"]:
-            _pins["before"] = [(set_, get()) for _, get, set_, _ in _openblas()]
-            for set_, _ in _pins["before"]:
-                set_(1)
-        _pins["depth"] += 1
+    Blocks nest within one thread. Threads that pin at the same time need
+    an enclosing pin, as `evaluation.run_jobs` holds around its pool."""
+    before = [(set_, get()) for _, get, set_, _ in _openblas()]
+    for set_, _ in before:
+        set_(1)
     try:
         yield
     finally:
-        with _pin_lock:
-            _pins["depth"] -= 1
-            if not _pins["depth"]:
-                for set_, threads in _pins["before"]:
-                    set_(threads)
+        for set_, threads in before:
+            set_(threads)
 
 
 SCORE_BLOCK = 2048

@@ -473,69 +473,6 @@ class TestBlockScoring:
         assert "numpy's OpenBLAS" in pipeline.blas_summary()
         assert "scipy's OpenBLAS" in pipeline.blas_summary()
 
-    def test_overlapping_pins_hold_until_the_last_exit(self):
-        libs = pipeline._openblas()
-        if not libs:
-            pytest.skip("no bundled OpenBLAS found")
-
-        def now():
-            return [get() for _, get, _, _ in libs]
-
-        before = now()
-        first_in, second_in, first_out = (threading.Event() for _ in range(3))
-        seen = []
-
-        def first():
-            with pipeline.single_blas_thread():
-                first_in.set()
-                second_in.wait(10)
-            first_out.set()
-
-        def second():
-            first_in.wait(10)
-            with pipeline.single_blas_thread():
-                second_in.set()
-                first_out.wait(10)
-                seen.append(now())
-
-        for _, _, set_, _ in libs:
-            set_(2)
-        try:
-            threads = [threading.Thread(target=f) for f in (first, second)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(30)
-            assert not any(thread.is_alive() for thread in threads)
-            assert seen == [[1] * len(libs)]  # still pinned after the first exit
-            assert now() == [2] * len(libs)
-        finally:
-            for (_, _, set_, _), count in zip(libs, before):
-                set_(count)
-
-    def test_pins_from_more_threads_than_cores_restore_once(self, fake_blas):
-        import sys
-
-        seen = []
-
-        def pin_often():
-            for _ in range(200):
-                with pipeline.single_blas_thread():
-                    seen.append(fake_blas["threads"])
-
-        threads = [threading.Thread(target=pin_often) for _ in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert seen == [1] * 1600 and fake_blas["threads"] == 4
-
     @pytest.fixture
     def streamed(self, monkeypatch, formatter_popens):
         """Blocks of 2 rows and chunks of 4, every table formatted by two
