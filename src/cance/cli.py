@@ -187,6 +187,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.seed < 0:
+        raise ConfigError("--seed must be >= 0")
     rng = RunRng(args.seed)
     dataset = synth_generate(args.spec, rng.stream("synth"))
     write_csv(args.output, dataset)

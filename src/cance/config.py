@@ -24,6 +24,8 @@ class EvalSection:
     def validate(self):
         if self.repeats < 1:
             raise ConfigError("eval.repeats must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("eval.seed must be >= 0")
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigError("eval.val_fraction must be in (0,1)")
 

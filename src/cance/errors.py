@@ -26,4 +26,5 @@ class DataFormatError(CanceError):
 
 
 class DegenerateFeatureError(CanceError):
-    """A feature column is degenerate (zero variance, non-positive mean)."""
+    """A feature or label column is degenerate (zero variance, non-positive
+    mean, a single class)."""

@@ -11,7 +11,7 @@ import numpy as np
 from cance import pipeline
 from cance.config import RunConfig
 from cance.data import usable_cpus as _usable_cpus
-from cance.errors import CanceError, ShapeError
+from cance.errors import CanceError, DegenerateFeatureError, ShapeError
 from cance.pipeline import fit_estimator, prepare_features, run_pipeline, score_blocks
 
 log = logging.getLogger(__name__)
@@ -51,7 +51,7 @@ def auroc(scored: ScoredSet) -> float:
     n_pos = int(pos.sum())
     n_neg = scored.labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise ValueError("AUROC needs both classes present")
+        raise DegenerateFeatureError("AUROC needs both classes present")
     ranks = _midranks(scored.scores)
     return float(
         (ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)

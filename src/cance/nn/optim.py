@@ -1,4 +1,5 @@
-"""AdamW with decoupled weight decay, and the epoch loop of every training stage."""
+"""Adam updates without weight decay (the class keeps the name AdamW), and the
+epoch loop of every training stage."""
 
 import logging
 
@@ -13,9 +14,8 @@ log = logging.getLogger(__name__)
 class AdamW:
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: list, lr: float = 1e-4, weight_decay: float = 0.0):
+    def __init__(self, params: list, lr: float = 1e-4):
         self.lr = float(lr)
-        self.weight_decay = float(weight_decay)
         self.step_count = 0
         self._m = [np.zeros_like(p) for p in params]
         self._v = [np.zeros_like(p) for p in params]
@@ -39,8 +39,6 @@ class AdamW:
             v *= self.BETA2
             v += (1.0 - self.BETA2) * g * g
             update = (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
-            if self.weight_decay:
-                update = update + self.weight_decay * p
             p -= self.lr * update
 
 

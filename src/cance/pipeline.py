@@ -240,7 +240,7 @@ def save_run(outdir, config: RunConfig, artifacts: RunArtifacts) -> None:
     est_meta = dict(tag)
     aug_fit = artifacts.estimator_history.get("augmentation_fit")
     if aug_fit:
-        est_meta["augmentation"] = _jsonable(aug_fit)
+        est_meta["augmentation"] = aug_fit
     save_model(os.path.join(outdir, ESTIMATOR_FILE), artifacts.estimator, est_meta)
     save_model(os.path.join(outdir, NORMALIZER_FILE), artifacts.normalizer, tag)
     with open(os.path.join(outdir, CONFIG_FILE), "w") as fh:
@@ -248,8 +248,8 @@ def save_run(outdir, config: RunConfig, artifacts: RunArtifacts) -> None:
     report = {
         "config_hash": artifacts.config_hash,
         "seed": artifacts.seed,
-        "compression": _jsonable(artifacts.compression_history),
-        "estimator": _jsonable(artifacts.estimator_history),
+        "compression": artifacts.compression_history,
+        "estimator": artifacts.estimator_history,
     }
     with open(os.path.join(outdir, REPORT_FILE), "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
@@ -287,14 +287,3 @@ def load_run(outdir):
         )
     return compression, estimator, normalizer, hashes.pop(), est_meta
 
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj

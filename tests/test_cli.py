@@ -715,6 +715,71 @@ class TestEvalMatchesScore:
             (tmp_path / "scores.csv").read_bytes()
 
 
+# Golden output bits: SHA-256 digests of small fixed runs, recorded in
+# golden_bits.json under a key of what the bits depend on. A change that
+# moves bits on purpose records the new digests there.
+GOLDEN = Path(__file__).with_name("golden_bits.json")
+GOLDEN_TRAINS = {
+    "pca": (),
+    "ae-64-32": ("compress.method=ae", "compress.hidden=64, 32"),
+    "ae-8": ("compress.method=ae", "compress.hidden=8"),
+}
+
+
+def golden_key():
+    """What the bits depend on: numpy, each bundled OpenBLAS build and its
+    default thread count (training runs at that count)."""
+    return "; ".join([f"numpy {np.__version__}", *(
+        f"{package}'s {' '.join(config().decode().split())} at {get()} threads"
+        for package, get, _, config in pipeline._openblas())])
+
+
+def golden_digests(root):
+    """{output name: SHA-256} of small fixed runs of train, score, eval and
+    ablate on TINY_INI, with the ablation summary's config hashes left out."""
+    ini = root / "run.ini"
+    ini.write_text(TINY_INI)
+    # 41 rows, not a multiple of the GEMM kernels' row unroll, so scoring
+    # without the padding of `score_blocks` would move the last row's bits
+    points = root / "points.csv"
+    assert main(["synth", "--spec", "ring(n=31) + box(n=10)", "--seed", "2",
+                 "-o", str(points)]) == 0
+    outputs = {}
+    for name, sets in GOLDEN_TRAINS.items():
+        args = ["-c", str(ini), *(arg for s in sets for arg in ("--set", s))]
+        model = root / name
+        assert main(["train", *args, "-o", str(model)]) == 0
+        assert main(["score", "-m", str(model), "-i", str(points),
+                     "-o", str(model / "scores.csv")]) == 0
+        for file in (COMPRESSION_FILE, ESTIMATOR_FILE, NORMALIZER_FILE,
+                     "train_report.json", "scores.csv"):
+            outputs[f"{name}/{file}"] = (model / file).read_bytes()
+    one_seed = ["-c", str(ini), "--set", "eval.repeats=1"]
+    assert main(["eval", *one_seed, "-o", str(root / "eval")]) == 0
+    outputs["eval/scores-seed0.csv"] = (root / "eval" / "scores-seed0.csv").read_bytes()
+    assert main(["ablate", *one_seed, "-o", str(root / "ablate")]) == 0
+    summary = json.loads((root / "ablate" / "ablation.json").read_text())
+    for variant in summary.values():
+        del variant["config_hash"]
+    outputs["ablate/ablation.json"] = json.dumps(summary, indent=2,
+                                                 sort_keys=True).encode()
+    return {name: hashlib.sha256(data).hexdigest()
+            for name, data in outputs.items()}
+
+
+def test_output_bits_match_golden_manifest(tmp_path, capsys):
+    key = golden_key()
+    digests = golden_digests(tmp_path)
+    known = json.loads(GOLDEN.read_text()).get(key)
+    if known is None:
+        with capsys.disabled():
+            print(json.dumps({key: digests}, indent=2, sort_keys=True))
+        pytest.skip(f"no golden digests for {key}")
+    assert sorted(digests) == sorted(known)
+    moved = [name for name in known if digests[name] != known[name]]
+    assert not moved, f"output bits moved: {', '.join(moved)}"
+
+
 class TestEvalFailures:
     def test_programming_error_propagates(self, tiny_ini, tmp_path,
                                           monkeypatch):
@@ -754,11 +819,15 @@ class TestEvalFailures:
         assert report["per_run"][1]["error"] == "synthetic divergence"
         assert not (outdir / "scores-seed1.csv").exists()
 
-    def test_no_anomalies_is_config_error(self, tiny_ini, tmp_path, capsys):
-        code = main(["eval", "-c", str(tiny_ini), "-o", str(tmp_path / "eval"),
+    def test_no_anomalies_is_recorded_failure(self, tiny_ini, tmp_path):
+        # a valid config whose test set has one class: a data fault per seed
+        outdir = tmp_path / "eval"
+        code = main(["eval", "-c", str(tiny_ini), "-o", str(outdir),
                      "--set", "dataset.synth=ring(n=220, radius=1, noise=0.05)"])
-        assert code == 1
-        assert "AUROC needs both classes" in capsys.readouterr().err
+        assert code == 3
+        report = json.loads((outdir / "report.json").read_text())
+        assert [r["error"] for r in report["per_run"]] == \
+            ["AUROC needs both classes present"] * 2
 
 
 class TestSynthAndInspect:
@@ -774,6 +843,13 @@ class TestSynthAndInspect:
                      str(tmp_path / "x.csv")]) == 1
         assert "ring argument 'n'" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    def test_synth_negative_seed_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["synth", "--spec", "ring(n=4)", "--seed", "-3",
+                     "-o", str(out)]) == 1
+        assert "--seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_synth_unknown_kind_fails(self, tmp_path, capsys):
         code = main(["synth", "--spec", "wat(n=1)", "--seed", "0",

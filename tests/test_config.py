@@ -89,6 +89,7 @@ class TestParsing:
         "compress.hidden=0, 8",
         "nce.batch_size=0",
         "compress.batch_size=0",
+        "eval.seed=-1",
     ])
     def test_bad_stage_values_rejected(self, override):
         key = override.split("=")[0]

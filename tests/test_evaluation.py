@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cance import pipeline
 from cance.config import load_config
-from cance.errors import CanceError, NonFiniteError
+from cance.errors import CanceError, DegenerateFeatureError, NonFiniteError
 from cance.evaluation import (
     ABLATION_VARIANTS,
     ScoredSet,
@@ -52,7 +52,7 @@ class TestAuroc:
         assert auroc(scored) == 0.5
 
     def test_single_class_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateFeatureError):
             auroc(ScoredSet([1.0, 2.0], [1, 1]))
 
     @given(st.integers(min_value=0, max_value=2**31 - 1),

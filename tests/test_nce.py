@@ -68,14 +68,14 @@ class TestNceLoss:
 
     def test_loss_and_grads_match_loss(self, small_problem):
         rng, net, data, noise_model = small_problem
-        noise = noise_model.sample(24, rng)
+        noise = noise_model.transform(noise_model.base.sample(24, rng))
         loss_only = nce_loss(net, data, noise, 8.0)
         loss, _ = nce_loss_and_grads(net, data, noise, 8.0)
         assert loss == pytest.approx(loss_only, rel=1e-12)
 
     def test_gradient_matches_finite_differences(self, small_problem):
         rng, net, data, noise_model = small_problem
-        noise = noise_model.sample(24, rng)
+        noise = noise_model.transform(noise_model.base.sample(24, rng))
         _, grads = nce_loss_and_grads(net, data, noise, 8.0)
         h = 1e-5
         for pi, p in enumerate(net.parameters()):
@@ -113,7 +113,7 @@ class TestNoiseModel:
         base = GaussianModel(np.array([1.0, -1.0]),
                              np.array([[2.0, 0.3], [0.3, 0.5]]))
         model = NoiseModel(base, psi=np.full(2, -40.0), nu=8.0)
-        draws = model.sample(100_000, rng)
+        draws = model.transform(base.sample(100_000, rng))
         emp = np.cov(draws.T, bias=True)
         assert np.abs(emp - base.cov).max() / np.abs(base.cov).max() < 0.02
 
@@ -122,7 +122,7 @@ class TestNoiseModel:
         base = GaussianModel(np.zeros(2), np.diag([1.0, 4.0]))
         model = NoiseModel(base, psi=np.zeros(2), nu=8.0)
         np.testing.assert_allclose(model.k_diag(), 1.0 + np.log(2.0))
-        draws = model.sample(200_000, rng)
+        draws = model.transform(base.sample(200_000, rng))
         np.testing.assert_allclose(
             draws.std(axis=0), (1 + np.log(2)) * np.array([1.0, 2.0]), rtol=0.02
         )
@@ -132,7 +132,7 @@ class TestNoiseModel:
         base = GaussianModel(np.array([3.0, -2.0]), np.eye(2))
         for psi in (np.zeros(2), np.full(2, 5.0), np.array([-3.0, 4.0])):
             model = NoiseModel(base, psi=psi, nu=8.0)
-            draws = model.sample(100_000, rng)
+            draws = model.transform(base.sample(100_000, rng))
             np.testing.assert_allclose(draws.mean(axis=0), base.mean, atol=0.05)
 
     def test_adapted_gaussian_covariance(self):
@@ -390,7 +390,7 @@ class TestTrainEstimator:
     def test_theta_and_psi_updates_are_disjoint(self, small_problem):
         rng, net, data, noise_model = small_problem
         psi_before = noise_model.psi.copy()
-        noise = noise_model.sample(24, rng)
+        noise = noise_model.transform(noise_model.base.sample(24, rng))
         _, grads = nce_loss_and_grads(net, data, noise, 8.0)
         AdamW(net.parameters(), lr=1e-3).step(net.parameters(), grads)
         np.testing.assert_array_equal(noise_model.psi, psi_before)
