@@ -238,6 +238,8 @@ def train_autoencoder(
         lambda: val_loss(include_cov=False), dec.state(),
         history["stage2_val"], best_loss=val_loss(include_cov=False),
     )
+    enc.release()
+    dec.release()
     history["best_epoch"] = {"stage1": best1, "stage2": best2}
     history["diverged_at_epoch"] = {"stage1": diverged1, "stage2": diverged2}
 

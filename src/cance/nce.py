@@ -116,12 +116,14 @@ class NoiseModel:
 
 def nce_loss(net: Network, data_batch: np.ndarray, noise_batch: np.ndarray,
              nu: float) -> float:
-    """Batch loss: -mean ln sig(T(z)) - nu * mean ln(1 - sig(T(v)))."""
+    """Batch loss: -mean ln sig(T(z)) - nu * mean ln(1 - sig(T(v))), from
+    train-mode forwards into the network's work buffers (the classifier has
+    no batch norm, so the mode changes no value)."""
     if data_batch.shape[0] == 0 or noise_batch.shape[0] == 0:
         raise ShapeError("empty batch")
-    t_data = net.forward(data_batch, train=False)[:, 0]
-    t_noise = net.forward(noise_batch, train=False)[:, 0]
-    return float(softplus(-t_data).mean() + nu * softplus(t_noise).mean())
+    data_term = softplus(-net.forward(data_batch, train=True)[:, 0]).mean()
+    noise_term = softplus(net.forward(noise_batch, train=True)[:, 0]).mean()
+    return float(data_term + nu * noise_term)
 
 
 def nce_loss_and_grads(net: Network, data_batch: np.ndarray,
@@ -427,6 +429,7 @@ def train_estimator(
         fit_epochs(config.epochs, n, min(config.batch_size, n), train_rng, step,
                    validation_loss, state, history["val_loss"])
     )
+    net.release()
     frozen = NoiseModel(noise_model.base, noise_model.psi, config.nu)
     history["k_diag"] = frozen.k_diag().tolist()
     return EstimatorModel(net, frozen), history

@@ -36,8 +36,7 @@ class DenseLayer:
         self.activation = Activation(activation)
         self.grad_weights = np.zeros_like(weights)
         self.grad_bias = np.zeros_like(bias)
-        self._x = None
-        self._post = None
+        self.release()
 
     @classmethod
     def glorot(cls, in_dim: int, out_dim: int, activation: Activation,
@@ -65,39 +64,52 @@ class DenseLayer:
     def out_dim(self) -> int:
         return self.weights.shape[0]
 
+    def release(self) -> None:
+        """Drop the train-mode output buffer and the forward cache."""
+        self._out = self._x = self._post = None
+
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+        """In train mode the output is a row view of a buffer kept for the
+        largest batch yet, valid until the next train-mode call; eval mode
+        allocates it, so frozen models serve concurrent callers."""
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ShapeError(f"expected input (*, {self.in_dim}), got {x.shape}")
-        pre = x @ self.weights.T
+        if train and (self._out is None or len(self._out) < len(x)):
+            self._out = np.empty((len(x), self.out_dim))
+        pre = np.matmul(x, self.weights.T, out=self._out[: len(x)] if train else None)
         pre += self.bias
         # backward needs only the output, so pre need not survive
         post = np.tanh(pre, out=pre) if self.activation is Activation.TANH else pre
         if train:
-            # eval-mode forwards leave all state untouched so a frozen
-            # model is safe for concurrent callers
             self._x, self._post = x, post
         return post
 
     def backward(self, upstream: np.ndarray, param_grads: bool = True,
-                 input_grad: bool = True) -> np.ndarray | None:
+                 input_grad: bool = True,
+                 out: np.ndarray | None = None) -> np.ndarray | None:
         """Set the parameter gradients and return the input gradient;
-        either half can be skipped (the input gradient is then None)."""
-        if self._x is None:
+        either half can be skipped (the input gradient is then None). The
+        forward's output buffer becomes the pre-activation gradient; the
+        input gradient is written to `out` if given."""
+        x, dpre = self._x, self._post
+        if x is None:
             raise RuntimeError("backward called without a cached train-mode forward")
-        if upstream.shape != self._post.shape:
+        if upstream.shape != dpre.shape:
             raise ShapeError(
-                f"upstream gradient {upstream.shape} != output {self._post.shape}"
+                f"upstream gradient {upstream.shape} != output {dpre.shape}"
             )
+        self._x = self._post = None
         if self.activation is Activation.TANH:
-            # upstream * (1 - post^2), built as (1 - post^2) * upstream in a
-            # fresh buffer; multiplication commutes, so the bits are the same
-            dpre = self._post * self._post
+            # upstream * (1 - post^2), built as (1 - post^2) * upstream in the
+            # output buffer; multiplication commutes, so the bits are the same
+            np.multiply(dpre, dpre, out=dpre)
             np.subtract(1.0, dpre, out=dpre)
             dpre *= upstream
         else:
-            dpre = upstream
+            # copied, so `upstream` may be the scratch written below
+            dpre[...] = upstream
         if param_grads:
-            self.grad_weights = dpre.T @ self._x
+            self.grad_weights = dpre.T @ x
             self.grad_bias = dpre.sum(axis=0)
         if not input_grad:
             return None
@@ -106,10 +118,10 @@ class DenseLayer:
             # the GEMM's bits without the call; adding +0.0 turns a -0.0
             # product into +0.0, as the GEMM's zeroed accumulator does (a
             # saturated tanh, post == +-1, gives such zero derivatives)
-            dx = dpre * self.weights
+            dx = np.multiply(dpre, self.weights, out=out)
             dx += 0.0
             return dx
-        return dpre @ self.weights
+        return np.matmul(dpre, self.weights, out=out)
 
     def parameters(self) -> list:
         return [self.weights, self.bias]
@@ -150,9 +162,11 @@ class BatchNormLayer:
         self.running_var = np.ones(dim)
         self.grad_gamma = np.zeros(dim)
         self.grad_beta = np.zeros(dim)
-        self._xnorm = None
-        self._std = None
-        self._clamped = None
+        self.release()
+
+    def release(self) -> None:
+        """Drop the forward cache."""
+        self._xnorm = self._std = self._clamped = None
 
     @property
     def in_dim(self) -> int:
@@ -185,7 +199,7 @@ class BatchNormLayer:
         return self.gamma * xnorm + self.beta
 
     def backward(self, upstream: np.ndarray, param_grads: bool = True,
-                 input_grad: bool = True) -> np.ndarray | None:
+                 input_grad: bool = True, out=None) -> np.ndarray | None:
         if self._xnorm is None:
             raise RuntimeError("backward called without a cached train-mode forward")
         xnorm, std = self._xnorm, self._std
@@ -200,7 +214,7 @@ class BatchNormLayer:
         var_path = np.where(
             self._clamped, 0.0, xnorm * (dxnorm * xnorm).mean(axis=0)
         )
-        return (dxnorm - dxnorm.mean(axis=0) - var_path) / std
+        return np.divide(dxnorm - dxnorm.mean(axis=0) - var_path, std, out=out)
 
     def parameters(self) -> list:
         return [self.gamma, self.beta]
@@ -236,6 +250,7 @@ class Network:
             if a.out_dim != b.in_dim:
                 raise ShapeError(f"layer chain mismatch: {a.out_dim} -> {b.in_dim}")
         self.layers = layers
+        self._scratch = None
 
     @property
     def in_dim(self) -> int:
@@ -247,7 +262,8 @@ class Network:
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         """The last layer's output; a NaN or inf anywhere inside that is not
-        squashed to a finite value on the way raises NonFiniteError."""
+        squashed to a finite value on the way raises NonFiniteError. In train
+        mode it is a view, valid until the network's next train-mode call."""
         x = np.asarray(x, dtype=np.float64)
         for layer in self.layers:
             x = layer.forward(x, train=train)
@@ -259,13 +275,25 @@ class Network:
 
         `param_grads=False` leaves every layer's gradients as they were;
         `input_grad=False` skips the first layer's input gradient and
-        returns None.
+        returns None. The layers share one input-gradient scratch, so the
+        result is a view, valid until the network's next train-mode call.
         """
+        rows, widest = len(upstream), max(layer.in_dim for layer in self.layers)
+        if self._scratch is None or self._scratch.size < rows * widest:
+            self._scratch = np.empty(rows * widest)
         first = self.layers[0]
         for layer in reversed(self.layers):
+            out = self._scratch[: rows * layer.in_dim].reshape(rows, layer.in_dim)
             upstream = layer.backward(upstream, param_grads=param_grads,
-                                      input_grad=input_grad or layer is not first)
+                                      input_grad=input_grad or layer is not first,
+                                      out=out)
         return upstream
+
+    def release(self) -> None:
+        """Drop every work buffer and forward cache, as at the end of a fit."""
+        self._scratch = None
+        for layer in self.layers:
+            layer.release()
 
     def parameters(self) -> list:
         return [p for layer in self.layers for p in layer.parameters()]

@@ -14,6 +14,7 @@ from cance.errors import DegenerateFeatureError, NonFiniteError, ShapeError
 # added to the diagonal of a covariance that Cholesky rejects
 JITTER = 1e-8
 MARGIN_GRID_SIZE = 512
+KDE_BLOCK = 16
 
 
 @dataclass
@@ -213,9 +214,14 @@ def gaussian_kde_silverman(samples: np.ndarray):
     h = 0.9 * spread * samples.size ** (-0.2)
 
     def density(z):
+        # in blocks of grid points to bound the (block x samples) arrays;
+        # each point keeps its own row sum, so the block moves no bit
         z = np.asarray(z, dtype=np.float64)
-        u = (z[:, None] - samples[None, :]) / h
-        return np.exp(-0.5 * u * u).sum(axis=1) / (samples.size * h * np.sqrt(2 * np.pi))
+        sums = np.empty(z.shape[0])
+        for start in range(0, z.shape[0], KDE_BLOCK):
+            u = (z[start : start + KDE_BLOCK, None] - samples[None, :]) / h
+            sums[start : start + KDE_BLOCK] = np.exp(-0.5 * u * u).sum(axis=1)
+        return sums / (samples.size * h * np.sqrt(2 * np.pi))
 
     return density
 

@@ -30,3 +30,13 @@ def fake_blas(monkeypatch):
         "numpy", lambda: state["threads"], lambda n: state.update(threads=n),
         lambda: b"fake OpenBLAS")])
     return state
+
+
+@pytest.fixture
+def holds_no_work_arrays():
+    """A check that no buffer or forward cache is left on a network or any
+    of its layers (their private attributes are all None)."""
+    def check(net):
+        return all(value is None for obj in (net, *net.layers)
+                   for name, value in vars(obj).items() if name.startswith("_"))
+    return check

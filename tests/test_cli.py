@@ -26,7 +26,7 @@ from cance.data import (
     write_embeddings,
 )
 from cance.errors import DataFormatError, NonFiniteError, ShapeError
-from cance.nce import EstimatorModel, NoiseModel
+from cance.nce import EstimatorModel, NceConfig, NoiseModel, train_estimator
 from cance.nn import Activation, DenseLayer, Network
 from cance.nn.serialize import load_container, save_container
 from cance.pipeline import (
@@ -35,6 +35,7 @@ from cance.pipeline import (
     NORMALIZER_FILE,
     SCORE_BLOCK,
     load_run,
+    save_model,
 )
 from cance.rng import RunRng
 from cance.stats import GaussianModel
@@ -763,8 +764,29 @@ def golden_digests(root):
         del variant["config_hash"]
     outputs["ablate/ablation.json"] = json.dumps(summary, indent=2,
                                                  sort_keys=True).encode()
+    outputs.update(golden_recovery(root / "recovery"))
     return {name: hashlib.sha256(data).hexdigest()
             for name, data in outputs.items()}
+
+
+def golden_recovery(out):
+    """A short run of criterion 3's recovery setup: N(0,1) data against
+    fixed N(0,4) noise, batch 512 and nu 8, so its steps take 4608 rows,
+    and 3000 training rows, so each epoch ends on a 440-row batch."""
+    rng = RunRng(42)
+    data = rng.stream("data").standard_normal((3500, 1))
+    noise = NoiseModel(GaussianModel(np.zeros(1), 4.0 * np.eye(1)),
+                       psi=None, nu=8.0)
+    config = NceConfig(widths=(64, 64), nu=8.0, lr=2e-3, epochs=2,
+                       batch_size=512, augmentation=False, adapt_noise=False)
+    model, _ = train_estimator(data[:3000], data[3000:], config,
+                               rng.stream("init"), rng.stream("train"),
+                               rng.stream("val"), noise_model=noise)
+    out.mkdir()
+    save_model(out / ESTIMATOR_FILE, model)
+    write_scores(out / "scores.csv", model.score(np.linspace(-2.0, 2.0, 41)[:, None]))
+    return {f"recovery/{file}": (out / file).read_bytes()
+            for file in (ESTIMATOR_FILE, "scores.csv")}
 
 
 def test_output_bits_match_golden_manifest(tmp_path, capsys):

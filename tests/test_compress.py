@@ -301,6 +301,14 @@ class TestTrainAutoencoder:
         with pytest.raises(NonFiniteError, match="before any finite checkpoint"):
             self.train_with_stage1_losses(monkeypatch, lambda epoch: np.inf)
 
+    def test_fit_leaves_no_work_arrays(self, subspace_data, holds_no_work_arrays):
+        train, val = subspace_data
+        config = AeConfig(latent_dim=2, hidden=(8,), epochs=2, batch_size=64)
+        model, _ = train_autoencoder(train, val, config,
+                                     np.random.default_rng(0), np.random.default_rng(1))
+        assert holds_no_work_arrays(model.encoder)
+        assert holds_no_work_arrays(model.decoder)
+
     def test_empty_dataset_rejected(self):
         config = AeConfig(latent_dim=2, hidden=(4,), epochs=2)
         with pytest.raises(ShapeError):

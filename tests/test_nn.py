@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cance.compress import AeConfig, AutoencoderModel
 from cance.errors import NonFiniteError, ShapeError
 from cance.nn import (
     Activation,
@@ -238,7 +239,7 @@ class TestBackwardModes:
         x = rng.standard_normal((32, 4))
         upstream = rng.standard_normal((32, 1))
         net.forward(x, train=True)
-        full = net.backward(upstream)
+        full = net.backward(upstream).copy()  # a view of the network's scratch
         grads = net.gradients()
         net.forward(x, train=True)
         input_only = net.backward(upstream, param_grads=False)
@@ -258,6 +259,76 @@ class TestBackwardModes:
         assert net.backward(upstream, input_grad=False) is None
         for a, b in zip(net.gradients(), full):
             assert a.tobytes() == b.tobytes()
+
+
+def reference_network_pass(net, x, upstream):
+    """A train forward and full backward through fresh arrays, with the
+    former dense formulas: (output, parameter gradients, input gradient).
+    Batch-norm layers run on copies, so `net` keeps its running statistics."""
+    layers = [
+        layer if isinstance(layer, DenseLayer)
+        else BatchNormLayer.from_state(layer.spec(), copy_state(layer.state()))
+        for layer in net.layers
+    ]
+    inputs = []
+    for layer in layers:
+        inputs.append(x)
+        if isinstance(layer, DenseLayer):
+            x = reference_dense_pass(layer, x, np.zeros((len(x), layer.out_dim)))[0]
+        else:
+            x = layer.forward(x, train=True)
+    output, grads = x, []
+    for layer, x in zip(reversed(layers), reversed(inputs)):
+        if isinstance(layer, DenseLayer):
+            _, gw, gb, upstream = reference_dense_pass(layer, x, upstream)
+            grads = [gw, gb] + grads
+        else:
+            upstream = layer.backward(upstream)
+            grads = layer.gradients() + grads
+    return output, grads, upstream
+
+
+def training_networks():
+    rng = np.random.default_rng(15)
+    ae = AutoencoderModel.build(8, AeConfig(latent_dim=2, hidden=(64, 32)), rng)
+    return {"estimator": mlp([4, 64, 64, 1], rng), "encoder": ae.encoder,
+            "decoder": ae.decoder}
+
+
+class TestWorkBuffers:
+    """Train-mode passes write into buffers each network keeps between calls;
+    the bits are those of fresh arrays."""
+
+    @pytest.mark.parametrize("name", ["estimator", "encoder", "decoder"])
+    def test_train_pass_matches_fresh_arrays_at_uneven_rows(self, name):
+        net = training_networks()[name]
+        rng = np.random.default_rng(16)
+        # the last two calls reuse buffers grown by the 2305-row call
+        for rows in (41, 257, 2305, 41, 257):
+            x = rng.standard_normal((rows, net.in_dim))
+            upstream = rng.standard_normal((rows, net.out_dim))
+            output, grads, dx = reference_network_pass(net, x, upstream)
+            assert net.forward(x, train=True).tobytes() == output.tobytes()
+            assert net.backward(upstream).tobytes() == dx.tobytes()
+            for got, want in zip(net.gradients(), grads):
+                assert got.tobytes() == want.tobytes()
+
+    def test_train_outputs_and_input_gradient_are_reused_views(self):
+        net = training_networks()["estimator"]
+        x = np.random.default_rng(17).standard_normal((64, 4))
+        first = net.forward(x, train=True)
+        dx = net.backward(np.ones((64, 1)))
+        assert net.forward(x[:32], train=True).base is first.base
+        assert net.backward(np.ones((32, 1))).base is dx.base
+        assert net.forward(x, train=False).base is not first.base
+
+    def test_second_backward_needs_a_new_forward(self):
+        net = training_networks()["estimator"]
+        x = np.random.default_rng(18).standard_normal((16, 4))
+        net.forward(x, train=True)
+        net.backward(np.ones((16, 1)))
+        with pytest.raises(RuntimeError, match="without a cached train-mode forward"):
+            net.backward(np.ones((16, 1)))
 
 
 class TestBatchNorm:
