@@ -72,8 +72,11 @@ def _load_input(path, ignore_columns) -> Dataset:
         if path.endswith(".emb"):
             return load_embeddings(path)
         # the header is split as load_csv splits it, quoted commas included
-        header = next(csv_rows(path, [fh.readline()]), [])
-        has_rows = any(map(str.strip, fh))  # reads up to the first non-blank line
+        try:
+            header = next(csv_rows(path, [fh.readline()]), [])
+            has_rows = any(map(str.strip, fh))  # reads up to the first non-blank line
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: {exc}") from None
     features = [c for c in (h.strip() for h in header) if c not in ignore_columns]
     if not has_rows and any(map(str.strip, header)):
         return Dataset(np.empty((0, len(features))))

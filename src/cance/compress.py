@@ -12,7 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from cance.errors import ConfigError, DegenerateFeatureError, ShapeError
-from cance.nn import AdamW, BatchNormLayer, Network, fit_epochs, mlp
+from cance.nn.layers import BatchNormLayer, Network, mlp
+from cance.nn.optim import AdamW, fit_epochs
+from cance.stats import StreamingMoments
 
 log = logging.getLogger(__name__)
 
@@ -56,8 +58,7 @@ def covariance_loss(latent_batch: np.ndarray) -> float:
     d = z.shape[1]
     if d < 2:
         raise ShapeError("covariance loss needs latent dim >= 2")
-    centered = z - z.mean(axis=0)
-    cov = centered.T @ centered / z.shape[0]
+    cov = StreamingMoments.from_batch(z).cov
     off = cov - np.diag(np.diag(cov))
     return float(np.sum(off * off) / (d * (d - 1)))
 
@@ -66,12 +67,11 @@ def covariance_loss_grad(latent_batch: np.ndarray) -> np.ndarray:
     """Gradient of covariance_loss with respect to the latent batch."""
     z = np.asarray(latent_batch, dtype=np.float64)
     n, d = z.shape
-    centered = z - z.mean(axis=0)
-    cov = centered.T @ centered / n
-    off = cov - np.diag(np.diag(cov))
-    # dL/dSigma = 2*off/(d(d-1)); dSigma/dZ folds to 2*centered@G/n, and the
-    # batch-mean term vanishes because `centered` has zero column sums
-    return centered @ off * (4.0 / (n * d * (d - 1)))
+    moments = StreamingMoments.from_batch(z)
+    off = moments.cov - np.diag(np.diag(moments.cov))
+    # dL/dSigma = 2*off/(d(d-1)); dSigma/dZ folds to 2*(z - mean)@G/n, and
+    # the batch-mean term vanishes because `z - mean` has zero column sums
+    return (z - moments.mean) @ off * (4.0 / (n * d * (d - 1)))
 
 
 def check_widths(key: str, widths) -> None:
@@ -260,8 +260,7 @@ def latent_condition_number(model, x: np.ndarray) -> float:
     z = model.latents(x)
     if z.shape[0] < 2:
         return np.inf
-    centered = z - z.mean(axis=0)
-    eig = np.linalg.eigvalsh(centered.T @ centered / z.shape[0])
+    eig = np.linalg.eigvalsh(StreamingMoments.from_batch(z).cov)
     if eig[-1] <= 0:
         return np.inf
     return float(eig[-1] / eig[0]) if eig[0] > 0 else np.inf
@@ -321,14 +320,12 @@ def fit_pca(x: np.ndarray, d: int) -> PcaModel:
         raise ShapeError(f"latent dim {d} exceeds input dim {dim}")
     if n <= d:
         raise ShapeError(f"need more than {d} rows to fit {d} components, got {n}")
-    mean = x.mean(axis=0)
-    centered = x - mean
-    cov = centered.T @ centered / n
-    eigval, eigvec = np.linalg.eigh(cov)
+    moments = StreamingMoments.from_batch(x)
+    eigval, eigvec = np.linalg.eigh(moments.cov)
     eigval, eigvec = eigval[::-1], eigvec[:, ::-1]
     rank = int(np.sum(eigval > max(eigval[0], 0.0) * 1e-12))
     if d > rank:
         raise DegenerateFeatureError(
             f"data has numerical rank {rank}, cannot extract {d} components"
         )
-    return PcaModel(mean, eigvec[:, :d].T)
+    return PcaModel(moments.mean, eigvec[:, :d].T)

@@ -70,28 +70,33 @@ class Dataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def take(self, idx: np.ndarray, name: str | None = None) -> "Dataset":
+    def take(self, idx: np.ndarray) -> "Dataset":
         return Dataset(
             self.features[idx],
             None if self.labels is None else self.labels[idx],
             None if self.class_ids is None else self.class_ids[idx],
-            self.name if name is None else name,
+            self.name,
         )
+
+
+def _holdout(n: int, fraction: float, rng: np.random.Generator):
+    """(held-out, kept) row indices: the first max(1, round(n * fraction))
+    entries of `rng.permutation(n)`, then the rest, which must not be empty."""
+    if not 0.0 < fraction < 1.0:
+        raise ConfigError(f"holdout fraction must be in (0,1), got {fraction}")
+    order = rng.permutation(n)
+    cut = max(1, int(round(n * fraction)))
+    if cut >= n:
+        raise ConfigError(f"holdout fraction {fraction} of {n} rows "
+                          "leaves no training rows")
+    return order[:cut], order[cut:]
 
 
 def split_train_val(dataset: Dataset, val_fraction: float,
                     rng: np.random.Generator):
     """Deterministic partition into (train, val); val gets the stated fraction."""
-    if not 0.0 < val_fraction < 1.0:
-        raise ValueError(f"val_fraction must be in (0,1), got {val_fraction}")
-    order = rng.permutation(dataset.n)
-    n_val = max(1, int(round(dataset.n * val_fraction)))
-    if n_val >= dataset.n:
-        raise ShapeError("validation fraction leaves no training rows")
-    return (
-        dataset.take(order[n_val:], name=f"{dataset.name}/train"),
-        dataset.take(order[:n_val], name=f"{dataset.name}/val"),
-    )
+    val, train = _holdout(dataset.n, val_fraction, rng)
+    return dataset.take(train), dataset.take(val)
 
 
 # --------------------------------------------------------------------------
@@ -105,12 +110,15 @@ def _integral(values):
 
 def csv_rows(path, lines):
     """The rows `csv.reader` splits `lines` into; a csv.Error (a field over
-    the reader's size limit, say) raises DataFormatError naming `path`."""
+    the reader's size limit, say) or undecodable text raises DataFormatError
+    naming `path`."""
     reader = csv.reader(lines)
     try:
         yield from reader
     except csv.Error as exc:
         raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def _parse_cells(path, cells, columns, n_features, rows: range):
@@ -475,28 +483,22 @@ def make_multimodal(dataset: Dataset, normal_classes,
     if test_dataset is None:
         if rng is None:
             raise ValueError("need an rng to partition a single dataset")
-        order = rng.permutation(dataset.n)
-        n_test = max(1, int(round(dataset.n * test_fraction)))
-        test_part = dataset.take(order[:n_test])
-        train_part = dataset.take(order[n_test:])
+        test_part, train_part = map(dataset.take, _holdout(dataset.n, test_fraction, rng))
     else:
         if test_dataset.class_ids is None:
             raise ShapeError("test dataset has no class ids")
         train_part, test_part = dataset, test_dataset
 
     normal_mask = np.isin(train_part.class_ids, normal_classes)
-    train = Dataset(
-        train_part.features[normal_mask],
-        class_ids=train_part.class_ids[normal_mask],
-        name=f"{dataset.name}/normal-train",
-    )
+    train = Dataset(train_part.features[normal_mask],
+                    class_ids=train_part.class_ids[normal_mask], name=dataset.name)
     if train.n == 0:
         raise ValueError(f"no training rows in class(es) {normal_classes}")
     test = Dataset(
         test_part.features,
         labels=(~np.isin(test_part.class_ids, normal_classes)).astype(np.int64),
         class_ids=test_part.class_ids,
-        name=f"{dataset.name}/test",
+        name=dataset.name,
     )
     return train, test
 
@@ -711,34 +713,45 @@ def load_recipe_dataset(recipe_path, data_path) -> Dataset:
 
     The recipe names the label column, the values that count as normal and
     as anomalous (all other rows are dropped), and optional categorical
-    encodings per column index. The raw file is headerless CSV.
+    encodings per column index. The raw file is headerless CSV. An entry
+    that does not parse raises DataFormatError naming it.
     """
     import configparser
+
+    def read(entry, convert, text):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise DataFormatError(
+                f"{recipe_path}: {entry}: cannot parse {text!r}: {exc}") from None
+
+    def numbers(text):
+        return {float(v) for v in text.split(",") if v.strip()}
+
+    def table(mapping):
+        pairs = [pair.split(":") for pair in mapping.split(",")]
+        return {token.strip(): float(value) for token, value in pairs}
 
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(recipe_path) as fh:
             parser.read_file(fh)
-    except (OSError, configparser.Error) as exc:
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
         raise DataFormatError(f"cannot read recipe {recipe_path}: {exc}") from exc
     if "recipe" not in parser:
         raise DataFormatError(f"{recipe_path}: missing [recipe] section")
     section = parser["recipe"]
-    label_col = section.getint("label_column")
-    if label_col is None or label_col < 0:
+    label_col = read("label_column", int, section.get("label_column", "-1"))
+    if label_col < 0:
         raise DataFormatError(f"{recipe_path}: needs a label_column >= 0")
-    normal = {float(v) for v in section.get("normal_values", "").split(",") if v.strip()}
-    anomaly = {float(v) for v in section.get("anomaly_values", "").split(",") if v.strip()}
+    normal, anomaly = (read(key, numbers, section.get(key, ""))
+                       for key in ("normal_values", "anomaly_values"))
     if not normal or not anomaly:
         raise DataFormatError(f"{recipe_path}: needs normal and anomaly values")
     categorical = {}
-    if "categorical" in parser:
-        for col, mapping in parser["categorical"].items():
-            table = {}
-            for pair in mapping.split(","):
-                token, value = pair.split(":")
-                table[token.strip()] = float(value)
-            categorical[int(col)] = table
+    for col, mapping in parser.items("categorical") if "categorical" in parser else ():
+        entry = f"[categorical] {col}"
+        categorical[read(entry, int, col)] = read(entry, table, mapping)
 
     features, labels, first = [], [], None  # (columns, row) of the first kept row
     with open(data_path, newline="") as fh:
@@ -804,17 +817,9 @@ def split_labeled_benchmark(dataset: Dataset, test_fraction: float,
     anom_idx = np.flatnonzero(dataset.labels == 1)
     if normal_idx.size == 0:
         raise ValueError("no normal rows to train on")
-    order = rng.permutation(normal_idx.size)
-    n_test = max(1, int(round(normal_idx.size * test_fraction)))
-    test_normals = normal_idx[order[:n_test]]
-    train_normals = normal_idx[order[n_test:]]
-    if train_normals.size == 0:
-        raise ValueError("test fraction leaves no training rows")
-    train = dataset.take(train_normals, name=f"{dataset.name}/train")
-    test = dataset.take(
-        np.concatenate([test_normals, anom_idx]), name=f"{dataset.name}/test"
-    )
-    return train, test
+    test_normals, train_normals = _holdout(normal_idx.size, test_fraction, rng)
+    test_idx = np.concatenate([normal_idx[test_normals], anom_idx])
+    return dataset.take(normal_idx[train_normals]), dataset.take(test_idx)
 
 
 # --------------------------------------------------------------------------

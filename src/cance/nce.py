@@ -21,7 +21,8 @@ import numpy as np
 
 from cance.compress import check_widths
 from cance.errors import ConfigError, ModelFormatError, NonFiniteError, ShapeError
-from cance.nn import AdamW, Network, fit_epochs, mlp
+from cance.nn.layers import Network, mlp
+from cance.nn.optim import AdamW, fit_epochs
 from cance.stats import (
     GaussianModel,
     StreamingMoments,

@@ -12,12 +12,6 @@ class Activation(str, Enum):
     TANH = "tanh"
 
 
-def require_finite(arr: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError(f"non-finite values in {what}")
-    return arr
-
-
 class DenseLayer:
     """Fully connected layer: y = act(x @ W.T + b), W of shape (out, in),
     act tanh or identity."""
@@ -267,7 +261,9 @@ class Network:
         x = np.asarray(x, dtype=np.float64)
         for layer in self.layers:
             x = layer.forward(x, train=train)
-        return require_finite(x, "network output")
+        if not np.all(np.isfinite(x)):
+            raise NonFiniteError("non-finite values in network output")
+        return x
 
     def backward(self, upstream: np.ndarray, param_grads: bool = True,
                  input_grad: bool = True) -> np.ndarray | None:

@@ -180,19 +180,16 @@ class GaussianModel:
     def dim(self) -> int:
         return self.mean.size
 
-    def logpdf(self, u: np.ndarray):
-        """Log density; a single point returns a float, a batch an array."""
-        u = np.asarray(u, dtype=np.float64)
-        single = u.ndim == 1
-        pts = np.atleast_2d(u)
+    def logpdf(self, u: np.ndarray) -> np.ndarray:
+        """Log density of each row of `u`; a single point is one row."""
+        pts = np.atleast_2d(np.asarray(u, dtype=np.float64))
         if pts.shape[1] != self.dim:
             raise ShapeError(f"expected points of dim {self.dim}, got {pts.shape[1]}")
         # solve L w = (u - mean)^T, then the Mahalanobis norm is |w|^2
         z = solve_triangular(self.factor, (pts - self.mean).T, lower=True)
         quad = np.sum(z * z, axis=0)
         logdet = 2.0 * np.sum(np.log(np.diag(self.factor)))
-        out = -0.5 * (self.dim * np.log(2.0 * np.pi) + logdet + quad)
-        return float(out[0]) if single else out
+        return -0.5 * (self.dim * np.log(2.0 * np.pi) + logdet + quad)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return self.mean + rng.standard_normal((n, self.dim)) @ self.factor.T

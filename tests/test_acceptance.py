@@ -27,7 +27,7 @@ from cance.nce import (
     nce_loss_and_grads,
     train_estimator,
 )
-from cance.nn import Activation, BatchNormLayer, DenseLayer, Network, mlp
+from cance.nn.layers import Activation, BatchNormLayer, DenseLayer, Network, mlp
 from cance.pipeline import run_pipeline
 from cance.rng import RunRng
 from cance.stats import (

@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
 import shutil
 import threading
 from pathlib import Path
@@ -27,7 +28,7 @@ from cance.data import (
 )
 from cance.errors import DataFormatError, NonFiniteError, ShapeError
 from cance.nce import EstimatorModel, NceConfig, NoiseModel, train_estimator
-from cance.nn import Activation, DenseLayer, Network
+from cance.nn.layers import Activation, DenseLayer, Network
 from cance.nn.serialize import load_container, save_container
 from cance.pipeline import (
     COMPRESSION_FILE,
@@ -262,6 +263,18 @@ class TestTrainAndScore:
         points.write_text("f0,f1,label\n   \n\n")
         assert main(argv) == 0
         assert out.read_text() == "id,z_e,z_c,score\n"
+
+    def test_undecodable_input_is_data_error(self, pca_run, tiny_ini, tmp_path,
+                                             capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"f0,f1,label\n0.1,\xff,0\n0.3,0.4,1\n")
+        for argv in (["score", "-m", str(pca_run / "model"), "-i", str(bad),
+                      "-o", str(tmp_path / "s.csv")],
+                     ["train", "-c", str(tiny_ini), "-o", str(tmp_path / "out"),
+                      "--set", "dataset.kind=csv", "--set", f"dataset.path={bad}",
+                      "--set", "dataset.label_column=label"]):
+            assert main(argv) == 2
+            assert re.search("bad.csv: .*can't decode byte 0xff", capsys.readouterr().err)
 
     def test_score_rows_without_features_is_config_error(self, tiny_ini,
                                                          tmp_path, capsys):
@@ -850,6 +863,20 @@ class TestEvalFailures:
         report = json.loads((outdir / "report.json").read_text())
         assert [r["error"] for r in report["per_run"]] == \
             ["AUROC needs both classes present"] * 2
+
+
+class TestHoldoutFractions:
+    @pytest.mark.parametrize("key, rows", [("eval.val_fraction", 2),
+                                           ("dataset.test_fraction", 3)])
+    def test_fraction_leaving_no_training_rows_is_config_error(self, tiny_ini,
+                                                               tmp_path, capsys,
+                                                               key, rows):
+        # 3 normal rows: 1 goes to test at the default 0.2, and 2 stay
+        assert main(["train", "-c", str(tiny_ini), "-o", str(tmp_path / "out"),
+                     "--set", "dataset.synth=ring(n=3) + box(n=1)",
+                     "--set", f"{key}=0.9"]) == 1
+        assert (f"config error: holdout fraction 0.9 of {rows} rows leaves no "
+                "training rows") in capsys.readouterr().err
 
 
 class TestSynthAndInspect:

@@ -17,8 +17,8 @@ from cance.compress import (
     train_autoencoder,
 )
 from cance.errors import DegenerateFeatureError, NonFiniteError, ShapeError
-from cance.nn import AdamW
 from cance.nn.layers import copy_state, write_state
+from cance.nn.optim import AdamW
 from cance.pipeline import load_model, save_model
 
 

@@ -18,7 +18,7 @@ from cance.data import (
 )
 from cance.errors import ConfigError
 from cance.nce import EstimatorModel, NoiseModel
-from cance.nn import mlp
+from cance.nn.layers import mlp
 from cance.nn.serialize import save_container
 from cance.pipeline import load_model, save_model
 

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import re
 import struct
 import sys
 import tempfile
@@ -33,7 +34,7 @@ from cance.data import (
     write_embeddings,
     write_table,
 )
-from cance.errors import DataFormatError, NonFiniteError, ShapeError
+from cance.errors import ConfigError, DataFormatError, NonFiniteError, ShapeError
 from cance.rng import RunRng
 
 # shortest round-trip text switches to an exponent below 1e-4 and from
@@ -159,6 +160,15 @@ class TestCsv:
         path = tmp_path / "dup.csv"
         path.write_text(f"{header}\n1,2,3\n4,5,6\n")
         with pytest.raises(DataFormatError, match=r"dup.csv: column 'a' appears twice"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("raw", [b"a,\xff\n1,2\n",
+                                     b"a,b\n" + b"1,2\n" * 5000 + b"3,\xff\n"])
+    def test_undecodable_bytes_cite_file(self, tmp_path, raw):
+        # in the header, or far enough on that only the rescan decodes them
+        path = tmp_path / "d.csv"
+        path.write_bytes(raw)
+        with pytest.raises(DataFormatError, match="d.csv: .*can't decode byte 0xff"):
             load_csv(path)
 
     def test_header_only_file_rejected(self, tmp_path):
@@ -646,7 +656,7 @@ class TestBenchmarks:
 
     def test_normal_class_with_no_training_rows_rejected(self, toy_classes):
         # a test fraction this large sends every row to the test side
-        with pytest.raises(ValueError, match="no training rows"):
+        with pytest.raises(ConfigError, match="0.999 of 90 rows leaves no training rows"):
             make_multimodal(toy_classes, [0], test_fraction=0.999,
                             rng=np.random.default_rng(7))
 
@@ -702,6 +712,57 @@ class TestSplitsAndNormalize:
         np.testing.assert_array_equal(a[0].features, b[0].features)
         np.testing.assert_array_equal(a[1].features, b[1].features)
         assert a[1].n == 4
+
+    @pytest.mark.parametrize("fraction, problem", [
+        (0.9, "holdout fraction 0.9 of 4 rows leaves no training rows"),
+        (0.0, r"holdout fraction must be in \(0,1\), got 0.0"),
+        (1.0, r"holdout fraction must be in \(0,1\), got 1.0"),
+    ])
+    def test_bad_holdout_fraction_is_config_error(self, fraction, problem):
+        ds = Dataset(np.zeros((5, 1)), labels=[0, 0, 0, 0, 1], class_ids=[0, 0, 1, 1, 1])
+        splits = [lambda rng: split_train_val(ds.take(np.arange(4)), fraction, rng),
+                  lambda rng: split_labeled_benchmark(ds, fraction, rng),
+                  lambda rng: make_multimodal(ds.take(np.arange(4)), [0],
+                                              test_fraction=fraction, rng=rng)]
+        for split in splits:
+            with pytest.raises(ConfigError, match=problem):
+                split(np.random.default_rng(0))
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("fraction", [0.1, 0.25, 0.5])
+    def test_splits_cut_one_permutation(self, seed, fraction):
+        # each split holds out the first max(1, round(n * fraction)) rows of
+        # one rng.permutation(n), in permutation order
+        def cut(n):
+            order = np.random.default_rng(seed).permutation(n)
+            k = max(1, int(round(n * fraction)))
+            return order[:k], order[k:]
+
+        def same(part, idx):
+            return part.features.tobytes() == ds.features[idx].tobytes()
+
+        rng = np.random.default_rng(100 + seed)
+        ds = Dataset(rng.standard_normal((41, 3)), labels=np.arange(41) % 4 == 3,
+                     class_ids=np.arange(41) % 3)
+        held, kept = cut(ds.n)
+        train, val = split_train_val(ds, fraction, np.random.default_rng(seed))
+        assert same(train, kept) and same(val, held)
+        np.testing.assert_array_equal(val.class_ids, ds.class_ids[held])
+
+        normal, anomalous = np.flatnonzero(ds.labels == 0), np.flatnonzero(ds.labels)
+        held, kept = cut(normal.size)
+        train, test = split_labeled_benchmark(ds, fraction, np.random.default_rng(seed))
+        test_idx = np.concatenate([normal[held], anomalous])
+        assert same(train, normal[kept]) and same(test, test_idx)
+        np.testing.assert_array_equal(test.labels, ds.labels[test_idx])
+
+        held, kept = cut(ds.n)
+        train, test = make_multimodal(ds, [0, 2], test_fraction=fraction,
+                                      rng=np.random.default_rng(seed))
+        kept = kept[ds.class_ids[kept] != 1]
+        assert same(train, kept) and same(test, held)
+        np.testing.assert_array_equal(train.class_ids, ds.class_ids[kept])
+        np.testing.assert_array_equal(test.labels, ds.class_ids[held] == 1)
 
     def test_zscore_two_point_column(self):
         ds = Dataset(np.array([[0.0], [2.0]]))
@@ -917,6 +978,41 @@ class TestRecipe:
         raw.write_text("0.5,1\n")
         with pytest.raises(DataFormatError, match="label_column"):
             load_recipe_dataset(recipe, raw)
+
+    def test_undecodable_recipe_cites_file(self, tmp_path):
+        recipe = self.write_recipe(tmp_path)
+        recipe.write_bytes(recipe.read_bytes().replace(b"mini", b"m\xffni"))
+        raw = tmp_path / "raw.csv"
+        raw.write_text("A,0.5,1\n")
+        with pytest.raises(DataFormatError,
+                           match="cannot read recipe .*r.ini: .*can't decode byte 0xff"):
+            load_recipe_dataset(recipe, raw)
+
+    @pytest.mark.parametrize("entries, entry", [
+        ({"label_column": "x"}, "label_column: cannot parse 'x'"),
+        ({"normal_values": "1, $1"}, "normal_values: cannot parse '1, $1'"),
+        ({"anomaly_values": "9, ?"}, "anomaly_values: cannot parse '9, ?'"),
+        ({"[categorical]\n1": "a"}, "[categorical] 1: cannot parse 'a'"),
+        ({"[categorical]\none": "A:0"}, "[categorical] one: cannot parse 'one'"),
+        ({"[categorical]\n0": "A:zero"}, "[categorical] 0: cannot parse 'A:zero'"),
+    ])
+    def test_malformed_entry_cites_recipe_and_entry(self, tmp_path, capsys, entries,
+                                                    entry):
+        from cance.cli import main
+
+        recipe = tmp_path / "r.ini"
+        entries = {"label_column": "2", "normal_values": "1", "anomaly_values": "9",
+                   **entries}
+        recipe.write_text("[recipe]\n" + "".join(f"{k} = {v}\n"
+                                                 for k, v in entries.items()))
+        raw = tmp_path / "raw.csv"
+        raw.write_text("A,0.5,1\n")
+        with pytest.raises(DataFormatError, match=re.escape(f"r.ini: {entry}: ")):
+            load_recipe_dataset(recipe, raw)
+        assert main(["train", "-o", str(tmp_path / "out"),
+                     "--set", "dataset.kind=recipe", "--set", f"dataset.path={raw}",
+                     "--set", f"dataset.recipe={recipe}"]) == 2
+        assert f"r.ini: {entry}: " in capsys.readouterr().err
 
     def test_shipped_abalone_recipe_parses(self, tmp_path):
         import pathlib

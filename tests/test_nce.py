@@ -19,8 +19,8 @@ from cance.nce import (
     sigmoid,
     train_estimator,
 )
-from cance.nn import Activation, AdamW, DenseLayer, Network, mlp
-from cance.nn.layers import copy_state
+from cance.nn.layers import Activation, DenseLayer, Network, copy_state, mlp
+from cance.nn.optim import AdamW
 from cance.pipeline import load_model, save_model
 from cance.stats import GaussianModel
 

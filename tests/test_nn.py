@@ -5,16 +5,15 @@ import pytest
 
 from cance.compress import AeConfig, AutoencoderModel
 from cance.errors import NonFiniteError, ShapeError
-from cance.nn import (
+from cance.nn.layers import (
     Activation,
-    AdamW,
     BatchNormLayer,
     DenseLayer,
     Network,
-    fit_epochs,
+    copy_state,
     mlp,
 )
-from cance.nn.layers import copy_state
+from cance.nn.optim import AdamW, fit_epochs
 
 
 def finite_difference_param_grads(net, x, upstream, h=1e-5):

@@ -12,7 +12,7 @@ from cance.cli import write_scores
 from cance.compress import AeConfig, AutoencoderModel, fit_pca
 from cance.pipeline import SCORE_BLOCK, score_blocks
 from cance.nce import EstimatorModel, NoiseModel
-from cance.nn import mlp
+from cance.nn.layers import mlp
 
 B = SCORE_BLOCK
 

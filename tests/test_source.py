@@ -1,8 +1,11 @@
 """Static checks over the package source."""
 
 import ast
+import importlib
+import pkgutil
 from collections import Counter
 from dataclasses import fields
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -166,4 +169,67 @@ def test_scores_come_only_from_the_block_evaluator():
              for path in sorted(root.rglob("*.py"))
              for use in (scoring_uses(path.read_text()) if path.name != "pipeline.py"
                          else outside_block_evaluator(path.read_text()))]
+    assert found == []
+
+
+def top_level_names(source: str) -> set:
+    """Names a module binds outside its functions and classes, other than
+    by an import."""
+    def walk(nodes):
+        for node in nodes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield node.name
+            else:
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                    yield node.id
+                yield from walk(ast.iter_child_nodes(node))
+
+    return set(walk(ast.parse(source).body))
+
+
+def package_names(module_name: str) -> set:
+    """The names a `cance` module defines, and a package's submodules."""
+    module = importlib.import_module(module_name)
+    names = top_level_names(Path(module.__file__).read_text())
+    return names | {m.name for m in pkgutil.iter_modules(getattr(module, "__path__", []))}
+
+
+def indirect_imports(source: str, defines, filename="<string>") -> list:
+    """`file:line module.name` of each `from cance... import name` whose module
+    does not define `name`; `defines(module)` gives the names it defines."""
+    return [f"{filename}:{node.lineno} {node.module}.{alias.name}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module.split(".")[0] == "cance"
+            for alias in node.names if alias.name not in defines(node.module)]
+
+
+def test_top_level_names_skip_imports_and_locals():
+    source = ("import os\nfrom numpy import array\nA = 1\nB: int = 2\n"
+              "def f():\n    C = 3\nclass K:\n    D = 4\n"
+              "if A:\n    E, F = 5, 6\nfor G in ():\n    pass\n")
+    assert top_level_names(source) == {"A", "B", "f", "K", "E", "F", "G"}
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("from cance.nn.layers import mlp\n", []),
+    ("from cance import pipeline\n", []),
+    ("from numpy import array\nfrom . import mlp\n", []),
+    ("from cance.nn import mlp\n", ["<string>:1 cance.nn.mlp"]),
+    ("def f():\n    from cance.nn.layers import copy_state, mlp\n",
+     ["<string>:2 cance.nn.layers.copy_state"]),
+])
+def test_guard_flags_imports_through_a_non_owner(source, flagged):
+    defines = {"cance": {"pipeline", "nn"}, "cance.nn": {"layers"},
+               "cance.nn.layers": {"mlp"}}.get
+    assert indirect_imports(source, defines) == flagged
+
+
+def test_every_import_names_the_defining_module():
+    # one import path per name: a re-export is a second owner to keep in step
+    tests = Path(__file__).resolve().parent
+    paths = sorted(Path(cance.__file__).parent.rglob("*.py")) + sorted(tests.glob("*.py"))
+    defines = cache(package_names)
+    found = [line for path in paths for line in indirect_imports(
+        path.read_text(), defines, str(path.relative_to(tests.parent)))]
     assert found == []

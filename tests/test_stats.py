@@ -191,6 +191,7 @@ class TestGaussianModel:
         model = GaussianModel(np.zeros(1), np.eye(1))
         np.testing.assert_allclose(model.logpdf(np.zeros(1)),
                                    -0.5 * np.log(2 * np.pi), rtol=1e-12)
+        assert model.logpdf(np.zeros(1)).shape == (1,)
 
     def test_identity_cov_at_mean(self):
         d = 5
