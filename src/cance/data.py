@@ -79,15 +79,16 @@ class Dataset:
         )
 
 
-def _holdout(n: int, fraction: float, rng: np.random.Generator):
+def _holdout(n: int, fraction: float, rng, key="dataset.test_fraction"):
     """(held-out, kept) row indices: the first max(1, round(n * fraction))
-    entries of `rng.permutation(n)`, then the rest, which must not be empty."""
+    entries of `rng.permutation(n)`, then the rest, which must not be empty.
+    `key` names the config key of the fraction in the ConfigError."""
     if not 0.0 < fraction < 1.0:
-        raise ConfigError(f"holdout fraction must be in (0,1), got {fraction}")
+        raise ConfigError(f"{key}: holdout fraction must be in (0,1), got {fraction}")
     order = rng.permutation(n)
     cut = max(1, int(round(n * fraction)))
     if cut >= n:
-        raise ConfigError(f"holdout fraction {fraction} of {n} rows "
+        raise ConfigError(f"{key}: holdout fraction {fraction} of {n} rows "
                           "leaves no training rows")
     return order[:cut], order[cut:]
 
@@ -95,7 +96,7 @@ def _holdout(n: int, fraction: float, rng: np.random.Generator):
 def split_train_val(dataset: Dataset, val_fraction: float,
                     rng: np.random.Generator):
     """Deterministic partition into (train, val); val gets the stated fraction."""
-    val, train = _holdout(dataset.n, val_fraction, rng)
+    val, train = _holdout(dataset.n, val_fraction, rng, "eval.val_fraction")
     return dataset.take(train), dataset.take(val)
 
 
@@ -610,6 +611,8 @@ def _gen_gaussian_mixture(args, rng):
     dim = int(args.pop("dim", 2))
     spread = args.pop("spread", 3.0)
     std = args.pop("std", 0.5)
+    if k < 1 or dim < 1:
+        raise ValueError("gaussian-mixture needs k >= 1 and dim >= 1")
     centers = rng.uniform(-spread, spread, size=(k, dim))
     which = rng.integers(0, k, n)
     x = centers[which] + std * rng.standard_normal((n, dim))
@@ -751,7 +754,9 @@ def load_recipe_dataset(recipe_path, data_path) -> Dataset:
     categorical = {}
     for col, mapping in parser.items("categorical") if "categorical" in parser else ():
         entry = f"[categorical] {col}"
-        categorical[read(entry, int, col)] = read(entry, table, mapping)
+        if (column := read(entry, int, col)) < 0:
+            raise DataFormatError(f"{recipe_path}: {entry}: column must be >= 0")
+        categorical[column] = read(entry, table, mapping)
 
     features, labels, first = [], [], None  # (columns, row) of the first kept row
     with open(data_path, newline="") as fh:
@@ -797,6 +802,9 @@ def load_recipe_dataset(recipe_path, data_path) -> Dataset:
             )
     if not features:
         raise DataFormatError(f"{data_path}: no rows matched the recipe")
+    if max(categorical, default=-1) >= first[0]:
+        raise DataFormatError(f"{recipe_path}: [categorical] {max(categorical)}: no "
+                              f"such column in {first[0]}-column rows")
     return Dataset(
         np.array(features, dtype=np.float64),
         labels=np.array(labels, dtype=np.int64),

@@ -8,7 +8,7 @@ from functools import partial
 
 import numpy as np
 
-from cance import pipeline
+from cance import blas
 from cance.config import RunConfig
 from cance.data import usable_cpus as _usable_cpus
 from cance.errors import CanceError, DegenerateFeatureError, ShapeError
@@ -140,16 +140,15 @@ def run_jobs(jobs) -> dict:
 
     An outcome is the job's result or the CanceError it raised; any other
     exception cancels the jobs not yet started and propagates once the
-    running ones finish. Jobs run on min(len(jobs), usable CPUs) threads
-    with numpy's and scipy's OpenBLAS pinned to one thread (process-wide)
-    until the last ends; with one worker or no such OpenBLAS, in the
-    calling thread.
+    running ones finish. Jobs run on min(len(jobs), usable CPUs) threads,
+    each fit on the one OpenBLAS thread that `cance.blas` pins at import;
+    with one worker, or without a pinned OpenBLAS, in the calling thread.
     """
     jobs = list(jobs)
     workers = min(len(jobs), _usable_cpus())
-    if workers < 2 or not pipeline._openblas():
+    if workers < 2 or not blas.OPENBLAS:
         return {key: _outcome(key, job) for key, job in jobs}
-    with pipeline.single_blas_thread(), ThreadPoolExecutor(workers) as pool:
+    with ThreadPoolExecutor(workers) as pool:
         futures = [pool.submit(_outcome, key, job) for key, job in jobs]
         try:
             wait(futures, return_when=FIRST_EXCEPTION)

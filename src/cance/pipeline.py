@@ -6,17 +6,13 @@ fit the compression model, extract composite features, train the
 estimator, and score in the fixed blocks of `score_blocks`, as `cance score`.
 """
 
-import ctypes
 import json
 import os
-from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
-from functools import cache
-from pathlib import Path
 
 import numpy as np
-import scipy
 
+from cance import blas
 from cance.compress import AutoencoderModel, PcaModel, fit_pca, train_autoencoder
 from cance.config import RunConfig
 from cance.data import Dataset, Normalizer, load_benchmark, split_train_val
@@ -67,51 +63,14 @@ def prepare_features(config: RunConfig, seed: int):
     return normalizer, compression, history, test, z_train, z_val, test_n.features
 
 
-@cache
-def _openblas():
-    """(package, get threads, set threads, config) of the OpenBLAS numpy
-    ships (symbols suffixed 64_) and of scipy's, which `solve_triangular` uses."""
-    found = []
-    for package, suffix in ((np, "64_"), (scipy, "")):
-        root = Path(package.__file__).resolve().parent.parent
-        for lib in sorted(root.glob(f"{package.__name__}.libs/*openblas*")):
-            with suppress(OSError, AttributeError):  # not loadable, or another BLAS
-                handle = ctypes.CDLL(str(lib))
-                get, set_, config = (getattr(handle, f"scipy_openblas_{name}{suffix}")
-                                     for name in ("get_num_threads", "set_num_threads",
-                                                  "get_config"))
-                get.restype, set_.argtypes = ctypes.c_int, [ctypes.c_int]
-                config.restype = ctypes.c_char_p
-                found.append((package.__name__, get, set_, config))
-                break
-    return found
-
-
-@contextmanager
-def single_blas_thread():
-    """Pin every bundled OpenBLAS to one thread, process-wide, and restore
-    the previous counts on exit, also on error; without one, pin nothing.
-    Blocks nest within one thread. Threads that pin at the same time need
-    an enclosing pin, as `evaluation.run_jobs` holds around its pool."""
-    before = [(set_, get()) for _, get, set_, _ in _openblas()]
-    for set_, _ in before:
-        set_(1)
-    try:
-        yield
-    finally:
-        for set_, threads in before:
-            set_(threads)
-
-
 SCORE_BLOCK = 2048
 
 
 def blas_summary() -> str:
-    """The BLAS that `score_blocks` runs on, its threads and its block size."""
-    names = [f"{package}'s {' '.join(config().decode().split())}"
-             for package, _, _, config in _openblas()] or ["unknown BLAS"]
-    threads = "1 BLAS thread" if _openblas() else "BLAS threads not pinned"
-    return f"{' and '.join(names)}; {threads}; blocks of {SCORE_BLOCK} rows"
+    """Each OpenBLAS `score_blocks` runs on, with its thread count, and the block size."""
+    names = [f"{package}'s {' '.join(config().decode().split())} on {get()} thread(s)"
+             for package, get, config in blas.OPENBLAS]
+    return f"{' and '.join(names) or 'unknown BLAS'}; blocks of {SCORE_BLOCK} rows"
 
 
 def score_blocks(compression, estimator, x, cols=slice(None), out=None,
@@ -128,17 +87,16 @@ def score_blocks(compression, estimator, x, cols=slice(None), out=None,
     """
     n = x.shape[0]
     z, scores = out or (np.empty((n, compression.latent_dim + 2)), np.empty(n))
-    with single_blas_thread():
-        for start in range(0, n, SCORE_BLOCK):
-            block = x[start:start + SCORE_BLOCK]
-            rows = len(block)
-            pad = np.repeat(block[:1], SCORE_BLOCK - rows, axis=0)
-            zb = compression.composite(np.concatenate([block, pad]), real_rows=rows)
-            z[start:start + rows] = zb[:rows]
-            if estimator is not None:
-                scores[start:start + rows] = estimator.score(zb[:, cols])[:rows]
-            if on_block:
-                on_block(start + rows)
+    for start in range(0, n, SCORE_BLOCK):
+        block = x[start:start + SCORE_BLOCK]
+        rows = len(block)
+        pad = np.repeat(block[:1], SCORE_BLOCK - rows, axis=0)
+        zb = compression.composite(np.concatenate([block, pad]), real_rows=rows)
+        z[start:start + rows] = zb[:rows]
+        if estimator is not None:
+            scores[start:start + rows] = estimator.score(zb[:, cols])[:rows]
+        if on_block:
+            on_block(start + rows)
     return z, None if estimator is None else scores
 
 

@@ -5,7 +5,6 @@ import subprocess
 import pytest
 
 import cance.data as data_module
-from cance import pipeline
 
 
 @pytest.fixture
@@ -19,17 +18,6 @@ def formatter_popens(monkeypatch):
 
     monkeypatch.setattr(data_module.subprocess, "Popen", recording)
     return started
-
-
-@pytest.fixture
-def fake_blas(monkeypatch):
-    """One fake OpenBLAS at 4 threads in place of the bundled ones; returns
-    its state, whose "threads" is the current count."""
-    state = {"threads": 4}
-    monkeypatch.setattr(pipeline, "_openblas", lambda: [(
-        "numpy", lambda: state["threads"], lambda n: state.update(threads=n),
-        lambda: b"fake OpenBLAS")])
-    return state
 
 
 @pytest.fixture

@@ -7,6 +7,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -15,7 +17,7 @@ import pytest
 import scipy
 
 import cance.data as data_module
-from cance import pipeline
+from cance import blas, pipeline
 from cance.cli import main, write_scores
 from cance._rows import WRITE_BLOCK_LINES
 from cance.config import load_config
@@ -433,14 +435,14 @@ class TestBlockScoring:
         assert [r.getMessage().split(" with")[0] for r in caplog.records] == \
             ["1 row(s)"]
 
-    def test_failure_in_a_block_exits_2_and_restores_blas(
-            self, pca_run, tmp_path, monkeypatch, capsys, fake_blas):
+    def test_failure_in_a_block_exits_2(self, pca_run, tmp_path, monkeypatch,
+                                        capsys):
         seen = []
         monkeypatch.setattr(pipeline, "SCORE_BLOCK", 4)
         original = EstimatorModel.score
 
         def failing(self, z):
-            seen.append(fake_blas["threads"])
+            seen.append(len(z))
             if len(seen) == 2:
                 raise NonFiniteError("synthetic score failure")
             return original(self, z)
@@ -449,11 +451,10 @@ class TestBlockScoring:
         out = tmp_path / "s.csv"
         assert self.score(pca_run, pca_run / "points.csv", out) == 2
         assert "synthetic score failure" in capsys.readouterr().err
-        assert seen == [1, 1] and fake_blas["threads"] == 4
+        assert seen == [4, 4]
         assert not out.exists()
 
     def test_blas_summary_on_stderr_only(self, pca_run, tmp_path, capsys):
-        before = [get() for _, get, _, _ in pipeline._openblas()]
         out = tmp_path / "s.csv"
         assert self.score(pca_run, pca_run / "points.csv", out) == 0
         captured = capsys.readouterr()
@@ -461,29 +462,22 @@ class TestBlockScoring:
         summary, = captured.err.splitlines()
         assert summary.startswith("scoring on ")
         assert summary.endswith(f"; blocks of {SCORE_BLOCK} rows")
-        if before:
-            assert "OpenBLAS" in summary and "; 1 BLAS thread;" in summary
-            assert [get() for _, get, _, _ in pipeline._openblas()] == before
+        for package, _, _ in blas.OPENBLAS:
+            assert re.search(f"{package}'s OpenBLAS [^;]* on 1 thread", summary)
 
-    def test_real_numpy_and_scipy_blas_pinned_and_restored(self):
+    def test_real_numpy_and_scipy_blas_pinned_at_import(self):
         libs = Path(scipy.__file__).resolve().parent.parent / "scipy.libs"
         if not any(libs.glob("*openblas*")):
             pytest.skip("scipy does not ship its own OpenBLAS")
-        counts = {package: get for package, get, _, _ in pipeline._openblas()}
-        assert set(counts) == {"numpy", "scipy"}
-
-        def now():
-            return {package: get() for package, get in counts.items()}
-
-        before = now()
-        with pipeline.single_blas_thread():
-            assert now() == dict.fromkeys(counts, 1)
-        assert now() == before
-        with pytest.raises(RuntimeError, match="inside"):
-            with pipeline.single_blas_thread():
-                assert now() == dict.fromkeys(counts, 1)
-                raise RuntimeError("inside")
-        assert now() == before
+        # a fresh interpreter, so the pin is seen to come from `import cance`
+        # alone, even with OpenBLAS told to start more threads
+        probe = ("import cance\nfrom cance.blas import OPENBLAS\n"
+                 "print({package: get() for package, get, _ in OPENBLAS})")
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
+               "OPENBLAS_NUM_THREADS": "2"}
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout == "{'numpy': 1, 'scipy': 1}\n"
         assert "numpy's OpenBLAS" in pipeline.blas_summary()
         assert "scipy's OpenBLAS" in pipeline.blas_summary()
 
@@ -544,10 +538,10 @@ class TestBlockScoring:
     def test_without_blas_symbol_nothing_is_pinned(self, pca_run, tmp_path,
                                                    monkeypatch, capsys):
         assert self.score(pca_run, pca_run / "points.csv", tmp_path / "a.csv") == 0
-        monkeypatch.setattr(pipeline, "_openblas", lambda: [])
+        monkeypatch.setattr(blas, "OPENBLAS", [])
         capsys.readouterr()
         assert self.score(pca_run, pca_run / "points.csv", tmp_path / "b.csv") == 0
-        assert "; BLAS threads not pinned;" in capsys.readouterr().err
+        assert "scoring on unknown BLAS; blocks of" in capsys.readouterr().err
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 def replace_estimator(dim):
@@ -728,6 +722,31 @@ class TestEvalMatchesScore:
         assert (tmp_path / "eval" / "scores-seed0.csv").read_bytes() == \
             (tmp_path / "scores.csv").read_bytes()
 
+    def test_seed_file_same_alone_and_beside_another_seed(self, tiny_ini, tmp_path,
+                                                          monkeypatch):
+        # GEMMs large enough that OpenBLAS would split them at more than one
+        # thread; one seed runs in the calling thread and two on a pool, so
+        # a seed's bits must not depend on how many seeds run or on the CPUs
+        import cance.evaluation as evaluation_module
+
+        monkeypatch.setattr(evaluation_module, "_usable_cpus", lambda: 2)
+        sets = ("dataset.synth=ring(n=4688, radius=1, noise=0.05) "
+                "+ box(n=60, low=-2, high=2)",
+                "nce.widths=64, 64", "nce.batch_size=512", "nce.epochs=1")
+        args = ["-c", str(tiny_ini), *(arg for s in sets for arg in ("--set", s))]
+        _, test = load_benchmark(load_config(str(tiny_ini), sets).dataset, RunRng(0))
+        write_csv(tmp_path / "test.csv", test)
+        for repeats in (1, 2):
+            assert main(["eval", *args, "--set", f"eval.repeats={repeats}",
+                         "-o", str(tmp_path / f"eval{repeats}")]) == 0
+        assert main(["train", *args, "-o", str(tmp_path / "model")]) == 0
+        assert main(["score", "-m", str(tmp_path / "model"),
+                     "-i", str(tmp_path / "test.csv"),
+                     "-o", str(tmp_path / "scores.csv")]) == 0
+        alone, beside = (tmp_path / f"eval{n}" / "scores-seed0.csv" for n in (1, 2))
+        assert alone.read_bytes() == beside.read_bytes()
+        assert alone.read_bytes() == (tmp_path / "scores.csv").read_bytes()
+
 
 # Golden output bits: SHA-256 digests of small fixed runs, recorded in
 # golden_bits.json under a key of what the bits depend on. A change that
@@ -741,11 +760,11 @@ GOLDEN_TRAINS = {
 
 
 def golden_key():
-    """What the bits depend on: numpy, each bundled OpenBLAS build and its
-    default thread count (training runs at that count)."""
+    """What the bits depend on: numpy and each bundled OpenBLAS build (all
+    run on one thread, see `cance.blas`)."""
     return "; ".join([f"numpy {np.__version__}", *(
-        f"{package}'s {' '.join(config().decode().split())} at {get()} threads"
-        for package, get, _, config in pipeline._openblas())])
+        f"{package}'s {' '.join(config().decode().split())}"
+        for package, _, config in blas.OPENBLAS)])
 
 
 def golden_digests(root):
@@ -820,7 +839,6 @@ class TestEvalFailures:
                                           monkeypatch):
         import cance.evaluation as evaluation_module
 
-        before = [get() for _, get, _, _ in pipeline._openblas()]
         original = evaluation_module.run_pipeline
 
         def buggy(config, seed):
@@ -833,7 +851,6 @@ class TestEvalFailures:
         with pytest.raises(TypeError, match="synthetic bug"):
             main(["eval", "-c", str(tiny_ini), "-o", str(tmp_path / "eval")])
         assert not (tmp_path / "eval" / "report.json").exists()
-        assert [get() for _, get, _, _ in pipeline._openblas()] == before
 
     def test_package_error_gives_partial_exit(self, tiny_ini, tmp_path,
                                               monkeypatch):
@@ -875,8 +892,9 @@ class TestHoldoutFractions:
         assert main(["train", "-c", str(tiny_ini), "-o", str(tmp_path / "out"),
                      "--set", "dataset.synth=ring(n=3) + box(n=1)",
                      "--set", f"{key}=0.9"]) == 1
-        assert (f"config error: holdout fraction 0.9 of {rows} rows leaves no "
-                "training rows") in capsys.readouterr().err
+        # the message names the key, so the two splits are told apart
+        assert (f"config error: {key}: holdout fraction 0.9 of {rows} rows "
+                "leaves no training rows") in capsys.readouterr().err
 
 
 class TestSynthAndInspect:

@@ -719,13 +719,18 @@ class TestSplitsAndNormalize:
         (1.0, r"holdout fraction must be in \(0,1\), got 1.0"),
     ])
     def test_bad_holdout_fraction_is_config_error(self, fraction, problem):
+        # each split names the config key that sets its fraction
         ds = Dataset(np.zeros((5, 1)), labels=[0, 0, 0, 0, 1], class_ids=[0, 0, 1, 1, 1])
-        splits = [lambda rng: split_train_val(ds.take(np.arange(4)), fraction, rng),
-                  lambda rng: split_labeled_benchmark(ds, fraction, rng),
-                  lambda rng: make_multimodal(ds.take(np.arange(4)), [0],
-                                              test_fraction=fraction, rng=rng)]
-        for split in splits:
-            with pytest.raises(ConfigError, match=problem):
+        splits = [
+            ("eval.val_fraction",
+             lambda rng: split_train_val(ds.take(np.arange(4)), fraction, rng)),
+            ("dataset.test_fraction",
+             lambda rng: split_labeled_benchmark(ds, fraction, rng)),
+            ("dataset.test_fraction",
+             lambda rng: make_multimodal(ds.take(np.arange(4)), [0],
+                                         test_fraction=fraction, rng=rng))]
+        for key, split in splits:
+            with pytest.raises(ConfigError, match=f"^{key}: {problem}"):
                 split(np.random.default_rng(0))
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
@@ -856,11 +861,27 @@ class TestSynth:
         assert (ds.labels == 0).sum() == 10 or kind == "box" and ds.n == 10
 
     def test_two_moons_and_mixture_generate(self):
-        for spec in ("two-moons(n=50, noise=0.1)",
-                     "gaussian-mixture(n=50, k=2, dim=3)"):
+        for spec, shape in [("two-moons(n=50, noise=0.1)", (50, 2)),
+                            ("two-moons(n=51)", (51, 2)),
+                            ("gaussian-mixture(n=50, k=2, dim=3)", (50, 3)),
+                            ("gaussian-mixture(n=7, k=1, dim=1)", (7, 1))]:
             ds = synth_generate(spec, RunRng(2).stream("synth"))
-            assert ds.n == 50
-            assert ds.labels.sum() == 0
+            assert ds.features.shape == shape
+            assert ds.labels.tolist() == [0] * shape[0]
+            again = synth_generate(spec, RunRng(2).stream("synth"))
+            other = synth_generate(spec, RunRng(3).stream("synth"))
+            assert ds.features.tobytes() == again.features.tobytes()
+            assert ds.features.tobytes() != other.features.tobytes()
+
+    @pytest.mark.parametrize("args", ["k=0", "dim=0", "k=0, dim=0"])
+    def test_mixture_needs_a_component_and_a_dimension(self, args, tmp_path, capsys):
+        from cance.cli import main
+
+        spec = f"gaussian-mixture(n=10, {args})"
+        with pytest.raises(ValueError, match="gaussian-mixture needs k >= 1 and dim >= 1"):
+            synth_generate(spec, RunRng(0).stream("synth"))
+        assert main(["synth", "--spec", spec, "-o", str(tmp_path / "x.csv")]) == 1
+        assert "needs k >= 1 and dim >= 1" in capsys.readouterr().err
 
     def test_offplane_anomaly_geometry(self):
         ds = synth_generate(
@@ -1013,6 +1034,27 @@ class TestRecipe:
                      "--set", "dataset.kind=recipe", "--set", f"dataset.path={raw}",
                      "--set", f"dataset.recipe={recipe}"]) == 2
         assert f"r.ini: {entry}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column, rows, problem", [
+        ("-1", "A,0.5,1\n", "column must be >= 0"),
+        ("3", "0.4,0.5,1\n0.6,0.5,9\n", "no such column in 3-column rows"),
+    ])
+    def test_categorical_column_outside_the_rows_cites_recipe_entry(
+            self, tmp_path, capsys, column, rows, problem):
+        from cance.cli import main
+
+        recipe = tmp_path / "r.ini"
+        recipe.write_text("[recipe]\nlabel_column = 2\nnormal_values = 1\n"
+                          f"anomaly_values = 9\n[categorical]\n{column} = A:0\n")
+        raw = tmp_path / "raw.csv"
+        raw.write_text(rows)
+        entry = f"r.ini: [categorical] {column}: {problem}"
+        with pytest.raises(DataFormatError, match=re.escape(entry)):
+            load_recipe_dataset(recipe, raw)
+        assert main(["train", "-o", str(tmp_path / "out"),
+                     "--set", "dataset.kind=recipe", "--set", f"dataset.path={raw}",
+                     "--set", f"dataset.recipe={recipe}"]) == 2
+        assert entry in capsys.readouterr().err
 
     def test_shipped_abalone_recipe_parses(self, tmp_path):
         import pathlib

@@ -233,3 +233,42 @@ def test_every_import_names_the_defining_module():
     found = [line for path in paths for line in indirect_imports(
         path.read_text(), defines, str(path.relative_to(tests.parent)))]
     assert found == []
+
+
+THREAD_SETTERS = ("set_num_threads", "threadpool_limits", "NUM_THREADS")
+
+
+def blas_thread_setters(source: str, filename="<string>") -> list:
+    """`file:line` of each name, attribute, import or string that names a
+    BLAS thread setter: an OpenBLAS `*set_num_threads*` symbol, threadpoolctl's
+    `threadpool_limits`, or an `*_NUM_THREADS` environment variable."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        text = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias)
+                else node.value if isinstance(node, ast.Constant) else None)
+        if isinstance(text, str) and any(name in text for name in THREAD_SETTERS):
+            found.append(f"{filename}:{node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("lib.scipy_openblas_set_num_threads64_(1)\n", True),
+    ("set_, get = (getattr(h, f'x_{n}') for n in ('set_num_threads', 'g'))\n", True),
+    ("from threadpoolctl import threadpool_limits\n", True),
+    ("os.environ['OPENBLAS_NUM_THREADS'] = '1'\n", True),
+    ("threads = [get() for _, get, _ in OPENBLAS]\n", False),
+    ("torch.get_num_threads()\n", False),
+])
+def test_guard_flags_blas_thread_setters(source, flagged):
+    assert bool(blas_thread_setters(source)) == flagged
+
+
+def test_only_the_blas_owner_sets_blas_threads():
+    # one thread policy per process, set once at import by `cance.blas`: a
+    # scoped pin elsewhere would make a fit's bits depend on the path it took
+    root = Path(cance.__file__).parent
+    found = {str(path.relative_to(root)) for path in sorted(root.rglob("*.py"))
+             if blas_thread_setters(path.read_text())}
+    assert found == {"blas.py"}
