@@ -638,6 +638,8 @@ def _gen_box(args, rng):
     dim = int(args.pop("dim", 2))
     if high <= low:
         raise ValueError("box needs high > low")
+    if dim < 1:
+        raise ValueError("box needs dim >= 1")
     x = rng.uniform(low, high, size=(n, dim))
     return x, np.ones(n, dtype=np.int64)
 

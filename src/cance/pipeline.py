@@ -67,7 +67,7 @@ SCORE_BLOCK = 2048
 
 
 def blas_summary() -> str:
-    """Each OpenBLAS `score_blocks` runs on, with its thread count, and the block size."""
+    """The OpenBLAS `score_blocks` runs on, with its thread count, and the block size."""
     names = [f"{package}'s {' '.join(config().decode().split())} on {get()} thread(s)"
              for package, get, config in blas.OPENBLAS]
     return f"{' and '.join(names) or 'unknown BLAS'}; blocks of {SCORE_BLOCK} rows"

@@ -6,9 +6,9 @@ Covariances are biased (1/n) throughout so that batch merges are exact.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import ndtr, ndtri
 
+from cance import _cephes
+from cance.blas import solve_lower
 from cance.errors import DegenerateFeatureError, NonFiniteError, ShapeError
 
 # added to the diagonal of a covariance that Cholesky rejects
@@ -122,7 +122,7 @@ class TruncatedNormalParams:
 
     def _mass(self) -> float:
         # probability a N(mode, sigma^2) draw lands in [0, mode]
-        return 0.5 - float(ndtr(-self.mode / self.sigma))
+        return 0.5 - _cephes.ndtr(-self.mode / self.sigma)
 
     def pdf(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=np.float64)
@@ -150,9 +150,10 @@ class TruncatedNormalParams:
                 out[filled : filled + take] = keep[:take]
                 filled += take
             return out
-        lo = float(ndtr(-self.mode / self.sigma))
+        lo = _cephes.ndtr(-self.mode / self.sigma)
         u = lo + rng.uniform(size=n) * mass
-        return np.clip(self.mode + self.sigma * ndtri(u), 0.0, self.mode)
+        x = np.array([_cephes.ndtri(p) for p in u.tolist()])
+        return np.clip(self.mode + self.sigma * x, 0.0, self.mode)
 
 
 class GaussianModel:
@@ -186,7 +187,7 @@ class GaussianModel:
         if pts.shape[1] != self.dim:
             raise ShapeError(f"expected points of dim {self.dim}, got {pts.shape[1]}")
         # solve L w = (u - mean)^T, then the Mahalanobis norm is |w|^2
-        z = solve_triangular(self.factor, (pts - self.mean).T, lower=True)
+        z = solve_lower(self.factor, pts - self.mean)
         quad = np.sum(z * z, axis=0)
         logdet = 2.0 * np.sum(np.log(np.diag(self.factor)))
         return -0.5 * (self.dim * np.log(2.0 * np.pi) + logdet + quad)

@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 import cance.data as data_module
 from cance import blas, pipeline
@@ -465,21 +464,45 @@ class TestBlockScoring:
         for package, _, _ in blas.OPENBLAS:
             assert re.search(f"{package}'s OpenBLAS [^;]* on 1 thread", summary)
 
-    def test_real_numpy_and_scipy_blas_pinned_at_import(self):
-        libs = Path(scipy.__file__).resolve().parent.parent / "scipy.libs"
-        if not any(libs.glob("*openblas*")):
-            pytest.skip("scipy does not ship its own OpenBLAS")
+    def test_numpy_blas_pinned_at_import_and_scipy_never_loaded(self):
+        if not blas.OPENBLAS:
+            pytest.skip("numpy bundles no OpenBLAS")
         # a fresh interpreter, so the pin is seen to come from `import cance`
-        # alone, even with OpenBLAS told to start more threads
-        probe = ("import cance\nfrom cance.blas import OPENBLAS\n"
-                 "print({package: get() for package, get, _ in OPENBLAS})")
+        # alone, even with OpenBLAS told to start more threads; a log-density
+        # runs its LAPACK solve, which must not load scipy or its OpenBLAS
+        probe = ("import sys\nfrom pathlib import Path\nimport numpy as np\n"
+                 "import cance\nfrom cance.blas import OPENBLAS\n"
+                 "from cance.stats import GaussianModel\n"
+                 "GaussianModel(np.zeros(2), np.eye(2)).logpdf(np.ones((3, 2)))\n"
+                 "print({package: get() for package, get, _ in OPENBLAS})\n"
+                 "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
+                 "maps = Path('/proc/self/maps')\n"
+                 "print(maps.exists() and 'scipy.libs' in maps.read_text())\n")
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
                "OPENBLAS_NUM_THREADS": "2"}
         result = subprocess.run([sys.executable, "-c", probe], env=env,
                                 capture_output=True, text=True, check=True)
-        assert result.stdout == "{'numpy': 1, 'scipy': 1}\n"
+        assert result.stdout == "{'numpy': 1}\n[]\nFalse\n"
         assert "numpy's OpenBLAS" in pipeline.blas_summary()
-        assert "scipy's OpenBLAS" in pipeline.blas_summary()
+        assert "scipy" not in pipeline.blas_summary()
+
+    def test_train_and_score_never_import_scipy(self, tmp_path):
+        if blas.DTRTRS is None:
+            pytest.skip("numpy bundles no LAPACK dtrtrs; the solve falls back to scipy")
+        (tmp_path / "run.ini").write_text(TINY_INI)
+        probe = ("import sys\nfrom cance.cli import main\nroot = sys.argv[1]\n"
+                 "assert main(['train', '-c', root + '/run.ini', '--set', "
+                 "'nce.epochs=1', '-o', root + '/model']) == 0\n"
+                 "assert main(['synth', '--spec', 'ring(n=20) + box(n=5)', "
+                 "'-o', root + '/points.csv']) == 0\n"
+                 "assert main(['score', '-m', root + '/model', '-i', "
+                 "root + '/points.csv', '-o', root + '/scores.csv']) == 0\n"
+                 "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n")
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        result = subprocess.run([sys.executable, "-c", probe, str(tmp_path)], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "scores.csv").is_file()
 
     @pytest.fixture
     def streamed(self, monkeypatch, formatter_popens):
@@ -760,8 +783,8 @@ GOLDEN_TRAINS = {
 
 
 def golden_key():
-    """What the bits depend on: numpy and each bundled OpenBLAS build (all
-    run on one thread, see `cance.blas`)."""
+    """What the bits depend on: numpy and its bundled OpenBLAS build, which
+    runs every BLAS and LAPACK call on one thread (see `cance.blas`)."""
     return "; ".join([f"numpy {np.__version__}", *(
         f"{package}'s {' '.join(config().decode().split())}"
         for package, _, config in blas.OPENBLAS)])

@@ -883,6 +883,17 @@ class TestSynth:
         assert main(["synth", "--spec", spec, "-o", str(tmp_path / "x.csv")]) == 1
         assert "needs k >= 1 and dim >= 1" in capsys.readouterr().err
 
+    def test_box_needs_a_dimension(self, tmp_path, capsys):
+        from cance.cli import main
+
+        spec = "box(n=3, dim=0)"
+        with pytest.raises(ValueError, match="box needs dim >= 1"):
+            synth_generate(spec, RunRng(0).stream("synth"))
+        out = tmp_path / "x.csv"
+        assert main(["synth", "--spec", spec, "-o", str(out)]) == 1
+        assert "box needs dim >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_offplane_anomaly_geometry(self):
         ds = synth_generate(
             "offplane(n=400, anomalies=100, dim=6, latent=2, noise=0.01, "

@@ -272,3 +272,47 @@ def test_only_the_blas_owner_sets_blas_threads():
     found = {str(path.relative_to(root)) for path in sorted(root.rglob("*.py"))
              if blas_thread_setters(path.read_text())}
     assert found == {"blas.py"}
+
+
+def scipy_imports(source: str, filename="<string>", allowed=()) -> list:
+    """`file:line` of each import of scipy, as a statement or as a
+    "scipy..." string, outside the bodies of the functions named `allowed`."""
+    def walk(node):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and child.name in allowed):
+                continue
+            modules = ([alias.name for alias in child.names]
+                       if isinstance(child, ast.Import)
+                       else [child.module or ""] if isinstance(child, ast.ImportFrom)
+                       else [child.value] if isinstance(child, ast.Constant)
+                       and isinstance(child.value, str) else [])
+            if any(m == "scipy" or m.startswith("scipy.") for m in modules):
+                yield f"{filename}:{child.lineno}"
+            yield from walk(child)
+
+    return list(walk(ast.parse(source, filename)))
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("import scipy\n", True),
+    ("import numpy, scipy.special\n", True),
+    ("from scipy.linalg import solve_triangular\n", True),
+    ("def f():\n    from scipy import linalg\n", True),
+    ("importlib.import_module('scipy.special')\n", True),
+    ("def solve_lower():\n    from scipy.linalg import solve_triangular\n", False),
+    ("lib.scipy_dtrtrs_64_\nname = 'scipy_openblas_get_config64_'\n", False),
+    ('"""Matches scipy\'s bits."""\n', False),
+])
+def test_guard_flags_scipy_imports(source, flagged):
+    assert bool(scipy_imports(source, allowed=("solve_lower",))) == flagged
+
+
+def test_only_the_lapack_fallback_imports_scipy():
+    # numpy's OpenBLAS runs the triangular solve and `_cephes` the normal
+    # CDF, so scipy loads only where numpy bundles no LAPACK to call
+    root = Path(cance.__file__).parent
+    found = [line for path in sorted(root.rglob("*.py")) for line in scipy_imports(
+        path.read_text(), str(path.relative_to(root)),
+        ("solve_lower",) if path.name == "blas.py" else ())]
+    assert found == []

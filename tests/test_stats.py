@@ -1,5 +1,6 @@
 """Streaming moments, mode estimation, truncated normal, Gaussian model."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cance import _cephes, blas
 from cance.errors import DegenerateFeatureError, NonFiniteError, ShapeError
 from cance.stats import (
     MARGIN_GRID_SIZE,
@@ -243,6 +245,99 @@ class TestGaussianModel:
             multivariate_normal(mean=mean, cov=cov).logpdf(pts),
             rtol=1e-10,
         )
+
+
+def same_bits(got, ref):
+    """Equal bit patterns, with any NaN matching any NaN."""
+    got, ref = np.asarray(got, dtype=np.float64), np.asarray(ref, dtype=np.float64)
+    nan = np.isnan(ref)
+    return (np.array_equal(nan, np.isnan(got))
+            and np.array_equal(got[~nan].view(np.int64), ref[~nan].view(np.int64)))
+
+
+def with_neighbours(points):
+    points = np.asarray(points, dtype=np.float64)
+    return np.concatenate([points, np.nextafter(points, -np.inf),
+                           np.nextafter(points, np.inf)])
+
+
+class TestCephesMatchesScipy:
+    """The stdlib port gives `scipy.special`'s bits; scipy is only the
+    reference here. Each sweep holds every branch edge and its neighbours."""
+
+    def test_ndtr(self):
+        from scipy.special import ndtr
+
+        # |a| = 1 and sqrt(2) switch between erf and erfc, 8 sqrt(2) switches
+        # erfc's polynomials, and erfc underflows past about -37.5
+        edges = [0.0, math.sqrt(0.5), 1.0, math.sqrt(2.0), 8.0, 8.0 * math.sqrt(2.0),
+                 37.5, 37.7, 38.0, 38.5, 40.0, np.inf]
+        rng = np.random.default_rng(0)
+        xs = np.concatenate([with_neighbours(edges), -with_neighbours(edges),
+                             [np.nan], np.linspace(-40.0, 40.0, 40_001),
+                             np.linspace(-39.0, -37.0, 4_001), rng.uniform(-3, 3, 20_000)])
+        assert same_bits([_cephes.ndtr(x) for x in xs.tolist()], ndtr(xs))
+
+    def test_ndtri(self):
+        from scipy.special import ndtri
+
+        # sqrt(-2 ln y) = 2 and 8 switch the polynomials, on both tails
+        edges = [0.0, 1.0, 0.5, math.exp(-2.0), 1.0 - math.exp(-2.0),
+                 math.exp(-32.0), 1.0 - math.exp(-32.0), 5e-324, 1e-300]
+        rng = np.random.default_rng(1)
+        ys = np.concatenate([with_neighbours(edges), [-0.5, 1.5, np.nan],
+                             np.linspace(0.0, 1.0, 40_001),
+                             np.geomspace(1e-320, 0.2, 20_000),
+                             1.0 - np.geomspace(1e-16, 0.2, 20_000),
+                             rng.uniform(0.0, 1.0, 20_000)])
+        assert same_bits([_cephes.ndtri(y) for y in ys.tolist()], ndtri(ys))
+
+    def test_inverse_cdf_sample_equals_scipy_formula(self):
+        from scipy.special import ndtr, ndtri
+
+        params = TruncatedNormalParams(mode=1.0, sigma=100.0)  # inverse-CDF branch
+        draws = params.sample(5000, np.random.default_rng(2))
+        lo = ndtr(-params.mode / params.sigma)
+        mass = 0.5 - lo
+        u = lo + np.random.default_rng(2).uniform(size=5000) * mass
+        ref = np.clip(params.mode + params.sigma * ndtri(u), 0.0, params.mode)
+        assert same_bits(draws, ref)
+
+
+@pytest.fixture(params=["bundled", "scipy"])
+def triangular_solver(request, monkeypatch):
+    """Runs a test on numpy's bundled LAPACK, then on the scipy fallback."""
+    if request.param == "bundled" and blas.DTRTRS is None:
+        pytest.skip("numpy bundles no OpenBLAS with dtrtrs")
+    if request.param == "scipy":
+        monkeypatch.setattr(blas, "DTRTRS", None)
+    return request.param
+
+
+class TestLogpdfMatchesSolveTriangular:
+    def test_bits(self, triangular_solver):
+        from scipy.linalg import solve_triangular
+
+        rng = np.random.default_rng(17)
+        for dim in range(1, 13):
+            a = rng.standard_normal((dim + 3, dim))
+            model = GaussianModel(rng.standard_normal(dim),
+                                  a.T @ a / (dim + 3) + 0.1 * np.eye(dim))
+            logdet = 2.0 * np.sum(np.log(np.diag(model.factor)))
+            for rows in (1, 7, 2048, 2304):
+                pts = 3.0 * rng.standard_normal((rows, dim))
+                z = solve_triangular(model.factor, (pts - model.mean).T, lower=True)
+                ref = -0.5 * (dim * np.log(2.0 * np.pi) + logdet
+                              + np.sum(z * z, axis=0))
+                assert same_bits(model.logpdf(pts), ref), (dim, rows)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_row_is_non_finite_error(self, triangular_solver, bad):
+        model = GaussianModel(np.zeros(3), np.eye(3))
+        pts = np.zeros((4, 3))
+        pts[2, 1] = bad
+        with pytest.raises(NonFiniteError, match="non-finite"):
+            model.logpdf(pts)
 
 
 class TestAugmentationMargin:
