@@ -17,15 +17,13 @@ import numpy as np
 from cance import evaluation
 from cance.config import RunConfig, load_config
 from cance.data import (
-    Dataset,
-    csv_rows,
     load_csv,
     load_embeddings,
     synth_generate,
     write_csv,
     write_table,
 )
-from cance.errors import CanceError, ConfigError, DataFormatError
+from cance.errors import CanceError, ConfigError
 from cance.pipeline import (REPORT_FILE, blas_summary, load_run, run_pipeline,
                             save_run, score_blocks)
 from cance.rng import RunRng
@@ -63,26 +61,6 @@ def write_scores(path, scores, z_e=None, z_c=None, fill=None) -> None:
                 fill)
 
 
-def _load_input(path, ignore_columns) -> Dataset:
-    """The rows of a .emb or CSV file (none for a header and blank lines),
-    which is opened twice, so a pipe is refused before it is read."""
-    with open(path, newline="") as fh:
-        if not fh.seekable():
-            raise DataFormatError(f"{path}: cannot be seeked; score a regular file")
-        if path.endswith(".emb"):
-            return load_embeddings(path)
-        # the header is split as load_csv splits it, quoted commas included
-        try:
-            header = next(csv_rows(path, [fh.readline()]), [])
-            has_rows = any(map(str.strip, fh))  # reads up to the first non-blank line
-        except UnicodeDecodeError as exc:
-            raise DataFormatError(f"{path}: {exc}") from None
-    features = [c for c in (h.strip() for h in header) if c not in ignore_columns]
-    if not has_rows and any(map(str.strip, header)):
-        return Dataset(np.empty((0, len(features))))
-    return load_csv(path, feature_columns=features)
-
-
 def cmd_train(args) -> int:
     config = load_config(args.config, args.set or ())
     outdir = _resolve_outdir(args.outdir, config)
@@ -103,8 +81,9 @@ def cmd_train(args) -> int:
 
 def cmd_score(args) -> int:
     compression, estimator, normalizer, _, _ = load_run(args.model_dir)
-    ignore = set(filter(None, args.ignore_columns.split(",")))
-    dataset = _load_input(args.input, ignore)
+    ignore = [c for c in args.ignore_columns.split(",") if c.strip()]
+    dataset = (load_embeddings(args.input) if args.input.endswith(".emb")
+               else load_csv(args.input, ignore_columns=ignore))
     if dataset.n == 0:
         write_scores(args.output, np.empty(0))
         print(f"0 rows scored -> {args.output}")

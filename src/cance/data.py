@@ -17,7 +17,7 @@ from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import itemgetter
 
 import numpy as np
@@ -109,15 +109,14 @@ def _integral(values):
     return (np.trunc(values) == values) & (np.abs(values) < 2.0**63)
 
 
-def csv_rows(path, lines):
-    """The rows `csv.reader` splits `lines` into; a csv.Error (a field over
-    the reader's size limit, say) or undecodable text raises DataFormatError
-    naming `path`."""
-    reader = csv.reader(lines)
+def csv_rows(path, reader, start=0):
+    """The rows of `reader`, a `csv.reader` whose first line is line
+    `start + 1` of `path`; a csv.Error (a field over the reader's size
+    limit, say) or undecodable text raises DataFormatError naming `path`."""
     try:
         yield from reader
     except csv.Error as exc:
-        raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+        raise DataFormatError(f"{path}: line {start + reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
 
@@ -158,7 +157,7 @@ def _load_numeric(path, width):
             fh.readline()
             lines, last = 0, fh.read(1)
             if last in ("", "\n"):
-                return None  # numpy warns if it finds no row; the rescan raises
+                return None  # numpy warns if it finds no row
             for chunk in iter(partial(fh.read, 1 << 20), ""):
                 lines, last = lines + chunk.count("\n"), chunk[-1]
         lines += last != "\n"
@@ -169,23 +168,25 @@ def _load_numeric(path, width):
     return values if values.shape == (lines, width) else None
 
 
-def load_csv(path, feature_columns=None, label_column=None, class_column=None,
+def load_csv(path, label_column=None, class_column=None, ignore_columns=(),
              name=None) -> Dataset:
     """Read a numeric CSV with a header row.
 
-    Column roles are given by name; unlisted columns become features when
-    `feature_columns` is None. Non-numeric cells, and label or class cells
-    that are not integers, are errors that cite the row and column; the
-    first such cell in file order is reported. A file numpy's C reader
-    rejects is rescanned with `csv` and `float`, PARSE_BLOCK_ROWS rows at a
-    time, and values are always those of `float`.
+    Column roles are given by name. Every other column is a feature, in file
+    order, except those named in `ignore_columns`, which need not exist;
+    names are compared after `str.strip`, as the header's are. A header
+    followed only by lines that are empty after `str.strip` gives no rows.
+    Non-numeric cells, and label or class cells that are not integers, are
+    errors that cite the row and column; the first such cell in file order
+    is reported. A file numpy's C reader rejects, or a pipe, is scanned with
+    `csv` and `float`, PARSE_BLOCK_ROWS rows at a time, and values are
+    always those of `float`.
     """
     with open(path, newline="") as fh:
-        reader = csv_rows(path, fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
+        head = csv.reader(fh)
+        header = next(csv_rows(path, head), None)
+        if header is None:
+            raise DataFormatError(f"{path}: empty file")
         header = [h.strip() for h in header]
         if not any(header):
             raise DataFormatError(f"{path}: the header names no column")
@@ -193,22 +194,33 @@ def load_csv(path, feature_columns=None, label_column=None, class_column=None,
             repeated = next(h for i, h in enumerate(header) if h in header[:i])
             raise DataFormatError(f"{path}: column {repeated!r} appears twice")
         roles = [*filter(None, (label_column, class_column))]
-        if feature_columns is None:
-            feature_columns = [h for h in header if h not in roles]
-        missing = [col for col in (*roles, *feature_columns) if col not in header]
+        missing = [col for col in roles if col not in header]
         if missing:
             raise DataFormatError(f"{path}: missing column {missing[0]!r}")
-        n_features = len(feature_columns)
-        columns = [*feature_columns, *roles]
+        skip = {*roles, *map(str.strip, ignore_columns)}
+        columns = [*(h for h in header if h not in skip), *roles]
+        n_features = len(columns) - len(roles)
         index = {h: i for i, h in enumerate(header)}
         positions = [index[c] for c in columns]
-        values = _load_numeric(path, len(header)) if fh.seekable() else None
+        body = []  # the lines after the header up to the first that is not blank
+        try:
+            for line in fh:
+                body.append(line)
+                if line.strip():
+                    break
+            else:
+                body = []
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: {exc}") from None
+        values = (np.empty((0, len(header))) if not body
+                  else _load_numeric(path, len(header)) if fh.seekable() else None)
         if values is not None:
             values = values[:, positions]
         if values is None or not np.all(_integral(values[:, n_features:])):
             # itemgetter of one index returns the bare cell, not a tuple
             pick = (itemgetter(*positions) if len(positions) > 1
                     else lambda row: [row[i] for i in positions])
+            reader = csv_rows(path, csv.reader(chain(body, fh)), head.line_num)
             cells, blocks, first, n_rows = [], [], 0, 0
             for n_rows, row in enumerate(reader, start=1):
                 if len(row) != len(header):
@@ -223,8 +235,6 @@ def load_csv(path, feature_columns=None, label_column=None, class_column=None,
                     blocks.append(_parse_cells(path, cells, columns, n_features,
                                                range(first, n_rows)))
                     cells, first = [], n_rows
-            if not n_rows:
-                raise DataFormatError(f"{path}: no data rows")
             blocks.append(_parse_cells(path, cells, columns, n_features,
                                        range(first, n_rows)))
             values = np.concatenate(blocks)
@@ -520,14 +530,17 @@ class Normalizer:
 
     def fit(self, dataset: Dataset) -> "Normalizer":
         x = dataset.features
-        if self.method == "zscore":
-            self._shift = x.mean(axis=0)
-            scale = x.std(axis=0)
-        else:
-            self._shift = x.min(axis=0)
-            scale = x.max(axis=0) - x.min(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.method == "zscore":
+                shift, scale = x.mean(axis=0), x.std(axis=0)
+            else:
+                shift, scale = x.min(axis=0), x.max(axis=0) - x.min(axis=0)
+        bad = np.flatnonzero(~(np.isfinite(shift) & np.isfinite(scale)))
+        if bad.size:
+            raise DataFormatError(f"dataset {dataset.name!r}: column {bad[0]}: its "
+                                  f"{self.method} shift or scale overflows float64")
         # constant columns are centered but not divided
-        self._scale = np.where(scale > 0.0, scale, 1.0)
+        self._shift, self._scale = shift, np.where(scale > 0.0, scale, 1.0)
         return self
 
     def transform(self, dataset: Dataset) -> Dataset:
@@ -762,7 +775,7 @@ def load_recipe_dataset(recipe_path, data_path) -> Dataset:
 
     features, labels, first = [], [], None  # (columns, row) of the first kept row
     with open(data_path, newline="") as fh:
-        for lineno, row in enumerate(csv_rows(data_path, fh), start=1):
+        for lineno, row in enumerate(csv_rows(data_path, csv.reader(fh)), start=1):
             if not row:
                 continue
             values = []
@@ -909,6 +922,8 @@ def load_benchmark(dc: DatasetConfig, rng: RunRng):
     elif dc.kind == "csv":
         full = load_csv(dc.path, label_column=dc.label_column or None,
                         class_column=dc.class_column or None, name=name)
+        if full.n == 0:
+            raise DataFormatError(f"{dc.path}: no data rows")
     else:
         full = load_embeddings(dc.path, name=name)
     if dc.benchmark == "labels":

@@ -231,15 +231,16 @@ class TestTrainAndScore:
               "--seed", "4", "-o", str(plain)])
         header, rest = plain.read_text().split("\n", 1)
         assert header.startswith("f0,")
-        quoted = tmp_path / "quoted.csv"
-        quoted.write_text('"f,0"' + header[2:] + "\n" + rest)
         a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
         assert main(["score", "-m", str(outdir), "-i", str(plain),
                      "-o", str(a)]) == 0
-        assert main(["score", "-m", str(outdir), "-i", str(quoted),
-                     "-o", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+        # a quoted name may hold a comma or a newline
+        for name in ('"f,0"', '"f\n0"', '"f\r\n0"'):
+            quoted, b = tmp_path / "quoted.csv", tmp_path / "b.csv"
+            quoted.write_bytes((name + header[2:] + "\n" + rest).encode("ascii"))
+            assert main(["score", "-m", str(outdir), "-i", str(quoted),
+                         "-o", str(b)]) == 0
+            assert a.read_bytes() == b.read_bytes()
 
     def test_score_empty_input_writes_header_only(self, tiny_ini, tmp_path):
         outdir = tmp_path / "run"
@@ -271,9 +272,7 @@ class TestTrainAndScore:
         bad.write_bytes(b"f0,f1,label\n0.1,\xff,0\n0.3,0.4,1\n")
         for argv in (["score", "-m", str(pca_run / "model"), "-i", str(bad),
                       "-o", str(tmp_path / "s.csv")],
-                     ["train", "-c", str(tiny_ini), "-o", str(tmp_path / "out"),
-                      "--set", "dataset.kind=csv", "--set", f"dataset.path={bad}",
-                      "--set", "dataset.label_column=label"]):
+                     csv_train_argv(tiny_ini, tmp_path / "out", bad)):
             assert main(argv) == 2
             assert re.search("bad.csv: .*can't decode byte 0xff", capsys.readouterr().err)
 
@@ -358,38 +357,80 @@ def test_field_over_csv_limit_is_data_error(pca_run, tmp_path, capsys, text):
 
 def test_score_repeated_column_name_is_data_error(pca_run, tmp_path, capsys):
     path = tmp_path / "dup.csv"
-    path.write_text("f0,f0,label\n0.1,0.2,0\n0.3,0.4,1\n")
+    for body in ("0.1,0.2,0\n0.3,0.4,1\n", "", "\n \n"):  # with rows or none
+        path.write_text("f0,f0,label\n" + body)
+        assert main(["score", "-m", str(pca_run / "model"), "-i", str(path),
+                     "-o", str(tmp_path / "s.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {path}: column 'f0' appears twice\n"
+        assert not (tmp_path / "s.csv").exists()
+
+
+def csv_train_argv(ini, outdir, path):
+    return ["train", "-c", str(ini), "-o", str(outdir), "--set", "dataset.kind=csv",
+            "--set", f"dataset.path={path}", "--set", "dataset.label_column=label"]
+
+
+def test_train_on_header_only_csv_is_data_error(tiny_ini, tmp_path, capsys):
+    path = tmp_path / "head.csv"
+    for body in ("", "\n  \n"):
+        path.write_text("f0,f1,label\n" + body)
+        assert main(csv_train_argv(tiny_ini, tmp_path / "out", path)) == 2
+        assert capsys.readouterr().err == f"error: {path}: no data rows\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+def test_train_on_overflowing_features_names_the_column(tiny_ini, tmp_path, capsys):
+    rows = [f"{i % 7 * 0.1},{(-1) ** i * 1e300},{int(i % 9 == 0)}" for i in range(80)]
+    path = tmp_path / "big.csv"
+    path.write_text("\n".join(["f0,f1,label", *rows]) + "\n")
+    assert main(csv_train_argv(tiny_ini, tmp_path / "out", path)) == 2
+    assert capsys.readouterr().err == ("error: dataset 'tiny': column 1: its "
+                                       "zscore shift or scale overflows float64\n")
+
+
+def test_score_line_of_commas_is_data_error(pca_run, tmp_path, capsys):
+    # a line of empty cells is not blank
+    path, out = tmp_path / "commas.csv", tmp_path / "s.csv"
+    path.write_text("f0,f1,label\n,,\n")
     assert main(["score", "-m", str(pca_run / "model"), "-i", str(path),
-                 "-o", str(tmp_path / "s.csv")]) == 2
-    assert capsys.readouterr().err == f"error: {path}: column 'f0' appears twice\n"
-    assert not (tmp_path / "s.csv").exists()
-
-
-def test_score_from_a_pipe_refused_before_reading(pca_run, tmp_path, capsys):
-    fifo, out = tmp_path / "in.csv", tmp_path / "s.csv"
-    os.mkfifo(fifo)
-    text = (pca_run / "points.csv").read_bytes()
-    # a read-write end opens without waiting and holds the rows in the pipe
-    fd = os.open(fifo, os.O_RDWR | os.O_NONBLOCK)
-    try:
-        os.write(fd, text)
-        codes = []
-        scorer = threading.Thread(target=lambda: codes.append(main(
-            ["score", "-m", str(pca_run / "model"), "-i", str(fifo), "-o", str(out)])))
-        scorer.start()
-        scorer.join(10)
-        try:
-            left = os.read(fd, len(text) + 1)
-        except BlockingIOError:  # the scorer read the pipe empty
-            left = b""
-    finally:
-        os.close(fd)  # the end of input, should the scorer still wait for it
-    scorer.join(30)
-    assert not scorer.is_alive()
-    assert codes == [2] and left == text
-    assert capsys.readouterr().err == f"error: {fifo}: cannot be seeked; " \
-        "score a regular file\n"
+                 "-o", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {path}: row 2, column 'f0': cannot parse ''\n"
     assert not out.exists()
+
+
+def test_score_ignore_columns_entries_are_stripped(pca_run, tmp_path):
+    points = (pca_run / "points.csv").read_text().splitlines()
+    both = tmp_path / "both.csv"
+    both.write_text("\n".join([points[0] + ",class",
+                               *(row + ",3" for row in points[1:])]) + "\n")
+    runs = {"default": ["-i", str(pca_run / "points.csv")],
+            "spaced": ["-i", str(both), "--ignore-columns", "label, class "]}
+    for name, args in runs.items():
+        assert main(["score", "-m", str(pca_run / "model"), *args,
+                     "-o", str(tmp_path / f"{name}.csv")]) == 0
+    assert ((tmp_path / "default.csv").read_bytes()
+            == (tmp_path / "spaced.csv").read_bytes())
+
+
+def test_score_from_a_pipe_matches_the_file(pca_run, tmp_path):
+    fifo, piped, direct = tmp_path / "in.csv", tmp_path / "p.csv", tmp_path / "f.csv"
+    os.mkfifo(fifo)
+    points = pca_run / "points.csv"
+    writer = threading.Thread(target=lambda: fifo.write_bytes(points.read_bytes()),
+                              daemon=True)
+    writer.start()
+    try:
+        assert main(["score", "-m", str(pca_run / "model"), "-i", str(fifo),
+                     "-o", str(piped)]) == 0
+    finally:
+        writer.join(30)
+    assert not writer.is_alive()
+    assert main(["score", "-m", str(pca_run / "model"), "-i", str(points),
+                 "-o", str(direct)]) == 0
+    assert piped.read_bytes() == direct.read_bytes()
+    assert len(direct.read_text().splitlines()) == 11
 
 
 @pytest.mark.parametrize("text", ["", "\n\n", " \n\n"])

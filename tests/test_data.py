@@ -2,10 +2,12 @@
 
 import csv
 import hashlib
+import os
 import re
 import struct
 import sys
 import tempfile
+import threading
 from contextlib import ExitStack
 from unittest import mock
 
@@ -21,6 +23,8 @@ from cance.data import (
     EMBEDDINGS_VERSION,
     SYNTH_KINDS,
     Dataset,
+    DatasetConfig,
+    load_benchmark,
     load_recipe_dataset,
     Normalizer,
     load_csv,
@@ -44,16 +48,14 @@ EDGE_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324,
                1e16, 9999999999999998.0, 1e-5, 0.0001, 0.1]
 
 
-def reference_load_csv(path, feature_columns=None, label_column=None,
-                       class_column=None):
+def reference_load_csv(path, label_column=None, class_column=None,
+                       ignore_columns=()):
     """Row-at-a-time reader: the loader's semantics on valid files."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = [h.strip() for h in next(reader)]
-        if feature_columns is None:
-            feature_columns = [
-                h for h in header if h not in (label_column, class_column)
-            ]
+        skip = {label_column, class_column, *(c.strip() for c in ignore_columns)}
+        feature_columns = [h for h in header if h not in skip]
         index = {h: i for i, h in enumerate(header)}
         rows, labels, classes = [], [], []
         for row in reader:
@@ -137,7 +139,7 @@ class TestCsv:
         ("a,b\n 1.5 , 2\n1_000,-0.0\n", {}),
         ("a\n1\n2.5\n", {}),
         ("a,b,c,label,class\n1,2,3,1.0,7\n4,5,6,-0.0,8\n",
-         {"feature_columns": ["c", "a"], "label_column": "label",
+         {"ignore_columns": [" b", "absent"], "label_column": "label",
           "class_column": "class"}),
     ])
     def test_matches_reference_reader(self, tmp_path, text, kwargs):
@@ -163,18 +165,67 @@ class TestCsv:
             load_csv(path)
 
     @pytest.mark.parametrize("raw", [b"a,\xff\n1,2\n",
-                                     b"a,b\n" + b"1,2\n" * 5000 + b"3,\xff\n"])
+                                     b"a,b\n" + b"1,2\n" * 5000 + b"3,\xff\n",
+                                     b"a,b\n" + b"\n" * 10000 + b"\xff\n"])
     def test_undecodable_bytes_cite_file(self, tmp_path, raw):
-        # in the header, or far enough on that only the rescan decodes them
+        # in the header, far enough on that only the rescan decodes them, or
+        # after a run of blank lines
         path = tmp_path / "d.csv"
         path.write_bytes(raw)
         with pytest.raises(DataFormatError, match="d.csv: .*can't decode byte 0xff"):
             load_csv(path)
 
+    def test_csv_error_cites_the_file_line(self, tmp_path):
+        # the header spans two lines, and the rescan starts after them
+        path = tmp_path / "d.csv"
+        path.write_text('"a\nb",c\n1,2\n3,' + "x" * 140_000 + "\n")
+        with pytest.raises(DataFormatError, match="d.csv: line 4: field larger"):
+            load_csv(path)
+
     def test_header_only_file_rejected(self, tmp_path):
+        # load_csv reads it as no rows; a benchmark cannot be built from none
         path = tmp_path / "d.csv"
         path.write_text("a,b\n")
-        with pytest.raises(DataFormatError, match="no data rows"):
+        dc = DatasetConfig(kind="csv", path=str(path), label_column="b")
+        with pytest.raises(DataFormatError, match="d.csv: no data rows"):
+            load_benchmark(dc, RunRng(0))
+
+    @pytest.mark.parametrize("body", ["", "\n", " \t\n\r\n\x0c", "\n" * 5000])
+    def test_blank_body_gives_no_rows(self, tmp_path, body):
+        path = tmp_path / "d.csv"
+        path.write_text(f"a,b,label\n{body}")
+        ds = load_csv(path, label_column="label", ignore_columns=["b"])
+        assert ds.features.shape == (0, 1) and ds.labels.shape == (0,)
+
+    @pytest.mark.parametrize("body", ["", " \n\n", "1,2,0\n3,4,1\n" * 3000])
+    def test_pipe_reads_as_the_file(self, tmp_path, body):
+        path, fifo = tmp_path / "d.csv", tmp_path / "in.csv"
+        path.write_text(f"a,b,label\n{body}")
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()),
+                                  daemon=True)
+        writer.start()
+        try:
+            piped = load_csv(fifo, label_column="label")
+        finally:
+            writer.join(30)
+        assert not writer.is_alive()
+        ds = load_csv(path, label_column="label")
+        assert piped.features.tobytes() == ds.features.tobytes()
+        assert piped.features.shape == ds.features.shape == (len(ds.labels), 2)
+        np.testing.assert_array_equal(piped.labels, ds.labels)
+
+    @pytest.mark.parametrize("body, match", [
+        (",,\n", "row 2, column 'a': cannot parse ''"),
+        ('""\n', "row 2 has 1 fields"),
+        ("\n\n1,2\n", "row 2 has 0 fields"),
+        (" \n" * 5000 + "1,2,3\n", "row 2 has 1 fields"),
+    ])
+    def test_a_body_not_all_blank_is_read(self, tmp_path, body, match):
+        # a line of commas or quotes is not blank, nor a blank line before a row
+        path = tmp_path / "d.csv"
+        path.write_text(f"a,b,c\n{body}")
+        with pytest.raises(DataFormatError, match=re.escape(match)):
             load_csv(path)
 
     @pytest.mark.parametrize("text", ["\n", "\n\n", " \n1\n", ",\n1,2\n"])
@@ -793,6 +844,30 @@ class TestSplitsAndNormalize:
     def test_unfitted_transform_rejected(self):
         with pytest.raises(RuntimeError):
             Normalizer("zscore").transform(Dataset(np.zeros((2, 1))))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method, column", [
+        ("zscore", [1e300, -1e300]),  # the variance overflows
+        ("zscore", [1.5e308, 1.5e308]),  # the mean's sum overflows
+        ("minmax", [1e308, -1e308]),  # the range overflows
+    ])
+    def test_overflowing_column_named(self, method, column):
+        x = np.column_stack([[0.0, 1.0], column])
+        with pytest.raises(DataFormatError, match=rf"dataset 'big': column 1: "
+                           rf"its {method} shift or scale overflows"):
+            Normalizer(method).fit(Dataset(x, name="big"))
+
+    @pytest.mark.parametrize("method", ["zscore", "minmax"])
+    def test_finite_fit_keeps_its_bits(self, method):
+        x = np.random.default_rng(2).standard_normal((50, 3)) * [1.0, 1e150, 1e-300]
+        norm = Normalizer(method).fit(Dataset(x))
+        if method == "zscore":
+            shift, scale = x.mean(axis=0), x.std(axis=0)
+        else:
+            shift, scale = x.min(axis=0), x.max(axis=0) - x.min(axis=0)
+        _, _, arrays = norm.to_container()
+        assert arrays["shift"].tobytes() == shift.tobytes()
+        assert arrays["scale"].tobytes() == np.where(scale > 0, scale, 1.0).tobytes()
 
 
 class TestSynth:

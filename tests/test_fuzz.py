@@ -1,5 +1,7 @@
 """Fuzzed readers: truncated, bit-flipped and random input files raise only
 the package's errors (`CanceError` subclasses), never a bare exception.
+`cance score` on such a CSV or `.emb` file exits 0, 1 or 2 and writes no
+score file when it fails.
 
 Each property mutates a file its reader accepts. The properties are
 derandomized, so a run is deterministic, and the example count bounds its
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cance.cli import main
 from cance.compress import AeConfig, AutoencoderModel, fit_pca
 from cance.data import (
     IDX_IMAGES_MAGIC,
@@ -39,6 +42,9 @@ CSV = b"f0,f1,label\n0.5,-1.25,0\n3e-4,2,1\n-0.0,1e300,0\n"
 RECIPE = (b"[recipe]\nname = mini\nlabel_column = 2\nnormal_values = 1, 2\n"
           b"anomaly_values = 9\n[categorical]\n0 = A:0, B:1\n")
 RECIPE_DATA = b"A,0.5,1\nB,0.6,9\nA,0.7,5\nB,0.8,2\n"
+RUN_INI = (b"[dataset]\nkind = synth\nsynth = ring(n=200) + box(n=50)\n"
+           b"[compress]\nmethod = pca\nlatent_dim = 1\n"
+           b"[nce]\nwidths = 8\nepochs = 2\nbatch_size = 64\n")
 IDX = (struct.pack(">IIII", IDX_IMAGES_MAGIC, 3, 2, 2) + bytes(range(12)),
        struct.pack(">II", IDX_LABELS_MAGIC, 3) + bytes([0, 1, 2]))
 
@@ -126,7 +132,7 @@ class TestReadersRaiseOnlyPackageErrors:
     @given(data=st.data())
     def test_csv(self, tmp_path, data):
         path = write([tmp_path / "d.csv"], [data.draw(mutations(CSV))])[0]
-        only_package_errors(load_csv, path, None, "label")
+        only_package_errors(load_csv, path, "label")
 
     @FUZZ
     @given(which=st.integers(0, 1), data=st.data())
@@ -135,3 +141,27 @@ class TestReadersRaiseOnlyPackageErrors:
         raws[which] = data.draw(mutations(raws[which]))
         only_package_errors(load_recipe_dataset,
                             *write([tmp_path / "r.ini", tmp_path / "raw.csv"], raws))
+
+
+@pytest.fixture(scope="module")
+def score_run(tmp_path_factory):
+    """A model directory fitted on 2 features, and {suffix: bytes} of a CSV
+    and an embedding file it scores."""
+    root = tmp_path_factory.mktemp("score-run")
+    ini = write([root / "run.ini"], [RUN_INI])[0]
+    assert main(["train", "-c", str(ini), "-o", str(root / "model")]) == 0
+    rows = np.random.default_rng(1).standard_normal((4, 2))
+    write_embeddings(root / "in.emb", Dataset(rows, class_ids=np.arange(4)))
+    return root / "model", {".csv": CSV, ".emb": (root / "in.emb").read_bytes()}
+
+
+@FUZZ
+@given(suffix=st.sampled_from([".csv", ".emb"]), data=st.data())
+def test_score_cli_exits_with_a_documented_code(tmp_path, score_run, suffix, data):
+    model, inputs = score_run
+    path = write([tmp_path / f"in{suffix}"], [data.draw(mutations(inputs[suffix]))])[0]
+    out = tmp_path / "s.csv"
+    out.unlink(missing_ok=True)
+    code = main(["score", "-m", str(model), "-i", str(path), "-o", str(out)])
+    assert code in (0, 1, 2)
+    assert code == 0 or not out.exists()
