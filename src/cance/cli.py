@@ -23,7 +23,7 @@ from cance.data import (
     write_csv,
     write_table,
 )
-from cance.errors import CanceError, ConfigError
+from cance.errors import CanceError, ConfigError, ModelFormatError
 from cance.pipeline import (REPORT_FILE, blas_summary, load_run, run_pipeline,
                             save_run, score_blocks)
 from cance.rng import RunRng
@@ -94,13 +94,14 @@ def cmd_score(args) -> int:
             f"{compression.input_dim}"
         )
     print(f"scoring on {blas_summary()}", file=sys.stderr)
-    x = normalizer.transform(dataset).features
-    z, scores = np.empty((dataset.n, compression.latent_dim + 2)), np.empty(dataset.n)
+    x, n = normalizer.transform(dataset).features, dataset.n
+    del dataset  # the rows are held once, normalized
+    z, scores = np.empty((n, 2)), np.empty(n)  # z_e and z_c; no latents
     # rows are scored while earlier ones are formatted
-    write_scores(args.output, scores, z_e=z[:, -2], z_c=z[:, -1], fill=lambda filled:
+    write_scores(args.output, scores, z_e=z[:, 0], z_c=z[:, 1], fill=lambda filled:
                  score_blocks(compression, estimator, x, out=(z, scores),
                               on_block=filled))
-    print(f"{dataset.n} rows scored -> {args.output}")
+    print(f"{n} rows scored -> {args.output}")
     return EXIT_OK
 
 
@@ -197,9 +198,15 @@ def cmd_inspect(args) -> int:
         print(f"mode estimates   {est_meta['augmentation']}")
     report_path = os.path.join(args.model_dir, REPORT_FILE)
     if os.path.exists(report_path):
-        with open(report_path) as fh:
-            report = json.load(fh)
-        prop = report.get("estimator", {}).get("augmentation_margins")
+        try:
+            with open(report_path) as fh:
+                report = json.load(fh)
+        except ValueError as exc:  # not UTF-8 text or not JSON
+            raise ModelFormatError(f"{report_path}: {exc}") from None
+        est = report.get("estimator", {}) if isinstance(report, dict) else None
+        if not isinstance(est, dict):
+            raise ModelFormatError(f"{report_path}: not a train report object")
+        prop = est.get("augmentation_margins")
         if prop:
             print(f"augmentation margins  {prop}")
     return EXIT_OK

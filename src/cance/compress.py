@@ -32,14 +32,14 @@ def reconstruction_features(x: np.ndarray, x_rec: np.ndarray, real_rows=None):
     if x.shape != x_rec.shape:
         raise ShapeError(f"input {x.shape} and reconstruction {x_rec.shape} differ")
     d0 = x.shape[1]
-    z_e = np.sum((x - x_rec) ** 2, axis=1) / d0
-    norm_x = np.linalg.norm(x, axis=1)
-    norm_r = np.linalg.norm(x_rec, axis=1)
-    ok = (norm_x > 0.0) & (norm_r > 0.0)
-    cos = np.full(x.shape[0], 0.0)
-    np.divide(
-        np.sum(x * x_rec, axis=1), norm_x * norm_r, out=cos, where=ok
-    )
+    # a row too large for float64 gets non-finite features, which the caller names
+    with np.errstate(over="ignore", invalid="ignore"):
+        z_e = np.sum((x - x_rec) ** 2, axis=1) / d0
+        norm_x = np.linalg.norm(x, axis=1)
+        norm_r = np.linalg.norm(x_rec, axis=1)
+        ok = (norm_x > 0.0) & (norm_r > 0.0)
+        cos = np.full(x.shape[0], 0.0)
+        np.divide(np.sum(x * x_rec, axis=1), norm_x * norm_r, out=cos, where=ok)
     z_c = np.where(ok, 0.5 * (1.0 - cos), 0.5)
     if bad := int((~ok[:real_rows]).sum()):
         log.warning(

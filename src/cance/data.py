@@ -16,9 +16,7 @@ import warnings
 from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass
-from functools import partial
-from itertools import accumulate, chain
-from operator import itemgetter
+from itertools import accumulate, chain, islice
 
 import numpy as np
 
@@ -30,7 +28,7 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 EMBEDDINGS_MAGIC = b"CEMB"
 EMBEDDINGS_VERSION = 1
-PARSE_BLOCK_ROWS = 1 << 16  # data rows whose cells load_csv's rescan holds as text
+PARSE_BLOCK_ROWS = 1 << 14  # lines load_csv holds as text at a time
 # a formatter child costs about 25 ms (14 of them to start) on 2 CPUs
 FORMAT_CHILD_MIN_ROWS = 1 << 15
 FORMAT_CHUNK_ROWS = 1 << 14  # a multiple of pipeline.SCORE_BLOCK: chunks end with a block
@@ -147,25 +145,22 @@ def _parse_cells(path, cells, columns, n_features, rows: range):
     raise AssertionError("the fast path rejected only valid cells")
 
 
-def _load_numeric(path, width):
-    """Every data row, parsed by numpy's C reader, or None where it and the
-    rescan could disagree. It rejects more cells than `float` (quotes, `1_0`,
-    non-ASCII digits), but it skips empty lines and does not check the field
-    count against the header."""
+def _numpy_rows(lines, width, positions, n_features):
+    """Columns `positions` of `lines`, rows of `width` fields, parsed by
+    numpy's C reader, or None where it and the rescan could disagree. It
+    rejects more cells than `float` (quotes, `1_0`, non-ASCII digits), but
+    it skips empty lines and reads any number in a label or class column
+    (`positions[n_features:]`)."""
+    if not lines[0].strip():
+        return None  # numpy warns if it finds no row
     try:
-        with open(path) as fh:  # universal newlines, as numpy splits lines
-            fh.readline()
-            lines, last = 0, fh.read(1)
-            if last in ("", "\n"):
-                return None  # numpy warns if it finds no row
-            for chunk in iter(partial(fh.read, 1 << 20), ""):
-                lines, last = lines + chunk.count("\n"), chunk[-1]
-        lines += last != "\n"
-        values = np.loadtxt(path, delimiter=",", comments=None, skiprows=1,
-                            ndmin=2)
+        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
-    return values if values.shape == (lines, width) else None
+    if (values.shape == (len(lines), width)
+            and np.all(_integral(values[:, positions[n_features:]]))):
+        return values[:, positions]
+    return None
 
 
 def load_csv(path, label_column=None, class_column=None, ignore_columns=(),
@@ -178,9 +173,10 @@ def load_csv(path, label_column=None, class_column=None, ignore_columns=(),
     followed only by lines that are empty after `str.strip` gives no rows.
     Non-numeric cells, and label or class cells that are not integers, are
     errors that cite the row and column; the first such cell in file order
-    is reported. A file numpy's C reader rejects, or a pipe, is scanned with
-    `csv` and `float`, PARSE_BLOCK_ROWS rows at a time, and values are
-    always those of `float`.
+    is reported. The lines after the header are parsed PARSE_BLOCK_ROWS at
+    a time by numpy's C reader; a block it rejects is rescanned with `csv`
+    and `float`, on past the block's end while a quoted field is open.
+    Values are always those of `float`.
     """
     with open(path, newline="") as fh:
         head = csv.reader(fh)
@@ -194,58 +190,49 @@ def load_csv(path, label_column=None, class_column=None, ignore_columns=(),
             repeated = next(h for i, h in enumerate(header) if h in header[:i])
             raise DataFormatError(f"{path}: column {repeated!r} appears twice")
         roles = [*filter(None, (label_column, class_column))]
-        missing = [col for col in roles if col not in header]
-        if missing:
+        if missing := [col for col in roles if col not in header]:
             raise DataFormatError(f"{path}: missing column {missing[0]!r}")
         skip = {*roles, *map(str.strip, ignore_columns)}
         columns = [*(h for h in header if h not in skip), *roles]
         n_features = len(columns) - len(roles)
-        index = {h: i for i, h in enumerate(header)}
-        positions = [index[c] for c in columns]
-        body = []  # the lines after the header up to the first that is not blank
+        positions = [header.index(c) for c in columns]
+        blocks, first, line_num = [np.empty((0, len(columns)))], 0, head.line_num
         try:
+            body = []  # the lines after the header up to the first that is not blank
             for line in fh:
                 body.append(line)
                 if line.strip():
                     break
             else:
                 body = []
+            lines = chain(body, fh)
+            while block := [*islice(lines, PARSE_BLOCK_ROWS)]:
+                values = _numpy_rows(block, len(header), positions, n_features)
+                if values is None:
+                    reader = csv.reader(chain(block, lines))
+                    cells, n_rows = [], 0
+                    for n_rows, row in enumerate(csv_rows(path, reader, line_num), 1):
+                        if len(row) != len(header):
+                            _parse_cells(path, cells, columns, n_features,
+                                         range(first, first + n_rows - 1))
+                            raise DataFormatError(
+                                f"{path}: row {first + n_rows + 1} has {len(row)} "
+                                f"fields, expected {len(header)}")
+                        cells += [row[i] for i in positions]
+                        if reader.line_num >= len(block):
+                            break  # the last row that starts in this block
+                    values = _parse_cells(path, cells, columns, n_features,
+                                          range(first, first + n_rows))
+                    line_num += reader.line_num - len(block)
+                blocks.append(values)
+                first, line_num = first + len(values), line_num + len(block)
         except UnicodeDecodeError as exc:
             raise DataFormatError(f"{path}: {exc}") from None
-        values = (np.empty((0, len(header))) if not body
-                  else _load_numeric(path, len(header)) if fh.seekable() else None)
-        if values is not None:
-            values = values[:, positions]
-        if values is None or not np.all(_integral(values[:, n_features:])):
-            # itemgetter of one index returns the bare cell, not a tuple
-            pick = (itemgetter(*positions) if len(positions) > 1
-                    else lambda row: [row[i] for i in positions])
-            reader = csv_rows(path, csv.reader(chain(body, fh)), head.line_num)
-            cells, blocks, first, n_rows = [], [], 0, 0
-            for n_rows, row in enumerate(reader, start=1):
-                if len(row) != len(header):
-                    _parse_cells(path, cells, columns, n_features,
-                                 range(first, n_rows - 1))
-                    raise DataFormatError(
-                        f"{path}: row {n_rows + 1} has {len(row)} fields, "
-                        f"expected {len(header)}"
-                    )
-                cells.extend(pick(row))
-                if n_rows - first == PARSE_BLOCK_ROWS:
-                    blocks.append(_parse_cells(path, cells, columns, n_features,
-                                               range(first, n_rows)))
-                    cells, first = [], n_rows
-            blocks.append(_parse_cells(path, cells, columns, n_features,
-                                       range(first, n_rows)))
-            values = np.concatenate(blocks)
-    # one row per integer column: the label, then the class
-    ints = values[:, n_features:].astype(np.int64).T
-    return Dataset(
-        np.ascontiguousarray(values[:, :n_features]),
-        ints[0] if label_column else None,
-        ints[-1] if class_column else None,
-        name or str(path),
-    )
+    values = np.concatenate(blocks)
+    # Dataset takes the label and class columns as integers
+    return Dataset(np.ascontiguousarray(values[:, :n_features]),
+                   values[:, n_features] if label_column else None,
+                   values[:, -1] if class_column else None, name or str(path))
 
 
 def usable_cpus() -> int:

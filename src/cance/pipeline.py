@@ -16,7 +16,7 @@ from cance import blas
 from cance.compress import AutoencoderModel, PcaModel, fit_pca, train_autoencoder
 from cance.config import RunConfig
 from cance.data import Dataset, Normalizer, load_benchmark, split_train_val
-from cance.errors import ConfigError, ModelFormatError, ShapeError
+from cance.errors import ConfigError, ModelFormatError, NonFiniteError, ShapeError
 from cance.nce import EstimatorModel, NceConfig, train_estimator
 from cance.nn.serialize import load_container, save_container
 from cance.rng import RunRng
@@ -78,8 +78,10 @@ def score_blocks(compression, estimator, x, cols=slice(None), out=None,
     """(composite features, scores) of normalized rows, computed in blocks
     of SCORE_BLOCK rows with OpenBLAS on one thread. The estimator scores
     the composite columns `cols`; without one (None) the scores are None.
-    `out` gives the two arrays to fill instead of new ones, and `on_block`
-    is called with the number of rows filled after each block.
+    `out` gives the two arrays to fill instead of new ones, the first with
+    the composite's last columns, and `on_block` is called with the number
+    of rows filled after each block. Non-finite composite features raise
+    NonFiniteError naming the row as `load_csv` does (the first is row 2).
 
     The last block is padded with copies of its first row, so every forward
     has one shape and a row's bits do not depend on the rows around it.
@@ -92,7 +94,10 @@ def score_blocks(compression, estimator, x, cols=slice(None), out=None,
         rows = len(block)
         pad = np.repeat(block[:1], SCORE_BLOCK - rows, axis=0)
         zb = compression.composite(np.concatenate([block, pad]), real_rows=rows)
-        z[start:start + rows] = zb[:rows]
+        if (bad := ~np.isfinite(zb[:rows]).all(axis=1)).any():
+            raise NonFiniteError(f"row {start + bad.argmax() + 2}: its composite "
+                                 "features overflow float64")
+        z[start:start + rows] = zb[:rows, -z.shape[1]:]
         if estimator is not None:
             scores[start:start + rows] = estimator.score(zb[:, cols])[:rows]
         if on_block:

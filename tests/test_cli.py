@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -355,6 +356,20 @@ def test_field_over_csv_limit_is_data_error(pca_run, tmp_path, capsys, text):
     assert err.startswith(f"error: {path}: line ") and "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error")  # a numpy warning fails the call
+def test_score_overflowing_row_is_named_without_numpy_warnings(pca_run, tmp_path,
+                                                               capsys):
+    # its squared reconstruction error overflows float64
+    path, out = tmp_path / "big.csv", tmp_path / "s.csv"
+    path.write_text("f0,f1,label\n0.5,-1.25,0\n3e-4,2,1\n-0.0,1e300,0\n")
+    assert main(["score", "-m", str(pca_run / "model"), "-i", str(path),
+                 "-o", str(out)]) == 2
+    summary, error = capsys.readouterr().err.splitlines()
+    assert summary.startswith("scoring on ")
+    assert error == "error: row 4: its composite features overflow float64"
+    assert not out.exists()
+
+
 def test_score_repeated_column_name_is_data_error(pca_run, tmp_path, capsys):
     path = tmp_path / "dup.csv"
     for body in ("0.1,0.2,0\n0.3,0.4,1\n", "", "\n \n"):  # with rows or none
@@ -598,6 +613,26 @@ class TestBlockScoring:
         assert stats["data.load_csv"].calls == 1
         assert stats["data.normalizer.transform"].calls == 1
         assert stats["nce.score"].rows == 10 and streamed
+
+    def test_memory_grows_by_at_most_56_bytes_a_row(self, pca_run, tmp_path,
+                                                    monkeypatch):
+        # each row is held once: its 2 normalized features, z_e, z_c, score
+        # and id take 48 B; the text and cells of one parse block are bounded.
+        # Measured: 47.9 B a row (4.1 and 6.4 MiB); 79.4 B when the parsed
+        # rows, the latents and the whole file's table were held as well
+        monkeypatch.setattr(data_module, "usable_cpus", lambda: 1)
+        peaks = []
+        for n in (50_000, 100_000):
+            points = tmp_path / f"points{n}.csv"
+            assert main(["synth", "--spec", f"ring(n={n - 500}) + box(n=500)",
+                         "-o", str(points)]) == 0
+            tracemalloc.start()
+            try:
+                assert self.score(pca_run, points, tmp_path / "s.csv") == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 50_000 <= 56
 
     def test_without_blas_symbol_nothing_is_pinned(self, pca_run, tmp_path,
                                                    monkeypatch, capsys):
@@ -997,6 +1032,17 @@ class TestSynthAndInspect:
         assert "noise mean" in out
         assert "config hash" in out
         assert "mode estimates" in out
+
+    @pytest.mark.parametrize("raw", [b"[1,2]", b'{"estimator": 5}', b'{"estim',
+                                     b"\xff{}", b"null"])
+    def test_inspect_malformed_report_is_model_error(self, ae_run, tmp_path, capsys,
+                                                     raw):
+        model = tmp_path / "model"
+        shutil.copytree(ae_run / "model", model)
+        (model / "train_report.json").write_bytes(raw)
+        assert main(["inspect", "-m", str(model)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model / 'train_report.json'}: ")
 
     def test_inspect_leaves_print_options_unchanged(self, ae_run):
         # options unlike inspect's own, whatever an earlier caller left set

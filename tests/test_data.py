@@ -285,14 +285,22 @@ class TestCsv:
         assert (tmp_path / "e.csv").read_text() == "f0,f1,label\n"
 
 
+NUMPY_ROWS = data_module._numpy_rows
+
+
+def no_numpy(*args):
+    """`data._numpy_rows` rejecting every block, so that the rescan reads it."""
+    return None
+
+
 class TestCsvBlocks:
-    """load_csv's rescan parses PARSE_BLOCK_ROWS rows at a time; here 2 rows,
-    with numpy's reader off so that valid files take the rescan too."""
+    """load_csv reads PARSE_BLOCK_ROWS lines at a time; here 2 lines, with
+    numpy's reader off so that valid blocks take the rescan too."""
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
         monkeypatch.setattr(data_module, "PARSE_BLOCK_ROWS", 2)
-        monkeypatch.setattr(data_module, "_load_numeric", lambda path, width: None)
+        monkeypatch.setattr(data_module, "_numpy_rows", no_numpy)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_reference_reader(self, tmp_path, n):
@@ -324,6 +332,27 @@ class TestCsvBlocks:
         path = tmp_path / "d.csv"
         path.write_text(text)
         with pytest.raises(DataFormatError, match=match):
+            load_csv(path)
+
+    @pytest.mark.parametrize("numpy_on", [False, True])
+    @pytest.mark.parametrize("text", [
+        'a,b\n1,2\n3,"4\n"\n5,6\n7,8\n',     # the field opens on a block's last line
+        'a,b\n"1\n\n\n",2\n3,4\n5,6\n',       # ... and spans two more blocks
+        'a,b\n1,2\n3,4\n"\n5",6\n7,8\n9,1\n',  # ... or opens and closes in one
+    ])
+    def test_quoted_field_across_a_block_end(self, tmp_path, monkeypatch, text,
+                                             numpy_on):
+        if numpy_on:  # the blocks after the field are numpy's
+            monkeypatch.setattr(data_module, "_numpy_rows", NUMPY_ROWS)
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        ds = load_csv(path)
+        features, _, _ = reference_load_csv(path)
+        assert ds.features.tobytes() == features.tobytes()
+        assert ds.features.shape == features.shape
+        # a fault after the field is numbered by rows, not lines
+        path.write_text(text + "x,0\n")
+        with pytest.raises(DataFormatError, match=rf"row {len(features) + 2}, column 'a'"):
             load_csv(path)
 
     def test_non_integer_label_in_a_later_block(self, tmp_path):
@@ -384,7 +413,7 @@ class TestCsvFastPath:
         path = tmp_path / "d.csv"
         path.write_bytes(text.encode("utf-8"))
         fast = load_outcome(path, **kwargs)
-        with mock.patch.object(data_module, "_load_numeric", lambda path, width: None):
+        with mock.patch.object(data_module, "_numpy_rows", no_numpy):
             assert load_outcome(path, **kwargs) == fast
 
     @pytest.mark.filterwarnings("error")  # numpy warns when it finds no row
@@ -400,25 +429,41 @@ class TestCsvFastPath:
         path = tmp_path / "d.csv"
         path.write_bytes(text.encode("ascii"))
         width = len(text.splitlines()[0].split(","))
-        assert (data_module._load_numeric(path, width) is not None) == numpy_answers
+        with open(path, newline="") as fh:  # the lines load_csv reads
+            lines = fh.readlines()[1:]
+        values = data_module._numpy_rows(lines, width, list(range(width)), width)
+        assert (values is not None) == numpy_answers
         fast = load_outcome(path)
-        with mock.patch.object(data_module, "_load_numeric", lambda path, width: None):
+        with mock.patch.object(data_module, "_numpy_rows", no_numpy):
             assert load_outcome(path) == fast
 
     def test_clean_file_never_reaches_the_rescan(self, tmp_path, monkeypatch):
-        # a silent fallback to the slow parser would lose the fast path's gain
+        # a silent fallback to the slow parser would lose the fast path's gain;
+        # 3300 rows in blocks of 1024 lines, as written, with a header name
+        # holding a quoted newline, with CRLF line ends and through a pipe
         spec = "ring(n=3000, radius=1, noise=0.05) + box(n=300, low=-2.5, high=2.5)"
         ds = synth_generate(spec, RunRng(0).stream("score-input"))
-        path = tmp_path / "input.csv"
+        path, fifo = tmp_path / "input.csv", tmp_path / "pipe.csv"
         write_csv(path, ds)
+        text = path.read_text()
+        inputs = [path, tmp_path / "quoted.csv", tmp_path / "crlf.csv", fifo]
+        inputs[1].write_text('"f\n0"' + text[2:])
+        inputs[2].write_bytes(text.replace("\n", "\r\n").encode("ascii"))
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=lambda: fifo.write_text(text), daemon=True)
+        writer.start()
 
         def no_rescan(*args):
             raise AssertionError("the rescan ran on a clean file")
 
         monkeypatch.setattr(data_module, "_parse_cells", no_rescan)
-        back = load_csv(path, label_column="label")
-        assert back.features.tobytes() == ds.features.tobytes()
-        np.testing.assert_array_equal(back.labels, ds.labels)
+        monkeypatch.setattr(data_module, "PARSE_BLOCK_ROWS", 1024)
+        for source in inputs:
+            back = load_csv(source, label_column="label")
+            assert back.features.tobytes() == ds.features.tobytes()
+            np.testing.assert_array_equal(back.labels, ds.labels)
+        writer.join(30)
+        assert not writer.is_alive()
 
 
 def fixed_dataset(n=40_000):

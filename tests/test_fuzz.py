@@ -1,7 +1,8 @@
 """Fuzzed readers: truncated, bit-flipped and random input files raise only
 the package's errors (`CanceError` subclasses), never a bare exception.
 `cance score` on such a CSV or `.emb` file exits 0, 1 or 2 and writes no
-score file when it fails.
+score file when it fails; `cance inspect` with such a `train_report.json`
+exits 0 or 2.
 
 Each property mutates a file its reader accepts. The properties are
 derandomized, so a run is deterministic, and the example count bounds its
@@ -9,6 +10,7 @@ time.
 """
 
 import hashlib
+import shutil
 import struct
 
 import numpy as np
@@ -33,7 +35,7 @@ from cance.errors import CanceError
 from cance.nce import EstimatorModel, NoiseModel
 from cance.nn.layers import mlp
 from cance.nn.serialize import load_container
-from cance.pipeline import MODEL_KINDS, load_model, save_model
+from cance.pipeline import MODEL_KINDS, REPORT_FILE, load_model, save_model
 
 FUZZ = settings(max_examples=150, derandomize=True, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -165,3 +167,18 @@ def test_score_cli_exits_with_a_documented_code(tmp_path, score_run, suffix, dat
     code = main(["score", "-m", str(model), "-i", str(path), "-o", str(out)])
     assert code in (0, 1, 2)
     assert code == 0 or not out.exists()
+
+
+@FUZZ
+@given(data=st.data())
+def test_inspect_cli_exits_with_a_documented_code(tmp_path, score_run, capsys, data):
+    model, _ = score_run
+    copy = tmp_path / "model"
+    if not copy.exists():
+        shutil.copytree(model, copy)
+    raw = data.draw(mutations((model / REPORT_FILE).read_bytes()))
+    (copy / REPORT_FILE).write_bytes(raw)
+    code = main(["inspect", "-m", str(copy)])
+    err = capsys.readouterr().err
+    assert code in (0, 2) and "Traceback" not in err
+    assert code == 0 or err.startswith(f"error: {copy / REPORT_FILE}: ")
