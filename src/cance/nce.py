@@ -11,7 +11,9 @@ refinements: reconstruction features of data rows are stochastically
 replaced by draws from truncated normals concentrated below the estimated
 mode (augmentation), and the noise covariance is widened adversarially
 through a diagonal scaling K >= 1 learned by gradient steps on a
-stop-gradient objective.
+stop-gradient objective. The NCE loss and its gradient by T are written
+once, in `contrast`: the classifier step, the psi step (which minimizes the
+negated loss) and validation all go through it.
 """
 
 import logging
@@ -37,8 +39,7 @@ MOMENT_BATCH = 4096
 
 
 def softplus(x):
-    x = np.asarray(x, dtype=np.float64)
-    return np.logaddexp(0.0, x)
+    return np.logaddexp(0.0, np.asarray(x, dtype=np.float64))
 
 
 def sigmoid(x) -> np.ndarray:
@@ -102,9 +103,8 @@ class NoiseModel:
         return GaussianModel(self.base.mean, k[:, None] * self.base.cov * k[None, :])
 
     @classmethod
-    def from_data(
-        cls, data: np.ndarray, nu: float, psi_init: float | None = 0.0
-    ) -> "NoiseModel":
+    def from_data(cls, data: np.ndarray, nu: float,
+                  psi_init: float | None = 0.0) -> "NoiseModel":
         """Fit the Gaussian base to data moments accumulated batch-wise."""
         data = np.asarray(data, dtype=np.float64)
         moments = StreamingMoments.empty(data.shape[1])
@@ -115,16 +115,29 @@ class NoiseModel:
         return cls(base, psi, nu)
 
 
+def contrast(net: Network, data_rows: np.ndarray, noise_rows: np.ndarray, nu: float):
+    """The NCE loss -mean ln sig(T(z)) - nu * mean ln(1 - sig(T(v))) of data
+    rows z and noise rows v, and its gradient by T as an (m+n, 1) column.
+
+    One train-mode forward of the stacked rows, into the network's work
+    buffers (the classifier has no batch norm, so the mode changes no value),
+    ready for a backward of the gradient.
+    """
+    m, n = data_rows.shape[0], noise_rows.shape[0]
+    if m == 0 or n == 0:
+        raise ShapeError("empty batch")
+    t = net.forward(np.vstack([data_rows, noise_rows]), train=True)[:, 0]
+    loss = float(softplus(-t[:m]).mean() + nu * softplus(t[m:]).mean())
+    dt = np.empty((m + n, 1))
+    dt[:m, 0] = -sigmoid(-t[:m]) / m
+    dt[m:, 0] = nu * sigmoid(t[m:]) / n
+    return loss, dt
+
+
 def nce_loss(net: Network, data_batch: np.ndarray, noise_batch: np.ndarray,
              nu: float) -> float:
-    """Batch loss: -mean ln sig(T(z)) - nu * mean ln(1 - sig(T(v))), from
-    train-mode forwards into the network's work buffers (the classifier has
-    no batch norm, so the mode changes no value)."""
-    if data_batch.shape[0] == 0 or noise_batch.shape[0] == 0:
-        raise ShapeError("empty batch")
-    data_term = softplus(-net.forward(data_batch, train=True)[:, 0]).mean()
-    noise_term = softplus(net.forward(noise_batch, train=True)[:, 0]).mean()
-    return float(data_term + nu * noise_term)
+    """Batch loss of `contrast`."""
+    return contrast(net, data_batch, noise_batch, nu)[0]
 
 
 def nce_loss_and_grads(net: Network, data_batch: np.ndarray,
@@ -134,15 +147,8 @@ def nce_loss_and_grads(net: Network, data_batch: np.ndarray,
     The gradients are the network's own arrays, replaced by the next
     backward that computes parameter gradients.
     """
-    m, n = data_batch.shape[0], noise_batch.shape[0]
-    if m == 0 or n == 0:
-        raise ShapeError("empty batch")
-    t = net.forward(np.vstack([data_batch, noise_batch]), train=True)[:, 0]
-    loss = float(softplus(-t[:m]).mean() + nu * softplus(t[m:]).mean())
-    dt = np.empty_like(t)
-    dt[:m] = -sigmoid(-t[:m]) / m
-    dt[m:] = nu * sigmoid(t[m:]) / n
-    net.backward(dt[:, None], input_grad=False)
+    loss, dt = contrast(net, data_batch, noise_batch, nu)
+    net.backward(dt, input_grad=False)
     return loss, net.gradients()
 
 
@@ -157,20 +163,13 @@ class AugmentationParams:
     def fit(cls, composite: np.ndarray) -> "AugmentationParams":
         composite = np.asarray(composite, dtype=np.float64)
         if composite.ndim != 2 or composite.shape[1] < 3:
-            raise ShapeError(
-                "augmentation needs composite rows (latent + 2 features)"
-            )
-        return cls(
-            TruncatedNormalParams.fit(composite[:, -2]),
-            TruncatedNormalParams.fit(composite[:, -1]),
-        )
+            raise ShapeError("augmentation needs composite rows (latent + 2 features)")
+        return cls(TruncatedNormalParams.fit(composite[:, -2]),
+                   TruncatedNormalParams.fit(composite[:, -1]))
 
 
-def augment_batch(
-    batch: np.ndarray,
-    params: AugmentationParams,
-    rng: np.random.Generator,
-) -> np.ndarray:
+def augment_batch(batch: np.ndarray, params: AugmentationParams,
+                  rng: np.random.Generator) -> np.ndarray:
     """Mix original rows with rows whose reconstruction features are redrawn.
 
     Each row independently keeps its original values with probability 1/2;
@@ -189,37 +188,22 @@ def augment_batch(
     return out
 
 
-def adnce_objective(
-    net: Network,
-    noise: NoiseModel,
-    data_batch: np.ndarray,
-    noise_base_batch: np.ndarray,
-    inner_points: np.ndarray | None = None,
-) -> float:
-    """Adversarial objective minimized over psi.
-
-    J = mean ln sig(T(L(w))) + nu * mean ln(1 - sig(T(L(v)))), with w the
-    detached pullback of the data batch through the current L and v raw
-    base draws. Minimizing J widens the noise toward where the classifier
-    is most confident, i.e. it maximizes the contrastive loss.
+def adnce_objective(net: Network, noise: NoiseModel, data_batch: np.ndarray,
+                    noise_base_batch: np.ndarray,
+                    inner_points: np.ndarray | None = None) -> float:
+    """Adversarial objective minimized over psi: the negated contrastive loss
+    of L(w) and L(v), with w the detached pullback of the data batch through
+    the current L and v raw base draws. Minimizing it widens the noise toward
+    where the classifier is most confident, i.e. it maximizes the loss.
     """
     if inner_points is None:
         inner_points = noise.inverse_transform(data_batch)
-    a = noise.transform(inner_points)
-    b = noise.transform(noise_base_batch)
-    t = net.forward(np.vstack([a, b]), train=False)[:, 0]
-    m = a.shape[0]
-    return float(
-        -softplus(-t[:m]).mean() - noise.nu * softplus(t[m:]).mean()
-    )
+    return -contrast(net, noise.transform(inner_points),
+                     noise.transform(noise_base_batch), noise.nu)[0]
 
 
-def adnce_psi_grad(
-    net: Network,
-    noise: NoiseModel,
-    data_batch: np.ndarray,
-    noise_base_batch: np.ndarray,
-):
+def adnce_psi_grad(net: Network, noise: NoiseModel, data_batch: np.ndarray,
+                   noise_base_batch: np.ndarray):
     """Objective value and its gradient with respect to psi.
 
     The pullback points are computed once with the current psi and treated
@@ -229,27 +213,18 @@ def adnce_psi_grad(
         raise ValueError("noise model has no adaptable parameters")
     inner_points = noise.inverse_transform(data_batch)
     # L(L^-1(x)) != x in ~26 % of entries; dropping the round trip moves scores
-    a = noise.transform(inner_points)
-    b = noise.transform(noise_base_batch)
-    m, n = a.shape[0], b.shape[0]
-    t = net.forward(np.vstack([a, b]), train=True)[:, 0]
-    objective = float(-softplus(-t[:m]).mean() - noise.nu * softplus(t[m:]).mean())
-    dt = np.empty_like(t)
-    dt[:m] = sigmoid(-t[:m]) / m
-    dt[m:] = -noise.nu * sigmoid(t[m:]) / n
-    dinput = net.backward(dt[:, None], param_grads=False)
+    loss, dt = contrast(net, noise.transform(inner_points),
+                        noise.transform(noise_base_batch), noise.nu)
+    # negation is exact, so these are the bits of the objective's own formula
+    dinput = net.backward(np.negative(dt, out=dt), param_grads=False)
+    m = inner_points.shape[0]
     dk = (dinput[:m] * (inner_points - noise.base.mean)).sum(axis=0)
     dk += (dinput[m:] * (noise_base_batch - noise.base.mean)).sum(axis=0)
-    return objective, dk * sigmoid(noise.psi)
+    return -loss, dk * sigmoid(noise.psi)
 
 
-def adapt_noise(
-    net: Network,
-    noise: NoiseModel,
-    psi_optimizer: AdamW,
-    data_batch: np.ndarray,
-    noise_base_batch: np.ndarray,
-) -> float:
+def adapt_noise(net: Network, noise: NoiseModel, psi_optimizer: AdamW,
+                data_batch: np.ndarray, noise_base_batch: np.ndarray) -> float:
     """One optimizer step on psi; classifier parameters are not touched."""
     objective, dpsi = adnce_psi_grad(net, noise, data_batch, noise_base_batch)
     if not np.isfinite(objective):
@@ -342,15 +317,10 @@ class EstimatorModel:
         return cls(net, NoiseModel(base, psi, meta["nu"]))
 
 
-def train_estimator(
-    train_z: np.ndarray,
-    val_z: np.ndarray,
-    config: NceConfig,
-    init_rng: np.random.Generator,
-    train_rng: np.random.Generator,
-    val_rng: np.random.Generator,
-    noise_model: NoiseModel | None = None,
-):
+def train_estimator(train_z: np.ndarray, val_z: np.ndarray, config: NceConfig,
+                    init_rng: np.random.Generator, train_rng: np.random.Generator,
+                    val_rng: np.random.Generator,
+                    noise_model: NoiseModel | None = None):
     """Alternating optimization of the classifier and the noise widening.
 
     Each iteration takes one classifier step on the contrastive batch loss
@@ -372,9 +342,8 @@ def train_estimator(
     n, dim = train_z.shape
 
     if noise_model is None:
-        noise_model = NoiseModel.from_data(
-            train_z, config.nu, psi_init=0.0 if config.adapt_noise else None
-        )
+        noise_model = NoiseModel.from_data(train_z, config.nu,
+                                           psi_init=0.0 if config.adapt_noise else None)
     if noise_model.dim != dim:
         raise ShapeError("noise model dim does not match features")
 
@@ -397,18 +366,16 @@ def train_estimator(
         if config.adapt_noise:
             opt_psi = AdamW([noise_model.psi], lr=config.lr)
 
-    val_noise_base = noise_model.base.sample(
-        max(1, int(round(config.nu * val_z.shape[0]))), val_rng
-    )
+    val_noise_base = noise_model.base.sample(max(1, int(round(config.nu * len(val_z)))),
+                                             val_rng)
     warmup_epochs = int(np.ceil(config.epochs * config.warmup_frac))
     epoch_loss = [0.0, 0]  # sum of batch losses, batch count
 
     def step(epoch, rows):
         zb = train_z[rows]
         zm = augment_batch(zb, aug, train_rng) if aug is not None else zb
-        vbase = noise_model.base.sample(
-            max(1, int(round(config.nu * zb.shape[0]))), train_rng
-        )
+        vbase = noise_model.base.sample(max(1, int(round(config.nu * len(zb)))),
+                                        train_rng)
         loss, grads = nce_loss_and_grads(net, zm, noise_model.transform(vbase),
                                          config.nu)
         if not np.isfinite(loss):
@@ -417,9 +384,8 @@ def train_estimator(
         epoch_loss[0] += loss
         epoch_loss[1] += 1
         if opt_psi is not None and epoch >= warmup_epochs:
-            history["adapt_objective"].append(
-                adapt_noise(net, noise_model, opt_psi, zb, vbase)
-            )
+            history["adapt_objective"].append(adapt_noise(net, noise_model, opt_psi,
+                                                          zb, vbase))
 
     def validation_loss() -> float:
         history["train_loss"].append(epoch_loss[0] / epoch_loss[1])
@@ -439,19 +405,13 @@ def train_estimator(
 def _augmentation_margins(train_z, aug, noise_model) -> dict:
     """Diagnostic: augmented marginals must dominate the noise marginals."""
     out = {}
-    for name, j, dist in (
-        ("squared_error", -2, aug.error_dist),
-        ("cosine_dissimilarity", -1, aug.cosine_dist),
-    ):
-        report = verify_augmentation_margin(
-            train_z[:, j],
-            dist,
-            float(noise_model.base.mean[j]),
-            float(np.sqrt(noise_model.base.cov[j, j])),
-        )
+    for name, j, dist in (("squared_error", -2, aug.error_dist),
+                          ("cosine_dissimilarity", -1, aug.cosine_dist)):
+        report = verify_augmentation_margin(train_z[:, j], dist,
+                                            float(noise_model.base.mean[j]),
+                                            float(np.sqrt(noise_model.base.cov[j, j])))
         out[name] = report.worst_margin
         if not report.ok:
-            log.warning(
-                "augmentation margin negative for %s: %.3g", name, report.worst_margin
-            )
+            log.warning("augmentation margin negative for %s: %.3g", name,
+                        report.worst_margin)
     return out

@@ -80,8 +80,9 @@ def score_blocks(compression, estimator, x, cols=slice(None), out=None,
     the composite columns `cols`; without one (None) the scores are None.
     `out` gives the two arrays to fill instead of new ones, the first with
     the composite's last columns, and `on_block` is called with the number
-    of rows filled after each block. Non-finite composite features raise
-    NonFiniteError naming the row as `load_csv` does (the first is row 2).
+    of rows filled after each block. Non-finite composite features or
+    scores raise NonFiniteError naming the row as `load_csv` does (the
+    first is row 2).
 
     The last block is padded with copies of its first row, so every forward
     has one shape and a row's bits do not depend on the rows around it.
@@ -99,7 +100,11 @@ def score_blocks(compression, estimator, x, cols=slice(None), out=None,
                                  "features overflow float64")
         z[start:start + rows] = zb[:rows, -z.shape[1]:]
         if estimator is not None:
-            scores[start:start + rows] = estimator.score(zb[:, cols])[:rows]
+            sb = estimator.score(zb[:, cols])[:rows]
+            if (bad := ~np.isfinite(sb)).any():
+                raise NonFiniteError(f"row {start + bad.argmax() + 2}: its "
+                                     "log-density overflows float64")
+            scores[start:start + rows] = sb
         if on_block:
             on_block(start + rows)
     return z, None if estimator is None else scores

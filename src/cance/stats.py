@@ -188,7 +188,8 @@ class GaussianModel:
             raise ShapeError(f"expected points of dim {self.dim}, got {pts.shape[1]}")
         # solve L w = (u - mean)^T, then the Mahalanobis norm is |w|^2
         z = solve_lower(self.factor, pts - self.mean)
-        quad = np.sum(z * z, axis=0)
+        with np.errstate(over="ignore"):  # a far row's density is 0: quad is inf
+            quad = np.sum(z * z, axis=0)
         logdet = 2.0 * np.sum(np.log(np.diag(self.factor)))
         return -0.5 * (self.dim * np.log(2.0 * np.pi) + logdet + quad)
 

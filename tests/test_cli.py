@@ -370,6 +370,21 @@ def test_score_overflowing_row_is_named_without_numpy_warnings(pca_run, tmp_path
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")  # a numpy warning fails the call
+def test_score_overflowing_density_is_named_without_numpy_warnings(pca_run, tmp_path,
+                                                                   capsys):
+    # finite composite features whose Mahalanobis norm overflows float64, so
+    # the noise log-density and the score would be infinite
+    path, out = tmp_path / "far.csv", tmp_path / "s.csv"
+    path.write_text("f0,f1,label\n0.5,-1.25,0\n3e-4,2,1\n-0.0,1e150,0\n")
+    assert main(["score", "-m", str(pca_run / "model"), "-i", str(path),
+                 "-o", str(out)]) == 2
+    summary, error = capsys.readouterr().err.splitlines()
+    assert summary.startswith("scoring on ")
+    assert error == "error: row 4: its log-density overflows float64"
+    assert not out.exists()
+
+
 def test_score_repeated_column_name_is_data_error(pca_run, tmp_path, capsys):
     path = tmp_path / "dup.csv"
     for body in ("0.1,0.2,0\n0.3,0.4,1\n", "", "\n \n"):  # with rows or none

@@ -316,3 +316,53 @@ def test_only_the_lapack_fallback_imports_scipy():
         path.read_text(), str(path.relative_to(root)),
         ("solve_lower",) if path.name == "blas.py" else ())]
     assert found == []
+
+
+FORWARD_OWNERS = {"contrast", "EstimatorModel.log_odds"}
+
+
+def forward_calls(source: str) -> list:
+    """(qualified name of the innermost function or class, text) of each
+    `.forward(...)` call."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}".lstrip(".")
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "forward"):
+            found.append((where, ast.unparse(node)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def stray_forwards(source: str) -> list:
+    return [use for use in forward_calls(source) if use[0] not in FORWARD_OWNERS]
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("def contrast(net, z, v):\n    return net.forward(stack(z, v), train=True)\n", []),
+    ("class EstimatorModel:\n    def log_odds(self, z):\n"
+     "        return self.net.forward(z)\n", []),
+    ("def contrast(net, z):\n    return net.backward(z), forward(z), net.forward\n", []),
+    ("def nce_loss(net, z, v):\n    return net.forward(z, train=True)\n",
+     [("nce_loss", "net.forward(z, train=True)")]),
+    ("def contrast(net, z):\n    def f(x):\n        return net.forward(x)\n",
+     [("contrast.f", "net.forward(x)")]),
+    ("class Other:\n    def log_odds(self, z):\n        return self.net.forward(z)\n",
+     [("Other.log_odds", "self.net.forward(z)")]),
+    ("t = net.forward(z)\n", [("", "net.forward(z)")]),
+])
+def test_guard_flags_forwards_outside_the_contrast_core(source, flagged):
+    assert stray_forwards(source) == flagged
+
+
+def test_nce_forwards_only_in_contrast_and_log_odds():
+    # every NCE objective runs the classifier step's stacked forward, so
+    # validation and the psi step see the loss the classifier minimizes
+    source = (Path(cance.__file__).parent / "nce.py").read_text()
+    assert {where for where, _ in forward_calls(source)} == FORWARD_OWNERS
+    assert stray_forwards(source) == []
