@@ -12,9 +12,10 @@ import struct
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from collections import deque
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice
 
@@ -238,6 +239,25 @@ def load_csv(path, label_column=None, class_column=None, ignore_columns=(),
 def usable_cpus() -> int:
     return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
+
+
+_CPU_LOCK, _cpus_taken = threading.Lock(), 0  # held by running `spare_cpus` blocks
+
+
+@contextmanager
+def spare_cpus(wanted: int):
+    """Hold, and yield the count of, up to `wanted` usable CPUs that neither
+    the calling thread nor another block holds: `run_jobs` workers past the
+    first, and fit helper threads."""
+    global _cpus_taken
+    with _CPU_LOCK:
+        taken = max(0, min(wanted, usable_cpus() - 1 - _cpus_taken))
+        _cpus_taken += taken
+    try:
+        yield taken
+    finally:
+        with _CPU_LOCK:
+            _cpus_taken -= taken
 
 
 class _Formatter:

@@ -10,6 +10,7 @@ import numpy as np
 
 from cance import blas
 from cance.config import RunConfig
+from cance.data import spare_cpus
 from cance.data import usable_cpus as _usable_cpus
 from cance.errors import CanceError, DegenerateFeatureError, ShapeError
 from cance.pipeline import fit_estimator, prepare_features, run_pipeline, score_blocks
@@ -143,12 +144,13 @@ def run_jobs(jobs) -> dict:
     running ones finish. Jobs run on min(len(jobs), usable CPUs) threads,
     each fit on the one OpenBLAS thread that `cance.blas` pins at import;
     with one worker, or without a pinned OpenBLAS, in the calling thread.
+    Workers past the first hold their CPUs against fits' helper threads.
     """
     jobs = list(jobs)
     workers = min(len(jobs), _usable_cpus())
     if workers < 2 or not blas.OPENBLAS:
         return {key: _outcome(key, job) for key, job in jobs}
-    with ThreadPoolExecutor(workers) as pool:
+    with spare_cpus(workers - 1), ThreadPoolExecutor(workers) as pool:
         futures = [pool.submit(_outcome, key, job) for key, job in jobs]
         try:
             wait(futures, return_when=FIRST_EXCEPTION)

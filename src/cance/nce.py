@@ -17,13 +17,15 @@ negated loss) and validation all go through it.
 """
 
 import logging
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from cance.compress import check_widths
+from cance.data import spare_cpus
 from cance.errors import ConfigError, ModelFormatError, NonFiniteError, ShapeError
-from cance.nn.layers import Network, mlp
+from cance.nn.layers import Helper, Network, mlp
 from cance.nn.optim import AdamW, fit_epochs
 from cance.stats import (
     GaussianModel,
@@ -69,7 +71,7 @@ class NoiseModel:
 
     def __post_init__(self):
         if self.nu <= 0:
-            raise ValueError(f"noise-sample ratio must be positive, got {self.nu}")
+            raise ConfigError(f"noise-sample ratio must be positive, got {self.nu}")
         if self.psi is not None:
             self.psi = np.asarray(self.psi, dtype=np.float64)
             if self.psi.shape != (self.base.dim,):
@@ -115,9 +117,11 @@ class NoiseModel:
         return cls(base, psi, nu)
 
 
-def contrast(net: Network, data_rows: np.ndarray, noise_rows: np.ndarray, nu: float):
+def contrast(net: Network, data_rows: np.ndarray, noise_rows: np.ndarray, nu: float,
+             grad: bool = True):
     """The NCE loss -mean ln sig(T(z)) - nu * mean ln(1 - sig(T(v))) of data
-    rows z and noise rows v, and its gradient by T as an (m+n, 1) column.
+    rows z and noise rows v, and its gradient by T as an (m+n, 1) column
+    (None with `grad=False`).
 
     One train-mode forward of the stacked rows, into the network's work
     buffers (the classifier has no batch norm, so the mode changes no value),
@@ -128,6 +132,8 @@ def contrast(net: Network, data_rows: np.ndarray, noise_rows: np.ndarray, nu: fl
         raise ShapeError("empty batch")
     t = net.forward(np.vstack([data_rows, noise_rows]), train=True)[:, 0]
     loss = float(softplus(-t[:m]).mean() + nu * softplus(t[m:]).mean())
+    if not grad:
+        return loss, None
     dt = np.empty((m + n, 1))
     dt[:m, 0] = -sigmoid(-t[:m]) / m
     dt[m:, 0] = nu * sigmoid(t[m:]) / n
@@ -136,8 +142,8 @@ def contrast(net: Network, data_rows: np.ndarray, noise_rows: np.ndarray, nu: fl
 
 def nce_loss(net: Network, data_batch: np.ndarray, noise_batch: np.ndarray,
              nu: float) -> float:
-    """Batch loss of `contrast`."""
-    return contrast(net, data_batch, noise_batch, nu)[0]
+    """Batch loss of `contrast`, without its gradient."""
+    return contrast(net, data_batch, noise_batch, nu, grad=False)[0]
 
 
 def nce_loss_and_grads(net: Network, data_batch: np.ndarray,
@@ -177,7 +183,7 @@ def augment_batch(batch: np.ndarray, params: AugmentationParams,
     by independent truncated-normal draws.
     """
     if params is None:
-        raise ValueError("augmentation parameters not fitted")
+        raise RuntimeError("augmentation parameters not fitted")
     batch = np.asarray(batch, dtype=np.float64)
     out = batch.copy()
     keep = rng.random(batch.shape[0]) < 0.5
@@ -210,7 +216,7 @@ def adnce_psi_grad(net: Network, noise: NoiseModel, data_batch: np.ndarray,
     as constants; only the outer affine map carries gradient.
     """
     if noise.psi is None:
-        raise ValueError("noise model has no adaptable parameters")
+        raise RuntimeError("noise model has no adaptable parameters")
     inner_points = noise.inverse_transform(data_batch)
     # L(L^-1(x)) != x in ~26 % of entries; dropping the round trip moves scores
     loss, dt = contrast(net, noise.transform(inner_points),
@@ -332,6 +338,8 @@ def train_estimator(train_z: np.ndarray, val_z: np.ndarray, config: NceConfig,
     validation rows against a fixed set of base draws pushed through the
     current widening. Divergence ends training with a warning and the best
     checkpoint; NonFiniteError is raised only if the first epoch diverges.
+    While a CPU is free (`spare_cpus`), a helper thread takes part of each
+    large batch (see `Network`), with the same bits; it ends with the fit.
     """
     train_z = np.asarray(train_z, dtype=np.float64)
     val_z = np.asarray(val_z, dtype=np.float64)
@@ -392,10 +400,12 @@ def train_estimator(train_z: np.ndarray, val_z: np.ndarray, config: NceConfig,
         epoch_loss[:] = [0.0, 0]
         return nce_loss(net, val_z, noise_model.transform(val_noise_base), config.nu)
 
-    history["best_val_loss"], history["best_epoch"], history["diverged_at_epoch"] = (
-        fit_epochs(config.epochs, n, min(config.batch_size, n), train_rng, step,
-                   validation_loss, state, history["val_loss"])
-    )
+    with spare_cpus(1) as spare, Helper() if spare else nullcontext() as helper:
+        net.helper = helper
+        history["best_val_loss"], history["best_epoch"], history["diverged_at_epoch"] = (
+            fit_epochs(config.epochs, n, min(config.batch_size, n), train_rng, step,
+                       validation_loss, state, history["val_loss"])
+        )
     net.release()
     frozen = NoiseModel(noise_model.base, noise_model.psi, config.nu)
     history["k_diag"] = frozen.k_diag().tolist()

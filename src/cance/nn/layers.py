@@ -1,10 +1,23 @@
 """Dense and batch-norm layers with explicit forward/backward passes."""
 
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
-from cance.errors import ModelFormatError, NonFiniteError, ShapeError
+from cance.errors import ConfigError, ModelFormatError, NonFiniteError, ShapeError
+
+SPLIT_ROWS = 1024  # the fewest rows of a batch that `Network` splits
+
+
+def split_row(rows: int) -> int:
+    """A multiple of 32, where a row-split product keeps the whole product's
+    bits, just past the middle: the caller starts on its rows at once, the
+    helper a hand-off later."""
+    return rows // 64 * 32 + 32
 
 
 class Activation(str, Enum):
@@ -62,51 +75,67 @@ class DenseLayer:
         """Drop the train-mode output buffer and the forward cache."""
         self._out = self._x = self._post = None
 
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+    def buffer(self, rows: int) -> np.ndarray:
+        """The train-mode output buffer, grown to at least `rows` rows."""
+        if self._out is None or len(self._out) < rows:
+            self._out = np.empty((rows, self.out_dim))
+        return self._out
+
+    def forward(self, x: np.ndarray, train: bool = False,
+                out: np.ndarray | None = None) -> np.ndarray:
         """In train mode the output is a row view of a buffer kept for the
-        largest batch yet, valid until the next train-mode call; eval mode
-        allocates it, so frozen models serve concurrent callers."""
+        largest batch yet, valid until the next train-mode call (or `out`,
+        uncached: one thread's rows of a split batch); eval mode allocates
+        it, so frozen models serve concurrent callers."""
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ShapeError(f"expected input (*, {self.in_dim}), got {x.shape}")
-        if train and (self._out is None or len(self._out) < len(x)):
-            self._out = np.empty((len(x), self.out_dim))
-        pre = np.matmul(x, self.weights.T, out=self._out[: len(x)] if train else None)
+        cache = train and out is None
+        pre = np.matmul(x, self.weights.T,
+                        out=self.buffer(len(x))[: len(x)] if cache else out)
         pre += self.bias
         # backward needs only the output, so pre need not survive
         post = np.tanh(pre, out=pre) if self.activation is Activation.TANH else pre
-        if train:
+        if cache:
             self._x, self._post = x, post
         return post
 
     def backward(self, upstream: np.ndarray, param_grads: bool = True,
-                 input_grad: bool = True,
-                 out: np.ndarray | None = None) -> np.ndarray | None:
+                 input_grad: bool = True, out: np.ndarray | None = None,
+                 cache: tuple | None = None,
+                 dpre: np.ndarray | None = None) -> np.ndarray | None:
         """Set the parameter gradients and return the input gradient;
         either half can be skipped (the input gradient is then None). The
-        forward's output buffer becomes the pre-activation gradient; the
-        input gradient is written to `out` if given."""
-        x, dpre = self._x, self._post
-        if x is None:
+        pre-activation gradient is built in `dpre` (default: the output
+        buffer), the input gradient in `out` if given. `cache`, the (input,
+        output) of a split forward, stands in for the layer's own."""
+        x, post = (self._x, self._post) if cache is None else cache
+        if post is None:
             raise RuntimeError("backward called without a cached train-mode forward")
-        if upstream.shape != dpre.shape:
+        if upstream.shape != post.shape:
             raise ShapeError(
-                f"upstream gradient {upstream.shape} != output {dpre.shape}"
+                f"upstream gradient {upstream.shape} != output {post.shape}"
             )
         self._x = self._post = None
+        dpre = post if dpre is None else dpre
         if self.activation is Activation.TANH:
-            # upstream * (1 - post^2), built as (1 - post^2) * upstream in the
-            # output buffer; multiplication commutes, so the bits are the same
-            np.multiply(dpre, dpre, out=dpre)
+            # upstream * (1 - post^2), built as (1 - post^2) * upstream;
+            # multiplication commutes, so the bits are the same
+            np.multiply(post, post, out=dpre)
             np.subtract(1.0, dpre, out=dpre)
             dpre *= upstream
         else:
             # copied, so `upstream` may be the scratch written below
             dpre[...] = upstream
         if param_grads:
-            self.grad_weights = dpre.T @ x
-            self.grad_bias = dpre.sum(axis=0)
-        if not input_grad:
-            return None
+            self.param_grads(dpre, x)
+        return self.input_grad(dpre, out) if input_grad else None
+
+    def param_grads(self, dpre: np.ndarray, x: np.ndarray) -> None:
+        """Set the gradients from the pre-activation gradient and the input."""
+        self.grad_weights = dpre.T @ x
+        self.grad_bias = dpre.sum(axis=0)
+
+    def input_grad(self, dpre: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if self.out_dim == 1:
             # (N, 1) @ (1, in) is one product per entry, so a broadcast gives
             # the GEMM's bits without the call; adding +0.0 turns a -0.0
@@ -146,7 +175,7 @@ class BatchNormLayer:
 
     def __init__(self, dim: int, momentum: float = 0.1, epsilon: float = 1e-5):
         if not 0.0 < momentum < 1.0:
-            raise ValueError(f"momentum must be in (0,1), got {momentum}")
+            raise ConfigError(f"momentum must be in (0,1), got {momentum}")
         self.dim = dim
         self.momentum = float(momentum)
         self.epsilon = float(epsilon)
@@ -235,16 +264,21 @@ class BatchNormLayer:
 
 
 class Network:
-    """A sequential stack of layers sharing one forward/backward interface."""
+    """A sequential stack of layers sharing one forward/backward interface.
+
+    `helper`, a `Helper` that a fit sets on a stack of dense layers, runs rows
+    [split_row(n), n) of a train-mode batch of n >= SPLIT_ROWS rows through
+    the forward and the backward's row work; each weight-gradient product
+    and bias sum runs whole on one thread, so no bit moves."""
 
     def __init__(self, layers: list):
         if not layers:
-            raise ValueError("network needs at least one layer")
+            raise ShapeError("network needs at least one layer")
         for a, b in zip(layers, layers[1:]):
             if a.out_dim != b.in_dim:
                 raise ShapeError(f"layer chain mismatch: {a.out_dim} -> {b.in_dim}")
         self.layers = layers
-        self._scratch = None
+        self.helper = self._scratch = self._spare = self._split = None
 
     @property
     def in_dim(self) -> int:
@@ -259,11 +293,26 @@ class Network:
         squashed to a finite value on the way raises NonFiniteError. In train
         mode it is a view, valid until the network's next train-mode call."""
         x = np.asarray(x, dtype=np.float64)
-        for layer in self.layers:
-            x = layer.forward(x, train=train)
+        n = len(x)
+        if train:
+            self._split = None
+        if train and self.helper is not None and n >= SPLIT_ROWS:
+            outs = [layer.buffer(n)[:n] for layer in self.layers]
+            self._split = x, outs, slice(0, split_row(n)), slice(split_row(n), n)
+            self.helper.both(*(partial(self._forward_rows, rows) for rows in self._split[2:]))
+            x = outs[-1]
+        else:
+            for layer in self.layers:
+                x = layer.forward(x, train=train)
         if not np.all(np.isfinite(x)):
             raise NonFiniteError("non-finite values in network output")
         return x
+
+    def _forward_rows(self, rows: slice) -> None:
+        x, outs = self._split[:2]
+        x = x[rows]
+        for layer, out in zip(self.layers, outs):
+            x = layer.forward(x, train=True, out=out[rows])
 
     def backward(self, upstream: np.ndarray, param_grads: bool = True,
                  input_grad: bool = True) -> np.ndarray | None:
@@ -277,6 +326,8 @@ class Network:
         rows, widest = len(upstream), max(layer.in_dim for layer in self.layers)
         if self._scratch is None or self._scratch.size < rows * widest:
             self._scratch = np.empty(rows * widest)
+        if self._split is not None:
+            return self._split_backward(upstream, param_grads, input_grad, widest)
         first = self.layers[0]
         for layer in reversed(self.layers):
             out = self._scratch[: rows * layer.in_dim].reshape(rows, layer.in_dim)
@@ -285,9 +336,53 @@ class Network:
                                       out=out)
         return upstream
 
+    def _split_backward(self, upstream, param_grads, input_grad, widest):
+        (x, outs, *halves), self._split = self._split, None
+        layers, n, inputs = self.layers, len(upstream), [x, *outs[:-1]]
+        # the threads split the rows down to layer `top` (the top hidden one
+        # when parameter gradients are asked for); then the helper takes the
+        # parameter gradients from there up and the caller the rest, whole
+        top = max(len(layers) - 2, 0) if param_grads else 0
+        if param_grads:  # the row pass overwrites the head's input
+            layers[-1].param_grads(upstream, inputs[-1])
+        done = threading.Event(), threading.Event()
+
+        def half(side):
+            rows = halves[side]
+            try:
+                grad, scratch = upstream[rows], self._scratch[rows.start * widest:]
+                for i in range(len(layers) - 1, top - 1, -1):
+                    out = scratch[: len(grad) * layers[i].in_dim].reshape(len(grad), -1)
+                    grad = layers[i].backward(grad, False, i > top, out, (None, outs[i][rows]))
+            finally:
+                done[side].set()
+            if side:
+                if param_grads:
+                    done[0].wait()  # every row is through
+                    for i in range(top, len(layers) - 1):
+                        layers[i].param_grads(outs[i], inputs[i])
+                return None
+            done[1].wait()
+            if not (input_grad or top):
+                return None
+            grad = layers[top].input_grad(outs[top], scratch_for(top))
+            # the helper reads the output below `top`, so its gradient goes aside
+            if top and (self._spare is None or len(self._spare) < n):
+                self._spare = np.empty(outs[top - 1].shape)
+            for i in reversed(range(top)):
+                grad = layers[i].backward(grad, True, input_grad or i > 0, scratch_for(i),
+                                          (inputs[i], outs[i]),
+                                          self._spare[:n] if i == top - 1 else None)
+            return grad
+
+        def scratch_for(i):  # the whole batch's input gradient of layer i
+            return self._scratch[: inputs[i].size].reshape(inputs[i].shape)
+
+        return self.helper.both(partial(half, 0), partial(half, 1))
+
     def release(self) -> None:
-        """Drop every work buffer and forward cache, as at the end of a fit."""
-        self._scratch = None
+        """Drop the helper, every work buffer and forward cache: a fit's end."""
+        self.helper = self._scratch = self._spare = self._split = None
         for layer in self.layers:
             layer.release()
 
@@ -342,9 +437,72 @@ def mlp(dims: list, rng: np.random.Generator) -> Network:
     """Build a dense MLP with the given layer widths, e.g. [4, 64, 64, 1]:
     tanh hidden layers and an identity output."""
     if len(dims) < 2:
-        raise ValueError("mlp needs at least input and output dims")
+        raise ShapeError("mlp needs at least input and output dims")
     layers = []
     for i, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
         act = Activation.IDENTITY if i == len(dims) - 2 else Activation.TANH
         layers.append(DenseLayer.glorot(a, b, act, rng))
     return Network(layers)
+
+
+class Helper:
+    """A fit's second thread: `both` runs a task there beside one here. A
+    side that waits for the other polls for up to SPIN_S seconds before it
+    blocks, as a blocked thread takes tens of microseconds to wake and a
+    fit hands off every few hundred. A task's exception ends the thread
+    and is raised in the caller."""
+
+    SPIN_S = 2e-4
+
+    def __init__(self):
+        self._task, self._ok = None, True
+        self._ready, self._finished = threading.Event(), threading.Event()
+        self._pool = ThreadPoolExecutor(1, "cance-fit-helper")
+        self._serving = self._pool.submit(self._serve)  # holds the exception
+
+    def _await(self, event: threading.Event) -> None:
+        deadline = time.perf_counter() + self.SPIN_S
+        while not event.is_set() and time.perf_counter() < deadline:
+            time.sleep(0)  # lets the other thread have the interpreter
+        event.wait()
+
+    def _serve(self) -> None:
+        while True:
+            self._await(self._ready)
+            self._ready.clear()
+            task, self._task = self._task, None
+            if task is None:
+                return
+            self._ok = False
+            try:
+                task()
+                self._ok = True
+            finally:
+                del task  # so its arrays can go while the thread waits
+                self._finished.set()
+
+    def both(self, mine, theirs):
+        """Run `theirs` on the helper while `mine` runs here, and return what
+        `mine` returns; an exception of `mine`, or else of `theirs`,
+        propagates once both are done."""
+        if self._serving.done():
+            raise RuntimeError("the fit's helper thread has stopped")
+        self._task = theirs
+        self._finished.clear()
+        self._ready.set()
+        try:
+            result = mine()
+        finally:
+            self._await(self._finished)
+        if not self._ok:
+            self._serving.result()
+        return result
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._task = None
+        self._ready.set()
+        self._pool.shutdown()
+

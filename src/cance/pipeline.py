@@ -197,7 +197,7 @@ def load_model(path, *kinds):
         return MODEL_KINDS[kind].from_container(meta, arrays), meta
     except KeyError as exc:
         raise ModelFormatError(f"{path}: {kind} model lacks {exc}") from exc
-    except (ModelFormatError, ShapeError, TypeError, ValueError) as exc:
+    except (ConfigError, ModelFormatError, ShapeError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: malformed {kind} model: {exc}") from exc
 
 

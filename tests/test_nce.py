@@ -1,11 +1,19 @@
 """Contrastive loss, noise model, augmentation, adaptation, scoring."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from cance.errors import NonFiniteError, ShapeError
+import cance.data as data_module
+import cance.evaluation as evaluation_module
+import cance.nce as nce_module
+from cance import blas
+from cance.cli import main
+from cance.data import spare_cpus
+from cance.errors import ConfigError, NonFiniteError, ShapeError
 from cance.nce import (
     AugmentationParams,
     NceConfig,
@@ -19,7 +27,15 @@ from cance.nce import (
     sigmoid,
     train_estimator,
 )
-from cance.nn.layers import Activation, DenseLayer, Network, copy_state, mlp
+from cance.nn.layers import (
+    SPLIT_ROWS,
+    Activation,
+    DenseLayer,
+    Helper,
+    Network,
+    copy_state,
+    mlp,
+)
 from cance.nn.optim import AdamW
 from cance.pipeline import load_model, save_model
 from cance.stats import GaussianModel
@@ -151,7 +167,7 @@ class TestNoiseModel:
 
     def test_invalid_nu_rejected(self):
         base = GaussianModel(np.zeros(1), np.eye(1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             NoiseModel(base, psi=None, nu=0.0)
 
 
@@ -209,7 +225,7 @@ class TestAugmentation:
 
     def test_unfitted_params_rejected(self, fitted):
         rng, composite, _ = fitted
-        with pytest.raises(ValueError):
+        with pytest.raises(RuntimeError, match="not fitted"):
             augment_batch(composite, None, rng)
 
     def test_fit_needs_composite_rows(self):
@@ -261,7 +277,7 @@ class TestAdaptNoise:
     def test_identity_noise_has_nothing_to_adapt(self, small_problem):
         rng, net, data, noise_model = small_problem
         frozen = NoiseModel(noise_model.base, psi=None, nu=8.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(RuntimeError, match="no adaptable parameters"):
             adnce_psi_grad(net, frozen, data, frozen.base.sample(8, rng))
 
 
@@ -437,7 +453,9 @@ class TestTrainEstimator:
         Measured: 6.6 MiB traced peak with the layers' reused buffers, the
         KDE margin summed in blocks and validation in one stacked forward
         (7.4 MiB with separate data and noise forwards); 15.0 MiB with fresh
-        step arrays and the KDE's three 512 x 1280 arrays at once.
+        step arrays and the KDE's three 512 x 1280 arrays at once. With a
+        helper thread (2 CPUs) 7.6 MiB: the split backward's extra buffer;
+        8.9 MiB while the helper held its last task's arrays.
         """
         rng = np.random.default_rng(125)
         composite = np.column_stack([rng.standard_normal((1600, 2)),
@@ -520,3 +538,153 @@ class TestScoring:
         base = train_and_score(0.0)
         shifted = train_and_score(10.0)
         assert np.abs(base - shifted).mean() < 0.1
+
+
+def step_bytes(helper, m, n, dim, seed):
+    """Bytes of a classifier step's loss and gradients, a psi step's
+    objective and gradient, and a validation loss, on m data and n noise
+    rows through a fresh (64, 64) classifier with `helper` set."""
+    rng = np.random.default_rng(seed)
+    net = mlp([dim, 64, 64, 1], rng)
+    net.helper = helper
+    data, noise = rng.standard_normal((m, dim)), 1.5 * rng.standard_normal((n, dim))
+    noise_model = NoiseModel.from_data(rng.standard_normal((500, dim)), 8.0)
+    loss, grads = nce_loss_and_grads(net, data, noise, 8.0)
+    objective, dpsi = adnce_psi_grad(net, noise_model, data, noise)
+    # the psi step leaves the classifier's gradients as they were
+    assert all(a is b for a, b in zip(net.gradients(), grads))
+    losses = np.array([loss, objective, nce_loss(net, data, noise, 8.0)])
+    return [losses.tobytes(), dpsi.tobytes(), *(g.tobytes() for g in grads)]
+
+
+class CountingHelper(Helper):
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def both(self, mine, theirs):
+        self.calls += 1
+        return super().both(mine, theirs)
+
+
+class TestTwoThreadSteps:
+    @pytest.mark.parametrize("m, n, dim", [
+        (256, 2048, 4),  # the bench's steps and most of tier-1's: 2304 rows
+        (130, 1040, 4),  # an epoch's short last batch: 1170 rows
+        (512, 4096, 1),  # criterion 3's steps: 4608 rows
+        (128, 1024, 1),  # criterion 3's last batch: 1152 rows
+    ])
+    def test_steps_match_one_thread_byte_for_byte(self, m, n, dim):
+        assert m + n >= SPLIT_ROWS
+        with CountingHelper() as helper:
+            for seed in range(2):
+                assert step_bytes(helper, m, n, dim, seed) == \
+                    step_bytes(None, m, n, dim, seed)
+        # per seed: two forwards and a validation forward, two backwards
+        assert helper.calls == 2 * 5
+
+
+def helper_threads() -> list:
+    return [t for t in threading.enumerate() if t.name.startswith("cance-fit-helper")]
+
+
+class TestFitHelper:
+    """A fit takes a helper thread only while a CPU is free, and joins it."""
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """Every helper a fit starts, in a list."""
+        made = []
+
+        class Recording(Helper):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        monkeypatch.setattr(nce_module, "Helper", Recording)
+        return made
+
+    @staticmethod
+    def fit():
+        rng = np.random.default_rng(130)
+        data = rng.standard_normal((300, 2))
+        config = NceConfig(widths=(8,), epochs=2, batch_size=128,
+                           augmentation=False, adapt_noise=True, warmup_frac=0.0)
+        return train_estimator(data[:240], data[240:], config,
+                               *(np.random.default_rng(i) for i in range(3)))
+
+    def test_one_cpu_gives_no_helper(self, started, monkeypatch):
+        monkeypatch.setattr(data_module, "usable_cpus", lambda: 1)
+        self.fit()
+        assert started == []
+
+    def test_a_free_cpu_gives_a_helper_joined_at_the_end(self, started, monkeypatch):
+        monkeypatch.setattr(data_module, "usable_cpus", lambda: 2)
+        model, _ = self.fit()
+        assert len(started) == 1 and helper_threads() == []
+        assert model.net.helper is None
+
+    @pytest.mark.skipif(not blas.OPENBLAS, reason="run_jobs runs jobs inline")
+    def test_as_many_fits_as_cpus_get_no_helper(self, started, monkeypatch):
+        monkeypatch.setattr(data_module, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(evaluation_module, "_usable_cpus", lambda: 2)
+        outcomes = evaluation_module.run_jobs([(i, self.fit) for i in range(2)])
+        assert all(isinstance(out, tuple) for out in outcomes.values())
+        assert started == []
+        # a lone job has the CPU beside it
+        evaluation_module.run_jobs([(0, self.fit)])
+        assert len(started) == 1
+
+    def test_first_epoch_divergence_leaves_no_thread(self, started, monkeypatch):
+        monkeypatch.setattr(data_module, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(nce_module, "nce_loss", lambda *args: float("nan"))
+        with pytest.raises(NonFiniteError, match="before any finite checkpoint"):
+            self.fit()
+        assert len(started) == 1 and helper_threads() == []
+
+    def test_cance_train_on_two_cpus_takes_a_helper(self, started, monkeypatch,
+                                                    tmp_path):
+        monkeypatch.setattr(data_module, "usable_cpus", lambda: 2)
+        ini = tmp_path / "run.ini"
+        ini.write_text("[dataset]\nkind = synth\nsynth = ring(n=200) + box(n=50)\n"
+                       "[compress]\nmethod = pca\nlatent_dim = 2\n"
+                       "[nce]\nwidths = 8\nepochs = 1\n")
+        assert main(["train", "-c", str(ini), "-o", str(tmp_path / "m")]) == 0
+        assert len(started) == 1 and helper_threads() == []
+
+
+class TestCpuBudget:
+    def test_blocks_take_only_the_cpus_left(self, monkeypatch):
+        monkeypatch.setattr(data_module, "usable_cpus", lambda: 3)
+        with spare_cpus(1) as a, spare_cpus(5) as b, spare_cpus(1) as c:
+            assert (a, b, c) == (1, 1, 0)
+        with spare_cpus(5) as d:
+            assert d == 2
+
+    def test_concurrent_blocks_never_overdraw(self, monkeypatch):
+        monkeypatch.setattr(data_module, "usable_cpus", lambda: 3)
+        held, most, lock = [0], [0], threading.Lock()
+
+        def worker():
+            for _ in range(300):
+                with spare_cpus(1) as got:
+                    with lock:
+                        held[0] += got
+                        most[0] = max(most[0], held[0])
+                    with lock:
+                        held[0] -= got
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert most[0] <= 2 and held[0] == 0
+        with spare_cpus(5) as everything:
+            assert everything == 2

@@ -1,17 +1,28 @@
 """Dense-network engine: forward/backward correctness, AdamW, batch norm."""
 
+import json
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cance
 from cance.compress import AeConfig, AutoencoderModel
-from cance.errors import NonFiniteError, ShapeError
+from cance.errors import ConfigError, NonFiniteError, ShapeError
 from cance.nn.layers import (
+    SPLIT_ROWS,
     Activation,
     BatchNormLayer,
     DenseLayer,
+    Helper,
     Network,
     copy_state,
     mlp,
+    split_row,
 )
 from cance.nn.optim import AdamW, fit_epochs
 
@@ -532,3 +543,169 @@ class TestFitEpochs:
         assert out == (np.inf, None, None)
         assert (losses, calls) == ([], [])
         assert live.tolist() == [0.0, 0.0]
+
+
+class TestLayerErrors:
+    def test_momentum_out_of_range_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="momentum"):
+            BatchNormLayer(2, momentum=1.5)
+
+    def test_empty_network_is_a_shape_error(self):
+        with pytest.raises(ShapeError, match="at least one layer"):
+            Network([])
+
+    def test_mlp_without_output_dim_is_a_shape_error(self):
+        with pytest.raises(ShapeError, match="input and output dims"):
+            mlp([3], np.random.default_rng(0))
+
+
+# (input dim, hidden width) of the classifiers that tier-1 and the bench
+# split: the bench's composites (dim 4), criterion 3 (dim 1), the density
+# test (dim 2), and the narrower widths of the NCE unit tests
+CLASSIFIER_SHAPES = ((1, 64), (2, 64), (4, 64), (4, 32), (4, 16))
+
+
+def split_rule_mismatches(rows=range(SPLIT_ROWS, 6145, 32)) -> list:
+    """(product, rows) for each row count at which a product of a classifier
+    step that `Network` splits at `split_row` gives other bits than the
+    whole product: the forwards d->w, w->w and w->1 (x @ W.T, as in
+    `DenseLayer.forward`) and the w->w input gradient (dpre @ W)."""
+    rng = np.random.default_rng(40)
+    products = {f"forward {d}->{w}": (d, rng.standard_normal((w, d)).T)
+                for d, w in CLASSIFIER_SHAPES}
+    for w in {w for _, w in CLASSIFIER_SHAPES}:
+        products[f"forward {w}->{w}"] = (w, rng.standard_normal((w, w)).T)
+        products[f"forward {w}->1"] = (w, rng.standard_normal((1, w)).T)
+        products[f"input gradient {w}->{w}"] = (w, rng.standard_normal((w, w)))
+    inputs = {d: rng.standard_normal((max(rows), d)) for d, _ in products.values()}
+    outs = {w: np.empty((2, max(rows), w)) for _, r in products.values()
+            for w in [r.shape[1]]}
+    found = []
+    for n in rows:
+        parts = (slice(0, split_row(n)), slice(split_row(n), n))
+        for name, (d, right) in products.items():
+            x, (whole, split) = inputs[d][:n], outs[right.shape[1]][:, :n]
+            np.matmul(x, right, out=whole)
+            for part in parts:
+                np.matmul(x[part], right, out=split[part])
+            if not np.array_equal(whole.view(np.int64), split.view(np.int64)):
+                found.append((name, n))
+    return found
+
+
+OTHER_CORES = ("Haswell", "Sandybridge")
+
+
+@pytest.fixture(scope="module")
+def core_sweeps():
+    """{core: subprocess} running `split_rule_mismatches` with
+    OPENBLAS_CORETYPE set, all started at once; each prints its OpenBLAS
+    config and the mismatches as JSON."""
+    src = str(Path(cance.__file__).resolve().parent.parent)
+    path = os.pathsep.join([src, str(Path(__file__).parent)])
+    code = ("import json, cance.blas as b, test_nn; print(json.dumps("
+            "[' '.join(c().decode() for _, _, c in b.OPENBLAS), "
+            "test_nn.split_rule_mismatches()]))")
+    procs = {core: subprocess.Popen(
+        [sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
+        env=dict(os.environ, OPENBLAS_CORETYPE=core, PYTHONPATH=path))
+        for core in OTHER_CORES}
+    yield procs
+    for proc in procs.values():
+        proc.kill()
+        proc.wait()
+
+
+class TestSplitRule:
+    """Row-split products keep the whole product's bits at every batch size
+    `Network` splits, on this machine's OpenBLAS core and on the cores it
+    can be made to run with OPENBLAS_CORETYPE."""
+
+    def test_split_row_is_a_multiple_of_32_just_past_the_middle(self):
+        for n in range(SPLIT_ROWS, 6145):
+            assert split_row(n) % 32 == 0 and 0 < 2 * split_row(n) - n <= 64
+
+    def test_running_core(self, core_sweeps):  # the other cores run meanwhile
+        assert split_rule_mismatches() == []
+
+    @pytest.mark.parametrize("core", OTHER_CORES)
+    def test_other_core(self, core, core_sweeps):
+        out, _ = core_sweeps[core].communicate(timeout=120)
+        assert core_sweeps[core].returncode == 0
+        config, found = json.loads(out.splitlines()[-1])
+        if core not in config.split():
+            pytest.skip(f"OpenBLAS does not run {core} kernels here: {config}")
+        assert found == []
+
+
+def run_bounded(job, seconds=20.0):
+    """job() on a thread that must end within `seconds`; its exception."""
+    outcome = {}
+
+    def target():
+        try:
+            job()
+        except Exception as exc:  # handed to the test thread
+            outcome["error"] = exc
+
+    runner = threading.Thread(target=target)
+    runner.start()
+    runner.join(seconds)
+    assert not runner.is_alive(), "the two-thread call hung"
+    return outcome.get("error")
+
+
+class TestHelper:
+    def test_both_runs_theirs_on_the_helper_and_returns_mine(self):
+        seen = {}
+        with Helper() as helper:
+            for _ in range(3):  # one long-lived thread serves every call
+                assert helper.both(lambda: threading.current_thread(),
+                                   lambda: seen.setdefault(threading.current_thread(), 0)
+                                   ) is threading.current_thread()
+        (thread,) = seen
+        assert thread.name.startswith("cance-fit-helper") and not thread.is_alive()
+
+    def test_a_failed_helper_raises_on_the_next_call_instead_of_hanging(self):
+        def job():
+            with Helper() as helper:
+                with pytest.raises(ZeroDivisionError):
+                    helper.both(lambda: None, lambda: 1 / 0)
+                helper.both(lambda: None, lambda: None)
+
+        error = run_bounded(job)
+        assert isinstance(error, RuntimeError) and "stopped" in str(error)
+
+
+class TestTwoThreadFaults:
+    """A fault in either thread's rows reaches the caller, without a hang."""
+
+    @staticmethod
+    def failing_on(monkeypatch, method, which):
+        original = getattr(DenseLayer, method)
+
+        def failing(self, *args, **kwargs):
+            helper = threading.current_thread().name.startswith("cance-fit-helper")
+            if helper == (which == "helper"):
+                raise ShapeError(f"synthetic fault in the {which}'s rows")
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(DenseLayer, method, failing)
+
+    @pytest.mark.parametrize("which", ["helper", "caller"])
+    @pytest.mark.parametrize("method", ["forward", "backward"])
+    def test_fault_reaches_the_caller(self, monkeypatch, method, which):
+        net = mlp([4, 64, 64, 1], np.random.default_rng(41))
+        x = np.random.default_rng(42).standard_normal((SPLIT_ROWS, 4))
+
+        def job():
+            with Helper() as helper:
+                net.helper = helper
+                out = net.forward(x, train=True)
+                self.failing_on(monkeypatch, "backward", which)
+                net.backward(np.ones_like(out))
+
+        if method == "forward":
+            self.failing_on(monkeypatch, "forward", which)
+        error = run_bounded(job)
+        assert isinstance(error, ShapeError) and f"the {which}'s rows" in str(error)

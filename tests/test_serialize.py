@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cance.compress import AutoencoderModel, AeConfig
-from cance.errors import ModelFormatError, ShapeError
+from cance.errors import ConfigError, ModelFormatError, ShapeError
 from cance.nn.serialize import MAGIC, load_container, save_container
 from cance.pipeline import load_model, save_model
 
@@ -157,3 +157,28 @@ def test_tampered_header_dims_rejected(tmp_path):
     with pytest.raises(ModelFormatError, match="ae.model: malformed") as info:
         load_model(path, "autoencoder")
     assert isinstance(info.value.__cause__, ShapeError)
+
+
+@pytest.mark.parametrize("doctor, cause", [
+    (lambda meta: meta["encoder"][-1].update(momentum=1.5), ConfigError),
+    (lambda meta: meta.update(encoder=[]), ShapeError),
+], ids=["momentum", "no-layers"])
+def test_bad_layer_spec_is_a_malformed_model(tmp_path, doctor, cause):
+    import hashlib
+    import json
+
+    rng = np.random.default_rng(3)
+    model = AutoencoderModel.build(4, AeConfig(latent_dim=2, hidden=(6,)), rng)
+    path = tmp_path / "ae.model"
+    save_model(path, model)
+    raw = path.read_bytes()
+    header_len = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16 : 16 + header_len])
+    doctor(header["meta"])
+    new_header = json.dumps(header, sort_keys=True).encode()
+    body = raw[:8] + len(new_header).to_bytes(8, "little") + new_header
+    body += raw[16 + header_len : -32]
+    path.write_bytes(body + hashlib.sha256(body).digest())
+    with pytest.raises(ModelFormatError, match="ae.model: malformed") as info:
+        load_model(path, "autoencoder")
+    assert isinstance(info.value.__cause__, cause)
