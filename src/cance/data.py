@@ -15,7 +15,7 @@ import tempfile
 import threading
 import warnings
 from collections import deque
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice
 
@@ -241,23 +241,36 @@ def usable_cpus() -> int:
             else os.cpu_count() or 1)
 
 
-_CPU_LOCK, _cpus_taken = threading.Lock(), 0  # held by running `spare_cpus` blocks
+_CPU_LOCK, _cpus_taken = threading.Lock(), 0  # held by `spare_cpus` blocks
 
 
-@contextmanager
-def spare_cpus(wanted: int):
-    """Hold, and yield the count of, up to `wanted` usable CPUs that neither
-    the calling thread nor another block holds: `run_jobs` workers past the
-    first, and fit helper threads."""
-    global _cpus_taken
-    with _CPU_LOCK:
-        taken = max(0, min(wanted, usable_cpus() - 1 - _cpus_taken))
-        _cpus_taken += taken
-    try:
-        yield taken
-    finally:
+class spare_cpus:
+    """A block holding up to `wanted` usable CPUs that neither the calling
+    thread nor another block holds: `run_jobs` workers past the first, fit
+    helper threads and formatter children. Entering takes the CPUs free and
+    gives the count held, `take()` takes more once they are free, up to
+    `wanted`, `release()` gives one back early, and leaving gives back all."""
+
+    def __init__(self, wanted: int):
+        self.wanted, self.held = wanted, 0
+
+    def take(self) -> int:
+        global _cpus_taken
         with _CPU_LOCK:
-            _cpus_taken -= taken
+            more = max(0, min(self.wanted - self.held, usable_cpus() - 1 - _cpus_taken))
+            self.held, _cpus_taken = self.held + more, _cpus_taken + more
+        return self.held
+
+    def release(self, count: int = 1) -> None:
+        global _cpus_taken
+        with _CPU_LOCK:
+            count = min(count, self.held)
+            self.held, _cpus_taken = self.held - count, _cpus_taken - count
+
+    __enter__ = take
+
+    def __exit__(self, *exc):
+        self.release(self.wanted)
 
 
 class _Formatter:
@@ -313,11 +326,12 @@ def write_table(path, header, columns, n_rows, fill=None) -> None:
     calls its argument with the number of rows filled so far.
 
     Rows are formatted in chunks of FORMAT_CHUNK_ROWS once filled. From
-    FORMAT_CHILD_MIN_ROWS rows on, a `_rows.py` child per spare CPU takes
-    up to two chunks at a time; the others wait, and once all are filled
-    they are formatted here from the back. A child that cannot start, exits
-    non-zero or returns the wrong line count has its chunks formatted here,
-    so the bytes never depend on it. The file is opened last.
+    FORMAT_CHILD_MIN_ROWS rows on, a `_rows.py` child per CPU that
+    `spare_cpus` holds for the call takes up to two chunks at a time; the
+    others wait, and once all are filled they are formatted here from the
+    back. A child that cannot start, exits non-zero or returns the wrong
+    line count has its chunks formatted here, so the bytes never depend on
+    it. The file is opened last.
     """
     if any(col is not None and len(col) != n_rows for col in columns):
         raise ShapeError("table columns must have equal length")
@@ -328,9 +342,10 @@ def write_table(path, header, columns, n_rows, fill=None) -> None:
     places = {}  # chunk start -> (text file, offset, size)
     with ExitStack() as stack:
         data, own = (stack.enter_context(tempfile.TemporaryFile()) for _ in range(2))
-        spare = usable_cpus() - 1 if n_rows >= FORMAT_CHILD_MIN_ROWS else 0
+        spare = stack.enter_context(
+            spare_cpus(len(chunks) if n_rows >= FORMAT_CHILD_MIN_ROWS else 0))
         try:
-            children = [_Formatter(stack, data) for _ in range(min(spare, len(chunks)))]
+            children = [_Formatter(stack, data) for _ in range(spare)]
         except OSError:  # the interpreter does not start
             children = []
 

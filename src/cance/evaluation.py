@@ -2,6 +2,7 @@
 
 import copy
 import logging
+import threading
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, replace
 from functools import partial
@@ -11,8 +12,7 @@ import numpy as np
 from cance import blas
 from cance.config import RunConfig
 from cance.data import spare_cpus
-from cance.data import usable_cpus as _usable_cpus
-from cance.errors import CanceError, DegenerateFeatureError, ShapeError
+from cance.errors import CanceError, ConfigError, DegenerateFeatureError, ShapeError
 from cance.pipeline import fit_estimator, prepare_features, run_pipeline, score_blocks
 
 log = logging.getLogger(__name__)
@@ -62,7 +62,7 @@ def auroc(scored: ScoredSet) -> float:
 def f1_at_contamination(scored: ScoredSet, contamination_rate: float) -> float:
     """F1 after thresholding at the (1 - rate) score quantile."""
     if not 0.0 < contamination_rate < 1.0:
-        raise ValueError(
+        raise RuntimeError(  # a caller's bug: the rate comes from the labels
             f"contamination rate must be in (0,1), got {contamination_rate}"
         )
     threshold = np.quantile(scored.scores, 1.0 - contamination_rate)
@@ -141,24 +141,39 @@ def run_jobs(jobs) -> dict:
 
     An outcome is the job's result or the CanceError it raised; any other
     exception cancels the jobs not yet started and propagates once the
-    running ones finish. Jobs run on min(len(jobs), usable CPUs) threads,
+    running ones finish. Jobs run on the calling thread's CPU plus each
+    that `spare_cpus` holds for them, one worker thread per CPU and job,
     each fit on the one OpenBLAS thread that `cance.blas` pins at import;
-    with one worker, or without a pinned OpenBLAS, in the calling thread.
-    Workers past the first hold their CPUs against fits' helper threads.
+    with no CPU spare, or without a pinned OpenBLAS, in the calling thread.
+    A worker holds its CPU while jobs wait to start: once none waits, each
+    worker that finishes gives its CPU back, so a running fit can take it
+    for a helper thread at its next epoch.
     """
     jobs = list(jobs)
-    workers = min(len(jobs), _usable_cpus())
-    if workers < 2 or not blas.OPENBLAS:
-        return {key: _outcome(key, job) for key, job in jobs}
-    with spare_cpus(workers - 1), ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(_outcome, key, job) for key, job in jobs]
-        try:
-            wait(futures, return_when=FIRST_EXCEPTION)
-        finally:  # also on an interrupt of the wait
-            pool.shutdown(cancel_futures=True)
-        # jobs are cancelled only after one raised; result() re-raises that
-        return {key: future.result() for (key, _), future in zip(jobs, futures)
-                if not future.cancelled()}
+    cpus = spare_cpus(len(jobs) - 1 if blas.OPENBLAS else 0)
+    with cpus:
+        if not cpus.held:
+            return {key: _outcome(key, job) for key, job in jobs}
+        workers, unfinished, lock = cpus.held + 1, [len(jobs)], threading.Lock()
+
+        def run(key, job):
+            try:
+                return _outcome(key, job)
+            finally:
+                with lock:
+                    unfinished[0] -= 1
+                    if unfinished[0] < workers:  # no job waits for this worker
+                        cpus.release()
+
+        with ThreadPoolExecutor(workers) as pool:
+            futures = [pool.submit(run, key, job) for key, job in jobs]
+            try:
+                wait(futures, return_when=FIRST_EXCEPTION)
+            finally:  # also on an interrupt of the wait
+                pool.shutdown(cancel_futures=True)
+    # jobs are cancelled only after one raised; result() re-raises that
+    return {key: future.result() for (key, _), future in zip(jobs, futures)
+            if not future.cancelled()}
 
 
 def _seeds(config: RunConfig, repeats: int | None) -> list:
@@ -206,7 +221,8 @@ def run_unimodal_sweep(config: RunConfig, repeats: int | None = None,
     CPUs too. `on_run_factory(cls)` gives the `on_run` of a class.
     """
     if config.dataset.benchmark != "unimodal":
-        raise ValueError("sweep applies to unimodal benchmarks")
+        raise ConfigError(f"dataset.benchmark={config.dataset.benchmark}: "
+                          "the sweep runs only unimodal benchmarks")
     seeds = _seeds(config, repeats)
     configs = {}
     for cls in config.dataset.normal_classes:

@@ -17,7 +17,7 @@ negated loss) and validation all go through it.
 """
 
 import logging
-from contextlib import nullcontext
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
@@ -338,8 +338,9 @@ def train_estimator(train_z: np.ndarray, val_z: np.ndarray, config: NceConfig,
     validation rows against a fixed set of base draws pushed through the
     current widening. Divergence ends training with a warning and the best
     checkpoint; NonFiniteError is raised only if the first epoch diverges.
-    While a CPU is free (`spare_cpus`), a helper thread takes part of each
-    large batch (see `Network`), with the same bits; it ends with the fit.
+    A helper thread takes part of each large batch (see `Network`), with
+    the same bits, from the start or the first epoch's end at which
+    `spare_cpus` finds a CPU free; it ends with the fit.
     """
     train_z = np.asarray(train_z, dtype=np.float64)
     val_z = np.asarray(val_z, dtype=np.float64)
@@ -395,13 +396,20 @@ def train_estimator(train_z: np.ndarray, val_z: np.ndarray, config: NceConfig,
             history["adapt_objective"].append(adapt_noise(net, noise_model, opt_psi,
                                                           zb, vbase))
 
+    cpu, stack = spare_cpus(1), ExitStack()
+
+    def take_helper() -> None:  # at the start and at each epoch's end
+        if net.helper is None and cpu.take():
+            net.helper = stack.enter_context(Helper())
+
     def validation_loss() -> float:
+        take_helper()
         history["train_loss"].append(epoch_loss[0] / epoch_loss[1])
         epoch_loss[:] = [0.0, 0]
         return nce_loss(net, val_z, noise_model.transform(val_noise_base), config.nu)
 
-    with spare_cpus(1) as spare, Helper() if spare else nullcontext() as helper:
-        net.helper = helper
+    with cpu, stack:
+        take_helper()
         history["best_val_loss"], history["best_epoch"], history["diverged_at_epoch"] = (
             fit_epochs(config.epochs, n, min(config.batch_size, n), train_rng, step,
                        validation_loss, state, history["val_loss"])

@@ -787,9 +787,7 @@ class TestEvalAndAblate:
 
 def run_with_workers(monkeypatch, workers, argv, outdir):
     """Run a CLI command on `workers` jobs at once; {file name: bytes}."""
-    import cance.evaluation as evaluation_module
-
-    monkeypatch.setattr(evaluation_module, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(data_module, "usable_cpus", lambda: workers)
     assert main([*argv, "-o", str(outdir)]) == 0
     return {path.name: path.read_bytes() for path in sorted(outdir.iterdir())}
 
@@ -841,9 +839,7 @@ class TestEvalMatchesScore:
         # GEMMs large enough that OpenBLAS would split them at more than one
         # thread; one seed runs in the calling thread and two on a pool, so
         # a seed's bits must not depend on how many seeds run or on the CPUs
-        import cance.evaluation as evaluation_module
-
-        monkeypatch.setattr(evaluation_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(data_module, "usable_cpus", lambda: 2)
         sets = ("dataset.synth=ring(n=4688, radius=1, noise=0.05) "
                 "+ box(n=60, low=-2, high=2)",
                 "nce.widths=64, 64", "nce.batch_size=512", "nce.epochs=1")
@@ -961,7 +957,7 @@ class TestEvalFailures:
             return original(config, seed)
 
         monkeypatch.setattr(evaluation_module, "run_pipeline", buggy)
-        monkeypatch.setattr(evaluation_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(data_module, "usable_cpus", lambda: 2)
         with pytest.raises(TypeError, match="synthetic bug"):
             main(["eval", "-c", str(tiny_ini), "-o", str(tmp_path / "eval")])
         assert not (tmp_path / "eval" / "report.json").exists()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cance.data as data_module
 from cance import blas, pipeline
 from cance.config import load_config
 from cance.errors import CanceError, DegenerateFeatureError, NonFiniteError
@@ -109,8 +110,11 @@ class TestF1:
         assert got == pytest.approx(2 * 0.5 * (1 / 3) / (0.5 + 1 / 3))
 
     def test_invalid_rate_rejected(self):
-        with pytest.raises(ValueError):
-            f1_at_contamination(ScoredSet([1.0], [1]), 0.0)
+        # the rate comes from the test labels, so one outside (0, 1) is a
+        # caller's bug, not a config error
+        for rate in (0.0, 1.0, -0.5):
+            with pytest.raises(RuntimeError, match="contamination rate"):
+                f1_at_contamination(ScoredSet([1.0], [1]), rate)
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=50, deadline=None)
@@ -236,9 +240,7 @@ class TestAblationFanOut:
         )
 
     def run_with_workers(self, monkeypatch, workers):
-        import cance.evaluation as evaluation_module
-
-        monkeypatch.setattr(evaluation_module, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(data_module, "usable_cpus", lambda: workers)
         return run_ablation(tiny_config(), repeats=1)
 
     def test_summary_independent_of_worker_count(self, monkeypatch, reports):
@@ -290,9 +292,7 @@ class TestAblationFanOut:
 def pooled(monkeypatch):
     """Two workers, and a fake OpenBLAS in place of the bundled ones, so
     `run_jobs` pools on any platform."""
-    import cance.evaluation as evaluation_module
-
-    monkeypatch.setattr(evaluation_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(data_module, "usable_cpus", lambda: 2)
     monkeypatch.setattr(blas, "OPENBLAS", [("numpy", lambda: 1, lambda: b"fake")])
 
 
@@ -315,10 +315,9 @@ class TestRunJobs:
         import sys
         from functools import partial
 
-        import cance.evaluation as evaluation_module
         from cance.evaluation import run_jobs
 
-        monkeypatch.setattr(evaluation_module, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(data_module, "usable_cpus", lambda: 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -391,10 +390,9 @@ class TestRunJobs:
                                                             monkeypatch):
         import threading
 
-        import cance.evaluation as evaluation_module
         from cance.evaluation import run_jobs
 
-        monkeypatch.setattr(evaluation_module, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(data_module, "usable_cpus", lambda: 1)
         seen = run_jobs([(i, threading.current_thread) for i in range(3)])
         assert set(seen.values()) == {threading.current_thread()}
 

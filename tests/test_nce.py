@@ -2,7 +2,9 @@
 
 import sys
 import threading
+import time
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -453,9 +455,14 @@ class TestTrainEstimator:
         Measured: 6.6 MiB traced peak with the layers' reused buffers, the
         KDE margin summed in blocks and validation in one stacked forward
         (7.4 MiB with separate data and noise forwards); 15.0 MiB with fresh
-        step arrays and the KDE's three 512 x 1280 arrays at once. With a
-        helper thread (2 CPUs) 7.6 MiB: the split backward's extra buffer;
-        8.9 MiB while the helper held its last task's arrays.
+        step arrays and the KDE's three 512 x 1280 arrays at once. After
+        the warm-up fit, 6.66 MiB with a helper thread (2 CPUs) and 5.52 MiB
+        on one thread, the difference being the split backward's extra
+        buffer; 8.9 MiB while the helper held its last task's arrays.
+        Without the warm-up the first fit in a process peaks at 7.60 MiB
+        with a helper: the KDE's `np.percentile` imports `numpy.ma` (0.94
+        MiB of module state, once per process), so the peak depended on
+        the tests run before it (6.66 MiB inside this file).
         """
         rng = np.random.default_rng(125)
         composite = np.column_stack([rng.standard_normal((1600, 2)),
@@ -463,11 +470,16 @@ class TestTrainEstimator:
                                      rng.lognormal(-3.0, 0.5, 1600)])
         config = NceConfig(widths=(64, 64), nu=8.0, epochs=2, batch_size=256,
                            augmentation=True, adapt_noise=True, warmup_frac=0.0)
+
+        def fit():
+            train_estimator(composite[:1280], composite[1280:], config,
+                            *(np.random.default_rng(i) for i in range(3)))
+
+        fit()  # the process's one-time state, whatever ran before
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            train_estimator(composite[:1280], composite[1280:], config,
-                            *(np.random.default_rng(i) for i in range(3)))
+            fit()
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
@@ -589,29 +601,54 @@ def helper_threads() -> list:
 
 
 class TestFitHelper:
-    """A fit takes a helper thread only while a CPU is free, and joins it."""
+    """A fit takes a helper thread once a CPU is free, and joins it."""
 
     @pytest.fixture
-    def started(self, monkeypatch):
-        """Every helper a fit starts, in a list."""
+    def running(self):
+        """The count of fits `run_counted` runs at the moment."""
+        return [0]
+
+    @pytest.fixture
+    def started(self, monkeypatch, running):
+        """Every helper a fit starts, in a list; each counts its hand-offs
+        and notes, as `beside`, the fits running at its start."""
         made = []
 
-        class Recording(Helper):
+        class Recording(CountingHelper):
             def __init__(self):
                 super().__init__()
+                self.beside = running[0]
                 made.append(self)
 
         monkeypatch.setattr(nce_module, "Helper", Recording)
         return made
 
     @staticmethod
-    def fit():
+    def fit(epochs=2):
         rng = np.random.default_rng(130)
         data = rng.standard_normal((300, 2))
-        config = NceConfig(widths=(8,), epochs=2, batch_size=128,
+        config = NceConfig(widths=(8,), epochs=epochs, batch_size=128,
                            augmentation=False, adapt_noise=True, warmup_frac=0.0)
         return train_estimator(data[:240], data[240:], config,
                                *(np.random.default_rng(i) for i in range(3)))
+
+    @staticmethod
+    def run_counted(running, epochs):
+        """One `run_jobs` call with a fit of each count of `epochs`, counted
+        in `running` while it runs."""
+        lock = threading.Lock()
+
+        def job(epochs):
+            with lock:
+                running[0] += 1
+            try:
+                return TestFitHelper.fit(epochs)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        return evaluation_module.run_jobs(
+            [(i, partial(job, n)) for i, n in enumerate(epochs)])
 
     def test_one_cpu_gives_no_helper(self, started, monkeypatch):
         monkeypatch.setattr(data_module, "usable_cpus", lambda: 1)
@@ -624,16 +661,57 @@ class TestFitHelper:
         assert len(started) == 1 and helper_threads() == []
         assert model.net.helper is None
 
-    @pytest.mark.skipif(not blas.OPENBLAS, reason="run_jobs runs jobs inline")
-    def test_as_many_fits_as_cpus_get_no_helper(self, started, monkeypatch):
-        monkeypatch.setattr(data_module, "usable_cpus", lambda: 2)
-        monkeypatch.setattr(evaluation_module, "_usable_cpus", lambda: 2)
-        outcomes = evaluation_module.run_jobs([(i, self.fit) for i in range(2)])
-        assert all(isinstance(out, tuple) for out in outcomes.values())
+    def test_a_helper_joining_after_the_first_epoch_moves_no_bit(
+            self, started, monkeypatch, tmp_path):
+        cpus = [1]
+        monkeypatch.setattr(data_module, "usable_cpus", lambda: cpus[0])
+        alone, alone_history = self.fit(epochs=4)
         assert started == []
+        validation = nce_module.nce_loss
+
+        def free_a_cpu(*args):  # from the first validation on
+            cpus[0] = 2
+            return validation(*args)
+
+        monkeypatch.setattr(nce_module, "nce_loss", free_a_cpu)
+        joined, joined_history = self.fit(epochs=4)
+        # asked at the first epoch's end, before that validation freed the
+        # CPU; taken at the second's, then split two epochs of steps
+        assert len(started) == 1 and started[0].calls > 0
+        assert helper_threads() == []
+        save_model(tmp_path / "alone.model", alone)
+        save_model(tmp_path / "joined.model", joined)
+        assert (tmp_path / "joined.model").read_bytes() == \
+            (tmp_path / "alone.model").read_bytes()
+        assert joined_history == alone_history
+
+    @pytest.mark.skipif(not blas.OPENBLAS, reason="run_jobs runs jobs inline")
+    def test_as_many_fits_as_cpus_get_no_helper(self, started, running,
+                                                 monkeypatch):
+        # two fits on 2 CPUs: neither has a helper while both run; the one
+        # left may take the CPU its neighbour's worker gives back
+        monkeypatch.setattr(data_module, "usable_cpus", lambda: 2)
+        outcomes = self.run_counted(running, [2, 2])
+        assert all(isinstance(out, tuple) for out in outcomes.values())
+        assert len(started) <= 1 and all(h.beside == 1 for h in started)
         # a lone job has the CPU beside it
+        before = len(started)
         evaluation_module.run_jobs([(0, self.fit)])
-        assert len(started) == 1
+        assert len(started) == before + 1 and helper_threads() == []
+
+    @pytest.mark.skipif(not blas.OPENBLAS, reason="run_jobs runs jobs inline")
+    def test_the_last_fit_takes_a_helper_once_the_queue_drains(self, started,
+                                                               running,
+                                                               monkeypatch):
+        # three fits on 2 CPUs: the third starts when the first ends and
+        # outlasts the second, whose worker then gives its CPU back
+        monkeypatch.setattr(data_module, "usable_cpus", lambda: 2)
+        outcomes = self.run_counted(running, [2, 2, 16])
+        assert all(isinstance(out, tuple) for out in outcomes.values())
+        assert [h.beside for h in started] == [1]
+        assert started[0].calls > 0 and helper_threads() == []
+        with spare_cpus(5) as free:
+            assert free == 1
 
     def test_first_epoch_divergence_leaves_no_thread(self, started, monkeypatch):
         monkeypatch.setattr(data_module, "usable_cpus", lambda: 2)
@@ -688,3 +766,49 @@ class TestCpuBudget:
         assert most[0] <= 2 and held[0] == 0
         with spare_cpus(5) as everything:
             assert everything == 2
+
+    def test_a_block_takes_more_once_free_and_gives_back_early(self, monkeypatch):
+        monkeypatch.setattr(data_module, "usable_cpus", lambda: 3)
+        first, second = spare_cpus(2), spare_cpus(2)
+        with first as a, second as b:
+            assert (a, b) == (2, 0)
+            first.release()
+            assert (first.held, second.take(), second.take()) == (1, 1, 1)
+            first.release(5)
+            assert second.take() == 2
+        assert (first.held, second.held, data_module._cpus_taken) == (0, 0, 0)
+
+    def test_run_jobs_gives_back_the_cpu_of_each_worker_left_idle(self,
+                                                                  monkeypatch):
+        # 8 workers on 8 CPUs hold 7 while jobs wait; the last job, once
+        # alone, finds all 7 given back, which a lost count of the jobs
+        # left would prevent; never more than 7 are held
+        monkeypatch.setattr(data_module, "usable_cpus", lambda: 8)
+        monkeypatch.setattr(blas, "OPENBLAS", [("numpy", lambda: 1, lambda: b"fake")])
+        held = []
+
+        def taken():
+            with data_module._CPU_LOCK:
+                held.append(data_module._cpus_taken)
+
+        def last():
+            block = spare_cpus(7)
+            with block:
+                deadline = time.monotonic() + 30
+                while block.held < 7 and time.monotonic() < deadline:
+                    taken()
+                    time.sleep(0.001)
+                    block.take()
+                taken()
+                return block.held
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            outcomes = evaluation_module.run_jobs(
+                [*((i, taken) for i in range(300)), ("last", last)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert outcomes["last"] == 7
+        assert max(held) == 7 and held[0] == 7
+        assert data_module._cpus_taken == 0

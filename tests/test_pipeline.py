@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+import cance.data as data_module
 from cance.cli import main
 from cance.config import load_config
 from cance.data import load_benchmark
@@ -177,6 +178,13 @@ class TestUnimodalSweep:
             # well-separated blobs: either class is easy to tell apart
             assert report.mean("auroc") > 0.9
 
+    def test_sweep_of_another_benchmark_names_the_key(self, class_csv):
+        config = self.sweep_config(class_csv)
+        config.dataset.benchmark = "multimodal"
+        with pytest.raises(ConfigError, match=r"^dataset\.benchmark=multimodal: "
+                                              "the sweep runs only unimodal"):
+            run_unimodal_sweep(config, repeats=1)
+
     def test_single_run_rejects_multiple_unimodal_classes(self, class_csv):
         with pytest.raises(ConfigError, match="sweep"):
             run_pipeline(self.sweep_config(class_csv), 0)
@@ -199,12 +207,9 @@ class TestUnimodalSweep:
 
     def test_cmd_eval_output_independent_of_workers(self, class_csv, tmp_path,
                                                     monkeypatch):
-        import cance.evaluation as evaluation_module
-
         files = {}
         for workers in (1, 2):
-            monkeypatch.setattr(evaluation_module, "_usable_cpus",
-                                lambda: workers)
+            monkeypatch.setattr(data_module, "usable_cpus", lambda: workers)
             outdir = tmp_path / f"sweep-{workers}"
             assert main(["eval", "-o", str(outdir),
                          *self.sweep_overrides(class_csv, repeats=2)]) == 0

@@ -366,3 +366,45 @@ def test_nce_forwards_only_in_contrast_and_log_odds():
     source = (Path(cance.__file__).parent / "nce.py").read_text()
     assert {where for where, _ in forward_calls(source)} == FORWARD_OWNERS
     assert stray_forwards(source) == []
+
+
+CPU_READERS = ("usable_cpus", "sched_getaffinity", "cpu_count")
+
+
+def cpu_count_reads(source: str, filename="<string>") -> list:
+    """`file:line` of each name, attribute or import that reads the CPU
+    count: `cance.data.usable_cpus` (an alias of it too), `os.sched_getaffinity`,
+    or a `cpu_count` (`os`, `multiprocessing`, `os.process_cpu_count`)."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        text = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias) else None)
+        if text and any(name in text for name in CPU_READERS):
+            found.append(f"{filename}:{node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("workers = min(len(jobs), data.usable_cpus())\n", True),
+    ("from cance.data import usable_cpus as _usable_cpus\n", True),
+    ("workers = _usable_cpus()\n", True),
+    ("n = len(os.sched_getaffinity(0))\n", True),
+    ("n = os.cpu_count() or 1\n", True),
+    ("from multiprocessing import cpu_count\n", True),
+    ("n = os.process_cpu_count()\n", True),
+    ("with spare_cpus(len(jobs) - 1) as extra:\n    pass\n", False),
+    ("workers = cpus.held + 1\n", False),
+    ('"""Runs on usable CPUs; see os.cpu_count."""\n', False),
+])
+def test_guard_flags_cpu_count_reads(source, flagged):
+    assert bool(cpu_count_reads(source)) == flagged
+
+
+def test_only_the_cpu_owner_reads_the_cpu_count():
+    # `spare_cpus` hands out every CPU beyond the caller's: a count read
+    # elsewhere would start workers, helpers or children it has not granted
+    root = Path(cance.__file__).parent
+    found = {str(path.relative_to(root)) for path in sorted(root.rglob("*.py"))
+             if cpu_count_reads(path.read_text())}
+    assert found == {"data.py"}
