@@ -170,6 +170,9 @@ class AugmentationParams:
         composite = np.asarray(composite, dtype=np.float64)
         if composite.ndim != 2 or composite.shape[1] < 3:
             raise ShapeError("augmentation needs composite rows (latent + 2 features)")
+        if composite.shape[0] < 2:
+            raise ShapeError(f"augmentation needs at least 2 training rows, "
+                             f"got {composite.shape[0]}")
         return cls(TruncatedNormalParams.fit(composite[:, -2]),
                    TruncatedNormalParams.fit(composite[:, -1]))
 
@@ -192,20 +195,6 @@ def augment_batch(batch: np.ndarray, params: AugmentationParams,
         out[~keep, -2] = params.error_dist.sample(k, rng)
         out[~keep, -1] = params.cosine_dist.sample(k, rng)
     return out
-
-
-def adnce_objective(net: Network, noise: NoiseModel, data_batch: np.ndarray,
-                    noise_base_batch: np.ndarray,
-                    inner_points: np.ndarray | None = None) -> float:
-    """Adversarial objective minimized over psi: the negated contrastive loss
-    of L(w) and L(v), with w the detached pullback of the data batch through
-    the current L and v raw base draws. Minimizing it widens the noise toward
-    where the classifier is most confident, i.e. it maximizes the loss.
-    """
-    if inner_points is None:
-        inner_points = noise.inverse_transform(data_batch)
-    return -contrast(net, noise.transform(inner_points),
-                     noise.transform(noise_base_batch), noise.nu)[0]
 
 
 def adnce_psi_grad(net: Network, noise: NoiseModel, data_batch: np.ndarray,

@@ -3,11 +3,12 @@
 Covariances are biased (1/n) throughout so that batch merges are exact.
 """
 
+import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
-from cance import _cephes
 from cance.blas import solve_lower
 from cance.errors import DegenerateFeatureError, NonFiniteError, ShapeError
 
@@ -15,6 +16,7 @@ from cance.errors import DegenerateFeatureError, NonFiniteError, ShapeError
 JITTER = 1e-8
 MARGIN_GRID_SIZE = 512
 KDE_BLOCK = 16
+STANDARD_NORMAL = NormalDist()
 
 
 @dataclass
@@ -122,7 +124,7 @@ class TruncatedNormalParams:
 
     def _mass(self) -> float:
         # probability a N(mode, sigma^2) draw lands in [0, mode]
-        return 0.5 - _cephes.ndtr(-self.mode / self.sigma)
+        return 0.5 - 0.5 * math.erfc(self.mode / self.sigma / math.sqrt(2.0))
 
     def pdf(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=np.float64)
@@ -150,9 +152,9 @@ class TruncatedNormalParams:
                 out[filled : filled + take] = keep[:take]
                 filled += take
             return out
-        lo = _cephes.ndtr(-self.mode / self.sigma)
+        lo = 0.5 - mass  # exact, as mass = 0.5 - lo with lo in (0.49, 0.5]
         u = lo + rng.uniform(size=n) * mass
-        x = np.array([_cephes.ndtri(p) for p in u.tolist()])
+        x = np.array([STANDARD_NORMAL.inv_cdf(p) for p in u.tolist()])
         return np.clip(self.mode + self.sigma * x, 0.0, self.mode)
 
 

@@ -419,6 +419,16 @@ def test_train_on_overflowing_features_names_the_column(tiny_ini, tmp_path, caps
                                        "zscore shift or scale overflows float64\n")
 
 
+def test_train_augmenting_one_training_row_names_the_cause(tmp_path, capsys):
+    # ring(n=3) leaves 1 training row after the test and validation splits
+    argv = ["train", "-o", str(tmp_path / "out"), "--set", "dataset.kind=synth",
+            "--set", "dataset.synth=ring(n=3)", "--set", "nce.epochs=1",
+            "--set", "compress.epochs=1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: augmentation needs at least 2 training rows, got 1\n")
+
+
 def test_score_line_of_commas_is_data_error(pca_run, tmp_path, capsys):
     # a line of empty cells is not blank
     path, out = tmp_path / "commas.csv", tmp_path / "s.csv"

@@ -21,7 +21,6 @@ from cance.nce import (
     NceConfig,
     NoiseModel,
     adapt_noise,
-    adnce_objective,
     adnce_psi_grad,
     augment_batch,
     nce_loss,
@@ -41,6 +40,8 @@ from cance.nn.layers import (
 from cance.nn.optim import AdamW
 from cance.pipeline import load_model, save_model
 from cance.stats import GaussianModel
+
+from oracles import adnce_objective
 
 
 def constant_net(dim, value):
@@ -233,6 +234,8 @@ class TestAugmentation:
     def test_fit_needs_composite_rows(self):
         with pytest.raises(ShapeError):
             AugmentationParams.fit(np.ones((10, 2)))
+        with pytest.raises(ShapeError, match="at least 2 training rows, got 1"):
+            AugmentationParams.fit(np.ones((1, 4)))
 
 
 class TestAdaptNoise:
@@ -245,9 +248,9 @@ class TestAdaptNoise:
         for j in range(noise_model.dim):
             orig = noise_model.psi[j]
             noise_model.psi[j] = orig + h
-            up = adnce_objective(net, noise_model, data, vbase, inner)
+            up = adnce_objective(net, noise_model, inner, vbase)
             noise_model.psi[j] = orig - h
-            down = adnce_objective(net, noise_model, data, vbase, inner)
+            down = adnce_objective(net, noise_model, inner, vbase)
             noise_model.psi[j] = orig
             fd = (up - down) / (2 * h)
             assert abs(fd - dpsi[j]) / max(abs(fd), 1e-10) < 1e-4
@@ -258,7 +261,7 @@ class TestAdaptNoise:
         vbase = noise_model.base.sample(24, rng)
         inner = noise_model.inverse_transform(data)
         objective, _ = adnce_psi_grad(net, noise_model, data, vbase)
-        assert objective == adnce_objective(net, noise_model, data, vbase, inner)
+        assert objective == adnce_objective(net, noise_model, inner, vbase)
 
     def test_classifier_parameters_untouched(self, small_problem):
         rng, net, data, noise_model = small_problem

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 from collections import Counter
 from dataclasses import fields
 from functools import cache
@@ -309,8 +310,8 @@ def test_guard_flags_scipy_imports(source, flagged):
 
 
 def test_only_the_lapack_fallback_imports_scipy():
-    # numpy's OpenBLAS runs the triangular solve and `_cephes` the normal
-    # CDF, so scipy loads only where numpy bundles no LAPACK to call
+    # numpy's OpenBLAS runs the triangular solve and the standard library
+    # the normal CDF, so scipy loads only where numpy bundles no LAPACK to call
     root = Path(cance.__file__).parent
     found = [line for path in sorted(root.rglob("*.py")) for line in scipy_imports(
         path.read_text(), str(path.relative_to(root)),
@@ -408,3 +409,34 @@ def test_only_the_cpu_owner_reads_the_cpu_count():
     found = {str(path.relative_to(root)) for path in sorted(root.rglob("*.py"))
              if cpu_count_reads(path.read_text())}
     assert found == {"data.py"}
+
+
+def layout_modules(readme: str) -> set:
+    """The module paths that README's "Package layout" block lists: each
+    entry's name, and for a package entry (`nn/`) the `.py` names in its
+    text, under the package."""
+    block = readme.split("## Package layout", 1)[1].split("```")[1]
+    found, package = set(), ""
+    for line in block.splitlines():
+        entry = re.match(r"  (\S+)", line)
+        if entry:
+            package = entry[1] if entry[1].endswith("/") else ""
+            if not package:
+                found.add(entry[1])
+        if package:
+            found.update(package + name for name in re.findall(r"\w+\.py", line))
+    return found
+
+
+def test_layout_reader_takes_entries_and_package_members():
+    readme = ("## Package layout\n\n```\nsrc/cance/\n  nn/    a.py (x), b.py\n"
+              "         (y.py)\n  c.py   text, d.py\n    more\n```\n")
+    assert layout_modules(readme) == {"nn/a.py", "nn/b.py", "nn/y.py", "c.py"}
+
+
+def test_readme_layout_names_every_module():
+    root = Path(cance.__file__).parent
+    modules = {path.relative_to(root).as_posix() for path in root.rglob("*.py")
+               if path.name != "__init__.py"}
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    assert layout_modules(readme) == modules
