@@ -24,8 +24,9 @@ from cance.data import (
     write_table,
 )
 from cance.errors import CanceError, ConfigError, ModelFormatError
-from cance.pipeline import (REPORT_FILE, blas_summary, load_run, run_pipeline,
-                            save_run, score_blocks)
+from cance.machine import blas_summary
+from cance.pipeline import (REPORT_FILE, SCORE_BLOCK, load_run, run_pipeline, save_run,
+                            score_blocks)
 from cance.rng import RunRng
 
 log = logging.getLogger(__name__)
@@ -93,7 +94,7 @@ def cmd_score(args) -> int:
             f"input has {dataset.dim} features, model expects "
             f"{compression.input_dim}"
         )
-    print(f"scoring on {blas_summary()}", file=sys.stderr)
+    print(f"scoring on {blas_summary()}; blocks of {SCORE_BLOCK} rows", file=sys.stderr)
     x, n = normalizer.transform(dataset).features, dataset.n
     del dataset  # the rows are held once, normalized
     z, scores = np.empty((n, 2)), np.empty(n)  # z_e and z_c; no latents

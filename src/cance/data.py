@@ -12,7 +12,6 @@ import struct
 import subprocess
 import sys
 import tempfile
-import threading
 import warnings
 from collections import deque
 from contextlib import ExitStack
@@ -23,6 +22,7 @@ import numpy as np
 
 from cance import _rows
 from cance.errors import ConfigError, DataFormatError, ShapeError
+from cance.machine import spare_cpus
 from cance.rng import RunRng
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -234,43 +234,6 @@ def load_csv(path, label_column=None, class_column=None, ignore_columns=(),
     return Dataset(np.ascontiguousarray(values[:, :n_features]),
                    values[:, n_features] if label_column else None,
                    values[:, -1] if class_column else None, name or str(path))
-
-
-def usable_cpus() -> int:
-    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-
-
-_CPU_LOCK, _cpus_taken = threading.Lock(), 0  # held by `spare_cpus` blocks
-
-
-class spare_cpus:
-    """A block holding up to `wanted` usable CPUs that neither the calling
-    thread nor another block holds: `run_jobs` workers past the first, fit
-    helper threads and formatter children. Entering takes the CPUs free and
-    gives the count held, `take()` takes more once they are free, up to
-    `wanted`, `release()` gives one back early, and leaving gives back all."""
-
-    def __init__(self, wanted: int):
-        self.wanted, self.held = wanted, 0
-
-    def take(self) -> int:
-        global _cpus_taken
-        with _CPU_LOCK:
-            more = max(0, min(self.wanted - self.held, usable_cpus() - 1 - _cpus_taken))
-            self.held, _cpus_taken = self.held + more, _cpus_taken + more
-        return self.held
-
-    def release(self, count: int = 1) -> None:
-        global _cpus_taken
-        with _CPU_LOCK:
-            count = min(count, self.held)
-            self.held, _cpus_taken = self.held - count, _cpus_taken - count
-
-    __enter__ = take
-
-    def __exit__(self, *exc):
-        self.release(self.wanted)
 
 
 class _Formatter:

@@ -9,10 +9,9 @@ from functools import partial
 
 import numpy as np
 
-from cance import blas
 from cance.config import RunConfig
-from cance.data import spare_cpus
 from cance.errors import CanceError, ConfigError, DegenerateFeatureError, ShapeError
+from cance.machine import blas_cpus
 from cance.pipeline import fit_estimator, prepare_features, run_pipeline, score_blocks
 
 log = logging.getLogger(__name__)
@@ -142,15 +141,14 @@ def run_jobs(jobs) -> dict:
     An outcome is the job's result or the CanceError it raised; any other
     exception cancels the jobs not yet started and propagates once the
     running ones finish. Jobs run on the calling thread's CPU plus each
-    that `spare_cpus` holds for them, one worker thread per CPU and job,
-    each fit on the one OpenBLAS thread that `cance.blas` pins at import;
-    with no CPU spare, or without a pinned OpenBLAS, in the calling thread.
+    that `blas_cpus` holds for them, one worker thread per CPU and job, each
+    fit on one OpenBLAS thread; with none held, in the calling thread.
     A worker holds its CPU while jobs wait to start: once none waits, each
     worker that finishes gives its CPU back, so a running fit can take it
     for a helper thread at its next epoch.
     """
     jobs = list(jobs)
-    cpus = spare_cpus(len(jobs) - 1 if blas.OPENBLAS else 0)
+    cpus = blas_cpus(len(jobs) - 1)
     with cpus:
         if not cpus.held:
             return {key: _outcome(key, job) for key, job in jobs}

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from cance.compress import check_widths
-from cance.data import spare_cpus
 from cance.errors import ConfigError, ModelFormatError, NonFiniteError, ShapeError
-from cance.nn.layers import Helper, Network, mlp
+from cance.machine import Helper, blas_cpus
+from cance.nn.layers import Network, mlp
 from cance.nn.optim import AdamW, fit_epochs
 from cance.stats import (
     GaussianModel,
@@ -329,7 +329,7 @@ def train_estimator(train_z: np.ndarray, val_z: np.ndarray, config: NceConfig,
     checkpoint; NonFiniteError is raised only if the first epoch diverges.
     A helper thread takes part of each large batch (see `Network`), with
     the same bits, from the start or the first epoch's end at which
-    `spare_cpus` finds a CPU free; it ends with the fit.
+    `blas_cpus` holds a CPU for it; it ends with the fit.
     """
     train_z = np.asarray(train_z, dtype=np.float64)
     val_z = np.asarray(val_z, dtype=np.float64)
@@ -385,7 +385,7 @@ def train_estimator(train_z: np.ndarray, val_z: np.ndarray, config: NceConfig,
             history["adapt_objective"].append(adapt_noise(net, noise_model, opt_psi,
                                                           zb, vbase))
 
-    cpu, stack = spare_cpus(1), ExitStack()
+    cpu, stack = blas_cpus(1), ExitStack()
 
     def take_helper() -> None:  # at the start and at each epoch's end
         if net.helper is None and cpu.take():

@@ -1,8 +1,6 @@
 """Dense and batch-norm layers with explicit forward/backward passes."""
 
 import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 from enum import Enum
 from functools import partial
 
@@ -266,10 +264,10 @@ class BatchNormLayer:
 class Network:
     """A sequential stack of layers sharing one forward/backward interface.
 
-    `helper`, a `Helper` that a fit sets on a stack of dense layers, runs rows
-    [split_row(n), n) of a train-mode batch of n >= SPLIT_ROWS rows through
-    the forward and the backward's row work; each weight-gradient product
-    and bias sum runs whole on one thread, so no bit moves."""
+    `helper`, a `machine.Helper` that a fit sets on a stack of dense layers,
+    runs rows [split_row(n), n) of a train-mode batch of n >= SPLIT_ROWS rows
+    through the forward and the backward's row work; each weight-gradient
+    product and bias sum runs whole on one thread, so no bit moves."""
 
     def __init__(self, layers: list):
         if not layers:
@@ -443,66 +441,3 @@ def mlp(dims: list, rng: np.random.Generator) -> Network:
         act = Activation.IDENTITY if i == len(dims) - 2 else Activation.TANH
         layers.append(DenseLayer.glorot(a, b, act, rng))
     return Network(layers)
-
-
-class Helper:
-    """A fit's second thread: `both` runs a task there beside one here. A
-    side that waits for the other polls for up to SPIN_S seconds before it
-    blocks, as a blocked thread takes tens of microseconds to wake and a
-    fit hands off every few hundred. A task's exception ends the thread
-    and is raised in the caller."""
-
-    SPIN_S = 2e-4
-
-    def __init__(self):
-        self._task, self._ok = None, True
-        self._ready, self._finished = threading.Event(), threading.Event()
-        self._pool = ThreadPoolExecutor(1, "cance-fit-helper")
-        self._serving = self._pool.submit(self._serve)  # holds the exception
-
-    def _await(self, event: threading.Event) -> None:
-        deadline = time.perf_counter() + self.SPIN_S
-        while not event.is_set() and time.perf_counter() < deadline:
-            time.sleep(0)  # lets the other thread have the interpreter
-        event.wait()
-
-    def _serve(self) -> None:
-        while True:
-            self._await(self._ready)
-            self._ready.clear()
-            task, self._task = self._task, None
-            if task is None:
-                return
-            self._ok = False
-            try:
-                task()
-                self._ok = True
-            finally:
-                del task  # so its arrays can go while the thread waits
-                self._finished.set()
-
-    def both(self, mine, theirs):
-        """Run `theirs` on the helper while `mine` runs here, and return what
-        `mine` returns; an exception of `mine`, or else of `theirs`,
-        propagates once both are done."""
-        if self._serving.done():
-            raise RuntimeError("the fit's helper thread has stopped")
-        self._task = theirs
-        self._finished.clear()
-        self._ready.set()
-        try:
-            result = mine()
-        finally:
-            self._await(self._finished)
-        if not self._ok:
-            self._serving.result()
-        return result
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self._task = None
-        self._ready.set()
-        self._pool.shutdown()
-

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from cance import blas
 from cance.compress import AutoencoderModel, PcaModel, fit_pca, train_autoencoder
 from cance.config import RunConfig
 from cance.data import Dataset, Normalizer, load_benchmark, split_train_val
@@ -64,13 +63,6 @@ def prepare_features(config: RunConfig, seed: int):
 
 
 SCORE_BLOCK = 2048
-
-
-def blas_summary() -> str:
-    """The OpenBLAS `score_blocks` runs on, with its thread count, and the block size."""
-    names = [f"{package}'s {' '.join(config().decode().split())} on {get()} thread(s)"
-             for package, get, config in blas.OPENBLAS]
-    return f"{' and '.join(names) or 'unknown BLAS'}; blocks of {SCORE_BLOCK} rows"
 
 
 def score_blocks(compression, estimator, x, cols=slice(None), out=None,

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import cance.data as data_module
-from cance import blas, pipeline
+from cance import machine, pipeline
 from cance.cli import main, write_scores
 from cance._rows import WRITE_BLOCK_LINES
 from cance.config import load_config
@@ -542,20 +542,20 @@ class TestBlockScoring:
         summary, = captured.err.splitlines()
         assert summary.startswith("scoring on ")
         assert summary.endswith(f"; blocks of {SCORE_BLOCK} rows")
-        for package, _, _ in blas.OPENBLAS:
-            assert re.search(f"{package}'s OpenBLAS [^;]* on 1 thread", summary)
+        if machine.openblas_config():
+            assert re.search("numpy's OpenBLAS [^;]* on 1 thread", summary)
 
     def test_numpy_blas_pinned_at_import_and_scipy_never_loaded(self):
-        if not blas.OPENBLAS:
+        if not machine.openblas_config():
             pytest.skip("numpy bundles no OpenBLAS")
         # a fresh interpreter, so the pin is seen to come from `import cance`
         # alone, even with OpenBLAS told to start more threads; a log-density
         # runs its LAPACK solve, which must not load scipy or its OpenBLAS
         probe = ("import sys\nfrom pathlib import Path\nimport numpy as np\n"
-                 "import cance\nfrom cance.blas import OPENBLAS\n"
+                 "import cance\nfrom cance.machine import blas_summary\n"
                  "from cance.stats import GaussianModel\n"
                  "GaussianModel(np.zeros(2), np.eye(2)).logpdf(np.ones((3, 2)))\n"
-                 "print({package: get() for package, get, _ in OPENBLAS})\n"
+                 "print(blas_summary())\n"
                  "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
                  "maps = Path('/proc/self/maps')\n"
                  "print(maps.exists() and 'scipy.libs' in maps.read_text())\n")
@@ -563,12 +563,13 @@ class TestBlockScoring:
                "OPENBLAS_NUM_THREADS": "2"}
         result = subprocess.run([sys.executable, "-c", probe], env=env,
                                 capture_output=True, text=True, check=True)
-        assert result.stdout == "{'numpy': 1}\n[]\nFalse\n"
-        assert "numpy's OpenBLAS" in pipeline.blas_summary()
-        assert "scipy" not in pipeline.blas_summary()
+        summary = f"numpy's {machine.openblas_config()} on 1 thread(s)"
+        assert result.stdout == f"{summary}\n[]\nFalse\n"
+        assert summary == machine.blas_summary()
+        assert "numpy's OpenBLAS" in summary and "scipy" not in summary
 
     def test_train_and_score_never_import_scipy(self, tmp_path):
-        if blas.DTRTRS is None:
+        if machine.DTRTRS is None:
             pytest.skip("numpy bundles no LAPACK dtrtrs; the solve falls back to scipy")
         (tmp_path / "run.ini").write_text(TINY_INI)
         probe = ("import sys\nfrom cance.cli import main\nroot = sys.argv[1]\n"
@@ -585,6 +586,22 @@ class TestBlockScoring:
         assert result.stdout.splitlines()[-1] == "[]"
         assert (tmp_path / "scores.csv").is_file()
 
+    def test_augmented_train_never_imports_numpy_ma(self, tmp_path):
+        # the augmentation margin's KDE takes its quartiles without
+        # np.percentile, which imports numpy.ma (about 6 ms) on first use
+        (tmp_path / "run.ini").write_text(TINY_INI)
+        probe = ("import sys\nfrom cance.cli import main\nroot = sys.argv[1]\n"
+                 "assert main(['train', '-c', root + '/run.ini', '--set', "
+                 "'nce.epochs=1', '--set', 'nce.augmentation=true', "
+                 "'-o', root + '/model']) == 0\n"
+                 "print('numpy.ma' in sys.modules)\n")
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        result = subprocess.run([sys.executable, "-c", probe, str(tmp_path)], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.splitlines()[-1] == "False"
+        report = json.loads((tmp_path / "model" / "train_report.json").read_text())
+        assert "augmentation_margins" in report["estimator"]
+
     @pytest.fixture
     def streamed(self, monkeypatch, formatter_popens):
         """Blocks of 2 rows and chunks of 4, every table formatted by two
@@ -592,7 +609,7 @@ class TestBlockScoring:
         monkeypatch.setattr(pipeline, "SCORE_BLOCK", 2)
         monkeypatch.setattr(data_module, "FORMAT_CHUNK_ROWS", 4)
         monkeypatch.setattr(data_module, "FORMAT_CHILD_MIN_ROWS", 0)
-        monkeypatch.setattr(data_module, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(machine, "usable_cpus", lambda: 3)
         return formatter_popens
 
     def test_streamed_scores_equal_unstreamed(self, pca_run, tmp_path, monkeypatch,
@@ -645,7 +662,7 @@ class TestBlockScoring:
         # and id take 48 B; the text and cells of one parse block are bounded.
         # Measured: 47.9 B a row (4.1 and 6.4 MiB); 79.4 B when the parsed
         # rows, the latents and the whole file's table were held as well
-        monkeypatch.setattr(data_module, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(machine, "usable_cpus", lambda: 1)
         peaks = []
         for n in (50_000, 100_000):
             points = tmp_path / f"points{n}.csv"
@@ -662,7 +679,7 @@ class TestBlockScoring:
     def test_without_blas_symbol_nothing_is_pinned(self, pca_run, tmp_path,
                                                    monkeypatch, capsys):
         assert self.score(pca_run, pca_run / "points.csv", tmp_path / "a.csv") == 0
-        monkeypatch.setattr(blas, "OPENBLAS", [])
+        monkeypatch.setattr(machine, "openblas_config", lambda: None)
         capsys.readouterr()
         assert self.score(pca_run, pca_run / "points.csv", tmp_path / "b.csv") == 0
         assert "scoring on unknown BLAS; blocks of" in capsys.readouterr().err
@@ -797,7 +814,7 @@ class TestEvalAndAblate:
 
 def run_with_workers(monkeypatch, workers, argv, outdir):
     """Run a CLI command on `workers` jobs at once; {file name: bytes}."""
-    monkeypatch.setattr(data_module, "usable_cpus", lambda: workers)
+    monkeypatch.setattr(machine, "usable_cpus", lambda: workers)
     assert main([*argv, "-o", str(outdir)]) == 0
     return {path.name: path.read_bytes() for path in sorted(outdir.iterdir())}
 
@@ -849,7 +866,7 @@ class TestEvalMatchesScore:
         # GEMMs large enough that OpenBLAS would split them at more than one
         # thread; one seed runs in the calling thread and two on a pool, so
         # a seed's bits must not depend on how many seeds run or on the CPUs
-        monkeypatch.setattr(data_module, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(machine, "usable_cpus", lambda: 2)
         sets = ("dataset.synth=ring(n=4688, radius=1, noise=0.05) "
                 "+ box(n=60, low=-2, high=2)",
                 "nce.widths=64, 64", "nce.batch_size=512", "nce.epochs=1")
@@ -881,10 +898,9 @@ GOLDEN_TRAINS = {
 
 def golden_key():
     """What the bits depend on: numpy and its bundled OpenBLAS build, which
-    runs every BLAS and LAPACK call on one thread (see `cance.blas`)."""
-    return "; ".join([f"numpy {np.__version__}", *(
-        f"{package}'s {' '.join(config().decode().split())}"
-        for package, _, config in blas.OPENBLAS)])
+    runs every BLAS and LAPACK call on one thread (see `cance.machine`)."""
+    key, config = f"numpy {np.__version__}", machine.openblas_config()
+    return f"{key}; numpy's {config}" if config else key
 
 
 def golden_digests(root):
@@ -967,7 +983,7 @@ class TestEvalFailures:
             return original(config, seed)
 
         monkeypatch.setattr(evaluation_module, "run_pipeline", buggy)
-        monkeypatch.setattr(data_module, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(machine, "usable_cpus", lambda: 2)
         with pytest.raises(TypeError, match="synthetic bug"):
             main(["eval", "-c", str(tiny_ini), "-o", str(tmp_path / "eval")])
         assert not (tmp_path / "eval" / "report.json").exists()

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cance.data as data_module
+from cance import machine
 from cance._rows import text_blocks
 from cance.data import (
     EMBEDDINGS_MAGIC,
@@ -489,7 +490,7 @@ class TestTableWriter:
     @pytest.fixture
     def child_on(self, monkeypatch):
         monkeypatch.setattr(data_module, "FORMAT_CHILD_MIN_ROWS", 0)
-        monkeypatch.setattr(data_module, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(machine, "usable_cpus", lambda: 2)
 
     @pytest.fixture
     def small_chunks(self, monkeypatch, child_on):
@@ -565,7 +566,7 @@ class TestTableWriter:
     @pytest.mark.parametrize("n", [1, 999, 1000, 1001, 4999, 5000, 5001])
     def test_files_are_equal_for_any_chunk_count(self, tmp_path, monkeypatch, small_chunks,
                                                  formatter_popens, cpus, n):
-        monkeypatch.setattr(data_module, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(machine, "usable_cpus", lambda: cpus)
         with_child, alone = self.write_both(tmp_path, monkeypatch, n)
         want = "".join(text_blocks(self.columns(n), range(n)))
         assert with_child == alone == f"{','.join(self.HEADER)}\n{want}".encode("ascii")
@@ -605,7 +606,7 @@ class TestTableWriter:
     def test_write_csv_bytes_are_pinned(self, tmp_path, monkeypatch, child):
         monkeypatch.setattr(data_module, "FORMAT_CHILD_MIN_ROWS",
                             0 if child else 10**9)
-        monkeypatch.setattr(data_module, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(machine, "usable_cpus", lambda: 2)
         write_csv(tmp_path / "d.csv", fixed_dataset())
         digest = hashlib.sha256((tmp_path / "d.csv").read_bytes()).hexdigest()
         assert digest == FIXED_DATASET_SHA256

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cance.data as data_module
-from cance import blas, pipeline
+from cance import machine, pipeline
 from cance.config import load_config
 from cance.errors import CanceError, DegenerateFeatureError, NonFiniteError
 from cance.evaluation import (
@@ -240,7 +239,7 @@ class TestAblationFanOut:
         )
 
     def run_with_workers(self, monkeypatch, workers):
-        monkeypatch.setattr(data_module, "usable_cpus", lambda: workers)
+        monkeypatch.setattr(machine, "usable_cpus", lambda: workers)
         return run_ablation(tiny_config(), repeats=1)
 
     def test_summary_independent_of_worker_count(self, monkeypatch, reports):
@@ -267,7 +266,7 @@ class TestAblationFanOut:
                                                         reports):
         import threading
 
-        monkeypatch.setattr(blas, "OPENBLAS", [])
+        monkeypatch.setattr(machine, "openblas_config", lambda: None)
         original = pipeline.train_estimator
         lock = threading.Lock()
         active = {"now": 0, "max": 0}
@@ -290,10 +289,10 @@ class TestAblationFanOut:
 
 @pytest.fixture
 def pooled(monkeypatch):
-    """Two workers, and a fake OpenBLAS in place of the bundled ones, so
+    """Two workers, and a pinned OpenBLAS faked in `openblas_config`, so
     `run_jobs` pools on any platform."""
-    monkeypatch.setattr(data_module, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(blas, "OPENBLAS", [("numpy", lambda: 1, lambda: b"fake")])
+    monkeypatch.setattr(machine, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(machine, "openblas_config", lambda: "fake")
 
 
 class TestRunJobs:
@@ -317,7 +316,7 @@ class TestRunJobs:
 
         from cance.evaluation import run_jobs
 
-        monkeypatch.setattr(data_module, "usable_cpus", lambda: 8)
+        monkeypatch.setattr(machine, "usable_cpus", lambda: 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -392,7 +391,7 @@ class TestRunJobs:
 
         from cance.evaluation import run_jobs
 
-        monkeypatch.setattr(data_module, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(machine, "usable_cpus", lambda: 1)
         seen = run_jobs([(i, threading.current_thread) for i in range(3)])
         assert set(seen.values()) == {threading.current_thread()}
 

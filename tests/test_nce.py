@@ -9,13 +9,12 @@ from functools import partial
 import numpy as np
 import pytest
 
-import cance.data as data_module
 import cance.evaluation as evaluation_module
 import cance.nce as nce_module
-from cance import blas
+from cance import machine
 from cance.cli import main
-from cance.data import spare_cpus
 from cance.errors import ConfigError, NonFiniteError, ShapeError
+from cance.machine import Helper, spare_cpus
 from cance.nce import (
     AugmentationParams,
     NceConfig,
@@ -32,7 +31,6 @@ from cance.nn.layers import (
     SPLIT_ROWS,
     Activation,
     DenseLayer,
-    Helper,
     Network,
     copy_state,
     mlp,
@@ -462,10 +460,10 @@ class TestTrainEstimator:
         the warm-up fit, 6.66 MiB with a helper thread (2 CPUs) and 5.52 MiB
         on one thread, the difference being the split backward's extra
         buffer; 8.9 MiB while the helper held its last task's arrays.
-        Without the warm-up the first fit in a process peaks at 7.60 MiB
-        with a helper: the KDE's `np.percentile` imports `numpy.ma` (0.94
-        MiB of module state, once per process), so the peak depended on
-        the tests run before it (6.66 MiB inside this file).
+        The first fit in a process peaked at 7.60 MiB with a helper while
+        the KDE took its quartiles with `np.percentile`, which imports
+        `numpy.ma` (0.94 MiB of module state, once per process); with
+        `stats.quartiles` the first fit peaks at 6.66 MiB as well.
         """
         rng = np.random.default_rng(125)
         composite = np.column_stack([rng.standard_normal((1600, 2)),
@@ -603,6 +601,11 @@ def helper_threads() -> list:
     return [t for t in threading.enumerate() if t.name.startswith("cance-fit-helper")]
 
 
+# a fit takes a helper only beside numpy's pinned OpenBLAS
+takes_helpers = pytest.mark.skipif(not machine.openblas_config(),
+                                   reason="no fit takes a helper on an unpinned BLAS")
+
+
 class TestFitHelper:
     """A fit takes a helper thread once a CPU is free, and joins it."""
 
@@ -654,20 +657,30 @@ class TestFitHelper:
             [(i, partial(job, n)) for i, n in enumerate(epochs)])
 
     def test_one_cpu_gives_no_helper(self, started, monkeypatch):
-        monkeypatch.setattr(data_module, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(machine, "usable_cpus", lambda: 1)
         self.fit()
         assert started == []
 
+    def test_without_a_pinned_blas_a_fit_takes_no_helper(self, started, monkeypatch):
+        # the row split keeps its bits on OpenBLAS kernels only, and a BLAS
+        # that is not pinned already runs on every CPU
+        monkeypatch.setattr(machine, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(machine, "openblas_config", lambda: None)
+        self.fit()
+        assert started == [] and helper_threads() == []
+
+    @takes_helpers
     def test_a_free_cpu_gives_a_helper_joined_at_the_end(self, started, monkeypatch):
-        monkeypatch.setattr(data_module, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(machine, "usable_cpus", lambda: 2)
         model, _ = self.fit()
         assert len(started) == 1 and helper_threads() == []
         assert model.net.helper is None
 
+    @takes_helpers
     def test_a_helper_joining_after_the_first_epoch_moves_no_bit(
             self, started, monkeypatch, tmp_path):
         cpus = [1]
-        monkeypatch.setattr(data_module, "usable_cpus", lambda: cpus[0])
+        monkeypatch.setattr(machine, "usable_cpus", lambda: cpus[0])
         alone, alone_history = self.fit(epochs=4)
         assert started == []
         validation = nce_module.nce_loss
@@ -688,12 +701,12 @@ class TestFitHelper:
             (tmp_path / "alone.model").read_bytes()
         assert joined_history == alone_history
 
-    @pytest.mark.skipif(not blas.OPENBLAS, reason="run_jobs runs jobs inline")
+    @pytest.mark.skipif(not machine.openblas_config(), reason="run_jobs runs jobs inline")
     def test_as_many_fits_as_cpus_get_no_helper(self, started, running,
                                                  monkeypatch):
         # two fits on 2 CPUs: neither has a helper while both run; the one
         # left may take the CPU its neighbour's worker gives back
-        monkeypatch.setattr(data_module, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(machine, "usable_cpus", lambda: 2)
         outcomes = self.run_counted(running, [2, 2])
         assert all(isinstance(out, tuple) for out in outcomes.values())
         assert len(started) <= 1 and all(h.beside == 1 for h in started)
@@ -702,13 +715,13 @@ class TestFitHelper:
         evaluation_module.run_jobs([(0, self.fit)])
         assert len(started) == before + 1 and helper_threads() == []
 
-    @pytest.mark.skipif(not blas.OPENBLAS, reason="run_jobs runs jobs inline")
+    @pytest.mark.skipif(not machine.openblas_config(), reason="run_jobs runs jobs inline")
     def test_the_last_fit_takes_a_helper_once_the_queue_drains(self, started,
                                                                running,
                                                                monkeypatch):
         # three fits on 2 CPUs: the third starts when the first ends and
         # outlasts the second, whose worker then gives its CPU back
-        monkeypatch.setattr(data_module, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(machine, "usable_cpus", lambda: 2)
         outcomes = self.run_counted(running, [2, 2, 16])
         assert all(isinstance(out, tuple) for out in outcomes.values())
         assert [h.beside for h in started] == [1]
@@ -716,16 +729,18 @@ class TestFitHelper:
         with spare_cpus(5) as free:
             assert free == 1
 
+    @takes_helpers
     def test_first_epoch_divergence_leaves_no_thread(self, started, monkeypatch):
-        monkeypatch.setattr(data_module, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(machine, "usable_cpus", lambda: 2)
         monkeypatch.setattr(nce_module, "nce_loss", lambda *args: float("nan"))
         with pytest.raises(NonFiniteError, match="before any finite checkpoint"):
             self.fit()
         assert len(started) == 1 and helper_threads() == []
 
+    @takes_helpers
     def test_cance_train_on_two_cpus_takes_a_helper(self, started, monkeypatch,
                                                     tmp_path):
-        monkeypatch.setattr(data_module, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(machine, "usable_cpus", lambda: 2)
         ini = tmp_path / "run.ini"
         ini.write_text("[dataset]\nkind = synth\nsynth = ring(n=200) + box(n=50)\n"
                        "[compress]\nmethod = pca\nlatent_dim = 2\n"
@@ -736,14 +751,14 @@ class TestFitHelper:
 
 class TestCpuBudget:
     def test_blocks_take_only_the_cpus_left(self, monkeypatch):
-        monkeypatch.setattr(data_module, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(machine, "usable_cpus", lambda: 3)
         with spare_cpus(1) as a, spare_cpus(5) as b, spare_cpus(1) as c:
             assert (a, b, c) == (1, 1, 0)
         with spare_cpus(5) as d:
             assert d == 2
 
     def test_concurrent_blocks_never_overdraw(self, monkeypatch):
-        monkeypatch.setattr(data_module, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(machine, "usable_cpus", lambda: 3)
         held, most, lock = [0], [0], threading.Lock()
 
         def worker():
@@ -771,7 +786,7 @@ class TestCpuBudget:
             assert everything == 2
 
     def test_a_block_takes_more_once_free_and_gives_back_early(self, monkeypatch):
-        monkeypatch.setattr(data_module, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(machine, "usable_cpus", lambda: 3)
         first, second = spare_cpus(2), spare_cpus(2)
         with first as a, second as b:
             assert (a, b) == (2, 0)
@@ -779,20 +794,20 @@ class TestCpuBudget:
             assert (first.held, second.take(), second.take()) == (1, 1, 1)
             first.release(5)
             assert second.take() == 2
-        assert (first.held, second.held, data_module._cpus_taken) == (0, 0, 0)
+        assert (first.held, second.held, machine._cpus_taken) == (0, 0, 0)
 
     def test_run_jobs_gives_back_the_cpu_of_each_worker_left_idle(self,
                                                                   monkeypatch):
         # 8 workers on 8 CPUs hold 7 while jobs wait; the last job, once
         # alone, finds all 7 given back, which a lost count of the jobs
         # left would prevent; never more than 7 are held
-        monkeypatch.setattr(data_module, "usable_cpus", lambda: 8)
-        monkeypatch.setattr(blas, "OPENBLAS", [("numpy", lambda: 1, lambda: b"fake")])
+        monkeypatch.setattr(machine, "usable_cpus", lambda: 8)
+        monkeypatch.setattr(machine, "openblas_config", lambda: "fake")
         held = []
 
         def taken():
-            with data_module._CPU_LOCK:
-                held.append(data_module._cpus_taken)
+            with machine._CPU_LOCK:
+                held.append(machine._cpus_taken)
 
         def last():
             block = spare_cpus(7)
@@ -814,4 +829,4 @@ class TestCpuBudget:
             sys.setswitchinterval(interval)
         assert outcomes["last"] == 7
         assert max(held) == 7 and held[0] == 7
-        assert data_module._cpus_taken == 0
+        assert machine._cpus_taken == 0

@@ -13,12 +13,12 @@ import pytest
 import cance
 from cance.compress import AeConfig, AutoencoderModel
 from cance.errors import ConfigError, NonFiniteError, ShapeError
+from cance.machine import Helper
 from cance.nn.layers import (
     SPLIT_ROWS,
     Activation,
     BatchNormLayer,
     DenseLayer,
-    Helper,
     Network,
     copy_state,
     mlp,
@@ -603,9 +603,8 @@ def core_sweeps():
     config and the mismatches as JSON."""
     src = str(Path(cance.__file__).resolve().parent.parent)
     path = os.pathsep.join([src, str(Path(__file__).parent)])
-    code = ("import json, cance.blas as b, test_nn; print(json.dumps("
-            "[' '.join(c().decode() for _, _, c in b.OPENBLAS), "
-            "test_nn.split_rule_mismatches()]))")
+    code = ("import json, cance.machine as m, test_nn; print(json.dumps("
+            "[m.openblas_config() or '', test_nn.split_rule_mismatches()]))")
     procs = {core: subprocess.Popen(
         [sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
         env=dict(os.environ, OPENBLAS_CORETYPE=core, PYTHONPATH=path))

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-import cance.data as data_module
+from cance import machine
 from cance.cli import main
 from cance.config import load_config
 from cance.data import load_benchmark
@@ -209,7 +209,7 @@ class TestUnimodalSweep:
                                                     monkeypatch):
         files = {}
         for workers in (1, 2):
-            monkeypatch.setattr(data_module, "usable_cpus", lambda: workers)
+            monkeypatch.setattr(machine, "usable_cpus", lambda: workers)
             outdir = tmp_path / f"sweep-{workers}"
             assert main(["eval", "-o", str(outdir),
                          *self.sweep_overrides(class_csv, repeats=2)]) == 0

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cance.data as data_module
+from cance import machine
 from cance.cli import write_scores
 from cance.compress import AeConfig, AutoencoderModel, fit_pca
 from cance.pipeline import SCORE_BLOCK, score_blocks
@@ -78,7 +78,7 @@ def test_scoring_memory_stays_bounded(tmp_path, monkeypatch, formatter_popens):
     alone peaks at about 3.4 MiB; with 64k-line write blocks it peaked at
     18 MiB. One whole-matrix composite and score call peaks at about 80 MiB.
     """
-    monkeypatch.setattr(data_module, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(machine, "usable_cpus", lambda: 2)
     rng = np.random.default_rng(0)
     compression = AutoencoderModel.build(2, AeConfig(latent_dim=2), rng)
     estimator = estimator_for(4, rng, widths=(64, 64))

@@ -267,12 +267,12 @@ def test_guard_flags_blas_thread_setters(source, flagged):
 
 
 def test_only_the_blas_owner_sets_blas_threads():
-    # one thread policy per process, set once at import by `cance.blas`: a
+    # one thread policy per process, set once at import by `cance.machine`: a
     # scoped pin elsewhere would make a fit's bits depend on the path it took
     root = Path(cance.__file__).parent
     found = {str(path.relative_to(root)) for path in sorted(root.rglob("*.py"))
              if blas_thread_setters(path.read_text())}
-    assert found == {"blas.py"}
+    assert found == {"machine.py"}
 
 
 def scipy_imports(source: str, filename="<string>", allowed=()) -> list:
@@ -315,8 +315,57 @@ def test_only_the_lapack_fallback_imports_scipy():
     root = Path(cance.__file__).parent
     found = [line for path in sorted(root.rglob("*.py")) for line in scipy_imports(
         path.read_text(), str(path.relative_to(root)),
-        ("solve_lower",) if path.name == "blas.py" else ())]
+        ("solve_lower",) if path.name == "machine.py" else ())]
     assert found == []
+
+
+NATIVE_LOADERS = {"CDLL", "PyDLL", "WinDLL", "OleDLL", "LibraryLoader", "cdll", "pydll",
+                  "windll", "oledll", "LoadLibrary", "dlopen", "load_library"}
+
+
+def native_library_uses(source: str, filename="<string>") -> list:
+    """`file:line` of each import of `ctypes` (or `_ctypes`), as a statement
+    or as a module-name string, and of each name or attribute that opens a
+    native library: ctypes' loaders, `dlopen` or numpy's `ctypeslib.load_library`."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                   else [node.module or ""] if isinstance(node, ast.ImportFrom)
+                   else [node.value] if isinstance(node, ast.Constant)
+                   and isinstance(node.value, str) else [])
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias) else None)
+        if (any(m.split(".")[0] in ("ctypes", "_ctypes") for m in modules)
+                or name in NATIVE_LOADERS):
+            found.append(f"{filename}:{node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("import ctypes\n", True),
+    ("import numpy, ctypes.util\n", True),
+    ("from ctypes import c_int\n", True),
+    ("def f():\n    import _ctypes as c\n", True),
+    ("importlib.import_module('ctypes')\n", True),
+    ("lib = loader.CDLL(path)\n", True),
+    ("lib = np.ctypeslib.load_library('libm', '.')\n", True),
+    ("handle = dlopen(path, 0)\n", True),
+    ("address = factor.ctypes.data\n", False),
+    ('"""Declared through ctypes, as scipy calls it."""\n', False),
+    ("rows = load_csv(path)\n", False),
+])
+def test_guard_flags_native_library_uses(source, flagged):
+    assert bool(native_library_uses(source)) == flagged
+
+
+def test_only_the_machine_opens_native_libraries():
+    # the BLAS pin and the LAPACK call hold for the library the machine
+    # module opened; a second handle elsewhere could run on other kernels
+    root = Path(cance.__file__).parent
+    found = {str(path.relative_to(root)) for path in sorted(root.rglob("*.py"))
+             if native_library_uses(path.read_text())}
+    assert found == {"machine.py"}
 
 
 FORWARD_OWNERS = {"contrast", "EstimatorModel.log_odds"}
@@ -374,7 +423,7 @@ CPU_READERS = ("usable_cpus", "sched_getaffinity", "cpu_count")
 
 def cpu_count_reads(source: str, filename="<string>") -> list:
     """`file:line` of each name, attribute or import that reads the CPU
-    count: `cance.data.usable_cpus` (an alias of it too), `os.sched_getaffinity`,
+    count: `cance.machine.usable_cpus` (an alias of it too), `os.sched_getaffinity`,
     or a `cpu_count` (`os`, `multiprocessing`, `os.process_cpu_count`)."""
     found = []
     for node in ast.walk(ast.parse(source, filename)):
@@ -408,7 +457,7 @@ def test_only_the_cpu_owner_reads_the_cpu_count():
     root = Path(cance.__file__).parent
     found = {str(path.relative_to(root)) for path in sorted(root.rglob("*.py"))
              if cpu_count_reads(path.read_text())}
-    assert found == {"data.py"}
+    assert found == {"machine.py"}
 
 
 def layout_modules(readme: str) -> set:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cance import blas
+from cance import machine
 from cance.errors import DegenerateFeatureError, NonFiniteError, ShapeError
 from cance.stats import (
     MARGIN_GRID_SIZE,
@@ -17,6 +17,7 @@ from cance.stats import (
     TruncatedNormalParams,
     gaussian_kde_silverman,
     lognormal_mode,
+    quartiles,
     verify_augmentation_margin,
 )
 
@@ -308,10 +309,10 @@ class TestNormalCdfMatchesScipy:
 @pytest.fixture(params=["bundled", "scipy"])
 def triangular_solver(request, monkeypatch):
     """Runs a test on numpy's bundled LAPACK, then on the scipy fallback."""
-    if request.param == "bundled" and blas.DTRTRS is None:
+    if request.param == "bundled" and machine.DTRTRS is None:
         pytest.skip("numpy bundles no OpenBLAS with dtrtrs")
     if request.param == "scipy":
-        monkeypatch.setattr(blas, "DTRTRS", None)
+        monkeypatch.setattr(machine, "DTRTRS", None)
     return request.param
 
 
@@ -396,6 +397,17 @@ class TestAugmentationMargin:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 2**20
+
+    def test_quartiles_match_np_percentile_bit_for_bit(self):
+        # numpy's linear rule: index (n-1)q, then a + (b-a)t, or b - (b-a)(1-t)
+        # from t = 0.5 on; 20 log-normal samples of each size 1-299, 1000-12345
+        rng = np.random.default_rng(21)
+        for n in [*range(1, 300), 1000, 1023, 2048, 4097, 10000, 12345]:
+            for _ in range(20):
+                samples = rng.lognormal(0.0, 1.5, n)
+                assert quartiles(samples).tobytes() == \
+                    np.percentile(samples, [25, 75]).tobytes(), n
+        assert quartiles(np.array([2.0, -1.0])).tolist() == [-0.25, 1.25]
 
     def test_kde_matches_density_roughly(self):
         rng = np.random.default_rng(18)
