@@ -141,11 +141,13 @@ def run_jobs(jobs) -> dict:
     An outcome is the job's result or the CanceError it raised; any other
     exception cancels the jobs not yet started and propagates once the
     running ones finish. Jobs run on the calling thread's CPU plus each
-    that `blas_cpus` holds for them, one worker thread per CPU and job, each
-    fit on one OpenBLAS thread; with none held, in the calling thread.
-    A worker holds its CPU while jobs wait to start: once none waits, each
-    worker that finishes gives its CPU back, so a running fit can take it
-    for a helper thread at its next epoch.
+    that `blas_cpus` holds for them, one worker thread per CPU, each fit on
+    one OpenBLAS thread; with none held, in the calling thread. The last
+    job does not wait for a worker: it starts with the one before it, on
+    one more thread. A worker holds its CPU while jobs wait to start: once
+    fewer jobs are unfinished than workers, each job that finishes gives a
+    CPU back, so a running fit can take it for a helper thread at its next
+    epoch.
     """
     jobs = list(jobs)
     cpus = blas_cpus(len(jobs) - 1)
@@ -153,8 +155,11 @@ def run_jobs(jobs) -> dict:
         if not cpus.held:
             return {key: _outcome(key, job) for key, job in jobs}
         workers, unfinished, lock = cpus.held + 1, [len(jobs)], threading.Lock()
+        last = []  # the last job's future, once the one before it starts
 
-        def run(key, job):
+        def run(key, job, before_last=False):
+            if before_last:
+                last.append(beside.submit(run, *jobs[-1]))
             try:
                 return _outcome(key, job)
             finally:
@@ -163,14 +168,16 @@ def run_jobs(jobs) -> dict:
                     if unfinished[0] < workers:  # no job waits for this worker
                         cpus.release()
 
-        with ThreadPoolExecutor(workers) as pool:
-            futures = [pool.submit(run, key, job) for key, job in jobs]
+        # the pool closes first, so `beside` is open for every submit to it
+        with ThreadPoolExecutor(1) as beside, ThreadPoolExecutor(workers) as pool:
+            futures = [pool.submit(run, key, job, i == len(jobs) - 2)
+                       for i, (key, job) in enumerate(jobs[:-1])]
             try:
                 wait(futures, return_when=FIRST_EXCEPTION)
             finally:  # also on an interrupt of the wait
                 pool.shutdown(cancel_futures=True)
     # jobs are cancelled only after one raised; result() re-raises that
-    return {key: future.result() for (key, _), future in zip(jobs, futures)
+    return {key: future.result() for (key, _), future in zip(jobs, futures + last)
             if not future.cancelled()}
 
 

@@ -1,9 +1,10 @@
-"""The machine: the one BLAS library and thread policy, the CPU budget and a
-fit's helper thread. `import cance` pins the OpenBLAS that numpy bundles to
-one thread, once, so a fit's bits depend neither on the CPU count nor on the
-fits beside it; no other module sets a thread count. `solve_lower` runs the
-triangular solve of `GaussianModel.logpdf` on that same library, so every
-BLAS and LAPACK call in cance runs on one library."""
+"""The machine: the one BLAS library and thread policy, the malloc arenas,
+the CPU budget and a fit's helper thread. `import cance` pins the OpenBLAS
+that numpy bundles to one thread, once, so a fit's bits depend neither on the
+CPU count nor on the fits beside it; no other module sets a thread count.
+`solve_lower` runs the triangular solve of `GaussianModel.logpdf` on that
+same library, so every BLAS and LAPACK call in cance runs on one library.
+The same import caps glibc's malloc at one arena, process-wide."""
 
 import ctypes
 import os
@@ -45,6 +46,12 @@ _CONFIG = None  # the pinned library's config string
 if _get and _set and _config:
     _set(1)
     _CONFIG = " ".join(_config().decode().split())
+
+# glibc's M_ARENA_MAX (-8) at 1: every thread allocates from the main arena,
+# so a fit on another thread costs its buffers, not a heap of its own
+_mallopt = _symbol(ctypes.CDLL(None), "mallopt", ctypes.c_int, ctypes.c_int, ctypes.c_int)
+if _mallopt:
+    _mallopt(-8, 1)
 
 
 def openblas_config() -> str | None:
@@ -105,9 +112,10 @@ _CPU_LOCK, _cpus_taken = threading.Lock(), 0  # held by `spare_cpus` blocks
 class spare_cpus:
     """A block holding up to `wanted` usable CPUs that neither the calling
     thread nor another block holds: `run_jobs` workers past the first, fit
-    helper threads and formatter children. Entering takes the CPUs free and
-    gives the count held, `take()` takes more once they are free, up to
-    `wanted`, `release()` gives one back early, and leaving gives back all."""
+    helper threads and formatter children; the thread `run_jobs` starts for
+    its last job holds none. Entering takes the CPUs free and gives the
+    count held, `take()` takes more once they are free, up to `wanted`,
+    `release()` gives one back early, and leaving gives back all."""
 
     def __init__(self, wanted: int):
         self.wanted, self.held = wanted, 0

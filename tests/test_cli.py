@@ -568,6 +568,34 @@ class TestBlockScoring:
         assert summary == machine.blas_summary()
         assert "numpy's OpenBLAS" in summary and "scipy" not in summary
 
+    def test_threads_share_one_malloc_arena_from_import(self, tmp_path):
+        import ctypes
+
+        libc = ctypes.CDLL(None)
+        if not (hasattr(libc, "malloc_info") and hasattr(libc, "mallopt")):
+            pytest.skip("libc has no glibc malloc_info and mallopt")
+        # three threads alive at once, each allocating a fit's 2304 x 64
+        # buffers; by default glibc gives each its own arena (heap)
+        probe = ("import ctypes, sys, threading\nimport numpy as np\nimport cance\n"
+                 "barrier = threading.Barrier(3)\n"
+                 "def work():\n    barrier.wait()\n"
+                 "    for _ in range(20):\n        np.ones((2304, 64)).sum()\n"
+                 "threads = [threading.Thread(target=work) for _ in range(3)]\n"
+                 "for t in threads: t.start()\n"
+                 "for t in threads: t.join()\n"
+                 "libc = ctypes.CDLL(None)\n"
+                 "libc.fopen.argtypes = [ctypes.c_char_p] * 2\n"
+                 "libc.fopen.restype = ctypes.c_void_p\n"
+                 "libc.malloc_info.argtypes = [ctypes.c_int, ctypes.c_void_p]\n"
+                 "libc.fclose.argtypes = [ctypes.c_void_p]\n"
+                 "stream = libc.fopen(sys.argv[1].encode(), b'w')\n"
+                 "assert stream and libc.malloc_info(0, stream) == 0\n"
+                 "libc.fclose(stream)\n")
+        info = tmp_path / "malloc_info.xml"
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        subprocess.run([sys.executable, "-c", probe, str(info)], env=env, check=True)
+        assert info.read_text().count("<heap nr=") == 1
+
     def test_train_and_score_never_import_scipy(self, tmp_path):
         if machine.DTRTRS is None:
             pytest.skip("numpy bundles no LAPACK dtrtrs; the solve falls back to scipy")

@@ -295,7 +295,49 @@ def pooled(monkeypatch):
     monkeypatch.setattr(machine, "openblas_config", lambda: "fake")
 
 
+def sleep_jobs(count, seconds):
+    """`count` jobs that sleep `seconds`, and the log each appends to at its
+    start: (job, jobs running then, itself included)."""
+    import threading
+    import time
+
+    lock, running, starts = threading.Lock(), [0], []
+
+    def job(i):
+        def run():
+            with lock:
+                running[0] += 1
+                starts.append((i, running[0]))
+            time.sleep(seconds)
+            with lock:
+                running[0] -= 1
+        return run
+
+    return [(i, job(i)) for i in range(count)], starts
+
+
 class TestRunJobs:
+    def test_three_jobs_on_two_workers_run_at_once(self, pooled):
+        from cance.evaluation import run_jobs
+
+        jobs, starts = sleep_jobs(3, 0.5)
+        run_jobs(jobs)
+        assert max(running for _, running in starts) == 3
+
+    @pytest.mark.parametrize("count", [4, 20])
+    def test_the_last_job_starts_beside_the_one_before_it(self, pooled, count):
+        from cance.evaluation import run_jobs
+
+        jobs, starts = sleep_jobs(count, 0.03)
+        run_jobs(jobs)
+        order = [i for i, _ in starts]
+        assert sorted(order) == list(range(count))
+        assert max(running for _, running in starts) <= 3
+        # a third job runs only once a worker takes the next-to-last, which
+        # starts the last beside it
+        last_two = min(order.index(count - 2), order.index(count - 1))
+        assert all(running < 3 for _, running in starts[:last_two])
+
     def test_outcomes_come_back_in_job_order(self, pooled):
         import time
 
@@ -361,6 +403,36 @@ class TestRunJobs:
         # the running jobs ended before the error left; the rest never began
         assert started - {0} == finished
         assert len(started) < 20
+
+    def test_error_cancels_the_last_job_before_it_starts(self, pooled):
+        import threading
+        import time
+
+        from cance.evaluation import run_jobs
+
+        jobs, starts = sleep_jobs(5, 1.0)
+
+        def fail():
+            raise TypeError("synthetic bug")
+
+        jobs[0] = (0, fail)
+        before, raised = set(threading.enumerate()), []
+
+        def call():
+            try:
+                run_jobs(jobs)
+            except TypeError as exc:
+                raised.append(exc)
+
+        caller = threading.Thread(target=call, daemon=True)
+        began = time.perf_counter()
+        caller.start()
+        caller.join(10)
+        assert not caller.is_alive() and time.perf_counter() - began < 5
+        assert len(raised) == 1
+        # jobs 3 and 4 waited for a worker; the last starts only with job 3
+        assert {i for i, _ in starts}.isdisjoint({3, 4})
+        assert set(threading.enumerate()) <= before
 
     def test_interrupted_wait_cancels_pending_jobs(self, pooled, monkeypatch):
         import time

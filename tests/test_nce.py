@@ -611,8 +611,9 @@ class TestFitHelper:
 
     @pytest.fixture
     def running(self):
-        """The count of fits `run_counted` runs at the moment."""
-        return [0]
+        """The count of fits `run_counted` runs at the moment, and the most
+        it has run at once."""
+        return [0, 0]
 
     @pytest.fixture
     def started(self, monkeypatch, running):
@@ -639,15 +640,19 @@ class TestFitHelper:
                                *(np.random.default_rng(i) for i in range(3)))
 
     @staticmethod
-    def run_counted(running, epochs):
+    def run_counted(running, epochs, meet=False):
         """One `run_jobs` call with a fit of each count of `epochs`, counted
-        in `running` while it runs."""
+        in `running` while it runs; with `meet`, no fit begins before all
+        have started, and each fails after 10 s of waiting for that."""
         lock = threading.Lock()
+        barrier = threading.Barrier(len(epochs) if meet else 1, timeout=10)
 
         def job(epochs):
             with lock:
                 running[0] += 1
+                running[1] = max(running)
             try:
+                barrier.wait()
                 return TestFitHelper.fit(epochs)
             finally:
                 with lock:
@@ -719,11 +724,14 @@ class TestFitHelper:
     def test_the_last_fit_takes_a_helper_once_the_queue_drains(self, started,
                                                                running,
                                                                monkeypatch):
-        # three fits on 2 CPUs: the third starts when the first ends and
-        # outlasts the second, whose worker then gives its CPU back
+        # three fits on 2 CPUs all run at once, the last beside the second
+        # (a 2-epoch fit can end before the last starts, so they meet
+        # first); none takes a helper while two or three run, and the
+        # third, left alone, takes the CPU given back when the second ends
         monkeypatch.setattr(machine, "usable_cpus", lambda: 2)
-        outcomes = self.run_counted(running, [2, 2, 16])
+        outcomes = self.run_counted(running, [2, 2, 16], meet=True)
         assert all(isinstance(out, tuple) for out in outcomes.values())
+        assert running[1] == 3
         assert [h.beside for h in started] == [1]
         assert started[0].calls > 0 and helper_threads() == []
         with spare_cpus(5) as free:
