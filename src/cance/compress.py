@@ -102,12 +102,12 @@ class AeConfig:
         if self.latent_dim < 1:
             raise ConfigError("compress.latent_dim must be >= 1")
         check_widths("compress.hidden", self.hidden)
-        if self.lam < 0:
-            raise ConfigError("compress.lam must be >= 0")
+        if not 0.0 <= self.lam < np.inf:
+            raise ConfigError(f"compress.lam must be finite and >= 0, got {self.lam}")
         if self.epochs < 1:
             raise ConfigError("compress.epochs must be >= 1")
-        if self.lr <= 0:
-            raise ConfigError("compress.lr must be positive")
+        if not 0.0 < self.lr < np.inf:
+            raise ConfigError(f"compress.lr must be finite and positive, got {self.lr}")
         if self.batch_size < 1:
             raise ConfigError("compress.batch_size must be >= 1")
 

@@ -590,6 +590,8 @@ def _parse_part(text: str):
             raise ValueError(f"{where} must be a number, got {value!r}") from None
         if key in _COUNT_ARGS and not (args[key] >= 0 and args[key].is_integer()):
             raise ValueError(f"{where} must be a non-negative integer, got {value!r}")
+        if not np.isfinite(args[key]):
+            raise ValueError(f"{where} must be a finite number, got {value!r}")
     return kind, args
 
 
@@ -688,13 +690,15 @@ def synth_generate(spec: str, rng: np.random.Generator, name=None) -> Dataset:
 
     Parts after the first are forced to anomaly label 1.
     """
-    parts = [p for p in spec.split("+")]
-    if not parts or not spec.strip():
+    if not spec.strip():
         raise ValueError("empty synthetic spec")
     features, labels = [], []
-    for i, text in enumerate(parts):
+    for i, text in enumerate(spec.split("+")):
         kind, args = _parse_part(text)
-        x, lab = _GENERATORS[kind](args, rng)  # pops the arguments it knows
+        try:
+            x, lab = _GENERATORS[kind](args, rng)  # pops the arguments it knows
+        except OverflowError as exc:  # numpy's, e.g. a range past float64
+            raise ValueError(f"{kind} in {text.strip()!r}: {exc}") from None
         if args:
             raise ValueError(f"unknown {kind} argument(s) {', '.join(args)} "
                              f"in {text.strip()!r}")

@@ -1,10 +1,11 @@
 """The machine: the one BLAS library and thread policy, the malloc arenas,
-the CPU budget and a fit's helper thread. `import cance` pins the OpenBLAS
-that numpy bundles to one thread, once, so a fit's bits depend neither on the
-CPU count nor on the fits beside it; no other module sets a thread count.
-`solve_lower` runs the triangular solve of `GaussianModel.logpdf` on that
-same library, so every BLAS and LAPACK call in cance runs on one library.
-The same import caps glibc's malloc at one arena, process-wide."""
+the CPU budget and a fit's helper thread, the one thread cance starts outside
+`run_jobs`'s pool. `import cance` pins the OpenBLAS that numpy bundles to one
+thread, once, so a fit's bits depend neither on the CPU count nor on the fits
+beside it; no other module sets a thread count. `solve_lower` runs the
+triangular solve of `GaussianModel.logpdf` on that same library, so every
+BLAS and LAPACK call in cance runs on one library. The same import caps
+glibc's malloc at one arena, process-wide."""
 
 import ctypes
 import os
@@ -111,9 +112,9 @@ _CPU_LOCK, _cpus_taken = threading.Lock(), 0  # held by `spare_cpus` blocks
 
 class spare_cpus:
     """A block holding up to `wanted` usable CPUs that neither the calling
-    thread nor another block holds: `run_jobs` workers past the first, fit
-    helper threads and formatter children; the thread `run_jobs` starts for
-    its last job holds none. Entering takes the CPUs free and gives the
+    thread nor another block holds: `run_jobs` workers past the first (its
+    pool's one thread beyond them holds none), fit helper threads and
+    formatter children. Entering takes the CPUs free and gives the
     count held, `take()` takes more once they are free, up to `wanted`,
     `release()` gives one back early, and leaving gives back all."""
 

@@ -246,10 +246,10 @@ class NceConfig:
 
     def validate(self):
         check_widths("nce.widths", self.widths)
-        if self.nu <= 0:
-            raise ConfigError("nce.nu must be positive")
-        if self.lr <= 0:
-            raise ConfigError("nce.lr must be positive")
+        if not 0.0 < self.nu < np.inf:
+            raise ConfigError(f"nce.nu must be finite and positive, got {self.nu}")
+        if not 0.0 < self.lr < np.inf:
+            raise ConfigError(f"nce.lr must be finite and positive, got {self.lr}")
         if self.epochs < 1:
             raise ConfigError("nce.epochs must be >= 1")
         if self.batch_size < 1:

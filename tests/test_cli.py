@@ -419,6 +419,35 @@ def test_train_on_overflowing_features_names_the_column(tiny_ini, tmp_path, caps
                                        "zscore shift or scale overflows float64\n")
 
 
+@pytest.mark.parametrize("override", [
+    "nce.nu=inf", "nce.nu=nan", "nce.lr=nan", "compress.lr=nan",
+    "compress.lam=nan", "compress.lam=inf",
+])
+def test_train_non_finite_number_is_config_error(tiny_ini, tmp_path, capsys,
+                                                 override):
+    code = main(["train", "-c", str(tiny_ini), "-o", str(tmp_path / "x"),
+                 "--set", override])
+    err = capsys.readouterr().err
+    assert code == 1 and not (tmp_path / "x").exists()
+    assert err.splitlines() == [err.strip()] and "Traceback" not in err
+    assert override.split("=")[0] in err and "finite" in err
+
+
+@pytest.mark.parametrize("spec, cause", [
+    ("box(n=5, low=nan)", "finite"),
+    ("gaussian-mixture(n=5, spread=inf)", "finite"),
+    ("box(n=5, low=-1e308, high=1e308)", "box in"),
+    ("ring(n=5) + gaussian-mixture(n=5, spread=1e308)", "gaussian-mixture in"),
+])
+def test_synth_non_finite_or_overflowing_spec_is_config_error(tmp_path, capsys,
+                                                              spec, cause):
+    code = main(["synth", "--spec", spec, "-o", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert code == 1 and not (tmp_path / "x.csv").exists()
+    assert err.splitlines() == [err.strip()] and "Traceback" not in err
+    assert cause in err
+
+
 def test_train_augmenting_one_training_row_names_the_cause(tmp_path, capsys):
     # ring(n=3) leaves 1 training row after the test and validation splits
     argv = ["train", "-o", str(tmp_path / "out"), "--set", "dataset.kind=synth",

@@ -90,6 +90,8 @@ class TestParsing:
         "nce.batch_size=0",
         "compress.batch_size=0",
         "eval.seed=-1",
+        "nce.nu=inf", "nce.nu=nan", "nce.nu=-inf", "nce.lr=nan", "nce.lr=inf",
+        "compress.lr=nan", "compress.lr=inf", "compress.lam=nan", "compress.lam=inf",
     ])
     def test_bad_stage_values_rejected(self, override):
         key = override.split("=")[0]

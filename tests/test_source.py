@@ -5,6 +5,7 @@ import importlib
 import pkgutil
 import re
 from collections import Counter
+from contextlib import suppress
 from dataclasses import fields
 from functools import cache
 from pathlib import Path
@@ -368,6 +369,60 @@ def test_only_the_machine_opens_native_libraries():
     assert found == {"machine.py"}
 
 
+THREAD_MAKERS = {"ThreadPoolExecutor", "Thread", "ThreadPool", "Timer", "start_new_thread"}
+
+
+def thread_starts(source: str) -> list:
+    """`owner:line` of each call, or subclass, of a thread or thread pool
+    maker (`threading.Thread`, `ThreadPoolExecutor`, `multiprocessing`'s
+    `ThreadPool`, `threading.Timer`, `_thread.start_new_thread`), where the
+    owner is the dotted path of the enclosing classes and functions."""
+    found = []
+
+    def name(node):
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+    def visit(node, owner):
+        if isinstance(node, ast.Call) and name(node.func) in THREAD_MAKERS or (
+                isinstance(node, ast.ClassDef)
+                and any(name(base) in THREAD_MAKERS for base in node.bases)):
+            found.append(f"{owner}:{node.lineno}")
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = f"{owner}.{node.name}" if owner else node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("with ThreadPoolExecutor(1) as a, ThreadPoolExecutor(2) as b:\n    pass\n",
+     [":1", ":1"]),
+    ("def run():\n    t = threading.Thread(target=f)\n", ["run:2"]),
+    ("class Helper:\n    def __init__(self):\n"
+     "        self._pool = futures.ThreadPoolExecutor(1)\n", ["Helper.__init__:3"]),
+    ("class Worker(threading.Thread):\n    pass\n", [":1"]),
+    ("pool = ThreadPool(4)\n_thread.start_new_thread(f, ())\n", [":1", ":2"]),
+    ("from concurrent.futures import ThreadPoolExecutor\n", []),
+    ("lock, done = threading.Lock(), threading.Event()\n", []),
+    ('"""One Thread per CPU."""\n', []),
+])
+def test_guard_flags_thread_starts(source, flagged):
+    assert thread_starts(source) == flagged
+
+
+def test_one_thread_pool_per_owner():
+    # `run_jobs` and a fit's `Helper` hand out the CPUs that `spare_cpus`
+    # grants; a second pool or thread would run work it has not granted
+    root = Path(cance.__file__).parent
+    found = sorted(".".join([*path.relative_to(root).with_suffix("").parts,
+                             start.split(":")[0]])
+                   for path in sorted(root.rglob("*.py"))
+                   for start in thread_starts(path.read_text()))
+    assert found == ["evaluation.run_jobs", "machine.Helper.__init__"]
+
+
 FORWARD_OWNERS = {"contrast", "EstimatorModel.log_odds"}
 
 
@@ -489,3 +544,46 @@ def test_readme_layout_names_every_module():
                if path.name != "__init__.py"}
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     assert layout_modules(readme) == modules
+
+
+def readme_dotted_names(readme: str, modules) -> set:
+    """Each backticked dotted name in `readme` whose first part, after an
+    optional `cance.` prefix, is one of `modules`."""
+    names = re.findall(r"`((?:[A-Za-z_]\w*\.)+[A-Za-z_]\w*)`", readme)
+    return {name for name in names
+            if name.removeprefix("cance.").split(".")[0] in modules}
+
+
+def resolves(name: str) -> bool:
+    """Whether `name` (with or without `cance.`) is a cance module, a module
+    attribute or a `RunConfig` `section.key`."""
+    section, _, key = name.partition(".")
+    if section in {f.name for f in fields(RunConfig)} and "." not in key and any(
+            f.name == key for f in fields(getattr(RunConfig(), section))):
+        return True
+    target, parts = cance, name.removeprefix("cance.").split(".")
+    for i, part in enumerate(parts):
+        if not hasattr(target, part):  # a submodule not imported yet
+            with suppress(ImportError):
+                importlib.import_module(".".join(["cance", *parts[:i + 1]]))
+        if not hasattr(target, part):
+            return False
+        target = getattr(target, part)
+    return True
+
+
+def test_readme_name_reader_takes_cance_names_and_resolves_them():
+    readme = ("`nce.lr`, `cance.machine.Helper`, `np.loadtxt`, `DenseLayer.forward`,\n"
+              "`nn.layers.Helper` and `data.no_such_name`, not `machine` or `a b.c`")
+    names = readme_dotted_names(readme, {"nce", "machine", "nn", "data"})
+    assert names == {"nce.lr", "cance.machine.Helper", "nn.layers.Helper",
+                     "data.no_such_name"}
+    assert {name for name in names if not resolves(name)} == {
+        "nn.layers.Helper", "data.no_such_name"}
+
+
+def test_readme_names_resolve():
+    modules = {module.name for module in pkgutil.iter_modules(cance.__path__)}
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    names = readme_dotted_names(readme, modules)
+    assert names and sorted(name for name in names if not resolves(name)) == []
