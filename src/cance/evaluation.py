@@ -12,7 +12,7 @@ import numpy as np
 from cance.config import RunConfig
 from cance.errors import CanceError, ConfigError, DegenerateFeatureError, ShapeError
 from cance.machine import blas_cpus
-from cance.pipeline import fit_estimator, prepare_features, run_pipeline, score_blocks
+from cance.pipeline import RunArtifacts, fit_estimator, prepare_features, run_pipeline
 
 log = logging.getLogger(__name__)
 
@@ -237,17 +237,16 @@ def run_unimodal_sweep(config: RunConfig, repeats: int | None = None,
             for cls, sub in configs.items()}
 
 
-def _variant_metrics(config: RunConfig, seed: int, variant: str, features) -> dict:
+def _variant_metrics(config: RunConfig, variant: str, features: RunArtifacts) -> dict:
     """Score one variant on one seed's features: Error by the squared error,
     the others by an estimator fitted on their composite columns."""
-    _, compression, _, test, _, _, x_test = features
     if variant == "Error":
-        scores = score_blocks(compression, None, x_test)[0][:, -2]
+        scores = features.z_test[:, -2]
     else:
         cols = slice(config.compress.latent_dim if variant == "LatNCE" else None)
         nce = replace(config.nce, augmentation=(variant == "CANCE"))
-        scores = fit_estimator(features, nce, seed, f"-{variant}", cols)[-1]
-    return _score_metrics(scores, test.labels)
+        scores = fit_estimator(features, nce, f"-{variant}", cols).test_scores
+    return _score_metrics(scores, features.test.labels)
 
 
 def run_ablation(config: RunConfig, repeats: int | None = None) -> dict:
@@ -266,7 +265,7 @@ def run_ablation(config: RunConfig, repeats: int | None = None) -> dict:
     features = run_jobs((seed, partial(prepare_features, config, seed))
                         for seed in seeds)
     fits = run_jobs(
-        ((seed, variant), partial(_variant_metrics, config, seed, variant, feats))
+        ((seed, variant), partial(_variant_metrics, config, variant, feats))
         for seed, feats in features.items() if not isinstance(feats, CanceError)
         for variant in ABLATION_VARIANTS
     )

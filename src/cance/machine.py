@@ -83,17 +83,20 @@ def solve_lower(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     makes for a C-ordered factor, so it gives the same bits: read column-major,
     `factor` is its upper-triangular transpose, solved transposed, and `rhs`
     is the dim x rows right-hand side. Without numpy's bundled OpenBLAS it
-    is scipy's call itself.
+    is forward substitution in numpy, one factor row at a time, equal to it
+    up to rounding.
     """
     if not (np.isfinite(factor).all() and np.isfinite(rhs).all()):
         raise NonFiniteError("non-finite values in a Gaussian log-density's input")
-    if DTRTRS is None:
-        from scipy.linalg import solve_triangular
-        return solve_triangular(factor, rhs.T, lower=True)
     factor = np.ascontiguousarray(factor, dtype=np.float64)
     rhs = np.ascontiguousarray(rhs, dtype=np.float64)
     if factor.ndim != 2 or rhs.ndim != 2 or factor.shape != (rhs.shape[1],) * 2:
         raise ShapeError(f"factor {factor.shape} does not match rows {rhs.shape}")
+    if DTRTRS is None:
+        with np.errstate(over="ignore"):  # as dtrtrs, a far row's solution is inf
+            for i, row in enumerate(factor):
+                rhs[:, i] = (rhs[:, i] - rhs[:, :i] @ row[:i]) / row[i]
+        return rhs.T
     n, nrhs, info = (ctypes.c_int64(v) for v in (factor.shape[0], rhs.shape[0], 0))
     DTRTRS(b"U", b"T", b"N", n, nrhs, factor.ctypes.data, n,
            rhs.ctypes.data, n, info, 1, 1, 1)

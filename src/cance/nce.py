@@ -38,6 +38,7 @@ log = logging.getLogger(__name__)
 
 
 MOMENT_BATCH = 4096
+MAX_NOISE_ROWS = 2**22  # of one batch's noise draw, nu x batch_size
 
 
 def softplus(x):
@@ -248,6 +249,9 @@ class NceConfig:
         check_widths("nce.widths", self.widths)
         if not 0.0 < self.nu < np.inf:
             raise ConfigError(f"nce.nu must be finite and positive, got {self.nu}")
+        if self.nu * self.batch_size > MAX_NOISE_ROWS:
+            raise ConfigError(f"nce.nu={self.nu} draws more than {MAX_NOISE_ROWS} noise "
+                              f"rows per batch of nce.batch_size={self.batch_size}")
         if not 0.0 < self.lr < np.inf:
             raise ConfigError(f"nce.lr must be finite and positive, got {self.lr}")
         if self.epochs < 1:

@@ -8,7 +8,7 @@ estimator, and score in the fixed blocks of `score_blocks`, as `cance score`.
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,15 +33,32 @@ def fit_compression(config: RunConfig, train_x, val_x, rng: RunRng):
     return model, history
 
 
-def prepare_features(config: RunConfig, seed: int):
+@dataclass
+class RunArtifacts:
+    """One seed's run: `prepare_features` fills the composite features z_* of
+    its rows, then `fit_estimator` adds the estimator and the test scores."""
+    seed: int
+    config_hash: str
+    compression: object
+    normalizer: Normalizer
+    test: Dataset
+    z_train: np.ndarray
+    z_val: np.ndarray
+    z_test: np.ndarray
+    compression_history: dict = field(default_factory=dict)
+    estimator: EstimatorModel | None = None
+    estimator_history: dict = field(default_factory=dict)
+    test_scores: np.ndarray | None = None
+
+
+def prepare_features(config: RunConfig, seed: int) -> RunArtifacts:
     """The feature path every run shares, up to the estimator.
 
     Loads the benchmark, splits off validation, normalizes with train
     statistics (min-max for idx images, z-score otherwise), fits the
-    compression model and extracts the composite features of the training
-    and validation rows with `score_blocks`. Returns (normalizer,
-    compression, compression_history, test, z_train, z_val, x_test), where
-    x_test are the normalized test features, for `score_blocks`.
+    compression model and extracts the composite features of the training,
+    validation and test rows with `score_blocks`. Returns the run without
+    an estimator; no normalized rows outlive the call.
     """
     rng = RunRng(seed)
     train_pool, test = load_benchmark(config.dataset, rng)
@@ -50,30 +67,27 @@ def prepare_features(config: RunConfig, seed: int):
 
     method = "minmax" if config.dataset.kind == "idx" else "zscore"
     normalizer = Normalizer(method).fit(train)
-    train_n = normalizer.transform(train)
-    val_n = normalizer.transform(val)
-    test_n = normalizer.transform(test)
-
-    compression, history = fit_compression(
-        config, train_n.features, val_n.features, rng
-    )
-    z_train = score_blocks(compression, None, train_n.features)[0]
-    z_val = score_blocks(compression, None, val_n.features)[0]
-    return normalizer, compression, history, test, z_train, z_val, test_n.features
+    train_n, val_n = normalizer.transform(train), normalizer.transform(val)
+    compression, history = fit_compression(config, train_n.features, val_n.features, rng)
+    z_train, z_val, z_test = (
+        score_blocks(compression, None, rows.features)[0]
+        for rows in (train_n, val_n, normalizer.transform(test)))
+    return RunArtifacts(seed, config.hash(), compression, normalizer, test,
+                        z_train, z_val, z_test, history)
 
 
 SCORE_BLOCK = 2048
 
 
-def score_blocks(compression, estimator, x, cols=slice(None), out=None,
-                 on_block=None):
-    """(composite features, scores) of normalized rows, computed in blocks
-    of SCORE_BLOCK rows with OpenBLAS on one thread. The estimator scores
-    the composite columns `cols`; without one (None) the scores are None.
-    `out` gives the two arrays to fill instead of new ones, the first with
-    the composite's last columns, and `on_block` is called with the number
-    of rows filled after each block. Non-finite composite features or
-    scores raise NonFiniteError naming the row as `load_csv` does (the
+def score_blocks(compression, estimator, x, out=None, on_block=None):
+    """(composite features, scores) of rows, computed in blocks of
+    SCORE_BLOCK rows with OpenBLAS on one thread. `x` holds normalized rows
+    for the compression model, or composite rows when it is None; then they
+    are the features returned. Without an estimator (None) the scores are
+    None. `out` gives the two arrays to fill instead of new ones, the first
+    with the composite's last columns, and `on_block` is called with the
+    number of rows filled after each block. Non-finite composite features
+    or scores raise NonFiniteError naming the row as `load_csv` does (the
     first is row 2).
 
     The last block is padded with copies of its first row, so every forward
@@ -81,18 +95,20 @@ def score_blocks(compression, estimator, x, cols=slice(None), out=None,
     Every score after training is computed here.
     """
     n = x.shape[0]
-    z, scores = out or (np.empty((n, compression.latent_dim + 2)), np.empty(n))
+    z, scores = out or (x if compression is None
+                        else np.empty((n, compression.latent_dim + 2)), np.empty(n))
     for start in range(0, n, SCORE_BLOCK):
         block = x[start:start + SCORE_BLOCK]
         rows = len(block)
-        pad = np.repeat(block[:1], SCORE_BLOCK - rows, axis=0)
-        zb = compression.composite(np.concatenate([block, pad]), real_rows=rows)
-        if (bad := ~np.isfinite(zb[:rows]).all(axis=1)).any():
-            raise NonFiniteError(f"row {start + bad.argmax() + 2}: its composite "
-                                 "features overflow float64")
-        z[start:start + rows] = zb[:rows, -z.shape[1]:]
+        zb = np.concatenate([block, np.repeat(block[:1], SCORE_BLOCK - rows, axis=0)])
+        if compression is not None:
+            zb = compression.composite(zb, real_rows=rows)
+            if (bad := ~np.isfinite(zb[:rows]).all(axis=1)).any():
+                raise NonFiniteError(f"row {start + bad.argmax() + 2}: its composite "
+                                     "features overflow float64")
+            z[start:start + rows] = zb[:rows, -z.shape[1]:]
         if estimator is not None:
-            sb = estimator.score(zb[:, cols])[:rows]
+            sb = estimator.score(zb)[:rows]
             if (bad := ~np.isfinite(sb)).any():
                 raise NonFiniteError(f"row {start + bad.argmax() + 2}: its "
                                      "log-density overflows float64")
@@ -102,51 +118,21 @@ def score_blocks(compression, estimator, x, cols=slice(None), out=None,
     return z, None if estimator is None else scores
 
 
-@dataclass
-class RunArtifacts:
-    seed: int
-    config_hash: str
-    compression: object
-    normalizer: Normalizer
-    estimator: EstimatorModel
-    test: Dataset
-    test_scores: np.ndarray
-    z_test: np.ndarray
-    compression_history: dict = field(default_factory=dict)
-    estimator_history: dict = field(default_factory=dict)
-
-
-def fit_estimator(features, nce: NceConfig, seed: int, tag="", cols=slice(None)):
-    """Train an estimator on the composite columns `cols` of the training and
-    validation rows of `prepare_features`, drawing from the streams
-    nce-init{tag}, nce-train{tag} and nce-val{tag}, and score the test rows.
-    Returns (estimator, history, z_test, test_scores)."""
-    _, compression, _, _, z_train, z_val, x_test = features
-    rng = RunRng(seed)
+def fit_estimator(run: RunArtifacts, nce: NceConfig, tag="", cols=slice(None)):
+    """`run` with an estimator trained on the composite columns `cols` of its
+    training and validation rows, drawing from the streams nce-init{tag},
+    nce-train{tag} and nce-val{tag}, and the scores of its test rows."""
+    rng = RunRng(run.seed)
     estimator, history = train_estimator(
-        z_train[:, cols], z_val[:, cols], nce,
+        run.z_train[:, cols], run.z_val[:, cols], nce,
         *(rng.stream(f"nce-{part}{tag}") for part in ("init", "train", "val")),
     )
-    return estimator, history, *score_blocks(compression, estimator, x_test, cols)
+    return replace(run, estimator=estimator, estimator_history=history,
+                   test_scores=score_blocks(None, estimator, run.z_test[:, cols])[1])
 
 
 def run_pipeline(config: RunConfig, seed: int) -> RunArtifacts:
-    features = prepare_features(config, seed)
-    normalizer, compression, comp_history, test, *_ = features
-    estimator, est_history, z_test, test_scores = fit_estimator(
-        features, config.nce, seed)
-    return RunArtifacts(
-        seed=seed,
-        config_hash=config.hash(),
-        compression=compression,
-        normalizer=normalizer,
-        estimator=estimator,
-        test=test,
-        test_scores=test_scores,
-        z_test=z_test,
-        compression_history=comp_history,
-        estimator_history=est_history,
-    )
+    return fit_estimator(prepare_features(config, seed), config.nce)
 
 
 # --------------------------------------------------------------------------

@@ -433,6 +433,17 @@ def test_train_non_finite_number_is_config_error(tiny_ini, tmp_path, capsys,
     assert override.split("=")[0] in err and "finite" in err
 
 
+@pytest.mark.parametrize("nu", ["1e9", "1e300"])
+def test_train_noise_draw_too_large_is_config_error(tiny_ini, tmp_path, capsys, nu):
+    # unbounded, numpy is asked for 715 GiB (1e9) or an impossible shape (1e300)
+    code = main(["train", "-c", str(tiny_ini), "-o", str(tmp_path / "x"),
+                 "--set", f"nce.nu={nu}"])
+    err = capsys.readouterr().err
+    assert code == 1 and not (tmp_path / "x").exists()
+    assert err.splitlines() == [err.strip()] and "Traceback" not in err
+    assert f"nce.nu={float(nu)} draws more than" in err
+
+
 @pytest.mark.parametrize("spec, cause", [
     ("box(n=5, low=nan)", "finite"),
     ("gaussian-mixture(n=5, spread=inf)", "finite"),
@@ -626,8 +637,6 @@ class TestBlockScoring:
         assert info.read_text().count("<heap nr=") == 1
 
     def test_train_and_score_never_import_scipy(self, tmp_path):
-        if machine.DTRTRS is None:
-            pytest.skip("numpy bundles no LAPACK dtrtrs; the solve falls back to scipy")
         (tmp_path / "run.ini").write_text(TINY_INI)
         probe = ("import sys\nfrom cance.cli import main\nroot = sys.argv[1]\n"
                  "assert main(['train', '-c', root + '/run.ini', '--set', "

@@ -217,6 +217,22 @@ class TestRunAblation:
         run_ablation(tiny_config(), repeats=2)
         assert count["fits"] == 2  # one per seed, shared across variants
 
+    def test_one_composite_pass_per_row_set(self, monkeypatch):
+        from cance.compress import PcaModel
+
+        rows = []
+        original = PcaModel.composite
+
+        def counting(model, x, **kwargs):
+            rows.append(len(x))
+            return original(model, x, **kwargs)
+
+        monkeypatch.setattr(PcaModel, "composite", counting)
+        run_ablation(tiny_config(), repeats=1)
+        # training, validation and test rows, one padded block each; the four
+        # variants read the test composite that the seed's run holds
+        assert rows == [pipeline.SCORE_BLOCK] * 3
+
     def test_variant_feature_dims(self, monkeypatch):
         dims = {}
         original = pipeline.train_estimator

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from cance import machine
 from cance.cli import write_scores
 from cance.compress import AeConfig, AutoencoderModel, fit_pca
-from cance.pipeline import SCORE_BLOCK, score_blocks
-from cance.nce import EstimatorModel, NoiseModel
+from cance.pipeline import SCORE_BLOCK, RunArtifacts, fit_estimator, score_blocks
+from cance.nce import EstimatorModel, NceConfig, NoiseModel
 from cance.nn.layers import mlp
 
 B = SCORE_BLOCK
@@ -68,6 +68,30 @@ def test_empty_input_gives_empty_outputs(models):
     compression, estimator = models
     z, scores = score_blocks(compression, estimator, np.empty((0, 4)))
     assert z.shape == (0, 4) and scores.shape == (0,)
+
+
+@pytest.mark.parametrize("variant", ["LatNCE", "CANCE"])
+def test_variant_scores_equal_scoring_each_normalized_block(models, variant):
+    # `fit_estimator` scores column slices of the test composite that the
+    # run holds; the bits equal those of composing each padded block of
+    # normalized rows and scoring its slice. Of the two blocks the last has
+    # an odd row count, so scoring it unpadded would move bits
+    compression = models[0]
+    rng = np.random.default_rng(23)
+    x_train, x_val, x_test = (rng.standard_normal((n, 4)) for n in (400, 100, B + 1359))
+    run = RunArtifacts(0, "", compression, None, None, *(
+        score_blocks(compression, None, x)[0] for x in (x_train, x_val, x_test)))
+    cols = slice(2 if variant == "LatNCE" else None)
+    nce = NceConfig(widths=(64, 64), epochs=1, batch_size=64,
+                    augmentation=(variant == "CANCE"))
+    fitted = fit_estimator(run, nce, f"-{variant}", cols)
+    want = []
+    for start in range(0, len(x_test), B):
+        block = x_test[start:start + B]
+        pad = np.repeat(block[:1], B - len(block), axis=0)
+        zb = compression.composite(np.concatenate([block, pad]), real_rows=len(block))
+        want.append(fitted.estimator.score(zb[:, cols])[:len(block)])
+    assert fitted.test_scores.tobytes() == np.concatenate(want).tobytes()
 
 
 def test_scoring_memory_stays_bounded(tmp_path, monkeypatch, formatter_popens):

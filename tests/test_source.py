@@ -276,14 +276,11 @@ def test_only_the_blas_owner_sets_blas_threads():
     assert found == {"machine.py"}
 
 
-def scipy_imports(source: str, filename="<string>", allowed=()) -> list:
+def scipy_imports(source: str, filename="<string>") -> list:
     """`file:line` of each import of scipy, as a statement or as a
-    "scipy..." string, outside the bodies of the functions named `allowed`."""
+    "scipy..." string."""
     def walk(node):
         for child in ast.iter_child_nodes(node):
-            if (isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and child.name in allowed):
-                continue
             modules = ([alias.name for alias in child.names]
                        if isinstance(child, ast.Import)
                        else [child.module or ""] if isinstance(child, ast.ImportFrom)
@@ -302,21 +299,19 @@ def scipy_imports(source: str, filename="<string>", allowed=()) -> list:
     ("from scipy.linalg import solve_triangular\n", True),
     ("def f():\n    from scipy import linalg\n", True),
     ("importlib.import_module('scipy.special')\n", True),
-    ("def solve_lower():\n    from scipy.linalg import solve_triangular\n", False),
     ("lib.scipy_dtrtrs_64_\nname = 'scipy_openblas_get_config64_'\n", False),
     ('"""Matches scipy\'s bits."""\n', False),
 ])
 def test_guard_flags_scipy_imports(source, flagged):
-    assert bool(scipy_imports(source, allowed=("solve_lower",))) == flagged
+    assert bool(scipy_imports(source)) == flagged
 
 
-def test_only_the_lapack_fallback_imports_scipy():
-    # numpy's OpenBLAS runs the triangular solve and the standard library
-    # the normal CDF, so scipy loads only where numpy bundles no LAPACK to call
+def test_no_module_imports_scipy():
+    # numpy's OpenBLAS (or forward substitution in numpy) runs the triangular
+    # solve and the standard library the normal CDF: scipy is a test reference
     root = Path(cance.__file__).parent
-    found = [line for path in sorted(root.rglob("*.py")) for line in scipy_imports(
-        path.read_text(), str(path.relative_to(root)),
-        ("solve_lower",) if path.name == "machine.py" else ())]
+    found = [line for path in sorted(root.rglob("*.py"))
+             for line in scipy_imports(path.read_text(), str(path.relative_to(root)))]
     assert found == []
 
 
