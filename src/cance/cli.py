@@ -3,7 +3,7 @@
 Subcommands: train, score, eval, ablate, synth, inspect. Exit codes:
 0 success, 1 configuration error or other ValueError, 2 any other package
 error or an OS error, 3 a report written with some fits failed by a
-package error. Any other exception propagates.
+package error, 130 interrupted (Ctrl-C). Any other exception propagates.
 """
 
 import argparse
@@ -37,6 +37,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 EXIT_PARTIAL = 3
+EXIT_INTERRUPTED = 130  # the shell's code for SIGINT
 
 
 def _resolve_outdir(explicit: str, config: RunConfig) -> str:
@@ -275,6 +276,9 @@ def main(argv=None) -> int:
     except (CanceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -2,9 +2,8 @@
 the CPU budget and a fit's helper thread, the one thread cance starts outside
 `run_jobs`'s pool. `import cance` pins the OpenBLAS that numpy bundles to one
 thread, once, so a fit's bits depend neither on the CPU count nor on the fits
-beside it; no other module sets a thread count. `solve_lower` runs the
-triangular solve of `GaussianModel.logpdf` on that same library, so every
-BLAS and LAPACK call in cance runs on one library. The same import caps
+beside it; no other module sets a thread count. Every BLAS and LAPACK call
+in cance goes through numpy onto that library. The same import caps
 glibc's malloc at one arena, process-wide."""
 
 import ctypes
@@ -16,8 +15,6 @@ from contextlib import AbstractContextManager, suppress
 from pathlib import Path
 
 import numpy as np
-
-from cance.errors import DegenerateFeatureError, NonFiniteError, ShapeError
 
 
 def _numpy_openblas():
@@ -64,45 +61,6 @@ def blas_summary() -> str:
     """The BLAS that cance computes on, with its thread count."""
     config = openblas_config()
     return f"numpy's {config} on {_get()} thread(s)" if config else "unknown BLAS"
-
-
-# LAPACK dtrtrs(uplo, trans, diag, n, nrhs, a, lda, b, ldb, info), with
-# 64-bit integers and the three hidden Fortran string lengths
-_INT = ctypes.POINTER(ctypes.c_int64)
-DTRTRS = _symbol(_LIB, "scipy_dtrtrs_64_", None,
-                 *[ctypes.c_char_p] * 3, _INT, _INT, ctypes.c_void_p, _INT,
-                 ctypes.c_void_p, _INT, _INT, *[ctypes.c_size_t] * 3)
-
-
-def solve_lower(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """x (dim x rows) with `factor @ x = rhs.T`, for a lower-triangular
-    `factor` from `np.linalg.cholesky` and rows `rhs`, overwriting `rhs`
-    when it is C-contiguous float64.
-
-    This is the call scipy's `solve_triangular(factor, rhs.T, lower=True)`
-    makes for a C-ordered factor, so it gives the same bits: read column-major,
-    `factor` is its upper-triangular transpose, solved transposed, and `rhs`
-    is the dim x rows right-hand side. Without numpy's bundled OpenBLAS it
-    is forward substitution in numpy, one factor row at a time, equal to it
-    up to rounding.
-    """
-    if not (np.isfinite(factor).all() and np.isfinite(rhs).all()):
-        raise NonFiniteError("non-finite values in a Gaussian log-density's input")
-    factor = np.ascontiguousarray(factor, dtype=np.float64)
-    rhs = np.ascontiguousarray(rhs, dtype=np.float64)
-    if factor.ndim != 2 or rhs.ndim != 2 or factor.shape != (rhs.shape[1],) * 2:
-        raise ShapeError(f"factor {factor.shape} does not match rows {rhs.shape}")
-    if DTRTRS is None:
-        with np.errstate(over="ignore"):  # as dtrtrs, a far row's solution is inf
-            for i, row in enumerate(factor):
-                rhs[:, i] = (rhs[:, i] - rhs[:, :i] @ row[:i]) / row[i]
-        return rhs.T
-    n, nrhs, info = (ctypes.c_int64(v) for v in (factor.shape[0], rhs.shape[0], 0))
-    DTRTRS(b"U", b"T", b"N", n, nrhs, factor.ctypes.data, n,
-           rhs.ctypes.data, n, info, 1, 1, 1)
-    if info.value:
-        raise DegenerateFeatureError(f"triangular solve failed: dtrtrs info {info.value}")
-    return rhs.T
 
 
 def usable_cpus() -> int:

@@ -7,9 +7,11 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -1173,6 +1175,29 @@ def test_console_entry_point():
     )
     assert result.returncode == 0
     assert "train" in result.stdout
+
+
+def test_interrupted_train_exits_130_without_a_model(tiny_ini, tmp_path):
+    # 20000 epochs run for tens of seconds, so SIGINT lands in the fit
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cance.cli", "train", "-c", str(tiny_ini),
+         "--set", "nce.epochs=20000", "-o", str(tmp_path / "model")],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    try:
+        with pytest.raises(subprocess.TimeoutExpired):
+            proc.wait(3.0)
+        sent = time.perf_counter()
+        proc.send_signal(signal.SIGINT)
+        _, stderr = proc.communicate(timeout=5.0)
+        assert time.perf_counter() - sent < 5.0
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 130, stderr
+    assert stderr.splitlines()[-1] == "interrupted"
+    assert "Traceback" not in stderr
+    assert not (tmp_path / "model").exists()  # no model file, nor its directory
 
 
 def test_train_deterministic_across_processes(tmp_path):

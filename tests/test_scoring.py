@@ -22,16 +22,20 @@ def estimator_for(dim, rng, widths=(16, 16)):
     return EstimatorModel(mlp([dim, *widths, 1], rng), noise)
 
 
-@pytest.fixture(scope="module", params=["ae", "pca"])
+@pytest.fixture(scope="module", params=["ae", "pca", "pca-40-32"])
 def models(request):
-    """(compression, estimator) of an untrained AE or a fitted PCA, 4 -> 2."""
+    """(compression, estimator) of an untrained AE or a fitted PCA, 4 -> 2,
+    or a fitted PCA 40 -> 32, whose composite has the width of MNIST's
+    features (34): there the noise density's GEMM may take other kernels."""
     rng = np.random.default_rng(11)
     if request.param == "ae":
         config = AeConfig(latent_dim=2, hidden=(16, 8))
         compression = AutoencoderModel.build(4, config, rng)
     else:
-        compression = fit_pca(rng.standard_normal((300, 4)), 2)
-    return compression, estimator_for(4, rng)
+        wide = request.param == "pca-40-32"
+        compression = fit_pca(rng.standard_normal((300, 40 if wide else 4)),
+                              32 if wide else 2)
+    return compression, estimator_for(compression.latent_dim + 2, rng)
 
 
 def bits(z, scores):
@@ -43,9 +47,10 @@ def bits(z, scores):
 def test_row_bits_do_not_depend_on_the_rows_scored_with_them(models, seed):
     compression, estimator = models
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((3 * B + 5, 4)) * rng.uniform(0.1, 10.0)
+    x = rng.standard_normal((3 * B + 5, compression.input_dim)) * rng.uniform(0.1, 10.0)
     z, scores = score_blocks(compression, estimator, x)
-    assert z.shape == (x.shape[0], 4) and np.all(np.isfinite(scores))
+    assert z.shape == (x.shape[0], compression.latent_dim + 2)
+    assert np.all(np.isfinite(scores))
     for rows in (1, 7, B, 3 * B + 5):
         assert bits(*score_blocks(compression, estimator, x[:rows])) == \
             bits(z[:rows], scores[:rows])
@@ -58,7 +63,7 @@ def test_row_bits_do_not_depend_on_the_rows_scored_with_them(models, seed):
 def test_blocks_match_the_model_calls_they_replace(models):
     # one full block is exactly one call of each model
     compression, estimator = models
-    x = np.random.default_rng(5).standard_normal((B, 4))
+    x = np.random.default_rng(5).standard_normal((B, compression.input_dim))
     z, scores = score_blocks(compression, estimator, x)
     want = compression.composite(x)
     assert bits(z, scores) == bits(want, estimator.score(want))
@@ -66,8 +71,8 @@ def test_blocks_match_the_model_calls_they_replace(models):
 
 def test_empty_input_gives_empty_outputs(models):
     compression, estimator = models
-    z, scores = score_blocks(compression, estimator, np.empty((0, 4)))
-    assert z.shape == (0, 4) and scores.shape == (0,)
+    z, scores = score_blocks(compression, estimator, np.empty((0, compression.input_dim)))
+    assert z.shape == (0, compression.latent_dim + 2) and scores.shape == (0,)
 
 
 @pytest.mark.parametrize("variant", ["LatNCE", "CANCE"])
@@ -78,10 +83,11 @@ def test_variant_scores_equal_scoring_each_normalized_block(models, variant):
     # an odd row count, so scoring it unpadded would move bits
     compression = models[0]
     rng = np.random.default_rng(23)
-    x_train, x_val, x_test = (rng.standard_normal((n, 4)) for n in (400, 100, B + 1359))
+    x_train, x_val, x_test = (rng.standard_normal((n, compression.input_dim))
+                              for n in (400, 100, B + 1359))
     run = RunArtifacts(0, "", compression, None, None, *(
         score_blocks(compression, None, x)[0] for x in (x_train, x_val, x_test)))
-    cols = slice(2 if variant == "LatNCE" else None)
+    cols = slice(compression.latent_dim if variant == "LatNCE" else None)
     nce = NceConfig(widths=(64, 64), epochs=1, batch_size=64,
                     augmentation=(variant == "CANCE"))
     fitted = fit_estimator(run, nce, f"-{variant}", cols)

@@ -307,8 +307,8 @@ def test_guard_flags_scipy_imports(source, flagged):
 
 
 def test_no_module_imports_scipy():
-    # numpy's OpenBLAS (or forward substitution in numpy) runs the triangular
-    # solve and the standard library the normal CDF: scipy is a test reference
+    # numpy's OpenBLAS runs the Gaussian log-density and the standard library
+    # the normal CDF: scipy is a test reference
     root = Path(cance.__file__).parent
     found = [line for path in sorted(root.rglob("*.py"))
              for line in scipy_imports(path.read_text(), str(path.relative_to(root)))]
@@ -356,8 +356,8 @@ def test_guard_flags_native_library_uses(source, flagged):
 
 
 def test_only_the_machine_opens_native_libraries():
-    # the BLAS pin and the LAPACK call hold for the library the machine
-    # module opened; a second handle elsewhere could run on other kernels
+    # the BLAS pin holds for the library the machine module opened; a
+    # second handle elsewhere could run on other kernels
     root = Path(cance.__file__).parent
     found = {str(path.relative_to(root)) for path in sorted(root.rglob("*.py"))
              if native_library_uses(path.read_text())}
