@@ -32,9 +32,8 @@ def models(request):
         config = AeConfig(latent_dim=2, hidden=(16, 8))
         compression = AutoencoderModel.build(4, config, rng)
     else:
-        wide = request.param == "pca-40-32"
-        compression = fit_pca(rng.standard_normal((300, 40 if wide else 4)),
-                              32 if wide else 2)
+        dim, latent = (40, 32) if request.param == "pca-40-32" else (4, 2)
+        compression = fit_pca(rng.standard_normal((300, dim)), latent)
     return compression, estimator_for(compression.latent_dim + 2, rng)
 
 
