@@ -1,6 +1,7 @@
 """Streaming moments, mode estimation, truncated normal, Gaussian model."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -297,6 +298,16 @@ class TestNormalCdfMatchesScipy:
         assert (params.sample(100, np.random.default_rng(3)) == 1e-300).all()
 
 
+@pytest.fixture(params=["bundled", "numpy"])
+def libraries(request, monkeypatch):
+    """Runs a test as installed, where `logpdf`'s whitening GEMM runs on
+    numpy's bundled BLAS, then with scipy hidden, so the check also holds
+    where numpy is the one library cance can import."""
+    if request.param == "numpy":
+        monkeypatch.setitem(sys.modules, "scipy", None)
+    return request.param
+
+
 def random_gaussians(rng):
     """GaussianModels of dims 1-12, with random well-conditioned covariances,
     then one of dim 34 (the composite width of a 32-dim latent) whose
@@ -325,7 +336,7 @@ class TestLogpdfMatchesSolveTriangular:
                                            err_msg=f"dim {model.dim}, {rows} rows")
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-    def test_non_finite_row_is_non_finite_error(self, bad):
+    def test_non_finite_row_is_non_finite_error(self, libraries, bad):
         model = GaussianModel(np.zeros(3), np.eye(3))
         pts = np.zeros((4, 3))
         pts[2, 1] = bad
