@@ -86,15 +86,13 @@ def cmd_score(args) -> int:
     ignore = [c for c in args.ignore_columns.split(",") if c.strip()]
     dataset = (load_embeddings(args.input) if args.input.endswith(".emb")
                else load_csv(args.input, ignore_columns=ignore))
+    if dataset.dim != compression.input_dim:
+        raise ConfigError(f"input has {dataset.dim} features, model expects "
+                          f"{compression.input_dim}")
     if dataset.n == 0:
         write_scores(args.output, np.empty(0))
         print(f"0 rows scored -> {args.output}")
         return EXIT_OK
-    if dataset.dim != compression.input_dim:
-        raise ConfigError(
-            f"input has {dataset.dim} features, model expects "
-            f"{compression.input_dim}"
-        )
     print(f"scoring on {blas_summary()}; blocks of {SCORE_BLOCK} rows", file=sys.stderr)
     x, n = normalizer.transform(dataset).features, dataset.n
     del dataset  # the rows are held once, normalized
@@ -140,8 +138,7 @@ def cmd_eval(args) -> int:
     outdir = _resolve_outdir(args.outdir, config)
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, "report.json")
-    if (config.dataset.benchmark == "unimodal"
-            and len(config.dataset.normal_classes) > 1):
+    if config.dataset.sweep:
         reports = evaluation.run_unimodal_sweep(
             config,
             on_run_factory=lambda cls: _score_persister(outdir, f"class{cls}-"),

@@ -6,6 +6,7 @@ computed on test rows ever reaches a fitted transform.
 """
 
 import csv
+import math
 import os
 import re
 import struct
@@ -15,7 +16,7 @@ import tempfile
 import warnings
 from collections import deque
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate, chain, islice
 
 import numpy as np
@@ -360,49 +361,35 @@ def _read_exact(fh, size, path, what) -> bytes:
     return raw
 
 
-def _read_be_u32(fh, path, what) -> int:
-    return struct.unpack(">I", _read_exact(fh, 4, path, what))[0]
+def _idx(path, magic, what, dims):
+    """The sizes named by `dims` and the payload of the IDX file `path`: its
+    magic must be `magic` (`what` names the file's role in the message) and
+    its payload exactly the product of the sizes in bytes."""
+    with open(path, "rb") as fh:
+        fields = (int.from_bytes(_read_exact(fh, 4, path, field), "big")
+                  for field in ("magic", *dims))
+        if (found := next(fields)) != magic:
+            raise DataFormatError(f"{path}: {what} magic {found:#010x}, "
+                                  f"expected {magic:#010x}")
+        sizes = [*fields]
+        payload = fh.read()
+    if len(payload) != (declared := math.prod(sizes)):
+        raise DataFormatError(f"{path}: payload holds {len(payload)} bytes, header "
+                              f"declares {declared}")
+    return sizes, payload
 
 
 def load_idx(images_path, labels_path, name=None) -> Dataset:
     """Read big-endian IDX image/label pairs; pixels scaled to [0, 1]."""
-    with open(images_path, "rb") as fh:
-        magic = _read_be_u32(fh, images_path, "magic")
-        if magic != IDX_IMAGES_MAGIC:
-            raise DataFormatError(
-                f"{images_path}: image magic {magic:#010x}, "
-                f"expected {IDX_IMAGES_MAGIC:#010x}"
-            )
-        count = _read_be_u32(fh, images_path, "count")
-        rows = _read_be_u32(fh, images_path, "rows")
-        cols = _read_be_u32(fh, images_path, "cols")
-        payload = fh.read()
-    if len(payload) != count * rows * cols:
-        raise DataFormatError(
-            f"{images_path}: payload holds {len(payload)} bytes, header "
-            f"declares {count * rows * cols}"
-        )
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows * cols)
-    with open(labels_path, "rb") as fh:
-        magic = _read_be_u32(fh, labels_path, "magic")
-        if magic != IDX_LABELS_MAGIC:
-            raise DataFormatError(
-                f"{labels_path}: label magic {magic:#010x}, "
-                f"expected {IDX_LABELS_MAGIC:#010x}"
-            )
-        label_count = _read_be_u32(fh, labels_path, "count")
-        label_payload = fh.read()
+    (count, rows, cols), pixels = _idx(images_path, IDX_IMAGES_MAGIC, "image",
+                                       ("count", "rows", "cols"))
+    (label_count,), labels = _idx(labels_path, IDX_LABELS_MAGIC, "label", ("count",))
     if label_count != count:
-        raise DataFormatError(
-            f"label count {label_count} != image count {count}"
-        )
-    if len(label_payload) != label_count:
-        raise DataFormatError(f"{labels_path}: truncated labels")
-    return Dataset(
-        pixels.astype(np.float64) / 255.0,
-        class_ids=np.frombuffer(label_payload, dtype=np.uint8).astype(np.int64),
-        name=name or str(images_path),
-    )
+        raise DataFormatError(f"label count {label_count} != image count {count}")
+    pixels = np.frombuffer(pixels, dtype=np.uint8).reshape(count, rows * cols)
+    return Dataset(pixels.astype(np.float64) / 255.0,
+                   class_ids=np.frombuffer(labels, dtype=np.uint8).astype(np.int64),
+                   name=name or str(images_path))
 
 
 def write_embeddings(path, dataset: Dataset) -> None:
@@ -458,8 +445,7 @@ def make_multimodal(dataset: Dataset, normal_classes,
     train side is filtered to the normal classes. One normal class gives
     the unimodal benchmark.
     """
-    fractional = [c for c in normal_classes if not _integral(float(c))]
-    if fractional:
+    if fractional := [c for c in normal_classes if not _integral(float(c))]:
         raise ValueError(f"normal class(es) {fractional} are not integers")
     normal_classes = sorted(set(int(c) for c in normal_classes))
     if not normal_classes:
@@ -467,10 +453,9 @@ def make_multimodal(dataset: Dataset, normal_classes,
     if dataset.class_ids is None:
         raise ShapeError("dataset has no class ids")
     present = set(np.unique(dataset.class_ids).tolist())
-    missing = [c for c in normal_classes if c not in present]
-    if missing:
+    if missing := [c for c in normal_classes if c not in present]:
         raise ValueError(f"class(es) {missing} absent from {dataset.name!r}")
-    if set(present) <= set(normal_classes):
+    if present <= set(normal_classes):
         warnings.warn(
             "every class is declared normal; test labels will be all-normal",
             stacklevel=2,
@@ -531,12 +516,7 @@ class Normalizer:
     def transform(self, dataset: Dataset) -> Dataset:
         if self._shift is None:
             raise RuntimeError("normalizer not fitted")
-        return Dataset(
-            (dataset.features - self._shift) / self._scale,
-            dataset.labels,
-            dataset.class_ids,
-            dataset.name,
-        )
+        return replace(dataset, features=(dataset.features - self._shift) / self._scale)
 
     def to_container(self):
         arrays = {"shift": self._shift, "scale": self._scale}
@@ -564,19 +544,19 @@ class Normalizer:
 
 _PART_RE = re.compile(r"^\s*([a-z-]+)\s*(?:\(([^)]*)\))?\s*$")
 
-SYNTH_KINDS = ("ring", "gaussian-mixture", "two-moons", "box", "offplane")
-_COUNT_ARGS = ("n", "k", "dim", "latent", "anomalies")  # non-negative integers
-
 
 def _parse_part(text: str):
+    """(kind, arguments) of one spec part, with every argument of the kind:
+    those not given take their defaults, and counts are ints."""
     m = _PART_RE.match(text)
     if not m:
         raise ValueError(f"cannot parse synthetic part {text!r}")
-    kind, args = m.group(1), {}
+    kind = m.group(1)
     if kind not in SYNTH_KINDS:
         raise ValueError(
-            f"unknown synthetic kind {kind!r}; expected one of {SYNTH_KINDS}"
+            f"unknown synthetic kind {kind!r}; expected one of {tuple(SYNTH_KINDS)}"
         )
+    defaults, args = SYNTH_KINDS[kind][1], {}
     for piece in filter(None, (m.group(2) or "").split(",")):
         if "=" not in piece:
             raise ValueError(f"bad argument {piece!r} in {text!r}")
@@ -584,33 +564,36 @@ def _parse_part(text: str):
         where = f"{kind} argument {key!r} in {text.strip()!r}"
         if key in args:
             raise ValueError(f"{where} is repeated")
+        if key not in defaults:
+            raise ValueError(f"unknown {where}")
         try:
-            args[key] = float(value)
+            number = float(value)
         except ValueError:
             raise ValueError(f"{where} must be a number, got {value!r}") from None
-        if key in _COUNT_ARGS and not (args[key] >= 0 and args[key].is_integer()):
+        count = isinstance(defaults[key], int)
+        if count and not (number >= 0 and number.is_integer()):
             raise ValueError(f"{where} must be a non-negative integer, got {value!r}")
-        if not np.isfinite(args[key]):
+        if not np.isfinite(number):
             raise ValueError(f"{where} must be a finite number, got {value!r}")
-    return kind, args
+        args[key] = int(number) if count else number
+    return kind, {**defaults, **args}
 
 
-def _gen_ring(args, rng):
-    n = int(args.pop("n", 1000))
-    radius = args.pop("radius", 1.0)
-    noise = args.pop("noise", 0.05)
+def _parse_spec(spec: str):
+    """[(part text, kind, arguments)] of a spec, every part checked."""
+    if not spec.strip():
+        raise ValueError("empty synthetic spec")
+    return [(text.strip(), *_parse_part(text)) for text in spec.split("+")]
+
+
+def _gen_ring(rng, n, radius, noise):
     theta = rng.uniform(0.0, 2.0 * np.pi, n)
     r = radius + noise * rng.standard_normal(n)
     x = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
     return x, np.zeros(n, dtype=np.int64)
 
 
-def _gen_gaussian_mixture(args, rng):
-    n = int(args.pop("n", 1000))
-    k = int(args.pop("k", 3))
-    dim = int(args.pop("dim", 2))
-    spread = args.pop("spread", 3.0)
-    std = args.pop("std", 0.5)
+def _gen_gaussian_mixture(rng, n, k, dim, spread, std):
     if k < 1 or dim < 1:
         raise ValueError("gaussian-mixture needs k >= 1 and dim >= 1")
     centers = rng.uniform(-spread, spread, size=(k, dim))
@@ -619,9 +602,7 @@ def _gen_gaussian_mixture(args, rng):
     return x, np.zeros(n, dtype=np.int64)
 
 
-def _gen_two_moons(args, rng):
-    n = int(args.pop("n", 1000))
-    noise = args.pop("noise", 0.05)
+def _gen_two_moons(rng, n, noise):
     n1 = n // 2
     t1 = rng.uniform(0.0, np.pi, n1)
     t2 = rng.uniform(0.0, np.pi, n - n1)
@@ -631,11 +612,7 @@ def _gen_two_moons(args, rng):
     return x, np.zeros(n, dtype=np.int64)
 
 
-def _gen_box(args, rng):
-    n = int(args.pop("n", 200))
-    low = args.pop("low", -1.5)
-    high = args.pop("high", 1.5)
-    dim = int(args.pop("dim", 2))
+def _gen_box(rng, n, low, high, dim):
     if high <= low:
         raise ValueError("box needs high > low")
     if dim < 1:
@@ -644,15 +621,9 @@ def _gen_box(args, rng):
     return x, np.ones(n, dtype=np.int64)
 
 
-def _gen_offplane(args, rng):
+def _gen_offplane(rng, n, anomalies, dim, latent, noise, offset):
     """Points near a low-dimensional affine subspace, plus anomalies that
     share the in-plane distribution but carry an orthogonal offset."""
-    n = int(args.pop("n", 1000))
-    n_anom = int(args.pop("anomalies", 200))
-    dim = int(args.pop("dim", 8))
-    latent = int(args.pop("latent", 2))
-    noise = args.pop("noise", 0.02)
-    offset = args.pop("offset", 1.0)
     if latent >= dim:
         raise ValueError("offplane needs latent < dim")
     basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
@@ -668,19 +639,23 @@ def _gen_offplane(args, rng):
             x = x + offset * direction @ ortho.T
         return x
 
-    x = np.vstack([embed(n, False), embed(n_anom, True)])
+    x = np.vstack([embed(n, False), embed(anomalies, True)])
     labels = np.concatenate(
-        [np.zeros(n, dtype=np.int64), np.ones(n_anom, dtype=np.int64)]
+        [np.zeros(n, dtype=np.int64), np.ones(anomalies, dtype=np.int64)]
     )
     return x, labels
 
 
-_GENERATORS = {
-    "ring": _gen_ring,
-    "gaussian-mixture": _gen_gaussian_mixture,
-    "two-moons": _gen_two_moons,
-    "box": _gen_box,
-    "offplane": _gen_offplane,
+# kind -> (generator, its keyword arguments after `rng` with their defaults);
+# an argument whose default is an integer is a count, a non-negative integer
+SYNTH_KINDS = {
+    "ring": (_gen_ring, {"n": 1000, "radius": 1.0, "noise": 0.05}),
+    "gaussian-mixture": (_gen_gaussian_mixture,
+                         {"n": 1000, "k": 3, "dim": 2, "spread": 3.0, "std": 0.5}),
+    "two-moons": (_gen_two_moons, {"n": 1000, "noise": 0.05}),
+    "box": (_gen_box, {"n": 200, "low": -1.5, "high": 1.5, "dim": 2}),
+    "offplane": (_gen_offplane, {"n": 1000, "anomalies": 200, "dim": 8, "latent": 2,
+                                 "noise": 0.02, "offset": 1.0}),
 }
 
 
@@ -688,24 +663,17 @@ def synth_generate(spec: str, rng: np.random.Generator, name=None) -> Dataset:
     """Generate a labeled dataset from a spec like
     "ring(n=2000, radius=1, noise=0.05) + box(n=500, low=-1.5, high=1.5)".
 
-    Parts after the first are forced to anomaly label 1.
+    Parts after the first are forced to anomaly label 1. Every part is
+    parsed before any is generated.
     """
-    if not spec.strip():
-        raise ValueError("empty synthetic spec")
     features, labels = [], []
-    for i, text in enumerate(spec.split("+")):
-        kind, args = _parse_part(text)
+    for i, (text, kind, args) in enumerate(_parse_spec(spec)):
         try:
-            x, lab = _GENERATORS[kind](args, rng)  # pops the arguments it knows
+            x, lab = SYNTH_KINDS[kind][0](rng, **args)
         except OverflowError as exc:  # numpy's, e.g. a range past float64
-            raise ValueError(f"{kind} in {text.strip()!r}: {exc}") from None
-        if args:
-            raise ValueError(f"unknown {kind} argument(s) {', '.join(args)} "
-                             f"in {text.strip()!r}")
-        if i > 0:
-            lab = np.ones(len(lab), dtype=np.int64)
+            raise ValueError(f"{kind} in {text!r}: {exc}") from None
         features.append(x)
-        labels.append(lab)
+        labels.append(lab if i == 0 else np.ones(len(lab), dtype=np.int64))
     dims = {f.shape[1] for f in features}
     if len(dims) != 1:
         raise ValueError(f"synthetic parts have mismatched dims {sorted(dims)}")
@@ -890,15 +858,28 @@ class DatasetConfig:
                               f"got {self.normal_classes!r}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError("dataset.test_fraction must be in (0,1)")
+        if self.kind == "synth":
+            try:
+                _parse_spec(self.synth)
+            except ValueError as exc:
+                raise ConfigError(f"dataset.synth: {exc}") from None
+
+    @property
+    def sweep(self) -> bool:
+        """Whether this is one unimodal benchmark per normal class, which
+        only evaluation.run_unimodal_sweep runs."""
+        return self.benchmark == "unimodal" and len(self.normal_classes) > 1
+
+    def check_single_run(self):
+        """Raise ConfigError if this is a sweep, which one run cannot take."""
+        if self.sweep:
+            raise ConfigError("a single run takes one normal class; several unimodal "
+                              "classes are swept by evaluation.run_unimodal_sweep")
 
 
 def load_benchmark(dc: DatasetConfig, rng: RunRng):
     """Return (train Dataset of normals only, labeled test Dataset)."""
-    if dc.benchmark == "unimodal" and len(dc.normal_classes) > 1:
-        raise ConfigError(
-            "a single run takes one normal class; several unimodal classes "
-            "are swept by evaluation.run_unimodal_sweep"
-        )
+    dc.check_single_run()
     name = dc.name or None
     if dc.kind == "idx":
         train_ds = load_idx(dc.train_images, dc.train_labels, name=name)

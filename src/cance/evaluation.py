@@ -219,9 +219,9 @@ def run_unimodal_sweep(config: RunConfig, repeats: int | None = None,
     All class x seed fits are jobs of one list, so the classes share the
     CPUs too. `on_run_factory(cls)` gives the `on_run` of a class.
     """
-    if config.dataset.benchmark != "unimodal":
-        raise ConfigError(f"dataset.benchmark={config.dataset.benchmark}: "
-                          "the sweep runs only unimodal benchmarks")
+    if not config.dataset.sweep:
+        raise ConfigError(f"dataset.benchmark={config.dataset.benchmark}: the sweep runs "
+                          "only unimodal benchmarks of several normal classes")
     seeds = _seeds(config, repeats)
     configs = {}
     for cls in config.dataset.normal_classes:
@@ -261,6 +261,7 @@ def run_ablation(config: RunConfig, repeats: int | None = None) -> dict:
     do not depend on the number of workers. A seed whose features failed
     has no variant jobs; its CanceError is the outcome of every variant.
     """
+    config.dataset.check_single_run()
     seeds = _seeds(config, repeats)
     features = run_jobs((seed, partial(prepare_features, config, seed))
                         for seed in seeds)

@@ -204,19 +204,23 @@ def save_run(outdir, config: RunConfig, artifacts: RunArtifacts) -> None:
 
 def load_run(outdir):
     """Load persisted models; refuses directories with mismatched hashes
-    (ConfigError) or with models whose dimensions do not chain
-    (ModelFormatError naming the normalizer or estimator file).
+    (ConfigError), or with a model file that carries no config hash string
+    or models whose dimensions do not chain (ModelFormatError naming the
+    file).
 
     Returns (compression, estimator, normalizer, config_hash, estimator_meta).
     """
-    compression, meta = load_model(os.path.join(outdir, COMPRESSION_FILE),
-                                   "autoencoder", "pca")
-    estimator_path = os.path.join(outdir, ESTIMATOR_FILE)
+    compression_path, estimator_path, normalizer_path = (
+        os.path.join(outdir, name)
+        for name in (COMPRESSION_FILE, ESTIMATOR_FILE, NORMALIZER_FILE))
+    compression, meta = load_model(compression_path, "autoencoder", "pca")
     estimator, est_meta = load_model(estimator_path, "estimator")
-    normalizer_path = os.path.join(outdir, NORMALIZER_FILE)
     normalizer, nmeta = load_model(normalizer_path, "normalizer")
-    hashes = {meta.get("config_hash"), est_meta.get("config_hash"),
-              nmeta.get("config_hash")}
+    metas = {compression_path: meta, estimator_path: est_meta, normalizer_path: nmeta}
+    for path, file_meta in metas.items():
+        if not isinstance(file_meta.get("config_hash"), str):
+            raise ModelFormatError(f"{path}: config_hash is missing or not a string")
+    hashes = {file_meta["config_hash"] for file_meta in metas.values()}
     if len(hashes) != 1:
         raise ConfigError(
             f"{outdir}: artifacts carry mismatched config hashes {sorted(hashes)}"

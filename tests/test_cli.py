@@ -255,6 +255,15 @@ class TestTrainAndScore:
                      "-o", str(scores_csv)]) == 0
         assert scores_csv.read_text() == "id,z_e,z_c,score\n"
 
+    def test_score_header_only_input_of_another_width_is_config_error(
+            self, pca_run, tmp_path, capsys):
+        empty, out = tmp_path / "empty.csv", tmp_path / "s.csv"
+        empty.write_text("a,b,c,d\n")
+        assert main(["score", "-m", str(pca_run / "model"), "-i", str(empty),
+                     "-o", str(out)]) == 1
+        assert "input has 4 features, model expects 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_score_blank_first_data_line_is_not_header_only(self, pca_run,
                                                             tmp_path, capsys):
         # only a file whose lines after the header are all blank has no rows
@@ -288,10 +297,12 @@ class TestTrainAndScore:
         assert main(["score", "-m", str(outdir), "-i", str(ids_only),
                      "-o", str(tmp_path / "s.csv")]) == 1
         assert "input has 0 features, model expects 2" in capsys.readouterr().err
+        # without rows too: the width is checked before the empty-input shortcut
         ids_only.write_text("label,class\n")
         assert main(["score", "-m", str(outdir), "-i", str(ids_only),
-                     "-o", str(tmp_path / "s.csv")]) == 0
-        assert (tmp_path / "s.csv").read_text() == "id,z_e,z_c,score\n"
+                     "-o", str(tmp_path / "s.csv")]) == 1
+        assert "input has 0 features, model expects 2" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
     def test_score_truncated_embeddings_is_runtime_error(self, tiny_ini,
                                                          tmp_path, capsys):
@@ -822,6 +833,11 @@ DOCTORED_FILES = {
         NORMALIZER_FILE, "normalizer",
         lambda meta, arrays: arrays.update(shift=np.zeros(3), scale=np.ones(3))),
     "estimator-of-3-features": (ESTIMATOR_FILE, "estimator", replace_estimator(3)),
+    # a file without a config hash string cannot be matched with the others
+    "normalizer-without-config-hash": (
+        NORMALIZER_FILE, "normalizer", lambda meta, arrays: meta.pop("config_hash")),
+    "estimator-config-hash-of-a-number": (
+        ESTIMATOR_FILE, "estimator", lambda meta, arrays: meta.update(config_hash=7)),
 }
 
 
@@ -840,6 +856,19 @@ def test_score_doctored_model_file_is_runtime_error(ae_run, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and name in err
     assert "Traceback" not in err
+
+
+def test_inspect_model_file_without_config_hash_is_runtime_error(ae_run, tmp_path,
+                                                                 capsys):
+    model_dir = tmp_path / "model"
+    shutil.copytree(ae_run / "model", model_dir)
+    kind, meta, arrays = load_container(model_dir / NORMALIZER_FILE)
+    del meta["config_hash"]
+    save_container(model_dir / NORMALIZER_FILE, kind, meta, arrays)
+    capsys.readouterr()
+    assert main(["inspect", "-m", str(model_dir)]) == 2
+    assert capsys.readouterr().err == (f"error: {model_dir / NORMALIZER_FILE}: "
+                                       "config_hash is missing or not a string\n")
 
 
 def test_score_with_estimator_naming_adapted_noise(ae_run, tmp_path):
@@ -869,6 +898,24 @@ class TestEvalAndAblate:
         for seed in (0, 1):
             assert (outdir / f"scores-seed{seed}.csv").exists()
         assert "auroc" in capsys.readouterr().out
+
+    def test_ablate_refuses_a_sweep_before_its_first_fit(self, tmp_path, monkeypatch,
+                                                         capsys):
+        classes = np.repeat([0, 1], 20)
+        points = tmp_path / "classes.csv"
+        write_csv(points, Dataset(np.random.default_rng(0).standard_normal((40, 2)),
+                                  class_ids=classes))
+        monkeypatch.setattr("cance.evaluation.prepare_features",
+                            lambda *a: pytest.fail("a fit started"))
+        outdir = tmp_path / "ablate"
+        overrides = ["dataset.kind=csv", f"dataset.path={points}",
+                     "dataset.class_column=class", "dataset.benchmark=unimodal",
+                     "dataset.normal_classes=0, 1"]
+        assert main(["ablate", "-o", str(outdir),
+                     *(arg for pair in overrides for arg in ("--set", pair))]) == 1
+        assert "config error: a single run takes one normal class" in (
+            capsys.readouterr().err)
+        assert not (outdir / "ablation.json").exists()
 
     def test_ablation_emits_four_rows(self, tiny_ini, tmp_path, capsys):
         outdir = tmp_path / "ablate"

@@ -240,6 +240,18 @@ class TestDatasetKinds:
         with pytest.raises(ConfigError, match=f"dataset.{key} required for {kind}"):
             config.validate()
 
+    def test_bad_synth_spec_is_named_before_any_job(self, tmp_path, capsys):
+        from cance.cli import main
+
+        with pytest.raises(ConfigError) as info:
+            load_config(None, ["dataset.synth=box(n=5, radus=1)"])
+        assert str(info.value) == ("dataset.synth: unknown box argument 'radus' "
+                                   "in 'box(n=5, radus=1)'")
+        assert main(["eval", "-o", str(tmp_path / "out"),
+                     "--set", "dataset.synth=box(n=5, radus=1)"]) == 1
+        assert "config error: dataset.synth: unknown box" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_csv_labels_split_needs_label_column(self):
         with pytest.raises(ConfigError, match="label_column"):
             load_config(None, ["dataset.kind=csv", "dataset.path=data.csv",

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import inspect
 import os
 import re
 import struct
@@ -642,6 +643,30 @@ class TestIdx:
         with pytest.raises(DataFormatError, match="count"):
             load_idx(images, labels)
 
+    @pytest.mark.parametrize("file, cut, held, declared", [
+        ("imgs", -1, 1567, 1568), ("labs", -1, 1, 2), ("labs", 1, 3, 2),
+    ], ids=["short-images", "short-labels", "long-labels"])
+    def test_payload_of_another_size_names_both(self, tmp_path, file, cut, held,
+                                                declared):
+        images, labels = self.write_pair(tmp_path)
+        path = tmp_path / file
+        raw = path.read_bytes()
+        path.write_bytes(raw[:cut] if cut < 0 else raw + bytes(cut))
+        with pytest.raises(DataFormatError) as info:
+            load_idx(images, labels)
+        assert str(info.value) == (f"{path}: payload holds {held} bytes, "
+                                   f"header declares {declared}")
+
+    @pytest.mark.parametrize("file, size, field", [
+        ("imgs", 6, "count"), ("imgs", 14, "cols"), ("labs", 7, "count")])
+    def test_header_cut_in_a_size_field_names_it(self, tmp_path, file, size, field):
+        images, labels = self.write_pair(tmp_path)
+        path = tmp_path / file
+        path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(DataFormatError) as info:
+            load_idx(images, labels)
+        assert str(info.value) == f"{path}: truncated {field}"
+
     def test_bad_magic_rejected(self, tmp_path):
         images, labels = self.write_pair(tmp_path)
         raw = bytearray(images.read_bytes())
@@ -953,7 +978,33 @@ class TestSynth:
                   "offplane": ("n", "anomalies", "dim", "latent")}
 
     def test_count_arguments_cover_every_kind(self):
-        assert sorted(self.COUNT_ARGS) == sorted(SYNTH_KINDS)
+        # a count is an argument whose default is an integer
+        assert {kind: {key for key, value in defaults.items() if type(value) is int}
+                for kind, (_, defaults) in SYNTH_KINDS.items()} == {
+            kind: set(keys) for kind, keys in self.COUNT_ARGS.items()}
+
+    @pytest.mark.parametrize("kind", SYNTH_KINDS)
+    def test_generator_takes_exactly_the_default_arguments(self, kind):
+        generator, defaults = SYNTH_KINDS[kind]
+        rng, *names = inspect.signature(generator).parameters
+        assert rng == "rng" and names == list(defaults)
+
+    def test_argument_of_another_kind_is_unknown(self):
+        with pytest.raises(ValueError) as info:
+            synth_generate("ring(k=2.5)", RunRng(0).stream("synth"))
+        assert str(info.value) == "unknown ring argument 'k' in 'ring(k=2.5)'"
+
+    def test_every_part_is_parsed_before_any_is_generated(self, monkeypatch):
+        calls = []
+        generator, defaults = SYNTH_KINDS["ring"]
+        monkeypatch.setitem(SYNTH_KINDS, "ring", (
+            lambda *args, **kwargs: calls.append(1) or generator(*args, **kwargs),
+            defaults))
+        with pytest.raises(ValueError, match="unknown box argument 'radus'"):
+            synth_generate("ring(n=20) + box(n=5, radus=1)", RunRng(0).stream("synth"))
+        assert calls == []
+        synth_generate("ring(n=20) + box(n=5)", RunRng(0).stream("synth"))
+        assert calls == [1]
 
     @pytest.mark.parametrize("kind", SYNTH_KINDS)
     @pytest.mark.parametrize("args, problem", [
