@@ -118,6 +118,7 @@ def _print_report(report_summary: dict) -> None:
 def _score_persister(outdir, prefix=""):
     def persist(seed, artifacts):
         z = artifacts.z_test
+        os.makedirs(outdir, exist_ok=True)  # a failed run leaves no empty directory
         write_scores(os.path.join(outdir, f"scores-{prefix}seed{seed}.csv"),
                      artifacts.test_scores, z_e=z[:, -2], z_c=z[:, -1])
 
@@ -126,6 +127,7 @@ def _score_persister(outdir, prefix=""):
 
 def _write_report(path, summary, reports) -> int:
     """Write a report's JSON; exit 3 if any run failed with a package error."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -136,7 +138,6 @@ def _write_report(path, summary, reports) -> int:
 def cmd_eval(args) -> int:
     config = load_config(args.config, args.set or ())
     outdir = _resolve_outdir(args.outdir, config)
-    os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, "report.json")
     if config.dataset.sweep:
         reports = evaluation.run_unimodal_sweep(
@@ -159,7 +160,6 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     config = load_config(args.config, args.set or ())
     outdir = _resolve_outdir(args.outdir, config)
-    os.makedirs(outdir, exist_ok=True)
     reports = evaluation.run_ablation(config)
     summaries = {variant: r.summary() for variant, r in reports.items()}
     for variant in evaluation.ABLATION_VARIANTS:

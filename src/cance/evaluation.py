@@ -2,7 +2,6 @@
 
 import copy
 import logging
-import threading
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, replace
 from functools import partial
@@ -141,31 +140,17 @@ def run_jobs(jobs) -> dict:
     An outcome is the job's result or the CanceError it raised; any other
     exception cancels the jobs not yet started and propagates once the
     running ones finish. Jobs run on the calling thread's CPU plus each
-    that `blas_cpus` holds for them, each fit on one OpenBLAS thread, in
-    one pool of one thread more than those CPUs (and no more than jobs);
-    with none held, in the calling thread. A worker holds its CPU while
-    jobs wait to start: once fewer jobs are unfinished than CPUs, each job
-    that finishes gives a CPU back, so a running fit can take it for a
-    helper thread at its next epoch.
+    that `blas_cpus` holds for them from the start to the end of the call,
+    each fit on one OpenBLAS thread, in one pool of one thread more than
+    those CPUs (and no more than jobs); with none held, in the calling
+    thread.
     """
     jobs = list(jobs)
-    cpus = blas_cpus(len(jobs) - 1)
-    with cpus:
-        if not cpus.held:
+    with blas_cpus(len(jobs) - 1) as held:
+        if not held:
             return {key: _outcome(key, job) for key, job in jobs}
-        workers, unfinished, lock = cpus.held + 1, [len(jobs)], threading.Lock()
-
-        def run(key, job):
-            try:
-                return _outcome(key, job)
-            finally:
-                with lock:
-                    unfinished[0] -= 1
-                    if unfinished[0] < workers:  # no job waits for this CPU
-                        cpus.release()
-
-        with ThreadPoolExecutor(min(len(jobs), workers + 1)) as pool:
-            futures = [pool.submit(run, key, job) for key, job in jobs]
+        with ThreadPoolExecutor(min(len(jobs), held + 2)) as pool:
+            futures = [pool.submit(_outcome, key, job) for key, job in jobs]
             try:
                 wait(futures, return_when=FIRST_EXCEPTION)
             finally:  # also on an interrupt of the wait

@@ -11,7 +11,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import AbstractContextManager, suppress
+from contextlib import AbstractContextManager, contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -71,37 +71,25 @@ def usable_cpus() -> int:
 _CPU_LOCK, _cpus_taken = threading.Lock(), 0  # held by `spare_cpus` blocks
 
 
-class spare_cpus:
+@contextmanager
+def spare_cpus(wanted: int):
     """A block holding up to `wanted` usable CPUs that neither the calling
     thread nor another block holds: `run_jobs` workers past the first (its
     pool's one thread beyond them holds none), fit helper threads and
-    formatter children. Entering takes the CPUs free and gives the
-    count held, `take()` takes more once they are free, up to `wanted`,
-    `release()` gives one back early, and leaving gives back all."""
-
-    def __init__(self, wanted: int):
-        self.wanted, self.held = wanted, 0
-
-    def take(self) -> int:
-        global _cpus_taken
+    formatter children. The block takes the CPUs free on entry, once, gives
+    their count, and gives them back on exit; it takes none later."""
+    global _cpus_taken
+    with _CPU_LOCK:
+        held = max(0, min(wanted, usable_cpus() - 1 - _cpus_taken))
+        _cpus_taken += held
+    try:
+        yield held
+    finally:
         with _CPU_LOCK:
-            more = max(0, min(self.wanted - self.held, usable_cpus() - 1 - _cpus_taken))
-            self.held, _cpus_taken = self.held + more, _cpus_taken + more
-        return self.held
-
-    def release(self, count: int = 1) -> None:
-        global _cpus_taken
-        with _CPU_LOCK:
-            count = min(count, self.held)
-            self.held, _cpus_taken = self.held - count, _cpus_taken - count
-
-    __enter__ = take
-
-    def __exit__(self, *exc):
-        self.release(self.wanted)
+            _cpus_taken -= held
 
 
-def blas_cpus(wanted: int) -> spare_cpus:
+def blas_cpus(wanted: int):
     """`spare_cpus` for threads that run BLAS work, none unless OpenBLAS is
     pinned: an unpinned BLAS already runs on every CPU, and the row split's
     bit rule (`nn.layers.split_row`) was checked on OpenBLAS kernels only."""

@@ -332,8 +332,8 @@ def train_estimator(train_z: np.ndarray, val_z: np.ndarray, config: NceConfig,
     current widening. Divergence ends training with a warning and the best
     checkpoint; NonFiniteError is raised only if the first epoch diverges.
     A helper thread takes part of each large batch (see `Network`), with
-    the same bits, from the start or the first epoch's end at which
-    `blas_cpus` holds a CPU for it; it ends with the fit.
+    the same bits, if `blas_cpus` holds a CPU for it at the fit's start;
+    it ends with the fit, and a fit that starts without one runs without.
     """
     train_z = np.asarray(train_z, dtype=np.float64)
     val_z = np.asarray(val_z, dtype=np.float64)
@@ -389,20 +389,14 @@ def train_estimator(train_z: np.ndarray, val_z: np.ndarray, config: NceConfig,
             history["adapt_objective"].append(adapt_noise(net, noise_model, opt_psi,
                                                           zb, vbase))
 
-    cpu, stack = blas_cpus(1), ExitStack()
-
-    def take_helper() -> None:  # at the start and at each epoch's end
-        if net.helper is None and cpu.take():
-            net.helper = stack.enter_context(Helper())
-
     def validation_loss() -> float:
-        take_helper()
         history["train_loss"].append(epoch_loss[0] / epoch_loss[1])
         epoch_loss[:] = [0.0, 0]
         return nce_loss(net, val_z, noise_model.transform(val_noise_base), config.nu)
 
-    with cpu, stack:
-        take_helper()
+    with blas_cpus(1) as spare, ExitStack() as stack:
+        if spare:
+            net.helper = stack.enter_context(Helper())
         history["best_val_loss"], history["best_epoch"], history["diverged_at_epoch"] = (
             fit_epochs(config.epochs, n, min(config.batch_size, n), train_rng, step,
                        validation_loss, state, history["val_loss"])

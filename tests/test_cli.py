@@ -917,6 +917,27 @@ class TestEvalAndAblate:
             capsys.readouterr().err)
         assert not (outdir / "ablation.json").exists()
 
+    @pytest.mark.parametrize("command, overrides, code", [
+        ("ablate", ["dataset.kind=csv", "dataset.path={classes}",
+                    "dataset.class_column=class", "dataset.benchmark=unimodal",
+                    "dataset.normal_classes=0, 1"], 1),
+        ("eval", ["dataset.kind=csv", "dataset.path={missing}",
+                  "dataset.label_column=label"], 2),
+        # passes config load; the generator refuses it in the first job
+        ("eval", ["dataset.synth=ring(n=50) + box(n=10, low=2, high=1)"], 1),
+    ], ids=["ablate-sweep", "eval-missing-path", "eval-refused-synth"])
+    def test_a_failed_run_leaves_no_output_directory(self, command, overrides, code,
+                                                     tiny_ini, tmp_path):
+        classes = tmp_path / "classes.csv"
+        write_csv(classes, Dataset(np.random.default_rng(0).standard_normal((40, 2)),
+                                   class_ids=np.repeat([0, 1], 20)))
+        sets = [pair.format(classes=classes, missing=tmp_path / "missing.csv")
+                for pair in overrides]
+        outdir = tmp_path / "out"
+        assert main([command, "-c", str(tiny_ini), "-o", str(outdir),
+                     *(arg for pair in sets for arg in ("--set", pair))]) == code
+        assert not outdir.exists()
+
     def test_ablation_emits_four_rows(self, tiny_ini, tmp_path, capsys):
         outdir = tmp_path / "ablate"
         assert main(["ablate", "-c", str(tiny_ini), "-o", str(outdir),

@@ -92,6 +92,9 @@ class TestParsing:
         "eval.seed=-1",
         "nce.nu=inf", "nce.nu=nan", "nce.nu=-inf", "nce.lr=nan", "nce.lr=inf",
         "compress.lr=nan", "compress.lr=inf", "compress.lam=nan", "compress.lam=inf",
+        "nce.epochs=0", "nce.warmup_frac=1.5", "compress.method=svd",
+        "compress.latent_dim=0", "compress.epochs=0", "eval.repeats=0",
+        "eval.val_fraction=1", "dataset.test_fraction=0",
     ])
     def test_bad_stage_values_rejected(self, override):
         key = override.split("=")[0]

@@ -1066,6 +1066,23 @@ class TestSynth:
         assert "box needs dim >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec, message", [
+        ("ring(n=1", "cannot parse synthetic part"),
+        ("ring(n)", "bad argument 'n'"),
+        ("", "empty synthetic spec"),
+        ("box(low=2, high=1)", "box needs high > low"),
+        ("offplane(dim=2, latent=2)", "offplane needs latent < dim"),
+    ])
+    def test_refused_spec_writes_no_file(self, spec, message, tmp_path, capsys):
+        from cance.cli import main
+
+        with pytest.raises(ValueError, match=re.escape(message)):
+            synth_generate(spec, RunRng(0).stream("synth"))
+        out = tmp_path / "x.csv"
+        assert main(["synth", "--spec", spec, "-o", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_offplane_anomaly_geometry(self):
         ds = synth_generate(
             "offplane(n=400, anomalies=100, dim=6, latent=2, noise=0.01, "

@@ -2,7 +2,6 @@
 
 import sys
 import threading
-import time
 import tracemalloc
 from functools import partial
 
@@ -607,7 +606,7 @@ takes_helpers = pytest.mark.skipif(not machine.openblas_config(),
 
 
 class TestFitHelper:
-    """A fit takes a helper thread once a CPU is free, and joins it."""
+    """A fit takes a helper thread if a CPU is free at its start, and joins it."""
 
     @pytest.fixture
     def running(self):
@@ -617,14 +616,12 @@ class TestFitHelper:
 
     @pytest.fixture
     def started(self, monkeypatch, running):
-        """Every helper a fit starts, in a list; each counts its hand-offs
-        and notes, as `beside`, the fits running at its start."""
+        """Every helper a fit starts, in a list; each counts its hand-offs."""
         made = []
 
         class Recording(CountingHelper):
             def __init__(self):
                 super().__init__()
-                self.beside = running[0]
                 made.append(self)
 
         monkeypatch.setattr(nce_module, "Helper", Recording)
@@ -682,58 +679,46 @@ class TestFitHelper:
         assert model.net.helper is None
 
     @takes_helpers
-    def test_a_helper_joining_after_the_first_epoch_moves_no_bit(
-            self, started, monkeypatch, tmp_path):
+    def test_a_helper_from_the_start_moves_no_bit(self, started, monkeypatch, tmp_path):
         cpus = [1]
         monkeypatch.setattr(machine, "usable_cpus", lambda: cpus[0])
         alone, alone_history = self.fit(epochs=4)
         assert started == []
-        validation = nce_module.nce_loss
-
-        def free_a_cpu(*args):  # from the first validation on
-            cpus[0] = 2
-            return validation(*args)
-
-        monkeypatch.setattr(nce_module, "nce_loss", free_a_cpu)
-        joined, joined_history = self.fit(epochs=4)
-        # asked at the first epoch's end, before that validation freed the
-        # CPU; taken at the second's, then split two epochs of steps
+        cpus[0] = 2
+        helped, helped_history = self.fit(epochs=4)
         assert len(started) == 1 and started[0].calls > 0
         assert helper_threads() == []
         save_model(tmp_path / "alone.model", alone)
-        save_model(tmp_path / "joined.model", joined)
-        assert (tmp_path / "joined.model").read_bytes() == \
+        save_model(tmp_path / "helped.model", helped)
+        assert (tmp_path / "helped.model").read_bytes() == \
             (tmp_path / "alone.model").read_bytes()
-        assert joined_history == alone_history
+        assert helped_history == alone_history
 
     @pytest.mark.skipif(not machine.openblas_config(), reason="run_jobs runs jobs inline")
     def test_as_many_fits_as_cpus_get_no_helper(self, started, running,
                                                  monkeypatch):
-        # two fits on 2 CPUs: neither has a helper while both run; the one
-        # left may take the CPU its neighbour's worker gives back
+        # two fits on 2 CPUs: the run holds the one CPU beside the caller's
+        # for its second worker, so neither fit has a helper
         monkeypatch.setattr(machine, "usable_cpus", lambda: 2)
         outcomes = self.run_counted(running, [2, 2])
         assert all(isinstance(out, tuple) for out in outcomes.values())
-        assert len(started) <= 1 and all(h.beside == 1 for h in started)
+        assert started == []
         # a lone job has the CPU beside it
-        before = len(started)
         evaluation_module.run_jobs([(0, self.fit)])
-        assert len(started) == before + 1 and helper_threads() == []
+        assert len(started) == 1 and helper_threads() == []
 
     @pytest.mark.skipif(not machine.openblas_config(), reason="run_jobs runs jobs inline")
-    def test_the_last_fit_takes_a_helper_once_the_queue_drains(self, started,
-                                                               running,
-                                                               monkeypatch):
-        # three fits on 2 CPUs all run at once, the last beside the second
-        # (a 2-epoch fit can end before the last starts, so they meet
-        # first); none takes a helper while two or three run, and the
-        # third, left alone, takes the CPU given back when the second ends
+    def test_three_fits_on_two_cpus_run_at_once_without_a_helper(self, started,
+                                                                 running,
+                                                                 monkeypatch):
+        # three fits on 2 CPUs all run at once (a 2-epoch fit can end before
+        # the last starts, so they meet first); the run holds its worker's
+        # CPU to its end, so the last fit, left alone, still has no helper
         monkeypatch.setattr(machine, "usable_cpus", lambda: 2)
         outcomes = self.run_counted(running, [2, 2, 16], meet=True)
         assert all(isinstance(out, tuple) for out in outcomes.values())
-        assert running[1] == 3
-        assert [h.beside for h in started] == [1]
-        assert started[0].calls > 0 and helper_threads() == []
+        assert running[1] == 3 and started == [] and helper_threads() == []
+        assert machine._cpus_taken == 0
         with spare_cpus(5) as free:
             assert free == 1
 
@@ -754,7 +739,9 @@ class TestFitHelper:
                        "[compress]\nmethod = pca\nlatent_dim = 2\n"
                        "[nce]\nwidths = 8\nepochs = 1\n")
         assert main(["train", "-c", str(ini), "-o", str(tmp_path / "m")]) == 0
-        assert len(started) == 1 and helper_threads() == []
+        # taken at the fit's start: its one epoch's steps hand off to it
+        assert len(started) == 1 and started[0].calls > 0
+        assert helper_threads() == [] and machine._cpus_taken == 0
 
 
 class TestCpuBudget:
@@ -793,48 +780,12 @@ class TestCpuBudget:
         with spare_cpus(5) as everything:
             assert everything == 2
 
-    def test_a_block_takes_more_once_free_and_gives_back_early(self, monkeypatch):
-        monkeypatch.setattr(machine, "usable_cpus", lambda: 3)
-        first, second = spare_cpus(2), spare_cpus(2)
-        with first as a, second as b:
-            assert (a, b) == (2, 0)
-            first.release()
-            assert (first.held, second.take(), second.take()) == (1, 1, 1)
-            first.release(5)
-            assert second.take() == 2
-        assert (first.held, second.held, machine._cpus_taken) == (0, 0, 0)
-
-    def test_run_jobs_gives_back_the_cpu_of_each_worker_left_idle(self,
-                                                                  monkeypatch):
-        # 8 workers on 8 CPUs hold 7 while jobs wait; the last job, once
-        # alone, finds all 7 given back, which a lost count of the jobs
-        # left would prevent; never more than 7 are held
+    def test_run_jobs_holds_its_cpus_to_its_end(self, monkeypatch):
+        # 8 workers on 8 CPUs hold 7 from the first job to the last, also
+        # once fewer jobs are left than workers, and give all 7 back after
         monkeypatch.setattr(machine, "usable_cpus", lambda: 8)
         monkeypatch.setattr(machine, "openblas_config", lambda: "fake")
-        held = []
-
-        def taken():
-            with machine._CPU_LOCK:
-                held.append(machine._cpus_taken)
-
-        def last():
-            block = spare_cpus(7)
-            with block:
-                deadline = time.monotonic() + 30
-                while block.held < 7 and time.monotonic() < deadline:
-                    taken()
-                    time.sleep(0.001)
-                    block.take()
-                taken()
-                return block.held
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            outcomes = evaluation_module.run_jobs(
-                [*((i, taken) for i in range(300)), ("last", last)])
-        finally:
-            sys.setswitchinterval(interval)
-        assert outcomes["last"] == 7
-        assert max(held) == 7 and held[0] == 7
+        outcomes = evaluation_module.run_jobs(
+            (i, lambda: machine._cpus_taken) for i in range(20))
+        assert set(outcomes.values()) == {7}
         assert machine._cpus_taken == 0

@@ -9,7 +9,7 @@ import pytest
 from cance import machine
 from cance.cli import main
 from cance.config import load_config
-from cance.data import load_benchmark
+from cance.data import Dataset, load_benchmark, write_embeddings
 from cance.errors import ConfigError
 from cance.evaluation import run_experiment, run_unimodal_sweep
 from cance.pipeline import run_pipeline
@@ -91,6 +91,29 @@ class TestIdxPipeline:
         train, test = load_benchmark(config.dataset, RunRng(0))
         assert np.all(train.class_ids == 1)
         np.testing.assert_array_equal(test.labels, (test.class_ids != 1))
+
+
+class TestEmbeddingsPipeline:
+    def test_unimodal_embeddings_end_to_end(self, tmp_path):
+        # three classes of 4-wide embeddings, each a blob of its own
+        rng = np.random.default_rng(5)
+        classes = np.repeat(np.arange(3), 60)
+        features = 4.0 * np.eye(3, 4)[classes] + rng.standard_normal((180, 4))
+        path = tmp_path / "points.emb"
+        write_embeddings(path, Dataset(features, class_ids=classes))
+        config = load_config(None, [
+            "dataset.kind=embeddings",
+            f"dataset.path={path}",
+            "dataset.benchmark=unimodal",
+            "dataset.normal_classes=0",
+            *fast_nce_overrides(),
+        ])
+        report = run_experiment(config, repeats=1)
+        assert not report.partial
+        assert 0.0 <= report.mean("auroc") <= 1.0
+        train, test = load_benchmark(config.dataset, RunRng(0))
+        assert np.all(train.class_ids == 0)
+        np.testing.assert_array_equal(test.labels, (test.class_ids != 0))
 
 
 class TestRecipePipeline:
