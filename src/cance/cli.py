@@ -11,6 +11,7 @@ import json
 import logging
 import os
 import sys
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -118,7 +119,6 @@ def _print_report(report_summary: dict) -> None:
 def _score_persister(outdir, prefix=""):
     def persist(seed, artifacts):
         z = artifacts.z_test
-        os.makedirs(outdir, exist_ok=True)  # a failed run leaves no empty directory
         write_scores(os.path.join(outdir, f"scores-{prefix}seed{seed}.csv"),
                      artifacts.test_scores, z_e=z[:, -2], z_c=z[:, -1])
 
@@ -127,7 +127,6 @@ def _score_persister(outdir, prefix=""):
 
 def _write_report(path, summary, reports) -> int:
     """Write a report's JSON; exit 3 if any run failed with a package error."""
-    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -135,37 +134,52 @@ def _write_report(path, summary, reports) -> int:
     return EXIT_PARTIAL if any(r.partial for r in reports) else EXIT_OK
 
 
+@contextmanager
+def _output_dir(path):
+    """Make a run's output directory up front, so a bad path fails before
+    any fit; if the run raises, a directory this made is removed while empty."""
+    made = not os.path.isdir(path)
+    os.makedirs(path, exist_ok=True)
+    try:
+        yield path
+    except BaseException:
+        if made:
+            with suppress(OSError):  # not empty
+                os.rmdir(path)
+        raise
+
+
 def cmd_eval(args) -> int:
     config = load_config(args.config, args.set or ())
-    outdir = _resolve_outdir(args.outdir, config)
-    path = os.path.join(outdir, "report.json")
-    if config.dataset.sweep:
-        reports = evaluation.run_unimodal_sweep(
-            config,
-            on_run_factory=lambda cls: _score_persister(outdir, f"class{cls}-"),
-        )
-        summary = {str(cls): r.summary() for cls, r in reports.items()}
-        for cls in sorted(reports):
-            _print_report(summary[str(cls)])
-        aurocs = [r.mean("auroc") for r in reports.values()]
-        print(f"average auroc over classes: {np.mean(aurocs):.4f}")
-        return _write_report(path, summary, reports.values())
-    report = evaluation.run_experiment(config, on_run=_score_persister(outdir))
-    print(f"seeds: {', '.join(str(s) for s in report.seeds)}")
-    summary = report.summary()
-    _print_report(summary)
-    return _write_report(path, summary, [report])
+    with _output_dir(_resolve_outdir(args.outdir, config)) as outdir:
+        path = os.path.join(outdir, "report.json")
+        if config.dataset.sweep:
+            reports = evaluation.run_unimodal_sweep(
+                config,
+                on_run_factory=lambda cls: _score_persister(outdir, f"class{cls}-"),
+            )
+            summary = {str(cls): r.summary() for cls, r in reports.items()}
+            for cls in sorted(reports):
+                _print_report(summary[str(cls)])
+            aurocs = [r.mean("auroc") for r in reports.values()]
+            print(f"average auroc over classes: {np.mean(aurocs):.4f}")
+            return _write_report(path, summary, reports.values())
+        report = evaluation.run_experiment(config, on_run=_score_persister(outdir))
+        print(f"seeds: {', '.join(str(s) for s in report.seeds)}")
+        summary = report.summary()
+        _print_report(summary)
+        return _write_report(path, summary, [report])
 
 
 def cmd_ablate(args) -> int:
     config = load_config(args.config, args.set or ())
-    outdir = _resolve_outdir(args.outdir, config)
-    reports = evaluation.run_ablation(config)
-    summaries = {variant: r.summary() for variant, r in reports.items()}
-    for variant in evaluation.ABLATION_VARIANTS:
-        _print_report(summaries[variant])
-    return _write_report(os.path.join(outdir, "ablation.json"), summaries,
-                         reports.values())
+    with _output_dir(_resolve_outdir(args.outdir, config)) as outdir:
+        reports = evaluation.run_ablation(config)
+        summaries = {variant: r.summary() for variant, r in reports.items()}
+        for variant in evaluation.ABLATION_VARIANTS:
+            _print_report(summaries[variant])
+        return _write_report(os.path.join(outdir, "ablation.json"), summaries,
+                             reports.values())
 
 
 def cmd_synth(args) -> int:

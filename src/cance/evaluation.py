@@ -223,14 +223,11 @@ def run_unimodal_sweep(config: RunConfig, repeats: int | None = None,
 
 
 def _variant_metrics(config: RunConfig, variant: str, features: RunArtifacts) -> dict:
-    """Score one variant on one seed's features: Error by the squared error,
-    the others by an estimator fitted on their composite columns."""
-    if variant == "Error":
-        scores = features.z_test[:, -2]
-    else:
-        cols = slice(config.compress.latent_dim if variant == "LatNCE" else None)
-        nce = replace(config.nce, augmentation=(variant == "CANCE"))
-        scores = fit_estimator(features, nce, f"-{variant}", cols).test_scores
+    """Score one NCE variant on one seed's features by an estimator fitted on
+    the variant's composite columns."""
+    cols = slice(config.compress.latent_dim if variant == "LatNCE" else None)
+    nce = replace(config.nce, augmentation=(variant == "CANCE"))
+    scores = fit_estimator(features, nce, f"-{variant}", cols).test_scores
     return _score_metrics(scores, features.test.labels)
 
 
@@ -241,8 +238,9 @@ def run_ablation(config: RunConfig, repeats: int | None = None) -> dict:
     columns fed to the estimator and the augmentation flag differ. Error
     needs no estimator: its score is the squared-error feature itself.
 
-    Two job lists: the features of every seed, then the four variants of
-    every seed. Each fit draws from its own named streams, so the reports
+    Two job lists: the features of every seed, then the three fits of every
+    seed; Error is scored in the calling thread, so `run_jobs` holds CPUs
+    for fits only. Each fit draws from its own named streams, so the reports
     do not depend on the number of workers. A seed whose features failed
     has no variant jobs; its CanceError is the outcome of every variant.
     """
@@ -250,11 +248,13 @@ def run_ablation(config: RunConfig, repeats: int | None = None) -> dict:
     seeds = _seeds(config, repeats)
     features = run_jobs((seed, partial(prepare_features, config, seed))
                         for seed in seeds)
-    fits = run_jobs(
-        ((seed, variant), partial(_variant_metrics, config, variant, feats))
-        for seed, feats in features.items() if not isinstance(feats, CanceError)
-        for variant in ABLATION_VARIANTS
-    )
+    ready = {seed: f for seed, f in features.items() if not isinstance(f, CanceError)}
+    fits = {(seed, "Error"): _outcome((seed, "Error"), partial(
+        _score_metrics, f.z_test[:, -2], f.test.labels)) for seed, f in ready.items()}
+    fits.update(run_jobs(
+        ((seed, variant), partial(_variant_metrics, config, variant, f))
+        for seed, f in ready.items() for variant in ABLATION_VARIANTS[1:]
+    ))
     return {
         variant: _report(config, seeds, [fits.get((seed, variant), features[seed])
                                          for seed in seeds], f"/{variant}")

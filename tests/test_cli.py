@@ -938,6 +938,31 @@ class TestEvalAndAblate:
                      *(arg for pair in sets for arg in ("--set", pair))]) == code
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "ablate"])
+    def test_an_output_path_naming_a_file_fails_before_any_fit(self, command, tiny_ini,
+                                                               tmp_path, monkeypatch,
+                                                               capsys):
+        import cance.evaluation as evaluation_module
+
+        def no_fit(*args):
+            pytest.fail("a fit started before the output directory was made")
+
+        monkeypatch.setattr(evaluation_module, "prepare_features", no_fit)
+        monkeypatch.setattr(evaluation_module, "run_pipeline", no_fit)
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        assert main([command, "-c", str(tiny_ini), "-o", str(taken)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert taken.read_text() == "kept\n"
+
+    def test_a_failed_run_keeps_an_output_directory_it_did_not_make(self, tiny_ini,
+                                                                     tmp_path):
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        assert main(["eval", "-c", str(tiny_ini), "-o", str(outdir), "--set",
+                     "dataset.synth=ring(n=50) + box(n=10, low=2, high=1)"]) == 1
+        assert outdir.is_dir()
+
     def test_ablation_emits_four_rows(self, tiny_ini, tmp_path, capsys):
         outdir = tmp_path / "ablate"
         assert main(["ablate", "-c", str(tiny_ini), "-o", str(outdir),

@@ -264,6 +264,26 @@ class TestAblationFanOut:
         assert self.summary_text(serial) == self.summary_text(pooled)
         assert self.summary_text(pooled) == self.summary_text(reports)
 
+    @pytest.mark.skipif(not machine.openblas_config(),
+                        reason="no fit takes a helper on an unpinned BLAS")
+    def test_on_four_cpus_one_of_the_three_fits_takes_a_helper(self, monkeypatch,
+                                                                reports):
+        import cance.nce as nce_module
+
+        # Error fits nothing and takes no CPU: the three fits' run holds two
+        # of the three CPUs beside the caller's, and one fit takes the third
+        started = []
+
+        class Recording(machine.Helper):
+            def __init__(self):
+                super().__init__()
+                started.append(self)
+
+        monkeypatch.setattr(nce_module, "Helper", Recording)
+        helped = self.run_with_workers(monkeypatch, 4)
+        assert len(started) == 1 and machine._cpus_taken == 0
+        assert self.summary_text(helped) == self.summary_text(reports)
+
     def test_failed_variant_leaves_the_others_complete(self, monkeypatch, pooled):
         original = pipeline.train_estimator
 
